@@ -1142,7 +1142,9 @@ def _describe_cache() -> str:
         "Materialized views (repro.db.views.ViewCatalog): grouped",
         "aggregates registered on the database are answered from a",
         "precomputed index; a write to the base table marks the view",
-        "dirty and the next read refreshes it lazily.",
+        "dirty and the next read refreshes it lazily, recomputing only",
+        "the groups the writes touched (through the base table's index on",
+        "the grouping column; a full rebuild without one).",
         "",
         "Metric families: broker.cache.* mirrors the per-broker local",
         "caches; broker.cachetier.* covers the shared store, write-behind",

@@ -8,7 +8,7 @@ converts that work into simulated service time via the cost model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError, UnknownColumnError
 from .index import HashIndex, SortedIndex
@@ -90,11 +90,8 @@ def evaluate_predicate(table: Table, predicate: Predicate, row: Row) -> bool:
     raise QueryError(f"unsupported predicate: {predicate!r}")
 
 
-def _candidate_ids(table: Table, path: AccessPath) -> Tuple[List[int], int]:
-    """Row ids selected by the access path, plus rows-examined count."""
-    if path.kind == "scan":
-        ids = [row_id for row_id, _ in table.scan()]
-        return ids, len(ids)
+def _candidate_ids(table: Table, path: AccessPath) -> List[int]:
+    """Row ids, ascending, selected by an index access path."""
     index = table.indexes[path.column]  # type: ignore[index]
     if path.kind in ("hash-eq", "sorted-eq"):
         ids = index.lookup(path.equals)
@@ -113,7 +110,7 @@ def _candidate_ids(table: Table, path: AccessPath) -> Tuple[List[int], int]:
         ids = sorted(set(seen))
     else:  # pragma: no cover - planner only emits the kinds above
         raise QueryError(f"unknown access path kind: {path.kind!r}")
-    return ids, len(ids)
+    return ids
 
 
 def _match_rows(
@@ -121,14 +118,22 @@ def _match_rows(
 ) -> Tuple[List[Tuple[int, Row]], str, int]:
     """Rows matching *where*, with plan name and rows-examined count."""
     path = plan_access(table, where)
-    ids, examined = _candidate_ids(table, path)
-    matched: List[Tuple[int, Row]] = []
-    for row_id in ids:
-        row = table.get(row_id)
-        if row is None:
-            continue
-        if path.residual is None or evaluate_predicate(table, path.residual, row):
-            matched.append((row_id, row))
+    candidates: Iterable[Tuple[int, Row]]
+    if path.kind == "scan":
+        # One pass over the live rows; no id list, no per-row re-fetch.
+        candidates = table.scan()
+        examined = table.row_count
+    else:
+        ids = _candidate_ids(table, path)
+        candidates = zip(ids, map(table.get, ids))
+        examined = len(ids)
+    residual = path.residual
+    matched = [
+        (row_id, row)
+        for row_id, row in candidates
+        if row is not None
+        and (residual is None or evaluate_predicate(table, residual, row))
+    ]
     return matched, path.kind, examined
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, List, Optional, Tuple
 
 from ..errors import SqlSyntaxError
@@ -355,6 +356,21 @@ class _Parser:
         return Comparison(column, token.value, self.literal())
 
 
+#: Distinct SQL texts whose parse is kept. The §V workloads issue a few
+#: hundred hot read texts plus one-off write texts; least recently used
+#: texts fall out, so memory stays bounded whatever a client sends.
+PARSE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(text: str) -> Statement:
-    """Parse one SQL statement; raises :class:`SqlSyntaxError` on error."""
+    """Parse one SQL statement; raises :class:`SqlSyntaxError` on error.
+
+    Results are memoised per text, so the broker-side combiner and the
+    database share one parse of each statement: callers receive the
+    *same* object for the same text. That is safe because every
+    statement and predicate is a frozen dataclass over tuples
+    (``tests/db/test_parser.py`` enforces it); a failed parse is not
+    remembered and raises again on every call.
+    """
     return _Parser(text).statement()

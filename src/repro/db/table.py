@@ -2,12 +2,15 @@
 
 Rows are tuples held in a slotted list; deletion tombstones the slot so
 row ids stay stable (indexes reference row ids). All mutations keep
-every index consistent.
+every index consistent and report the changed row to the table's
+observers (see :meth:`Table.subscribe`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 from ..errors import QueryError
 from .index import HashIndex, SortedIndex
@@ -16,6 +19,10 @@ from .schema import Column, Schema
 __all__ = ["Table"]
 
 Row = Tuple[Any, ...]
+
+#: Called after each row change with ``(old row, new row)``: an insert
+#: has no old row, a delete no new one.
+RowObserver = Callable[[Optional[Row], Optional[Row]], None]
 
 
 class Table:
@@ -27,6 +34,7 @@ class Table:
         self._rows: List[Optional[Row]] = []
         self._live = 0
         self.indexes: Dict[str, Union[HashIndex, SortedIndex]] = {}
+        self._observers: List[RowObserver] = []
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -57,6 +65,8 @@ class Table:
         self._live += 1
         for column, index in self.indexes.items():
             index.insert(row[self.schema.index_of(column)], row_id)
+        for observer in self._observers:
+            observer(None, row)
         return row_id
 
     def delete(self, row_id: int) -> None:
@@ -66,10 +76,13 @@ class Table:
         self._live -= 1
         for column, index in self.indexes.items():
             index.remove(row[self.schema.index_of(column)], row_id)
+        for observer in self._observers:
+            observer(row, None)
 
     def update(self, row_id: int, changes: Mapping[str, Any]) -> None:
         """Overwrite columns of one row, keeping indexes consistent."""
-        row = list(self._fetch(row_id))
+        old = self._fetch(row_id)
+        row = list(old)
         for column, value in changes.items():
             pos = self.schema.index_of(column)
             coerced = self.schema.columns[pos].coerce(value)
@@ -78,12 +91,24 @@ class Table:
                 index.remove(row[pos], row_id)
                 index.insert(coerced, row_id)
             row[pos] = coerced
-        self._rows[row_id] = tuple(row)
+        new = tuple(row)
+        self._rows[row_id] = new
+        for observer in self._observers:
+            observer(old, new)
 
     def _fetch(self, row_id: int) -> Row:
         if not 0 <= row_id < len(self._rows) or self._rows[row_id] is None:
             raise QueryError(f"no live row with id {row_id} in {self.name!r}")
         return self._rows[row_id]  # type: ignore[return-value]
+
+    def subscribe(self, observer: RowObserver) -> None:
+        """Call *observer* ``(old row, new row)`` after every row change.
+
+        ``insert`` reports ``(None, row)``, ``delete`` ``(row, None)``
+        and ``update`` both images — what a materialized view needs to
+        know which groups a write touched.
+        """
+        self._observers.append(observer)
 
     # -- access ----------------------------------------------------------
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+import typing
+
 import pytest
 
-from repro.db import parse
-from repro.db.parser import tokenize
+from repro.db import parse, query
+from repro.db.parser import PARSE_CACHE_SIZE, tokenize
 from repro.db.query import (
     And,
     Between,
@@ -176,3 +179,40 @@ class TestLikeSemantics:
         assert Like("x", "abc%").prefix == "abc"
         assert Like("x", "%abc").prefix is None
         assert Like("x", "a_b").prefix == "a"
+
+
+class TestParseCache:
+    def test_repeated_text_shares_one_parse(self):
+        sql = "SELECT val FROM records WHERE grp = 17"
+        assert parse(sql) is parse(sql)
+        assert parse(sql) is not parse(sql + " ")
+
+    def test_cache_is_bounded(self):
+        for n in range(PARSE_CACHE_SIZE + 50):
+            parse(f"SELECT a FROM t WHERE b = {n}")
+        assert parse.cache_info().currsize == PARSE_CACHE_SIZE
+
+    def test_syntax_error_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(SqlSyntaxError):
+                parse("SELECT FROM")
+
+    def test_every_ast_node_is_immutable(self):
+        """A shared parse is only safe if no caller can change it."""
+        nodes = [
+            value
+            for value in vars(query).values()
+            if dataclasses.is_dataclass(value) and value.__module__ == query.__name__
+        ]
+        assert {SelectStatement, InsertStatement, Comparison, And} <= set(nodes)
+
+        def containers(annotation):
+            yield typing.get_origin(annotation) or annotation
+            for argument in typing.get_args(annotation):
+                yield from containers(argument)
+
+        for node in nodes:
+            assert node.__dataclass_params__.frozen, node
+            for name, annotation in typing.get_type_hints(node).items():
+                mutable = {list, dict, set} & set(containers(annotation))
+                assert not mutable, f"{node.__name__}.{name}: {annotation}"

@@ -53,6 +53,14 @@ class TestDefinitionValidation:
                 "v", db, "SELECT val, COUNT(*) FROM records GROUP BY grp"
             )
 
+    def test_limited_definition_rejected(self, db):
+        for limit in (0, 5):
+            with pytest.raises(QueryError):
+                MaterializedView(
+                    "v", db,
+                    f"SELECT grp, COUNT(*) FROM records GROUP BY grp LIMIT {limit}",
+                )
+
     def test_valid_definition_starts_dirty(self, db):
         view = MaterializedView(
             "v", db, "SELECT grp, COUNT(*) FROM records GROUP BY grp"
@@ -72,11 +80,29 @@ class TestAnswering:
         assert result.stats.plan == "view:records_by_grp"
         assert result.rows == ((0,),)
 
-    def test_in_list_probe_per_key(self, db, catalog):
+    def test_ungrouped_in_list_falls_through(self, db, catalog):
+        # One aggregate *across* the listed groups: not a per-group probe.
         result = db.execute("SELECT COUNT(*) FROM records WHERE grp IN (0, 2)")
+        assert not result.stats.plan.startswith("view:")
+        assert result.rows == ((8,),)
+        repeated = db.execute("SELECT COUNT(*) FROM records WHERE grp IN (1, 1)")
+        assert repeated.rows == ((4,),)
+
+    def test_grouped_in_list_probes_sorted_distinct_keys(self, db, catalog):
+        result = db.execute(
+            "SELECT grp, COUNT(*) FROM records WHERE grp IN (2, 0, 2, 99) GROUP BY grp"
+        )
         assert result.stats.plan == "view:records_by_grp"
-        assert result.rows == ((4,), (4,))
-        assert result.stats.rows_examined == 2
+        assert result.rows == ((0, 4), (2, 4))
+        assert result.stats.rows_examined == 3
+
+    def test_grouped_read_without_key_column(self, db, catalog):
+        result = db.execute("SELECT COUNT(*) FROM records GROUP BY grp")
+        assert result.stats.plan == "view:records_by_grp"
+        assert result.columns == ("count",)
+        assert result.rows == ((4,), (4,), (4,))
+        absent = db.execute("SELECT COUNT(*) FROM records WHERE grp = 99 GROUP BY grp")
+        assert absent.rows == ()
 
     def test_full_grouped_read_sorted(self, db, catalog):
         result = db.execute("SELECT grp, COUNT(*) FROM records GROUP BY grp")
@@ -132,6 +158,80 @@ class TestInvalidation:
         db.execute("SELECT COUNT(*) FROM records WHERE grp = 0")
         db.execute("DELETE FROM other WHERE id = 1")
         assert catalog.views[0].dirty is False
+
+
+class TestPerGroupRefresh:
+    """What refresh recomputes, seen through how often it reads the table."""
+
+    @pytest.fixture
+    def view(self, db, catalog):
+        db.execute("SELECT COUNT(*) FROM records WHERE grp = 0")  # first build
+        return catalog.views[0]
+
+    @staticmethod
+    def _count_gets(db, monkeypatch):
+        table = db.table("records")
+        fetched = []
+        original = table.get
+        monkeypatch.setattr(
+            table, "get", lambda row_id: fetched.append(row_id) or original(row_id)
+        )
+        return fetched
+
+    def test_refresh_reads_only_the_written_group(self, db, view, monkeypatch):
+        fetched = self._count_gets(db, monkeypatch)
+        db.execute("UPDATE records SET val = 1 WHERE id = 4")  # a grp 1 row
+        assert db.execute("SELECT COUNT(*) FROM records WHERE grp = 1").rows == ((4,),)
+        assert sorted(fetched) == [1, 4, 7, 10]
+
+    def test_row_moved_between_groups_refreshes_both(self, db, view):
+        db.execute("UPDATE records SET grp = 2 WHERE id = 4")
+        assert db.execute(
+            "SELECT grp, COUNT(*) FROM records GROUP BY grp"
+        ).rows == ((0, 4), (1, 3), (2, 5))
+
+    def test_emptied_group_disappears(self, db, view):
+        db.execute("DELETE FROM records WHERE grp = 1")
+        assert db.execute(
+            "SELECT grp, COUNT(*) FROM records GROUP BY grp"
+        ).rows == ((0, 4), (2, 4))
+        assert db.execute("SELECT COUNT(*) FROM records WHERE grp = 1").rows == ((0,),)
+
+    def test_write_matching_no_row_still_counts_as_a_refresh(self, db, view):
+        refreshes = view.refreshes
+        db.execute("DELETE FROM records WHERE id = 999")
+        assert view.dirty
+        db.execute("SELECT COUNT(*) FROM records WHERE grp = 0")
+        assert view.refreshes == refreshes + 1
+
+    def test_unindexed_grouping_column_rebuilds_in_full(self):
+        database = Database()
+        table = database.create_table("records", [("id", int), ("grp", int)])
+        for i in range(6):
+            table.insert((i, i % 2))
+        catalog = ViewCatalog()
+        catalog.create("v", database, "SELECT grp, COUNT(*) FROM records GROUP BY grp")
+        database.install_views(catalog)
+        database.execute("SELECT COUNT(*) FROM records WHERE grp = 0")
+        database.execute("INSERT INTO records (id, grp) VALUES (6, 0)")
+        result = database.execute("SELECT COUNT(*) FROM records WHERE grp = 0")
+        assert result.rows == ((4,),)
+
+    def test_recreated_table_rebuilds_and_ignores_the_old_object(self, db, view):
+        old_table = db.table("records")
+        db.drop_table("records")
+        table = db.create_table("records", [("grp", int), ("val", int)])
+        table.insert((7, 1))
+        table.create_index("grp")
+        db.execute("INSERT INTO records (grp, val) VALUES (7, 2)")
+        old_table.insert((50, 0, 0))  # a stale handle; must not disturb the view
+        assert db.execute(
+            "SELECT grp, COUNT(*) FROM records GROUP BY grp"
+        ).rows == ((7, 2),)
+        db.execute("INSERT INTO records (grp, val) VALUES (8, 3)")
+        assert db.execute(
+            "SELECT grp, COUNT(*) FROM records GROUP BY grp"
+        ).rows == ((7, 2), (8, 1))
 
 
 class TestCatalog:
