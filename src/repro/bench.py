@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import cProfile
 import io
+import gc
 import json
 import pstats
 import time
@@ -166,12 +167,25 @@ def bench_kernel(events: int = 500_000, processes: int = 100) -> Dict[str, Any]:
     }
 
 
+def _collector_work(before: List[Dict[str, int]], requests: int) -> Dict[str, Any]:
+    """Collector work since ``gc.get_stats()`` was *before*: reported, not gated."""
+    after = gc.get_stats()
+    collected = sum(a["collected"] - b["collected"] for a, b in zip(after, before))
+    return {
+        "gc_collections": [
+            a["collections"] - b["collections"] for a, b in zip(after, before)
+        ],
+        "gc_collected_per_request": collected / requests,
+    }
+
+
 def bench_pipeline(
     duration: float = 120.0, clients: int = 30, repeats: int = 2
 ) -> Dict[str, Any]:
     """Measure full-pipeline throughput on a mid-size broker scenario."""
     walls: List[float] = []
     requests = 0
+    collector = gc.get_stats()
     for _ in range(repeats):
         started = time.perf_counter()
         result = run_qos_experiment(
@@ -187,6 +201,7 @@ def bench_pipeline(
         "requests": requests,
         "wall_s": wall,
         "requests_per_sec": requests / wall,
+        **_collector_work(collector, requests * repeats),
     }
 
 
@@ -196,6 +211,7 @@ def bench_macro(
     """Measure the §V.B macro scenario, repeated for stable wall times."""
     walls: List[float] = []
     requests = 0
+    collector = gc.get_stats()
     for _ in range(repeats):
         started = time.perf_counter()
         result = run_qos_experiment(
@@ -214,6 +230,7 @@ def bench_macro(
         "wall_p50_s": _percentile(walls, 0.50),
         "wall_p99_s": _percentile(walls, 0.99),
         "requests_per_sec": requests / best,
+        **_collector_work(collector, requests * repeats),
     }
 
 
@@ -499,6 +516,15 @@ def compare_to_baseline(
     return lines
 
 
+def _collector_line(bench: Dict[str, Any]) -> str:
+    """The report line for a benchmark's ``_collector_work`` keys."""
+    generations = "/".join(str(count) for count in bench["gc_collections"])
+    return (
+        f"            gc: {generations} collections (gen 0/1/2), "
+        f"{bench['gc_collected_per_request']:.1f} objects collected per request"
+    )
+
+
 def render_report(results: Dict[str, Any]) -> str:
     """Render the result document as an aligned text summary."""
     lines = [
@@ -518,6 +544,7 @@ def render_report(results: Dict[str, Any]) -> str:
             f"  pipeline: {pipeline['requests_per_sec']:>12,.0f} requests/s "
             f"({pipeline['requests']:,} requests in {pipeline['wall_s']:.3f}s)"
         )
+        lines.append(_collector_line(pipeline))
     macro = results.get("macro")
     if macro is not None:
         lines.append(
@@ -526,6 +553,7 @@ def render_report(results: Dict[str, Any]) -> str:
             f"wall {macro['wall_best_s']:.3f}s, "
             f"p50 {macro['wall_p50_s']:.3f}s, p99 {macro['wall_p99_s']:.3f}s)"
         )
+        lines.append(_collector_line(macro))
     telemetry = results.get("telemetry")
     if telemetry is not None:
         lines.append(

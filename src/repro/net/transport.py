@@ -212,6 +212,9 @@ class StreamConnection:
         if self.peer is not None and not self._inbox.closed:
             self._transmit(_CLOSE, 0)
         self.local_closed = True
+        # A closed end never transmits again; dropping the peer breaks
+        # the client<->server cycle (in-flight deliveries hold the peer).
+        self.peer = None
 
     def abort(self) -> None:
         """Crash-local teardown: FIN to the peer, this side dies *now*.
@@ -232,6 +235,7 @@ class StreamConnection:
         :class:`ConnectionClosed` and later sends raise it.
         """
         self.local_closed = True
+        self.peer = None
         self._inbox.close()
 
     def __repr__(self) -> str:

@@ -277,7 +277,12 @@ class Process(Event):
         self._throw = generator.throw
         self.name = name or getattr(generator, "__name__", "process")
         #: Cached bound resume callback — one allocation per process
-        #: instead of one per wait.
+        #: instead of one per wait. A self-cycle: every termination site
+        #: drops it (with ``_tick`` and ``_target``, which pins the last
+        #: event waited on) so a finished process is freed by reference
+        #: counting alone (DESIGN.md §9). The exhausted generator holds
+        #: no frame, so ``_send``/``_throw`` can stay for a stale
+        #: same-instant interruption to throw into.
         self._rcb = self._resume
         #: Reusable bare-delay tick event (created on first float wait).
         self._tick: Optional[_Tick] = None
@@ -340,10 +345,12 @@ class Process(Event):
         except StopIteration as exc:
             self._ok = True
             self._value = exc.value
+            self._rcb = self._tick = self._target = None
             sim.wake(self)
         except BaseException as exc:  # noqa: BLE001 - propagate via event
             self._ok = False
             self._value = exc
+            self._rcb = self._tick = self._target = None
             sim.wake(self)
         else:
             sim._advance(self, target)
@@ -383,7 +390,7 @@ class Condition(Event):
         for event in self._events:
             if event.callbacks is None:
                 self._check(event)
-            else:
+            elif self._value is _PENDING or event._ok is not True:
                 event.callbacks.append(self._check)
 
     def _check(self, event: Event) -> None:
@@ -397,6 +404,19 @@ class Condition(Event):
             self.fail(event._value)
         elif self._evaluate(self._events, self._count):
             self.succeed(self._collect_values())
+        else:
+            return
+        # Decided: let go of the losers that can no longer fail (a long
+        # pre-triggered Timeout, typically), so they neither pin this
+        # condition's value until they fire nor miss the Timeout pool.
+        # One that may still fail stays subscribed, to be defused above.
+        check = self._check
+        for loser in self._events:
+            if loser._ok is True and loser.callbacks is not None:
+                try:
+                    loser.callbacks.remove(check)
+                except ValueError:
+                    pass
 
     def _collect_values(self) -> Dict[Event, Any]:
         # Only *processed* events count as having happened: a Timeout is
@@ -645,6 +665,7 @@ class Simulation:
                 waiter._generator.close()
                 waiter._ok = False
                 waiter._value = exc
+                waiter._rcb = waiter._tick = waiter._target = None
                 self.wake(waiter)
                 return
             try:
@@ -655,11 +676,13 @@ class Simulation:
             except StopIteration as stop:
                 waiter._ok = True
                 waiter._value = stop.value
+                waiter._rcb = waiter._tick = waiter._target = None
                 self.wake(waiter)
                 return
             except BaseException as failure:  # noqa: BLE001 - propagate via event
                 waiter._ok = False
                 waiter._value = failure
+                waiter._rcb = waiter._tick = waiter._target = None
                 self.wake(waiter)
                 return
 
@@ -763,10 +786,12 @@ class Simulation:
                     except StopIteration as exc:
                         waiter._ok = True
                         waiter._value = exc.value
+                        waiter._rcb = waiter._tick = waiter._target = None
                         pending_append((when, next(counter), waiter))
                     except BaseException as exc:  # noqa: BLE001
                         waiter._ok = False
                         waiter._value = exc
+                        waiter._rcb = waiter._tick = waiter._target = None
                         pending_append((when, next(counter), waiter))
                     else:
                         tcls = target.__class__
@@ -796,11 +821,13 @@ class Simulation:
                         except StopIteration as exc:
                             waiter._ok = True
                             waiter._value = exc.value
+                            waiter._rcb = waiter._tick = waiter._target = None
                             pending_append((when, next(counter), waiter))
                             break
                         except BaseException as exc:  # noqa: BLE001
                             waiter._ok = False
                             waiter._value = exc
+                            waiter._rcb = waiter._tick = waiter._target = None
                             pending_append((when, next(counter), waiter))
                             break
                         tcls = target.__class__

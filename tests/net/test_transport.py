@@ -153,6 +153,98 @@ class TestStreamConnection:
         assert outcomes.count("refused") == 2
 
 
+class TestStreamTeardown:
+    """A locally closed endpoint lets go of its peer; nothing observable moves."""
+
+    @staticmethod
+    def connect(sim, net):
+        """An established (client, server) pair between hosts ``a`` and ``b``."""
+        a, b = net.node("a"), net.node("b")
+        listener = b.listen_stream(80)
+        ends = {}
+
+        def server():
+            ends["server"] = yield listener.accept()
+
+        def client():
+            ends["client"] = yield from a.connect_stream(Address("b", 80))
+
+        sim.process(server())
+        sim.process(client())
+        sim.run()
+        return ends["client"], ends["server"]
+
+    @pytest.mark.parametrize("teardown", ["close", "abort", "sever"])
+    def test_send_after_teardown_raises_connection_closed(self, sim, net, teardown):
+        client, _server = self.connect(sim, net)
+        getattr(client, teardown)()
+        assert client.peer is None
+        with pytest.raises(ConnectionClosed, match="locally closed"):
+            client.send("late")
+
+    def test_second_close_is_a_no_op(self, sim, net):
+        client, server = self.connect(sim, net)
+        client.close()
+        sent = (client.messages_sent, client.bytes_sent)
+        client.close()
+        client.abort()  # close() again, then fails local receives: no second FIN
+        assert (client.messages_sent, client.bytes_sent) == sent
+        sim.run()
+        assert server.closed and not server.local_closed
+
+    def test_in_flight_message_reaches_a_closing_peer(self, sim, net):
+        # The delivery holds the receiving end itself, so data sent
+        # before close() arrives (then EOF) although the sender has
+        # already dropped its peer ...
+        client, server = self.connect(sim, net)
+        client.send("last words")
+        client.close()
+        assert client.peer is None
+        got = []
+
+        def reader():
+            got.append((yield server.recv()).payload)
+            with pytest.raises(ConnectionClosed):
+                yield server.recv()
+
+        sim.run(sim.process(reader()))
+        assert got == ["last words"]
+
+    def test_in_flight_message_to_a_closed_receiver_is_dropped(self, sim, net):
+        # ... and data racing towards an end that closes meanwhile falls
+        # on the floor, as it always did.
+        client, server = self.connect(sim, net)
+        client.send("too late")
+        server.close()
+        sim.run()
+        assert not server._inbox.items
+        assert client.closed and not client.local_closed  # saw the FIN
+
+    def test_sever_link_with_half_closed_streams(self, sim, net):
+        client, server = self.connect(sim, net)
+        client.close()  # client.peer is gone, the server end is still open
+        seen = []
+
+        def reader():
+            try:
+                yield server.recv()
+            except ConnectionClosed:
+                seen.append(sim.now)
+
+        sim.process(reader())
+        sim.run(until=sim.now)  # the receive is pending, the FIN still in flight
+        assert not server.closed
+        net.sever_link("a", "b")
+        assert server.local_closed and server.peer is None
+        with pytest.raises(ConnectionClosed):
+            server.send("into the void")
+        sent_at = sim.now
+        sim.run()
+        assert seen == [sent_at]  # reset at once, not when the FIN would have landed
+        net.restore_link("a", "b")
+        net.sever_link("a", "b")  # both ends already dead: nothing to touch
+
+
 class TestDatagramSocket:
     def test_round_trip(self, sim, net):
         a, b = net.node("a"), net.node("b")

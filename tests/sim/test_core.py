@@ -264,6 +264,51 @@ class TestConditions:
 
         assert sim.run(sim.process(proc())) == ["x"]
 
+    def test_any_of_loser_failing_later_is_defused(self, sim):
+        # The condition stays subscribed to a loser that may still fail,
+        # so the late failure is handled instead of aborting the run.
+        def late_failure(loser):
+            yield 5.0
+            loser.fail(RuntimeError("too late to matter"))
+
+        def proc():
+            winner, loser = sim.timeout(1, "won"), sim.event()
+            sim.process(late_failure(loser))
+            values = yield sim.any_of([winner, loser])
+            return list(values.values()), loser
+
+        process = sim.process(proc())
+        sim.run()
+        values, loser = process.value
+        assert values == ["won"]
+        assert sim.now == 5.0 and loser.processed and loser.defused
+
+    def test_any_of_lets_go_of_a_losing_timeout(self, sim):
+        # A pre-triggered Timeout cannot fail, so the decided condition
+        # unsubscribes from it ...
+        def proc():
+            winner, timer = sim.event(), sim.timeout(30)
+            winner.succeed("won")
+            yield sim.any_of([winner, timer])
+            return timer
+
+        process = sim.process(proc())
+        sim.run(until=1)
+        assert process.value.callbacks == []
+        # ... and once nothing else names it, the kernel pools it when it fires.
+        timer_id = id(process.value)
+        del process
+        sim.run()
+        assert sim.now == 30.0
+        assert [id(timeout) for timeout in sim._timeout_pool] == [timer_id]
+
+    def test_already_decided_any_of_never_subscribes_to_a_timeout(self, sim):
+        done = sim.event().succeed("early")
+        sim.run()
+        timer = sim.timeout(30)
+        condition = sim.any_of([done, timer])
+        assert condition.triggered and timer.callbacks == []
+
 
 class TestRun:
     def test_run_until_time_sets_clock(self, sim):

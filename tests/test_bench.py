@@ -42,6 +42,8 @@ def _fake_results(macro_rps: float = 8000.0) -> dict:
             "requests": 377,
             "wall_s": 0.15,
             "requests_per_sec": 2500.0,
+            "gc_collections": [63, 6, 0],
+            "gc_collected_per_request": 39.2,
         },
         "macro": {
             "clients": 60,
@@ -53,6 +55,8 @@ def _fake_results(macro_rps: float = 8000.0) -> dict:
             "wall_p50_s": 0.3,
             "wall_p99_s": 0.31,
             "requests_per_sec": macro_rps,
+            "gc_collections": [310, 28, 2],
+            "gc_collected_per_request": 38.7,
         },
     }
 
@@ -188,6 +192,22 @@ class TestReport:
         assert "pipeline" in report
         assert "macro" in report
         assert "p99" in report
+
+    def test_render_report_shows_the_collector(self):
+        report = render_report(_fake_results())
+        assert "gc: 63/6/0 collections (gen 0/1/2), 39.2 objects" in report
+        assert "gc: 310/28/2 collections" in report
+
+    def test_pipeline_and_macro_record_collector_work(self):
+        for result in (
+            bench.bench_pipeline(duration=10.0, clients=6, repeats=1),
+            bench.bench_macro(duration=10.0, clients=6, repeats=1),
+        ):
+            generations = result["gc_collections"]
+            assert len(generations) == 3
+            assert all(isinstance(n, int) and n >= 0 for n in generations)
+            assert result["gc_collected_per_request"] >= 0.0
+            assert "gc:" in bench._collector_line(result)
 
     def test_percentile_nearest_rank(self):
         walls = [3.0, 1.0, 2.0]
