@@ -399,10 +399,10 @@ class ServiceBroker:
             if process.is_alive:
                 # The event the process was blocked on survives the kill
                 # (a pooled connection's recv, a queue get, ...). Nobody
-                # listens to it any more: mark it cancelled for the
-                # owning inbox/queue and defused so a later failure
-                # (e.g. a link fault severing the idle connection) does
-                # not abort the whole simulation.
+                # listens to it any more: mark it cancelled where the
+                # owning queue looks at that, and defused so a later
+                # failure (e.g. a link fault severing the idle
+                # connection) does not abort the whole simulation.
                 target = process._target
                 if target is not None:
                     target.defused = True

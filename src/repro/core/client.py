@@ -16,13 +16,19 @@ directory does not know — and every call when no directory is set —
 use the classic static route table, unchanged.
 
 Because UDP is unreliable, calls support a timeout plus retries; on a
-lossless LAN (the default testbeds) neither ever fires.
+lossless LAN (the default testbeds) neither ever fires. A call with a
+timeout therefore arms no timer of its own: the client keeps the
+``(expires_at, request_id)`` pairs of its attempts in a small heap and
+one kernel event, the alarm, scheduled for the earliest live deadline
+(DESIGN.md §9, "deadline alarm").
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from itertools import count
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from math import inf
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import BrokerTimeout, UnknownServiceError
 from ..metrics import MetricsRegistry
@@ -37,6 +43,9 @@ __all__ = ["BrokerClient", "CallSpec"]
 #: Specification for one call in :meth:`BrokerClient.call_parallel`:
 #: (service, operation, payload, qos_level).
 CallSpec = Tuple[str, str, Any, int]
+
+#: What the deadline alarm resolves an attempt's waiter with.
+_EXPIRED = object()
 
 
 class BrokerClient:
@@ -60,6 +69,14 @@ class BrokerClient:
         self.socket = node.datagram_socket()
         self._ids = count(1)
         self._pending: Dict[int, Event] = {}
+        #: ``(expires_at, request_id)`` of the attempts made with a
+        #: timeout, earliest first — plain numbers, so a queued deadline
+        #: pins no reply. Answered attempts are pruned from the front.
+        self._deadlines: List[Tuple[float, int]] = []
+        #: The one scheduled event, due no later than the earliest live
+        #: deadline, and its time (``inf`` while nothing is armed).
+        self._alarm: Optional[Event] = None
+        self._alarm_at = inf
         self._directory = None
         # Hot-path metric handles (per-status ones resolved lazily).
         self._calls = self.metrics.handle("client.calls")
@@ -84,18 +101,51 @@ class BrokerClient:
 
     def _pump(self):
         recv = self.socket.recv
-        pending_pop = self._pending.pop
+        pending = self._pending
+        deadlines = self._deadlines
         while True:
             envelope = yield recv()
             reply = envelope.payload
             if not isinstance(reply, BrokerReply):
                 self.metrics.increment("client.malformed")
                 continue
-            waiter = pending_pop(reply.request_id, None)
+            waiter = pending.pop(reply.request_id, None)
             if waiter is not None and waiter._value is _PENDING:
                 waiter.succeed(reply)
+                while deadlines and deadlines[0][1] not in pending:
+                    heappop(deadlines)
             else:
                 self.metrics.increment("client.orphan_replies")
+
+    def _arm(self, when: float) -> None:
+        """Schedule the deadline alarm for the absolute time *when*."""
+        alarm = self._alarm = Event(self.sim)
+        alarm._ok = True
+        alarm._value = None
+        alarm.callbacks.append(self._on_alarm)
+        self._alarm_at = when
+        self.sim.wake_at(alarm, when)
+
+    def _on_alarm(self, alarm: Event) -> None:
+        """Expire every attempt whose deadline has come; re-arm for the next."""
+        if alarm is not self._alarm:
+            return  # superseded by an alarm armed for an earlier deadline
+        now = self.sim._now
+        deadlines = self._deadlines
+        pending = self._pending
+        while deadlines:
+            expires_at, request_id = deadlines[0]
+            if expires_at > now:
+                if request_id in pending:
+                    self._arm(expires_at)
+                    return
+            else:
+                waiter = pending.pop(request_id, None)
+                if waiter is not None:
+                    waiter.succeed(_EXPIRED)
+            heappop(deadlines)
+        self._alarm = None
+        self._alarm_at = inf
 
     def call(
         self,
@@ -176,16 +226,15 @@ class BrokerClient:
             self._pending[request_id] = waiter
             self._calls.inc()
             self.socket.sendto(request, address)
-            if deadline is None:
-                reply = yield waiter
-            else:
-                timer = self.sim.timeout(deadline)
-                outcome = yield self.sim.any_of([waiter, timer])
-                if waiter not in outcome:
-                    self._pending.pop(request_id, None)
-                    self.metrics.increment("client.timeouts")
-                    continue
-                reply = outcome[waiter]
+            if deadline is not None:
+                expires_at = started + deadline
+                heappush(self._deadlines, (expires_at, request_id))
+                if expires_at < self._alarm_at:
+                    self._arm(expires_at)
+            reply = yield waiter
+            if reply is _EXPIRED:
+                self.metrics.increment("client.timeouts")
+                continue
             now = self.sim._now
             status = reply.status._value_
             self._call_time.add(now - started)
@@ -195,11 +244,16 @@ class BrokerClient:
                     f"client.replies.{status}"
                 )
             counter.inc()
-            if reply.context is not None:
-                reply.context.record_stage("client", started, now, status)
+            context = reply.context
+            if context is not None:
+                context.record_stage("client", started, now, status)
                 obs = self.sim.obs
                 if obs is not None:
-                    obs.finish(reply.context)
+                    obs.finish(context)
+                # The exchange is over: the context lets go of its two
+                # messages, so all three die with the caller's last
+                # reference (DESIGN.md §9).
+                context.request = context.reply = None
             return reply
         raise BrokerTimeout(
             f"no reply from {service!r} broker after {attempts} attempt(s)"

@@ -29,6 +29,11 @@ __all__ = ["DatabaseClient", "DatabaseConnection", "QueryResult"]
 class QueryResult:
     """Rows returned by one query, plus the server's work accounting."""
 
+    #: Never mutated after construction (``stats`` is copied, not
+    #: edited, downstream), and a cached result is re-sent on every
+    #: hit: size it once (:func:`repro.net.message.estimate_size`).
+    __wire_memo__ = True
+
     columns: Tuple[str, ...]
     rows: Tuple[Tuple[Any, ...], ...]
     stats: Dict[str, Any]

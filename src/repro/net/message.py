@@ -12,8 +12,14 @@ walks the classification chain once and compiles a small handler
 (constant for ``__wire_bytes__`` types, a precomputed field tuple for
 dataclasses); every later payload of that type is a single dict lookup
 plus the handler call. Wire attributes (``__wire_bytes__``,
-``__nonwire_fields__``) are therefore read once per type, at handler
-build time.
+``__nonwire_fields__``, ``__wire_memo__``) are therefore read once per
+type, at handler build time.
+
+A payload that is re-sent many times — a cached query result goes out
+on every cache hit — need not be walked again each time: a dataclass
+that is never mutated after construction declares ``__wire_memo__ =
+True`` and its handler keeps the walk's result on the instance (see
+:func:`estimate_size`).
 """
 
 from __future__ import annotations
@@ -124,19 +130,37 @@ _FIELD_TEMPLATE = """\
 
 
 def _compile_dataclass_handler(
-    cls: type, names: "tuple"
+    cls: type, names: "tuple", memo: bool
 ) -> Callable[[Any], int]:
     """Generate an unrolled size handler for a dataclass's wire fields.
 
     The generated function reads each field by name (no loop, no
     attrgetter tuple) — field sizing is the hottest code in the net
-    layer, one call per message per dataclass payload.
+    layer, one call per message per dataclass payload. With *memo* the
+    walk's result is kept on the instance (``_wire_size``) and returned
+    from there afterwards.
     """
     if not names:
         return lambda payload: 8
-    lines = ["def handler(payload):", "    total = 8"]
+    if memo and not cls.__dictoffset__:
+        raise TypeError(
+            f"{cls.__name__} declares __wire_memo__ but its instances have "
+            "no __dict__ to keep the size in"
+        )
+    lines = ["def handler(payload):"]
+    if memo:
+        lines += [
+            "    try:",
+            "        return payload._wire_size",
+            "    except AttributeError:",
+            "        pass",
+        ]
+    lines.append("    total = 8")
     for name in names:
         lines.append(_FIELD_TEMPLATE.format(name=name))
+    if memo:
+        # Straight into the instance dict: the class may be frozen.
+        lines.append("    payload.__dict__['_wire_size'] = total")
     lines.append("    return total")
     namespace = {
         "_get": _HANDLERS.get,
@@ -176,8 +200,9 @@ def _build_handler(cls: type) -> Callable[[Any], int]:
         names = tuple(
             f.name for f in fields(cls) if f.name not in nonwire
         )
-        handler = _compile_dataclass_handler(cls, names)
-
+        handler = _compile_dataclass_handler(
+            cls, names, getattr(cls, "__wire_memo__", False)
+        )
     else:
         handler = _size_repr
     _HANDLERS[cls] = handler
@@ -197,6 +222,12 @@ def estimate_size(payload: Any) -> int:
     declares 0 — it models an out-of-band trace header), and a
     dataclass may list fields in ``__nonwire_fields__`` to exclude them
     from its size.
+
+    A third hatch saves host time only: a dataclass with
+    ``__wire_memo__ = True`` is walked once per instance. Its contract
+    is that no instance is mutated after construction — nested
+    containers included — and that instances have a ``__dict__`` (no
+    ``slots=True``), which is checked when the handler is built.
     """
     handler = _HANDLERS.get(payload.__class__)
     if handler is not None:

@@ -42,9 +42,9 @@ _CLOSE = _CloseMarker()
 
 
 class _InboxGet(Event):
-    """Pending receive; ``cancelled`` marks an abandoned waiter."""
+    """Pending receive."""
 
-    __slots__ = ("cancelled",)
+    __slots__ = ()
 
     def __init__(self, sim: Simulation) -> None:
         # ``Event.__init__`` inlined: one of these is allocated per
@@ -55,7 +55,6 @@ class _InboxGet(Event):
         self._ok = None
         self.defused = False
         self._waiter = None
-        self.cancelled = False
 
 
 class _Inbox:
@@ -70,13 +69,10 @@ class _Inbox:
         self.closed = False
 
     def put(self, item: Any) -> None:
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.cancelled:
-                continue
-            getter.succeed(item)
-            return
-        self.items.append(item)
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        else:
+            self.items.append(item)
 
     def get(self) -> _InboxGet:
         event = _InboxGet(self.sim)
@@ -88,16 +84,12 @@ class _Inbox:
             self._getters.append(event)
         return event
 
-    def cancel(self, event: Event) -> None:
-        if isinstance(event, _InboxGet) and not event.triggered:
-            event.cancelled = True
-
     def close(self) -> None:
         self.closed = True
         while self._getters:
-            getter = self._getters.popleft()
-            if not getter.cancelled:
-                getter.fail(ConnectionClosed("connection closed by peer"))
+            self._getters.popleft().fail(
+                ConnectionClosed("connection closed by peer")
+            )
 
 
 class StreamConnection:
@@ -200,10 +192,6 @@ class StreamConnection:
     def recv(self) -> Event:
         """Event succeeding with the next :class:`Envelope`."""
         return self._inbox.get()
-
-    def cancel_recv(self, event: Event) -> None:
-        """Withdraw a pending ``recv`` (for AnyOf-with-timeout races)."""
-        self._inbox.cancel(event)
 
     def close(self) -> None:
         """Orderly shutdown: the peer sees buffered data, then EOF."""
@@ -361,10 +349,6 @@ class DatagramSocket:
         if self.closed:
             raise NetworkError("recv() on a closed socket")
         return self._inbox.get()
-
-    def cancel_recv(self, event: Event) -> None:
-        """Withdraw a pending ``recv`` (for AnyOf-with-timeout races)."""
-        self._inbox.cancel(event)
 
     def close(self) -> None:
         """Unbind the port and fail pending receives."""

@@ -40,7 +40,9 @@ autoscaler (ROADMAP item 3) will consume.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -75,6 +77,10 @@ DEFAULT_PERCENTILES: Tuple[float, ...] = (50.0, 99.0)
 
 #: Rolling windows (simulated seconds) for windowed percentiles.
 DEFAULT_WINDOWS: Tuple[float, ...] = (5.0, 30.0)
+
+#: The time column of a ring entry — the key window reads bisect on
+#: (appends are time-ordered, so every ring is sorted by it).
+_TIME = itemgetter(0)
 
 
 class TimeSeries:
@@ -123,10 +129,8 @@ class TimeSeries:
 
     def value_at(self, at: float) -> Optional[float]:
         """Value of the newest point with ``t <= at`` (``None`` if none)."""
-        for t, value in reversed(self._points):
-            if t <= at:
-                return value
-        return None
+        index = bisect_right(self._points, at, key=_TIME)
+        return self._points[index - 1][1] if index else None
 
     def window(
         self, since: float, until: Optional[float] = None
@@ -159,21 +163,19 @@ class TimeSeries:
         ring has already evicted history — the honest answer for a
         clipped window.
         """
-        if not self._points:
+        points = self._points
+        if not points:
             return 0.0
         if at is None:
-            at = self._points[-1][0]
+            at = points[-1][0]
         current = self.value_at(at)
         if current is None:
             return 0.0
-        cutoff = at - window
-        baseline: Optional[float] = None
-        for t, value in reversed(self._points):
-            if t <= cutoff:
-                baseline = value
-                break
-        if baseline is None:
-            baseline = self._points[0][1] if self.dropped else 0.0
+        index = bisect_right(points, at - window, key=_TIME)
+        if index:
+            baseline = points[index - 1][1]
+        else:
+            baseline = points[0][1] if self.dropped else 0.0
         return current - baseline
 
     def rate_over(self, window: float, at: Optional[float] = None) -> float:
@@ -229,23 +231,17 @@ class _HistogramTrack:
         self, window: float, at: Optional[float] = None
     ) -> Optional[LatencyHistogram]:
         """Delta histogram covering ``(at - window, at]`` (None if no data)."""
-        if not self._snaps:
+        snaps = self._snaps
+        if not snaps:
             return None
         if at is None:
-            at = self._snaps[-1][0]
-        newest: Optional[Tuple[float, Tuple[int, ...], int, int, float]] = None
-        for snap in reversed(self._snaps):
-            if snap[0] <= at:
-                newest = snap
-                break
-        if newest is None:
+            at = snaps[-1][0]
+        index = bisect_right(snaps, at, key=_TIME)
+        if not index:
             return None
-        cutoff = at - window
-        base: Optional[Tuple[float, Tuple[int, ...], int, int, float]] = None
-        for snap in reversed(self._snaps):
-            if snap[0] <= cutoff:
-                base = snap
-                break
+        newest = snaps[index - 1]
+        index = bisect_right(snaps, at - window, key=_TIME)
+        base = snaps[index - 1] if index else None
         delta = LatencyHistogram(self.edges)
         if base is None:
             counts = list(newest[1])

@@ -581,6 +581,23 @@ class Simulation:
         """
         self._pending_append((self._now, next(self._counter), event))
 
+    def wake_at(self, event: Event, when: float) -> None:
+        """Schedule *event* for dispatch at the absolute time *when*.
+
+        The twin of :meth:`wake` (like it, for an event that already
+        carries its outcome) for a caller that holds the instant it
+        needs: ``now + (when - now)`` need not round back to *when*, so
+        a relative delay cannot promise it.
+        """
+        if when < self._now:
+            raise ValueError(f"when={when!r} is in the past (now={self._now!r})")
+        self._pending_append((when, next(self._counter), event))
+
+    @property
+    def scheduled(self) -> int:
+        """Entries waiting for dispatch (heap plus pending batch)."""
+        return len(self._heap) + len(self._pending)
+
     def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
         if delay < 0:
             raise ValueError(f"negative delay: {delay!r}")
@@ -896,5 +913,4 @@ class Simulation:
         raise StopSimulation(event)
 
     def __repr__(self) -> str:
-        pending = len(self._heap) + len(self._pending)
-        return f"<Simulation t={self._now:.6g} pending={pending}>"
+        return f"<Simulation t={self._now:.6g} pending={self.scheduled}>"

@@ -15,6 +15,43 @@ from repro.sim import Simulation
 from repro.workload.scenarios import run_qos_experiment
 
 
+# The linear newest-first scans the ring reads used before they bisected
+# on the time column, kept here as the reference the properties compare
+# against.
+
+def _linear_newest_at_or_before(entries, at):
+    for entry in reversed(entries):
+        if entry[0] <= at:
+            return entry
+    return None
+
+
+def _linear_delta_over(series, window, at=None):
+    points = series.points()
+    if not points:
+        return 0.0
+    if at is None:
+        at = points[-1][0]
+    current = _linear_newest_at_or_before(points, at)
+    if current is None:
+        return 0.0
+    baseline = _linear_newest_at_or_before(points, at - window)
+    if baseline is None:
+        return current[1] - (points[0][1] if series.dropped else 0.0)
+    return current[1] - baseline[1]
+
+
+#: Time-ordered rings with repeated timestamps, small enough capacities
+#: that most of them have evicted history, and read instants that fall
+#: before the first point, between points, on a point and after the last.
+_gaps = st.lists(
+    st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]), min_size=1, max_size=40
+)
+_capacity = st.integers(min_value=1, max_value=12)
+_at = st.one_of(st.none(), st.floats(min_value=-2.0, max_value=60.0))
+_window = st.floats(min_value=0.0, max_value=40.0)
+
+
 class TestTimeSeries:
     def test_appends_and_reads_back_in_order(self):
         series = TimeSeries("x", capacity=8)
@@ -131,6 +168,21 @@ class TestTimeSeries:
         assert series.delta_over(window) == pytest.approx(expected)
         assert series.delta_over(window) >= 0.0
 
+    @given(_gaps, _capacity, _at, _window)
+    @settings(max_examples=200)
+    def test_window_reads_match_the_linear_scan(self, gaps, capacity, at, window):
+        series = TimeSeries("c", capacity=capacity)
+        t = 1.0
+        for i, gap in enumerate(gaps):
+            t += gap
+            series.append(t, float(i * i))
+        if at is not None:
+            found = _linear_newest_at_or_before(series.points(), at)
+            assert series.value_at(at) == (None if found is None else found[1])
+        assert series.delta_over(window, at) == _linear_delta_over(
+            series, window, at
+        )
+
 
 class TestHistogramTrack:
     def _hist(self, values, edges=(1.0, 2.0, 5.0)):
@@ -198,6 +250,32 @@ class TestHistogramTrack:
             # Bucket-resolution estimates bracket the exact percentile.
             exact = hist.percentile(50)
             assert delta.percentile(50) == pytest.approx(exact, abs=5.0)
+
+    @given(_gaps, _capacity, _at, _window)
+    @settings(max_examples=200)
+    def test_windowed_matches_the_linear_scan(self, gaps, capacity, at, window):
+        edges = (1.0, 2.0, 5.0)
+        hist = LatencyHistogram(edges)
+        track = _HistogramTrack(edges=edges, capacity=capacity)
+        t = 1.0
+        for i, gap in enumerate(gaps):
+            t += gap
+            hist.add(float(i % 7))
+            track.record(t, hist)
+        snaps = list(track._snaps)
+        read_at = snaps[-1][0] if at is None else at
+        newest = _linear_newest_at_or_before(snaps, read_at)
+        delta = track.windowed(window, at)
+        if newest is None:
+            assert delta is None
+            return
+        base = _linear_newest_at_or_before(snaps, read_at - window)
+        if base is None:
+            base = (None, (0,) * len(edges), 0, 0, 0.0)
+        assert delta.counts == [a - b for a, b in zip(newest[1], base[1])]
+        assert delta.overflow == newest[2] - base[2]
+        assert delta.count == newest[3] - base[3]
+        assert delta.total == newest[4] - base[4]
 
 
 def _scraped_sim(interval=1.0, until=5.0, **kwargs):

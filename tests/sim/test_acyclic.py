@@ -16,28 +16,14 @@ import weakref
 
 import pytest
 
+from repro.core.pipeline import RequestContext, StageRecord
+from repro.core.protocol import BrokerReply, BrokerRequest
 from repro.errors import ConnectionClosed
 from repro.net import Address
 from repro.net.transport import StreamConnection, _Inbox, _InboxGet
 from repro.sim import Simulation
 from repro.sim.core import Condition, Process, Timeout
 from repro.workload import run_cache_tier_experiment, run_qos_experiment
-
-
-@pytest.fixture
-def no_collector():
-    """Switch the cyclic collector off for the test, starting from a clean heap."""
-    was_enabled = gc.isenabled()
-    flags = gc.get_debug()
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.set_debug(flags)
-        del gc.garbage[:]
-        if was_enabled:
-            gc.enable()
 
 
 class Payload:
@@ -136,7 +122,10 @@ class TestFreedByRefcount:
 
 
 #: What a finished request must not leave behind for the collector.
-FORBIDDEN = (Process, StreamConnection, _Inbox, _InboxGet, Condition, Timeout)
+FORBIDDEN = (
+    Process, StreamConnection, _Inbox, _InboxGet, Condition, Timeout,
+    RequestContext, BrokerRequest, BrokerReply, StageRecord,
+)
 
 
 def census(monkeypatch, experiment, **kwargs):
@@ -178,9 +167,19 @@ class TestCensus:
         assert offenders(garbage) == set()
         assert len(garbage) / completed < 1
 
-    def test_cache_tier_run_leaves_only_the_context_graph(self, monkeypatch, no_collector):
+    def test_broker_run_leaves_no_cyclic_garbage(self, monkeypatch, no_collector):
+        result, garbage = census(
+            monkeypatch, run_qos_experiment, n_clients=6, mode="broker", duration=120.0, seed=3
+        )
+        completed = sum(result.completions.values())
+        assert completed > 20
+        assert offenders(garbage) == set()
+        assert len(garbage) / completed < 1
+
+    def test_cache_tier_run_leaves_no_cyclic_garbage(self, monkeypatch, no_collector):
         result, garbage = census(
             monkeypatch, run_cache_tier_experiment, n_clients=12, duration=1.0, seed=3
         )
         assert result.requests > 20
         assert offenders(garbage) == set()
+        assert len(garbage) / result.requests < 1

@@ -355,6 +355,41 @@ class TestRun:
         sim.run()
         assert sim.peek() == float("inf")
 
+    def test_scheduled_counts_what_waits_for_dispatch(self, sim):
+        assert sim.scheduled == 0
+        sim.timeout(7)
+        sim.timeout(9)
+        assert sim.scheduled == 2
+        assert "pending=2" in repr(sim)
+        sim.run(until=8)
+        assert sim.scheduled == 1
+        sim.run()
+        assert sim.scheduled == 0
+
+    def test_wake_at_dispatches_at_exactly_the_given_instant(self, sim):
+        # From now = 2.4000000000000004 a relative delay misses 30.3.
+        when = 0.3 + 30.0
+        seen = []
+
+        def proc():
+            yield 1.1
+            yield 1.3
+            assert sim.now + (when - sim.now) != when
+            alarm = sim.event()
+            alarm._ok, alarm._value = True, "rang"
+            sim.wake_at(alarm, when)
+            seen.append(((yield alarm), sim.now))
+
+        sim.process(proc())
+        sim.run()
+        assert seen == [("rang", when)]
+
+    def test_wake_at_rejects_the_past(self, sim):
+        sim.run(until=5)
+        with pytest.raises(ValueError, match="in the past"):
+            sim.wake_at(sim.event(), 4.0)
+        assert sim.scheduled == 0
+
 
 class TestDeterminism:
     def test_same_seed_same_rng_streams(self):

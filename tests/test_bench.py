@@ -44,6 +44,7 @@ def _fake_results(macro_rps: float = 8000.0) -> dict:
             "requests_per_sec": 2500.0,
             "gc_collections": [63, 6, 0],
             "gc_collected_per_request": 39.2,
+            "kernel_scheduled_at_end": 41,
         },
         "macro": {
             "clients": 60,
@@ -57,6 +58,7 @@ def _fake_results(macro_rps: float = 8000.0) -> dict:
             "requests_per_sec": macro_rps,
             "gc_collections": [310, 28, 2],
             "gc_collected_per_request": 38.7,
+            "kernel_scheduled_at_end": 13453,
         },
     }
 
@@ -198,6 +200,11 @@ class TestReport:
         assert "gc: 63/6/0 collections (gen 0/1/2), 39.2 objects" in report
         assert "gc: 310/28/2 collections" in report
 
+    def test_render_report_shows_the_kernel_queue(self):
+        report = render_report(_fake_results())
+        assert "kernel: 41 entries still scheduled" in report
+        assert "kernel: 13,453 entries still scheduled" in report
+
     def test_pipeline_and_macro_record_collector_work(self):
         for result in (
             bench.bench_pipeline(duration=10.0, clients=6, repeats=1),
@@ -208,6 +215,9 @@ class TestReport:
             assert all(isinstance(n, int) and n >= 0 for n in generations)
             assert result["gc_collected_per_request"] >= 0.0
             assert "gc:" in bench._collector_line(result)
+            # The run drains, so what is left is not a per-request pile.
+            left = result["kernel_scheduled_at_end"]
+            assert isinstance(left, int) and 0 <= left < result["requests"]
 
     def test_percentile_nearest_rank(self):
         walls = [3.0, 1.0, 2.0]
