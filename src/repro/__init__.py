@@ -20,239 +20,128 @@ The package layers, bottom to top:
 * :mod:`repro.obs` — request tracing, latency histograms, exporters.
 """
 
-from .analysis import mm1_metrics, mmc_metrics, mva_single_station
-from .core import (
-    AdmissionController,
-    BackpressureStage,
-    BrokerClient,
-    BrokerPeerGroup,
-    BrokerReply,
-    BrokerRequest,
-    BrokerStage,
-    BrokerSupervisor,
-    CentralizedController,
-    ClusteringConfig,
-    ConnectionPool,
-    DatabaseAdapter,
-    DirectoryAdapter,
-    FidelityPolicy,
-    FileAdapter,
-    FileBatchCombiner,
-    HotSpotGate,
-    HotSpotMonitor,
-    HotSpotNotice,
-    HttpAdapter,
-    IdenticalRequestCombiner,
-    InListQueryCombiner,
-    LatencyAwareBalancer,
-    LeastOutstandingBalancer,
-    LoadListener,
-    MailAdapter,
-    MgetCombiner,
-    Prefetcher,
-    PrefetchRule,
-    CircuitBreaker,
-    QoSPolicy,
-    RepeatWorkloadCombiner,
-    ReplyStatus,
-    RequestContext,
-    RecoveryJournal,
-    ResourceProfileRegistry,
-    ResultCache,
-    RetryPolicy,
-    RoundRobinBalancer,
-    ServiceBroker,
-    SharedCacheTier,
-    HashRing,
-    ShardDirectory,
-    ShardGroup,
-    ShardPeerGroup,
-    StagePipeline,
-    TransactionTracker,
-    cache_tier_stage_plan,
-    centralized_stage_plan,
-    distributed_stage_plan,
-    fault_tolerant_stage_plan,
-    overload_protected_stage_plan,
-    sharded_stage_plan,
-)
-from .db import Database, DatabaseClient, DatabaseServer
-from .frontend import ApiBackendGateway, FrontendWebServer, WebApplication, qos_of
-from .http import BackendWebServer, HttpClient, HttpRequest, HttpResponse
-from .fileserver import DiskModel, FileClient, FileServer, FileSystem
-from .ldapdir import DirectoryClient, DirectoryServer, DirectoryTree
-from .mail import MailClient, MailServer, MessageStore
-from .metrics import (
-    LatencyHistogram,
-    MetricsRegistry,
-    SummaryStats,
-    render_series,
-    render_table,
-)
-from .obs import (
-    Span,
-    Trace,
-    TraceCollector,
-    critical_path,
-    render_attribution,
-    render_waterfall,
-    trace_from_context,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from .net import (
-    Address,
-    BackendCrash,
-    BrokerCrash,
-    FaultInjector,
-    FaultPlan,
-    Link,
-    LinkDegrade,
-    LinkDown,
-    Network,
-    Node,
-    SlowBackend,
-)
-from .sim import HostCpu, Simulation
-from .workload import (
-    BurstClient,
-    ChaosResult,
-    ClosedLoopClient,
-    FailureRecoveryResult,
-    OpenLoopGenerator,
-    OverloadResult,
-    run_chaos_experiment,
-    run_clustering_experiment,
-    run_failure_recovery_experiment,
-    run_overload_experiment,
-    run_qos_experiment,
-    zipf_sampler,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # kernel & network
-    "Simulation",
-    "HostCpu",
-    "Network",
-    "Node",
-    "Link",
-    "Address",
-    "BackendCrash",
-    "BrokerCrash",
-    "LinkDown",
-    "LinkDegrade",
-    "SlowBackend",
-    "FaultPlan",
-    "FaultInjector",
-    # backends
-    "Database",
-    "DatabaseServer",
-    "DatabaseClient",
-    "DirectoryServer",
-    "DirectoryClient",
-    "DirectoryTree",
-    "MailServer",
-    "FileServer",
-    "FileClient",
-    "FileSystem",
-    "DiskModel",
-    "MailClient",
-    "MessageStore",
-    "BackendWebServer",
-    "HttpClient",
-    "HttpRequest",
-    "HttpResponse",
-    # front end & baseline
-    "FrontendWebServer",
-    "WebApplication",
-    "ApiBackendGateway",
-    "qos_of",
-    # broker framework
-    "ServiceBroker",
-    "BrokerStage",
-    "StagePipeline",
-    "RequestContext",
-    "distributed_stage_plan",
-    "centralized_stage_plan",
-    "fault_tolerant_stage_plan",
-    "overload_protected_stage_plan",
-    "sharded_stage_plan",
-    "cache_tier_stage_plan",
-    "HashRing",
-    "ShardGroup",
-    "ShardDirectory",
-    "ShardPeerGroup",
-    "BackpressureStage",
-    "BrokerSupervisor",
-    "RecoveryJournal",
-    "CircuitBreaker",
-    "RetryPolicy",
-    "BrokerClient",
-    "BrokerRequest",
-    "BrokerReply",
-    "ReplyStatus",
-    "QoSPolicy",
-    "AdmissionController",
-    "ResultCache",
-    "SharedCacheTier",
-    "ClusteringConfig",
-    "IdenticalRequestCombiner",
-    "RepeatWorkloadCombiner",
-    "MgetCombiner",
-    "InListQueryCombiner",
-    "FileBatchCombiner",
-    "ConnectionPool",
-    "Prefetcher",
-    "PrefetchRule",
-    "FidelityPolicy",
-    "TransactionTracker",
-    "BrokerPeerGroup",
-    "HotSpotMonitor",
-    "HotSpotGate",
-    "HotSpotNotice",
-    "DatabaseAdapter",
-    "HttpAdapter",
-    "DirectoryAdapter",
-    "MailAdapter",
-    "FileAdapter",
-    "RoundRobinBalancer",
-    "LeastOutstandingBalancer",
-    "LatencyAwareBalancer",
-    "LoadListener",
-    "ResourceProfileRegistry",
-    "CentralizedController",
-    # workload & metrics
-    "ClosedLoopClient",
-    "BurstClient",
-    "OpenLoopGenerator",
-    "zipf_sampler",
-    "run_clustering_experiment",
-    "run_qos_experiment",
-    "run_failure_recovery_experiment",
-    "run_overload_experiment",
-    "run_chaos_experiment",
-    "FailureRecoveryResult",
-    "OverloadResult",
-    "ChaosResult",
-    "MetricsRegistry",
-    "SummaryStats",
-    "LatencyHistogram",
-    "render_table",
-    "render_series",
-    "mm1_metrics",
-    "mmc_metrics",
-    "mva_single_station",
-    # observability
-    "TraceCollector",
-    "Trace",
-    "Span",
-    "trace_from_context",
-    "render_waterfall",
-    "render_attribution",
-    "critical_path",
-    "write_chrome_trace",
-    "validate_chrome_trace",
-]
+_EXPORTS = {
+    "Simulation": "sim",
+    "HostCpu": "sim",
+    "Network": "net",
+    "Node": "net",
+    "Link": "net",
+    "Address": "net",
+    "BackendCrash": "net",
+    "BrokerCrash": "net",
+    "LinkDown": "net",
+    "LinkDegrade": "net",
+    "SlowBackend": "net",
+    "FaultPlan": "net",
+    "FaultInjector": "net",
+    "Database": "db",
+    "DatabaseServer": "db",
+    "DatabaseClient": "db",
+    "DirectoryServer": "ldapdir",
+    "DirectoryClient": "ldapdir",
+    "DirectoryTree": "ldapdir",
+    "MailServer": "mail",
+    "FileServer": "fileserver",
+    "FileClient": "fileserver",
+    "FileSystem": "fileserver",
+    "DiskModel": "fileserver",
+    "MailClient": "mail",
+    "MessageStore": "mail",
+    "BackendWebServer": "http",
+    "HttpClient": "http",
+    "HttpRequest": "http",
+    "HttpResponse": "http",
+    "FrontendWebServer": "frontend",
+    "WebApplication": "frontend",
+    "ApiBackendGateway": "frontend",
+    "qos_of": "frontend",
+    "ServiceBroker": "core",
+    "BrokerStage": "core",
+    "StagePipeline": "core",
+    "RequestContext": "core",
+    "distributed_stage_plan": "core",
+    "centralized_stage_plan": "core",
+    "fault_tolerant_stage_plan": "core",
+    "overload_protected_stage_plan": "core",
+    "sharded_stage_plan": "core",
+    "cache_tier_stage_plan": "core",
+    "HashRing": "core",
+    "ShardGroup": "core",
+    "ShardDirectory": "core",
+    "ShardPeerGroup": "core",
+    "BackpressureStage": "core",
+    "BrokerSupervisor": "core",
+    "RecoveryJournal": "core",
+    "CircuitBreaker": "core",
+    "RetryPolicy": "core",
+    "BrokerClient": "core",
+    "BrokerRequest": "core",
+    "BrokerReply": "core",
+    "ReplyStatus": "core",
+    "QoSPolicy": "core",
+    "AdmissionController": "core",
+    "ResultCache": "core",
+    "SharedCacheTier": "core",
+    "ClusteringConfig": "core",
+    "IdenticalRequestCombiner": "core",
+    "RepeatWorkloadCombiner": "core",
+    "MgetCombiner": "core",
+    "InListQueryCombiner": "core",
+    "FileBatchCombiner": "core",
+    "ConnectionPool": "core",
+    "Prefetcher": "core",
+    "PrefetchRule": "core",
+    "FidelityPolicy": "core",
+    "TransactionTracker": "core",
+    "BrokerPeerGroup": "core",
+    "HotSpotMonitor": "core",
+    "HotSpotGate": "core",
+    "HotSpotNotice": "core",
+    "DatabaseAdapter": "core",
+    "HttpAdapter": "core",
+    "DirectoryAdapter": "core",
+    "MailAdapter": "core",
+    "FileAdapter": "core",
+    "RoundRobinBalancer": "core",
+    "LeastOutstandingBalancer": "core",
+    "LatencyAwareBalancer": "core",
+    "LoadListener": "core",
+    "ResourceProfileRegistry": "core",
+    "CentralizedController": "core",
+    "ClosedLoopClient": "workload",
+    "BurstClient": "workload",
+    "OpenLoopGenerator": "workload",
+    "zipf_sampler": "workload",
+    "run_clustering_experiment": "workload",
+    "run_qos_experiment": "workload",
+    "run_failure_recovery_experiment": "workload",
+    "run_overload_experiment": "workload",
+    "run_chaos_experiment": "workload",
+    "FailureRecoveryResult": "workload",
+    "OverloadResult": "workload",
+    "ChaosResult": "workload",
+    "MetricsRegistry": "metrics",
+    "SummaryStats": "metrics",
+    "LatencyHistogram": "metrics",
+    "render_table": "metrics",
+    "render_series": "metrics",
+    "mm1_metrics": "analysis",
+    "mmc_metrics": "analysis",
+    "mva_single_station": "analysis",
+    "TraceCollector": "obs",
+    "Trace": "obs",
+    "Span": "obs",
+    "trace_from_context": "obs",
+    "render_waterfall": "obs",
+    "render_attribution": "obs",
+    "critical_path": "obs",
+    "write_chrome_trace": "obs",
+    "validate_chrome_trace": "obs",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,19 +1,15 @@
 """Analytical models used to validate and size the simulations."""
 
-from .queueing import (
-    ClosedLoopMetrics,
-    QueueMetrics,
-    erlang_c,
-    mm1_metrics,
-    mmc_metrics,
-    mva_single_station,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "QueueMetrics",
-    "ClosedLoopMetrics",
-    "mm1_metrics",
-    "mmc_metrics",
-    "erlang_c",
-    "mva_single_station",
-]
+_EXPORTS = {
+    "QueueMetrics": "queueing",
+    "ClosedLoopMetrics": "queueing",
+    "mm1_metrics": "queueing",
+    "mmc_metrics": "queueing",
+    "erlang_c": "queueing",
+    "mva_single_station": "queueing",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -50,17 +50,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from .metrics import render_table
-from .workload import (
-    run_autoscale_experiment,
-    run_cache_tier_experiment,
-    run_chaos_experiment,
-    run_clustering_experiment,
-    run_failure_recovery_experiment,
-    run_qos_experiment,
-    run_scale_chaos_experiment,
-    run_shard_chaos_experiment,
-    run_sharded_qos_experiment,
-)
+from . import workload
 
 __all__ = ["main", "build_parser", "ChaosInvariantFailure"]
 
@@ -518,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _qos_sweep(args, mode: str):
     return [
-        run_qos_experiment(n, mode=mode, duration=args.duration, seed=args.seed)
+        workload.run_qos_experiment(n, mode=mode, duration=args.duration, seed=args.seed)
         for n in args.clients
     ]
 
@@ -526,7 +516,7 @@ def _qos_sweep(args, mode: str):
 def run_fig7(args) -> str:
     rows = []
     for degree in args.degrees:
-        result = run_clustering_experiment(degree, seed=args.seed)
+        result = workload.run_clustering_experiment(degree, seed=args.seed)
         rows.append(
             {
                 "degree": result.degree,
@@ -661,7 +651,7 @@ def run_faults(args) -> str:
         return _describe_faults()
     rows = []
     for mtbf in args.mtbf:
-        result = run_failure_recovery_experiment(
+        result = workload.run_failure_recovery_experiment(
             mtbf=mtbf,
             mttr=args.mttr,
             replicas=args.replicas,
@@ -745,7 +735,7 @@ def run_shard(args) -> str:
         return _describe_shard()
     rows = []
     for shards in args.shards:
-        result = run_sharded_qos_experiment(
+        result = workload.run_sharded_qos_experiment(
             args.clients,
             shards=shards,
             replicas=args.replicas,
@@ -818,7 +808,7 @@ def run_chaos(args) -> str:
     duration = 90.0 if args.quick else args.duration
     if args.shards > 0:
         return _run_shard_chaos(args, duration)
-    result = run_chaos_experiment(
+    result = workload.run_chaos_experiment(
         duration=duration,
         mtbf=args.mtbf,
         mttr=args.mttr,
@@ -878,7 +868,7 @@ def run_chaos(args) -> str:
 
 def _run_shard_chaos(args, duration: float) -> str:
     """Shard-mode chaos: kill a rotating shard leader every N seconds."""
-    result = run_shard_chaos_experiment(
+    result = workload.run_shard_chaos_experiment(
         duration=duration,
         shards=args.shards,
         replicas=args.replicas,
@@ -998,7 +988,7 @@ def run_autoscale(args) -> str:
     if duration is None:
         duration = 120.0 if args.quick else 240.0
     target = 3.0 if args.target is None else args.target
-    result = run_autoscale_experiment(
+    result = workload.run_autoscale_experiment(
         duration=duration,
         swing=args.swing,
         period=period,
@@ -1052,7 +1042,7 @@ def _run_scale_chaos(args) -> str:
         duration = 264.0 if duration is None else duration
         min_scale_ins = 20 if min_scale_ins is None else min_scale_ins
     target = 2.5 if args.target is None else args.target
-    result = run_scale_chaos_experiment(
+    result = workload.run_scale_chaos_experiment(
         duration=duration,
         wave_period=args.wave_period,
         target=target,
@@ -1162,7 +1152,7 @@ def run_cache(args) -> str:
     duration = 5.0 if args.quick else args.duration
     runs = {}
     for enabled in (False, True):
-        runs[enabled] = run_cache_tier_experiment(
+        runs[enabled] = workload.run_cache_tier_experiment(
             n_clients=clients,
             brokers=args.brokers,
             duration=duration,

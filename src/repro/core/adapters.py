@@ -12,21 +12,28 @@ API behind a uniform interface:
 
 Connections expose a ``closed`` attribute the pool uses for health
 checks.
+
+Import rule: this module serves every service, so it imports no
+service's client at module level. Each adapter names its backend's
+client in :meth:`ServiceAdapter.client_class`, resolved once when the
+adapter is constructed — a deployment loads only the services it fronts.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional
 
-from ..db.client import DatabaseClient, DatabaseConnection
 from ..errors import ProtocolError
-from ..http.client import HttpClient, HttpConnection
 from ..http.messages import HttpRequest
-from ..ldapdir.client import DirectoryClient, DirectoryConnection
-from ..mail.client import MailClient, MailConnection
 from ..net.address import Address
 from ..net.network import Node
 from ..sim.core import Simulation
+
+if TYPE_CHECKING:
+    from ..db.client import DatabaseConnection
+    from ..http.client import HttpConnection
+    from ..ldapdir.client import DirectoryConnection
+    from ..mail.client import MailConnection
 
 __all__ = [
     "ServiceAdapter",
@@ -46,6 +53,12 @@ class ServiceAdapter:
         self.node = node
         self.address = address
         self.name = name or str(address)
+        self.client = self.client_class()
+
+    @staticmethod
+    def client_class() -> Optional[type]:
+        """The backend's client API class (imported here, not at module level)."""
+        return None
 
     def connect(self):  # pragma: no cover - abstract
         """Establish one connection; a ``yield from`` generator."""
@@ -83,8 +96,14 @@ class DatabaseAdapter(ServiceAdapter):
       :class:`repro.db.QueryResult`.
     """
 
+    @staticmethod
+    def client_class() -> type:
+        from ..db.client import DatabaseClient
+
+        return DatabaseClient
+
     def connect(self):
-        connection = yield from DatabaseClient.connect(
+        connection = yield from self.client.connect(
             self.sim, self.node, self.address, client_name=f"broker:{self.name}"
         )
         return connection
@@ -112,8 +131,14 @@ class HttpAdapter(ServiceAdapter):
     * ``"request"`` — payload is a full :class:`HttpRequest`.
     """
 
+    @staticmethod
+    def client_class() -> type:
+        from ..http.client import HttpClient
+
+        return HttpClient
+
     def connect(self):
-        connection = yield from HttpClient.open(self.sim, self.node, self.address)
+        connection = yield from self.client.open(self.sim, self.node, self.address)
         return connection
 
     def execute(self, connection: HttpConnection, operation: str, payload: Any):
@@ -148,8 +173,14 @@ class DirectoryAdapter(ServiceAdapter):
     * ``"modify"`` — payload is ``(dn, changes)``.
     """
 
+    @staticmethod
+    def client_class() -> type:
+        from ..ldapdir.client import DirectoryClient
+
+        return DirectoryClient
+
     def connect(self):
-        connection = yield from DirectoryClient.connect(
+        connection = yield from self.client.connect(
             self.sim, self.node, self.address, principal=f"broker:{self.name}"
         )
         return connection
@@ -178,8 +209,14 @@ class MailAdapter(ServiceAdapter):
     ``(owner, message_id)``).
     """
 
+    @staticmethod
+    def client_class() -> type:
+        from ..mail.client import MailClient
+
+        return MailClient
+
     def connect(self):
-        connection = yield from MailClient.connect(
+        connection = yield from self.client.connect(
             self.sim, self.node, self.address, name=f"broker:{self.name}"
         )
         return connection
@@ -214,10 +251,14 @@ class FileAdapter(ServiceAdapter):
     * ``"stat"`` — payload is a file name; returns its size in blocks.
     """
 
-    def connect(self):
+    @staticmethod
+    def client_class() -> type:
         from ..fileserver.client import FileClient
 
-        connection = yield from FileClient.connect(
+        return FileClient
+
+    def connect(self):
+        connection = yield from self.client.connect(
             self.sim, self.node, self.address, name=f"broker:{self.name}"
         )
         return connection

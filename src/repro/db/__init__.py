@@ -1,54 +1,36 @@
 """Mini relational database: engine, networked server, and client."""
 
-from .client import DatabaseClient, DatabaseConnection, QueryResult
-from .cost import CostModel
-from .engine import Database
-from .executor import ExecutionStats, ResultSet
-from .index import HashIndex, SortedIndex
-from .parser import parse, tokenize
-from .query import (
-    And,
-    Between,
-    Comparison,
-    DeleteStatement,
-    InList,
-    InsertStatement,
-    Like,
-    Or,
-    SelectStatement,
-    UpdateStatement,
-)
-from .schema import Column, Schema
-from .server import DatabaseServer
-from .table import Table
-from .views import MaterializedView, ViewCatalog
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Database",
-    "DatabaseServer",
-    "DatabaseClient",
-    "DatabaseConnection",
-    "QueryResult",
-    "CostModel",
-    "ExecutionStats",
-    "ResultSet",
-    "HashIndex",
-    "SortedIndex",
-    "parse",
-    "tokenize",
-    "Column",
-    "Schema",
-    "Table",
-    "Comparison",
-    "Between",
-    "InList",
-    "Like",
-    "And",
-    "Or",
-    "SelectStatement",
-    "InsertStatement",
-    "UpdateStatement",
-    "DeleteStatement",
-    "MaterializedView",
-    "ViewCatalog",
-]
+_EXPORTS = {
+    "Database": "engine",
+    "DatabaseServer": "server",
+    "DatabaseClient": "client",
+    "DatabaseConnection": "client",
+    "QueryResult": "client",
+    "CostModel": "cost",
+    "ExecutionStats": "executor",
+    "ResultSet": "executor",
+    "HashIndex": "index",
+    "SortedIndex": "index",
+    "parse": "parser",
+    "tokenize": "parser",
+    "Column": "schema",
+    "Schema": "schema",
+    "Table": "table",
+    "Comparison": "query",
+    "Between": "query",
+    "InList": "query",
+    "Like": "query",
+    "And": "query",
+    "Or": "query",
+    "SelectStatement": "query",
+    "InsertStatement": "query",
+    "UpdateStatement": "query",
+    "DeleteStatement": "query",
+    "MaterializedView": "views",
+    "ViewCatalog": "views",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

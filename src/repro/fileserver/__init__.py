@@ -1,15 +1,15 @@
 """File service: disk model, filesystem, server, client."""
 
-from .client import FileClient, FileConnection
-from .disk import DiskModel
-from .filesystem import Extent, FileSystem
-from .server import FileServer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FileClient",
-    "FileConnection",
-    "DiskModel",
-    "Extent",
-    "FileSystem",
-    "FileServer",
-]
+_EXPORTS = {
+    "FileClient": "client",
+    "FileConnection": "client",
+    "DiskModel": "disk",
+    "Extent": "filesystem",
+    "FileSystem": "filesystem",
+    "FileServer": "server",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

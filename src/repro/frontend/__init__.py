@@ -1,13 +1,14 @@
 """Front-end web server, application model, and API-based baseline."""
 
-from .api_access import ApiBackendGateway
-from .app import QOS_HEADER, WebApplication, qos_of
-from .server import FrontendWebServer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ApiBackendGateway",
-    "WebApplication",
-    "FrontendWebServer",
-    "qos_of",
-    "QOS_HEADER",
-]
+_EXPORTS = {
+    "ApiBackendGateway": "api_access",
+    "WebApplication": "app",
+    "FrontendWebServer": "server",
+    "qos_of": "app",
+    "QOS_HEADER": "app",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -11,18 +11,20 @@ let the :class:`~repro.core.sharding.ShardDirectory` (or the classic
 route table) resolve the serving broker.
 
 All methods are ``yield from`` generators.
+
+The gateway can reach every service, but a run that only makes HTTP
+calls should not load the database, directory and mail packages: each
+of those client APIs is imported the first time this gateway uses it
+and kept on the instance, so no call after the first pays for it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Optional
 
-from ..db.client import DatabaseClient
 from ..http.client import HttpClient
 from ..http.messages import HttpRequest
-from ..ldapdir.client import DirectoryClient
-from ..ldapdir.tree import SCOPE_SUB
-from ..mail.client import MailClient
 from ..metrics import MetricsRegistry
 from ..net.address import Address
 from ..net.network import Node
@@ -51,10 +53,16 @@ class ApiBackendGateway:
 
     # -- database ------------------------------------------------------
 
+    @cached_property
+    def _database(self) -> type:
+        from ..db.client import DatabaseClient
+
+        return DatabaseClient
+
     def db_query(self, address: Address, sql: str):
         """Connect, authenticate, run one query, tear down."""
         started = self.sim.now
-        connection = yield from DatabaseClient.connect(self.sim, self.node, address)
+        connection = yield from self._database.connect(self.sim, self.node, address)
         try:
             result = yield from connection.query(sql)
         finally:
@@ -80,16 +88,22 @@ class ApiBackendGateway:
 
     # -- directory -----------------------------------------------------
 
+    @cached_property
+    def _directory(self) -> type:
+        from ..ldapdir.client import DirectoryClient
+
+        return DirectoryClient
+
     def ldap_search(
         self,
         address: Address,
         base: str,
-        scope: str = SCOPE_SUB,
+        scope: str = "sub",  # ldapdir.SCOPE_SUB, spelled out to keep the import lazy
         filter_expr: Optional[str] = None,
     ):
         """Connect, bind, search, unbind."""
         started = self.sim.now
-        connection = yield from DirectoryClient.connect(self.sim, self.node, address)
+        connection = yield from self._directory.connect(self.sim, self.node, address)
         try:
             result = yield from connection.search(base, scope, filter_expr)
         finally:
@@ -99,12 +113,18 @@ class ApiBackendGateway:
 
     # -- mail ------------------------------------------------------------
 
+    @cached_property
+    def _mail(self) -> type:
+        from ..mail.client import MailClient
+
+        return MailClient
+
     def mail_send(
         self, address: Address, sender: str, recipient: str, subject: str, body: str
     ):
         """Connect, greet, submit one message, quit."""
         started = self.sim.now
-        connection = yield from MailClient.connect(self.sim, self.node, address)
+        connection = yield from self._mail.connect(self.sim, self.node, address)
         try:
             message_id = yield from connection.send(sender, recipient, subject, body)
         finally:
@@ -115,7 +135,7 @@ class ApiBackendGateway:
     def mail_list(self, address: Address, owner: str):
         """Connect, greet, list a mailbox, quit."""
         started = self.sim.now
-        connection = yield from MailClient.connect(self.sim, self.node, address)
+        connection = yield from self._mail.connect(self.sim, self.node, address)
         try:
             ids = yield from connection.list(owner)
         finally:

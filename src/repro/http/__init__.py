@@ -1,14 +1,15 @@
 """HTTP layer: message model, backend web server, client."""
 
-from .client import HttpClient, HttpConnection
-from .messages import STATUS_REASONS, HttpRequest, HttpResponse
-from .server import BackendWebServer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "HttpClient",
-    "HttpConnection",
-    "HttpRequest",
-    "HttpResponse",
-    "STATUS_REASONS",
-    "BackendWebServer",
-]
+_EXPORTS = {
+    "HttpClient": "client",
+    "HttpConnection": "client",
+    "HttpRequest": "messages",
+    "HttpResponse": "messages",
+    "STATUS_REASONS": "messages",
+    "BackendWebServer": "server",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

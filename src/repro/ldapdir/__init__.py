@@ -1,23 +1,22 @@
 """LDAP-style directory service: tree, filters, server, client."""
 
-from .client import DirectoryClient, DirectoryConnection, SearchResult
-from .entry import DN, Entry, parse_dn
-from .filters import parse_filter
-from .server import DirectoryCostModel, DirectoryServer
-from .tree import SCOPE_BASE, SCOPE_ONE, SCOPE_SUB, DirectoryTree
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DirectoryClient",
-    "DirectoryConnection",
-    "SearchResult",
-    "DN",
-    "Entry",
-    "parse_dn",
-    "parse_filter",
-    "DirectoryServer",
-    "DirectoryCostModel",
-    "DirectoryTree",
-    "SCOPE_BASE",
-    "SCOPE_ONE",
-    "SCOPE_SUB",
-]
+_EXPORTS = {
+    "DirectoryClient": "client",
+    "DirectoryConnection": "client",
+    "SearchResult": "client",
+    "DN": "entry",
+    "Entry": "entry",
+    "parse_dn": "entry",
+    "parse_filter": "filters",
+    "DirectoryServer": "server",
+    "DirectoryCostModel": "server",
+    "DirectoryTree": "tree",
+    "SCOPE_BASE": "tree",
+    "SCOPE_ONE": "tree",
+    "SCOPE_SUB": "tree",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -1,15 +1,16 @@
 """Mail service: message store, server, client."""
 
-from .client import MailClient, MailConnection
-from .server import MailCostModel, MailServer
-from .store import Mailbox, MailMessage, MessageStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MailClient",
-    "MailConnection",
-    "MailServer",
-    "MailCostModel",
-    "Mailbox",
-    "MailMessage",
-    "MessageStore",
-]
+_EXPORTS = {
+    "MailClient": "client",
+    "MailConnection": "client",
+    "MailServer": "server",
+    "MailCostModel": "server",
+    "Mailbox": "store",
+    "MailMessage": "store",
+    "MessageStore": "store",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

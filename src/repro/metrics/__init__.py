@@ -1,25 +1,19 @@
 """Metrics: online statistics, counters, histograms, report rendering."""
 
-from .collector import Counter, MetricsRegistry
-from .histogram import DEFAULT_LATENCY_EDGES, LatencyHistogram
-from .report import (
-    format_cell,
-    render_histogram,
-    render_histograms,
-    render_series,
-    render_table,
-)
-from .stats import SummaryStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MetricsRegistry",
-    "Counter",
-    "SummaryStats",
-    "LatencyHistogram",
-    "DEFAULT_LATENCY_EDGES",
-    "render_table",
-    "render_series",
-    "render_histograms",
-    "render_histogram",
-    "format_cell",
-]
+_EXPORTS = {
+    "MetricsRegistry": "collector",
+    "Counter": "collector",
+    "SummaryStats": "stats",
+    "LatencyHistogram": "histogram",
+    "DEFAULT_LATENCY_EDGES": "histogram",
+    "render_table": "report",
+    "render_series": "report",
+    "render_histograms": "report",
+    "render_histogram": "report",
+    "format_cell": "report",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

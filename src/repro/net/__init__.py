@@ -1,35 +1,25 @@
 """Simulated network substrate: nodes, links, streams, datagrams, faults."""
 
-from .address import Address
-from .faults import (
-    BackendCrash,
-    BrokerCrash,
-    FaultInjector,
-    FaultPlan,
-    LinkDegrade,
-    LinkDown,
-    SlowBackend,
-)
-from .link import Link
-from .message import Envelope, estimate_size
-from .network import Network, Node
-from .transport import DatagramSocket, StreamConnection, StreamListener
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Address",
-    "Link",
-    "Envelope",
-    "estimate_size",
-    "Network",
-    "Node",
-    "DatagramSocket",
-    "StreamConnection",
-    "StreamListener",
-    "BackendCrash",
-    "BrokerCrash",
-    "LinkDown",
-    "LinkDegrade",
-    "SlowBackend",
-    "FaultPlan",
-    "FaultInjector",
-]
+_EXPORTS = {
+    "Address": "address",
+    "Link": "link",
+    "Envelope": "message",
+    "estimate_size": "message",
+    "Network": "network",
+    "Node": "network",
+    "DatagramSocket": "transport",
+    "StreamConnection": "transport",
+    "StreamListener": "transport",
+    "BackendCrash": "faults",
+    "BrokerCrash": "faults",
+    "LinkDown": "faults",
+    "LinkDegrade": "faults",
+    "SlowBackend": "faults",
+    "FaultPlan": "faults",
+    "FaultInjector": "faults",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

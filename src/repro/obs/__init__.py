@@ -18,89 +18,53 @@ JSONL / Prometheus exporters. DESIGN.md §15 documents the scrape
 model and its determinism contract.
 """
 
-from .dashboard import Panel, default_panels, live_panel, render_dashboard, sparkline
-from .export import (
-    telemetry_to_jsonl,
-    to_chrome_trace,
-    to_jsonl,
-    to_prometheus,
-    validate_chrome_trace,
-    validate_prometheus,
-    validate_telemetry_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-    write_prometheus,
-    write_telemetry_jsonl,
-)
-from .histogram import DEFAULT_LATENCY_EDGES, LatencyHistogram
-from .inspect import describe_obs, run_obs_command
-from .slo import (
-    BurnAlert,
-    SloEngine,
-    SloSpec,
-    chaos_slos,
-    qos_slos,
-    render_alert_timeline,
-    render_slo_table,
-    shard_slos,
-)
-from .spans import Hop, Span, SpanEvent, Trace, TraceCollector, trace_from_context
-from .telemetry import (
-    ScrapeRecord,
-    TelemetryScraper,
-    TimeSeries,
-    describe_telemetry,
-    run_telemetry_command,
-)
-from .timeline import (
-    critical_path,
-    render_attribution,
-    render_trace,
-    render_waterfall,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "SpanEvent",
-    "Hop",
-    "Trace",
-    "TraceCollector",
-    "trace_from_context",
-    "LatencyHistogram",
-    "DEFAULT_LATENCY_EDGES",
-    "render_waterfall",
-    "render_attribution",
-    "render_trace",
-    "critical_path",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "to_jsonl",
-    "write_jsonl",
-    "validate_chrome_trace",
-    "describe_obs",
-    "run_obs_command",
-    "TimeSeries",
-    "ScrapeRecord",
-    "TelemetryScraper",
-    "describe_telemetry",
-    "run_telemetry_command",
-    "SloSpec",
-    "BurnAlert",
-    "SloEngine",
-    "qos_slos",
-    "chaos_slos",
-    "shard_slos",
-    "render_slo_table",
-    "render_alert_timeline",
-    "sparkline",
-    "Panel",
-    "default_panels",
-    "render_dashboard",
-    "live_panel",
-    "telemetry_to_jsonl",
-    "write_telemetry_jsonl",
-    "validate_telemetry_jsonl",
-    "to_prometheus",
-    "write_prometheus",
-    "validate_prometheus",
-]
+_EXPORTS = {
+    "Span": "spans",
+    "SpanEvent": "spans",
+    "Hop": "spans",
+    "Trace": "spans",
+    "TraceCollector": "spans",
+    "trace_from_context": "spans",
+    "LatencyHistogram": "histogram",
+    "DEFAULT_LATENCY_EDGES": "histogram",
+    "render_waterfall": "timeline",
+    "render_attribution": "timeline",
+    "render_trace": "timeline",
+    "critical_path": "timeline",
+    "to_chrome_trace": "export",
+    "write_chrome_trace": "export",
+    "to_jsonl": "export",
+    "write_jsonl": "export",
+    "validate_chrome_trace": "export",
+    "describe_obs": "inspect",
+    "run_obs_command": "inspect",
+    "TimeSeries": "telemetry",
+    "ScrapeRecord": "telemetry",
+    "TelemetryScraper": "telemetry",
+    "describe_telemetry": "telemetry",
+    "run_telemetry_command": "telemetry",
+    "SloSpec": "slo",
+    "BurnAlert": "slo",
+    "SloEngine": "slo",
+    "qos_slos": "slo",
+    "chaos_slos": "slo",
+    "shard_slos": "slo",
+    "render_slo_table": "slo",
+    "render_alert_timeline": "slo",
+    "sparkline": "dashboard",
+    "Panel": "dashboard",
+    "default_panels": "dashboard",
+    "render_dashboard": "dashboard",
+    "live_panel": "dashboard",
+    "telemetry_to_jsonl": "export",
+    "write_telemetry_jsonl": "export",
+    "validate_telemetry_jsonl": "export",
+    "to_prometheus": "export",
+    "write_prometheus": "export",
+    "validate_prometheus": "export",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -40,6 +40,7 @@ autoscaler (ROADMAP item 3) will consume.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections import deque
 from operator import itemgetter
@@ -78,8 +79,8 @@ DEFAULT_PERCENTILES: Tuple[float, ...] = (50.0, 99.0)
 #: Rolling windows (simulated seconds) for windowed percentiles.
 DEFAULT_WINDOWS: Tuple[float, ...] = (5.0, 30.0)
 
-#: The time column of a ring entry — the key window reads bisect on
-#: (appends are time-ordered, so every ring is sorted by it).
+#: The time field of a histogram snapshot — the key window reads bisect
+#: on (records are time-ordered, so the ring is sorted by it).
 _TIME = itemgetter(0)
 
 
@@ -92,45 +93,59 @@ class TimeSeries:
     — :meth:`delta_over` falls back to the oldest retained point as its
     baseline in that case rather than inventing a zero that predates
     eviction.
+
+    Storage is two parallel ``array('d')`` columns (time, value): 16
+    bytes a point, both stored as C doubles (``append(t, 3)`` reads back
+    ``3.0``). The time column is sorted, so window reads bisect it
+    directly; ``(t, v)`` tuples exist only in what the read methods
+    return.
     """
 
-    __slots__ = ("name", "capacity", "_points", "dropped")
+    __slots__ = ("name", "capacity", "_times", "_values", "dropped")
 
     def __init__(self, name: str, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1: {capacity!r}")
         self.name = name
         self.capacity = capacity
-        self._points: Deque[Tuple[float, float]] = deque(maxlen=capacity)
+        self._times = array("d")
+        self._values = array("d")
         #: Points evicted by the ring bound.
         self.dropped = 0
 
     def append(self, t: float, value: float) -> None:
         """Record *value* at time *t* (must not precede the last point)."""
-        if self._points and t < self._points[-1][0]:
+        times = self._times
+        if times and t < times[-1]:
             raise ValueError(
-                f"non-monotonic append to {self.name!r}: "
-                f"{t} < {self._points[-1][0]}"
+                f"non-monotonic append to {self.name!r}: {t} < {times[-1]}"
             )
-        if len(self._points) == self.capacity:
+        times.append(t)
+        try:
+            self._values.append(value)
+        except TypeError:
+            del times[-1]  # keep the columns the same length
+            raise
+        if len(times) > self.capacity:
+            del times[0]
+            del self._values[0]
             self.dropped += 1
-        self._points.append((t, value))
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._times)
 
     def points(self) -> List[Tuple[float, float]]:
         """All retained points, oldest first."""
-        return list(self._points)
+        return list(zip(self._times, self._values))
 
     def last(self) -> Optional[Tuple[float, float]]:
         """The newest point, or ``None`` when empty."""
-        return self._points[-1] if self._points else None
+        return (self._times[-1], self._values[-1]) if self._times else None
 
     def value_at(self, at: float) -> Optional[float]:
         """Value of the newest point with ``t <= at`` (``None`` if none)."""
-        index = bisect_right(self._points, at, key=_TIME)
-        return self._points[index - 1][1] if index else None
+        index = bisect_right(self._times, at)
+        return self._values[index - 1] if index else None
 
     def window(
         self, since: float, until: Optional[float] = None
@@ -139,19 +154,10 @@ class TimeSeries:
 
         *until* defaults to the newest retained point's time.
         """
-        if not self._points:
-            return []
-        if until is None:
-            until = self._points[-1][0]
-        out: List[Tuple[float, float]] = []
-        for t, value in reversed(self._points):
-            if t > until:
-                continue
-            if t <= since:
-                break
-            out.append((t, value))
-        out.reverse()
-        return out
+        times = self._times
+        stop = len(times) if until is None else bisect_right(times, until)
+        start = bisect_right(times, since)
+        return list(zip(times[start:stop], self._values[start:stop]))
 
     def delta_over(self, window: float, at: Optional[float] = None) -> float:
         """Increase over ``(at - window, at]`` for a cumulative series.
@@ -163,19 +169,19 @@ class TimeSeries:
         ring has already evicted history — the honest answer for a
         clipped window.
         """
-        points = self._points
-        if not points:
+        times = self._times
+        if not times:
             return 0.0
         if at is None:
-            at = points[-1][0]
+            at = times[-1]
         current = self.value_at(at)
         if current is None:
             return 0.0
-        index = bisect_right(points, at - window, key=_TIME)
+        index = bisect_right(times, at - window)
         if index:
-            baseline = points[index - 1][1]
+            baseline = self._values[index - 1]
         else:
-            baseline = points[0][1] if self.dropped else 0.0
+            baseline = self._values[0] if self.dropped else 0.0
         return current - baseline
 
     def rate_over(self, window: float, at: Optional[float] = None) -> float:
@@ -186,7 +192,7 @@ class TimeSeries:
 
     def __repr__(self) -> str:
         return (
-            f"<TimeSeries {self.name!r} n={len(self._points)}"
+            f"<TimeSeries {self.name!r} n={len(self._times)}"
             f"/{self.capacity} dropped={self.dropped}>"
         )
 

@@ -5,57 +5,37 @@ This package is the substrate every other subsystem runs on. See
 :mod:`repro.sim.resources` for shared resources.
 """
 
-from .core import (
-    NORMAL,
-    URGENT,
-    AllOf,
-    AnyOf,
-    Condition,
-    Event,
-    Process,
-    ProcessGenerator,
-    Simulation,
-    Timeout,
-)
-from .cpu import HostCpu
-from .parallel import (
-    ParallelSimulation,
-    PartitionResult,
-    PartitionSpec,
-    RemoteEnvelope,
-    RemoteGateway,
-    available_workers,
-)
-from .resources import PriorityResource, Request, Resource, Store, StoreGet, StorePut
-from .rng import RngRegistry, derive_rng
-from .trace import TraceRecord, Tracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Simulation",
-    "Event",
-    "Timeout",
-    "Process",
-    "ProcessGenerator",
-    "Condition",
-    "AnyOf",
-    "AllOf",
-    "Resource",
-    "PriorityResource",
-    "Request",
-    "Store",
-    "StorePut",
-    "StoreGet",
-    "HostCpu",
-    "Tracer",
-    "TraceRecord",
-    "RngRegistry",
-    "derive_rng",
-    "URGENT",
-    "NORMAL",
-    "ParallelSimulation",
-    "PartitionSpec",
-    "PartitionResult",
-    "RemoteGateway",
-    "RemoteEnvelope",
-    "available_workers",
-]
+_EXPORTS = {
+    "Simulation": "core",
+    "Event": "core",
+    "Timeout": "core",
+    "Process": "core",
+    "ProcessGenerator": "core",
+    "Condition": "core",
+    "AnyOf": "core",
+    "AllOf": "core",
+    "Resource": "resources",
+    "PriorityResource": "resources",
+    "Request": "resources",
+    "Store": "resources",
+    "StorePut": "resources",
+    "StoreGet": "resources",
+    "HostCpu": "cpu",
+    "Tracer": "trace",
+    "TraceRecord": "trace",
+    "RngRegistry": "rng",
+    "derive_rng": "rng",
+    "URGENT": "core",
+    "NORMAL": "core",
+    "ParallelSimulation": "parallel",
+    "PartitionSpec": "parallel",
+    "PartitionResult": "parallel",
+    "RemoteGateway": "parallel",
+    "RemoteEnvelope": "parallel",
+    "available_workers": "parallel",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

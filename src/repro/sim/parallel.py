@@ -34,7 +34,6 @@ caller (see ``run_sharded_qos_experiment(workers=N)`` for the sharded
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -365,6 +364,9 @@ class ParallelSimulation:
         return {name: r.result() for name, r in runtimes.items()}
 
     def _run_forked(self, until: float) -> Dict[str, PartitionResult]:
+        # Imported here: the inline driver (workers=1) never needs it.
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         assignment: List[List[PartitionSpec]] = [
             self.partitions[i :: self.workers] for i in range(self.workers)

@@ -1,69 +1,38 @@
 """Workload generators and canned experiment testbeds."""
 
-from .chaos import (
-    AutoscaleResult,
-    ChaosResult,
-    InvariantCheck,
-    OverloadResult,
-    ScaleChaosResult,
-    ShardChaosResult,
-    run_autoscale_experiment,
-    run_chaos_experiment,
-    run_overload_experiment,
-    run_scale_chaos_experiment,
-    run_shard_chaos_experiment,
-)
-from .clients import (
-    BurstClient,
-    ClosedLoopClient,
-    DiurnalLoadGenerator,
-    FlashCrowdGenerator,
-    ModulatedOpenLoopGenerator,
-    OpenLoopGenerator,
-    zipf_sampler,
-)
-from .scenarios import (
-    QOS_SERVICE_TIMES,
-    CacheTierResult,
-    ClusteringResult,
-    FailureRecoveryResult,
-    QosResult,
-    ShardedQosResult,
-    run_cache_tier_experiment,
-    run_clustering_experiment,
-    run_failure_recovery_experiment,
-    run_qos_experiment,
-    run_sharded_qos_experiment,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BurstClient",
-    "ClosedLoopClient",
-    "OpenLoopGenerator",
-    "ModulatedOpenLoopGenerator",
-    "DiurnalLoadGenerator",
-    "FlashCrowdGenerator",
-    "zipf_sampler",
-    "ClusteringResult",
-    "QosResult",
-    "FailureRecoveryResult",
-    "ShardedQosResult",
-    "CacheTierResult",
-    "OverloadResult",
-    "ChaosResult",
-    "ShardChaosResult",
-    "AutoscaleResult",
-    "ScaleChaosResult",
-    "InvariantCheck",
-    "run_clustering_experiment",
-    "run_qos_experiment",
-    "run_failure_recovery_experiment",
-    "run_sharded_qos_experiment",
-    "run_cache_tier_experiment",
-    "run_overload_experiment",
-    "run_chaos_experiment",
-    "run_shard_chaos_experiment",
-    "run_autoscale_experiment",
-    "run_scale_chaos_experiment",
-    "QOS_SERVICE_TIMES",
-]
+_EXPORTS = {
+    "BurstClient": "clients",
+    "ClosedLoopClient": "clients",
+    "OpenLoopGenerator": "clients",
+    "ModulatedOpenLoopGenerator": "clients",
+    "DiurnalLoadGenerator": "clients",
+    "FlashCrowdGenerator": "clients",
+    "zipf_sampler": "clients",
+    "ClusteringResult": "scenarios",
+    "QosResult": "scenarios",
+    "FailureRecoveryResult": "scenarios",
+    "ShardedQosResult": "scenarios",
+    "CacheTierResult": "scenarios",
+    "OverloadResult": "chaos",
+    "ChaosResult": "chaos",
+    "ShardChaosResult": "chaos",
+    "AutoscaleResult": "chaos",
+    "ScaleChaosResult": "chaos",
+    "InvariantCheck": "chaos",
+    "run_clustering_experiment": "scenarios",
+    "run_qos_experiment": "scenarios",
+    "run_failure_recovery_experiment": "scenarios",
+    "run_sharded_qos_experiment": "scenarios",
+    "run_cache_tier_experiment": "scenarios",
+    "run_overload_experiment": "chaos",
+    "run_chaos_experiment": "chaos",
+    "run_shard_chaos_experiment": "chaos",
+    "run_autoscale_experiment": "chaos",
+    "run_scale_chaos_experiment": "chaos",
+    "QOS_SERVICE_TIMES": "scenarios",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

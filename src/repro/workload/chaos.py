@@ -186,7 +186,7 @@ def run_overload_experiment(
     )
 
     def item_cgi(server, request):
-        yield server.sim.timeout(service_time * server.service_time_scale)
+        yield service_time * server.service_time_scale
         return HttpResponse.text(f"item={request.param('id', '?')}")
 
     server.add_cgi("/item", item_cgi)
@@ -487,7 +487,7 @@ def run_chaos_experiment(
         )
 
         def item_cgi(server, request):
-            yield server.sim.timeout(service_time * server.service_time_scale)
+            yield service_time * server.service_time_scale
             return HttpResponse.text(f"item={request.param('id', '?')}")
 
         server.add_cgi("/item", item_cgi)
@@ -957,7 +957,7 @@ def run_shard_chaos_experiment(
         )
 
         def item_cgi(server, request):
-            yield server.sim.timeout(service_time * server.service_time_scale)
+            yield service_time * server.service_time_scale
             return HttpResponse.text(f"item={request.param('id', '?')}")
 
         backend.add_cgi("/item", item_cgi)
@@ -1264,7 +1264,7 @@ def _elastic_pool(
         )
 
         def item_cgi(server, request):
-            yield server.sim.timeout(service_time * server.service_time_scale)
+            yield service_time * server.service_time_scale
             return HttpResponse.text(f"item={request.param('id', '?')}")
 
         backend.add_cgi("/item", item_cgi)

@@ -63,10 +63,6 @@ from ..core.qos import QoSPolicy
 from ..core.sharding import HashRing, ShardDirectory, ShardGroup
 from ..core.transactions import TransactionTracker
 from ..errors import BrokerTimeout
-from ..db.client import DatabaseClient
-from ..db.engine import Database
-from ..db.views import ViewCatalog
-from ..db.server import DatabaseServer
 from ..frontend.app import QOS_HEADER, WebApplication, qos_of
 from ..frontend.api_access import ApiBackendGateway
 from ..frontend.server import FrontendWebServer
@@ -77,7 +73,6 @@ from ..net.faults import FaultInjector, FaultPlan
 from ..net.link import Link
 from ..net.network import Network
 from ..sim.core import Simulation
-from ..sim.parallel import ParallelSimulation, PartitionSpec
 from .clients import ClosedLoopClient, zipf_sampler
 
 __all__ = [
@@ -146,6 +141,10 @@ def run_clustering_experiment(
     rng = sim.rng("clustering.workload")
 
     # Database: 42,000 records in `groups` groups, hash-indexed.
+    from ..db.client import DatabaseClient
+    from ..db.engine import Database
+    from ..db.server import DatabaseServer
+
     database = Database("records-db")
     table = database.create_table(
         "records", [("id", int), ("grp", int), ("payload", str)]
@@ -164,7 +163,7 @@ def run_clustering_experiment(
 
     def lookup_cgi(server, request):
         """The paper's backend script: repeat the workload `repeat` times."""
-        yield server.sim.timeout(cgi_overhead)
+        yield cgi_overhead
         repeat = int(request.param("repeat", 1))
         grp = int(request.param("grp", 0))
         total = 0
@@ -339,7 +338,7 @@ def run_qos_experiment(
         )
 
         def bounded_cgi(server, request, _t=service_time):
-            yield server.sim.timeout(_t)
+            yield _t
             return HttpResponse.text("served")
 
         server.add_cgi("/service", bounded_cgi)
@@ -666,7 +665,7 @@ def run_failure_recovery_experiment(
 
         def item_cgi(server, request):
             # CGI handlers honour the slow-backend fault hook themselves.
-            yield server.sim.timeout(service_time * server.service_time_scale)
+            yield service_time * server.service_time_scale
             return HttpResponse.text(f"item={request.param('id', '?')}")
 
         server.add_cgi("/item", item_cgi)
@@ -1025,7 +1024,7 @@ def run_sharded_qos_experiment(
             )
 
             def bounded_cgi(server, request, _t=service_time):
-                yield server.sim.timeout(_t)
+                yield _t
                 return HttpResponse.text("served")
 
             backend.add_cgi("/service", bounded_cgi)
@@ -1470,6 +1469,8 @@ def _run_sharded_parallel(
 
         return build
 
+    from ..sim.parallel import ParallelSimulation, PartitionSpec
+
     specs = [
         PartitionSpec(
             name=f"shard{shard}",
@@ -1627,6 +1628,10 @@ def run_cache_tier_experiment(
     db_node = net.node("dbhost")
 
     # Backend: one database server, the shared bottleneck.
+    from ..db.engine import Database
+    from ..db.server import DatabaseServer
+    from ..db.views import ViewCatalog
+
     database = Database("catalog")
     table = database.create_table(
         "records", [("id", int), ("grp", int), ("val", int)]

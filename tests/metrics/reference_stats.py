@@ -1,29 +1,15 @@
-"""Online summary statistics.
+"""The list-backed ``SummaryStats``, kept verbatim as a test reference.
 
-:class:`SummaryStats` accumulates observations one at a time and exposes
-count/mean/variance (Welford's algorithm) plus exact percentiles (the
-sample is retained; experiment sample sizes here are small enough that
-exactness beats a sketch).
-
-``add`` sits on the simulator's hot path (every response time and stage
-latency lands here), so it only appends to the sample; the Welford
-moments and min/max are folded in lazily, on first read, by replaying
-the exact same recurrence over the retained values. Replaying the
-identical sequence of float operations makes the lazy results
-bit-for-bit equal to eager accumulation.
-
-Storage contract: the sample is one ``array('d')`` column — 8 bytes per
-observation, no boxed ``float`` kept per sample. A C double *is* a
-Python float, so every read is bit-for-bit what a list of floats would
-give; the array does the number check (ints and bools convert, anything
-else raises ``TypeError`` where it is added), and :meth:`values` hands
-out a copy.
+This is ``repro.metrics.stats`` as it was before the sample moved into
+an ``array('d')`` column: every observation a boxed ``float`` in a
+Python list. ``test_stats_differential.py`` drives it and the shipped
+class with the same programs and requires every read to be equal.
+Do not optimise it — its value is that it is the obvious implementation.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from typing import Iterable, List, Optional
 
 __all__ = ["SummaryStats"]
@@ -42,22 +28,20 @@ class SummaryStats:
     __slots__ = ("_values", "_mean", "_m2", "_min", "_max", "_reduced")
 
     def __init__(self, values: Optional[Iterable[float]] = None) -> None:
-        self._values = array("d")
-        if values is not None:
-            self._values.extend(values)
+        self._values: List[float] = []
         self._mean = 0.0
         self._m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
         #: How many leading values are folded into the moments already.
         self._reduced = 0
+        if values is not None:
+            for value in values:
+                self._values.append(float(value))
 
     def add(self, value: float) -> None:
-        """Record one observation (hot path: just an append).
-
-        Raises ``TypeError`` for anything that is not a real number.
-        """
-        self._values.append(value)
+        """Record one observation (hot path: just an append)."""
+        self._values.append(float(value))
 
     def _reduce(self) -> None:
         """Fold not-yet-seen observations into the running moments."""
@@ -177,7 +161,7 @@ class SummaryStats:
 
     def values(self) -> List[float]:
         """A copy of the raw sample, in insertion order."""
-        return self._values.tolist()
+        return list(self._values)
 
     def __len__(self) -> int:
         return len(self._values)

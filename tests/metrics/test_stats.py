@@ -44,6 +44,22 @@ class TestSummaryStats:
         with pytest.raises(ValueError):
             stats.percentile(-1)
 
+    def test_ints_and_bools_convert_to_float(self):
+        s = SummaryStats([1, True])
+        s.add(2)
+        s.add(False)
+        assert s.values() == [1.0, 1.0, 2.0, 0.0]
+        assert all(type(v) is float for v in s.values())
+
+    @pytest.mark.parametrize("bad", ["1.5", None, [1.0], 1j])
+    def test_a_non_number_raises_where_it_is_added(self, bad):
+        s = SummaryStats([1.0])
+        with pytest.raises(TypeError):
+            s.add(bad)
+        with pytest.raises(TypeError):
+            SummaryStats([bad])
+        assert s.values() == [1.0]
+
     def test_merge_combines_samples(self):
         a = SummaryStats([1.0, 2.0])
         b = SummaryStats([3.0])

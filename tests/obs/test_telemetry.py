@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -97,6 +95,34 @@ class TestTimeSeries:
         for t in (1.0, 2.0, 3.0, 4.0):
             series.append(t, t)
         assert series.window(since=1.0, until=3.0) == [(2.0, 2.0), (3.0, 3.0)]
+
+    def test_window_until_defaults_to_the_newest_point_and_may_be_empty(self):
+        series = TimeSeries("x", capacity=3)
+        assert series.window(since=0.0) == []
+        for t in (1.0, 2.0, 2.0, 3.0, 4.0):
+            series.append(t, t * 10)
+        assert series.window(since=2.0) == [(3.0, 30.0), (4.0, 40.0)]
+        assert series.window(since=-1.0, until=2.5) == [(2.0, 20.0)]
+        assert series.window(since=3.0, until=2.0) == []
+        assert series.window(since=9.0) == []
+
+    def test_points_are_stored_as_doubles(self):
+        series = TimeSeries("x")
+        series.append(1, 3)
+        series.append(2, True)
+        assert series.points() == [(1.0, 3.0), (2.0, 1.0)]
+        assert all(type(v) is float for point in series.points() for v in point)
+        assert type(series.value_at(1)) is float
+
+    @pytest.mark.parametrize("t, value", [(2.0, "3"), (2.0, None), ("2", 3.0)])
+    def test_a_non_number_is_rejected_and_leaves_the_ring_unchanged(self, t, value):
+        for series in (TimeSeries("empty"), TimeSeries("x")):
+            if series.name == "x":
+                series.append(1.0, 1.0)
+            before = series.points()
+            with pytest.raises(TypeError):
+                series.append(t, value)
+            assert series.points() == before and series.dropped == 0
 
     def test_delta_over_uses_zero_baseline_before_history(self):
         # Counters start at 0 at t=0, so a window reaching back before
