@@ -21,11 +21,11 @@ deliberately changed::
     )
     EOF
 
-The parallel sweep's *speedup* assertions are core-count aware: wall
-clock scaling is physically impossible on a single-core runner (the
-sweep still runs there and gates correctness + the serial-point
-throughput), so the speedup floor only applies when the host exposes
-enough cores. See EXPERIMENTS.md PERF2.
+The parallel sweep gates correctness and the serial point's throughput
+everywhere; the *speedup* floor is its own test on a point big enough
+for forking to win (the quick point is not: fork + build dominate it),
+and applies wherever the host exposes two cores. See EXPERIMENTS.md
+PERF2.
 """
 
 from __future__ import annotations
@@ -33,7 +33,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.bench import compare_to_baseline, render_report, run_suite
+import pytest
+
+from repro.bench import (
+    bench_parallel,
+    compare_to_baseline,
+    render_report,
+    run_suite,
+)
 from repro.sim.parallel import available_workers
 
 BASELINE = Path(__file__).resolve().parent / "baseline.json"
@@ -82,14 +89,28 @@ def test_parallel_sweep_within_regression_budget():
     assert not regressions, "\n".join(regressions)
 
     parallel = results["parallel"]
+    assert parallel["serial"]["pages"] > 0
     assert parallel["points"][0]["workers"] == 1
     assert all(point["pages"] > 0 for point in parallel["points"])
-    # Wall-clock speedup needs physical cores; on a multi-core host the
-    # forked points must at least not lose to serial. Single-core
-    # runners (cores == 1) measure fork + barrier overhead only, so no
-    # speedup floor applies there — see EXPERIMENTS.md PERF2.
-    if available_workers() >= 4:
-        assert parallel["best_speedup"] >= 1.0, parallel
+    # One partitioned workload, so every worker count completes the
+    # same pages.
+    assert len({point["pages"] for point in parallel["points"]}) == 1
+
+
+@pytest.mark.skipif(
+    available_workers() < 2, reason="wall-clock speedup needs two cores"
+)
+def test_forked_partitions_do_not_lose_to_in_process():
+    """Two workers must at least match the same partitions in-process.
+
+    96 clients x 16 shards x 120 s measured a median 1.57x over seven
+    alternating pairs on a 2-core host, worst pair 1.03x (EXPERIMENTS.md
+    PERF2); the floor is 1.0 so a noisy neighbour does not fail it.
+    """
+    parallel = bench_parallel(
+        clients=96, shards=16, duration=120.0, workers_list=(1, 2), repeats=1
+    )
+    assert parallel["best_speedup"] >= 1.0, parallel
 
 
 def test_telemetry_overhead_under_two_percent():

@@ -9,7 +9,8 @@ bottleneck). Serves:
 * CGI handlers registered with :meth:`add_cgi` — generator functions
   ``handler(server, request)`` that may wait on simulation events
   (bounded processing time, their own database queries, ...) and return
-  an :class:`HttpResponse` or a body string,
+  an :class:`HttpResponse` or a body string (:func:`bounded_cgi` and
+  :func:`item_cgi` make the two the testbeds use),
 * ``MGET`` batches: the requested paths are served sequentially within a
   single worker slot and returned as one multipart response.
 """
@@ -26,7 +27,7 @@ from ..sim.core import Simulation
 from ..sim.resources import Resource
 from .messages import HttpRequest, HttpResponse
 
-__all__ = ["BackendWebServer"]
+__all__ = ["BackendWebServer", "bounded_cgi", "item_cgi"]
 
 #: Default HTTP port.
 DEFAULT_PORT = 80
@@ -206,3 +207,27 @@ class BackendWebServer:
             f"<BackendWebServer {self.address} active={self.active_requests} "
             f"queued={self.queued_requests}>"
         )
+
+
+def bounded_cgi(service_time: float) -> CgiHandler:
+    """A CGI script that takes exactly *service_time* seconds (§V.B)."""
+
+    def cgi(server, request):
+        yield service_time
+        return HttpResponse.text("served")
+
+    return cgi
+
+
+def item_cgi(service_time: float) -> CgiHandler:
+    """An item-lookup CGI script taking *service_time* seconds.
+
+    CGI handlers honour the slow-backend fault hook themselves: the
+    time is scaled by the server's ``service_time_scale``.
+    """
+
+    def cgi(server, request):
+        yield service_time * server.service_time_scale
+        return HttpResponse.text(f"item={request.param('id', '?')}")
+
+    return cgi

@@ -29,7 +29,7 @@ from typing import Any, Callable, Dict
 
 from .address import Address
 
-__all__ = ["Envelope", "estimate_size", "encode_batch", "decode_batch"]
+__all__ = ["Envelope", "estimate_size"]
 
 #: Fixed per-message header overhead, in bytes (IP + transport headers).
 HEADER_BYTES = 40
@@ -277,33 +277,3 @@ class Envelope:
             f"destination={self.destination!r}, size={self.size!r}, "
             f"sent_at={self.sent_at!r})"
         )
-
-
-# ---------------------------------------------------------------------------
-# Wire serialization for cross-process envelope batches
-# ---------------------------------------------------------------------------
-#
-# In-process, payloads cross the simulated network as live Python
-# objects. The parallel driver (repro.sim.parallel) is different: its
-# envelope batches cross real OS process boundaries at every window
-# barrier, so they must be serialized. Batches are pickled with the
-# highest protocol; an empty batch is the empty byte string, so the
-# common no-traffic window costs neither a pickle call nor pipe volume.
-
-
-def encode_batch(envelopes: "list") -> bytes:
-    """Serialize a list of envelopes for cross-process transfer."""
-    if not envelopes:
-        return b""
-    import pickle
-
-    return pickle.dumps(envelopes, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def decode_batch(blob: bytes) -> "list":
-    """Inverse of :func:`encode_batch`; ``b""`` decodes to ``[]``."""
-    if not blob:
-        return []
-    import pickle
-
-    return pickle.loads(blob)

@@ -29,11 +29,7 @@ _EXPORTS = {
     "derive_rng": "rng",
     "URGENT": "core",
     "NORMAL": "core",
-    "ParallelSimulation": "parallel",
-    "PartitionSpec": "parallel",
-    "PartitionResult": "parallel",
-    "RemoteGateway": "parallel",
-    "RemoteEnvelope": "parallel",
+    "run_partitions": "parallel",
     "available_workers": "parallel",
 }
 

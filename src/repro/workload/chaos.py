@@ -71,8 +71,7 @@ from ..core.protocol import ReplyStatus
 from ..core.qos import QoSPolicy
 from ..core.sharding import ShardDirectory, ShardGroup
 from ..errors import BrokerError, BrokerTimeout
-from ..http.messages import HttpResponse
-from ..http.server import BackendWebServer
+from ..http.server import BackendWebServer, item_cgi
 from ..metrics import MetricsRegistry, SummaryStats
 from ..net.faults import BrokerCrash, FaultInjector, FaultPlan, LinkDown
 from ..net.link import Link
@@ -184,12 +183,7 @@ def run_overload_experiment(
     server = BackendWebServer(
         sim, backend_node, max_clients=backend_capacity, name="backend1"
     )
-
-    def item_cgi(server, request):
-        yield service_time * server.service_time_scale
-        return HttpResponse.text(f"item={request.param('id', '?')}")
-
-    server.add_cgi("/item", item_cgi)
+    server.add_cgi("/item", item_cgi(service_time))
 
     qos = QoSPolicy(levels=3, threshold=10_000)  # isolate the queue bound
     if bounded:
@@ -485,12 +479,7 @@ def run_chaos_experiment(
         server = BackendWebServer(
             sim, node, max_clients=backend_capacity, name=f"backend{index}"
         )
-
-        def item_cgi(server, request):
-            yield service_time * server.service_time_scale
-            return HttpResponse.text(f"item={request.param('id', '?')}")
-
-        server.add_cgi("/item", item_cgi)
+        server.add_cgi("/item", item_cgi(service_time))
         backends.append(server)
 
     qos = QoSPolicy(
@@ -955,12 +944,7 @@ def run_shard_chaos_experiment(
             max_clients=backend_capacity,
             name=backend_name,
         )
-
-        def item_cgi(server, request):
-            yield service_time * server.service_time_scale
-            return HttpResponse.text(f"item={request.param('id', '?')}")
-
-        backend.add_cgi("/item", item_cgi)
+        backend.add_cgi("/item", item_cgi(service_time))
         group = ShardGroup("items", shard, metrics=metrics)
         peer = ShardPeerGroup(group)
         for replica in range(replicas):
@@ -1262,12 +1246,7 @@ def _elastic_pool(
             max_clients=backend_capacity,
             name=backend_name,
         )
-
-        def item_cgi(server, request):
-            yield service_time * server.service_time_scale
-            return HttpResponse.text(f"item={request.param('id', '?')}")
-
-        backend.add_cgi("/item", item_cgi)
+        backend.add_cgi("/item", item_cgi(service_time))
         stages = _hardened_stages(capacity, shed_policy)
         if throttle is not None:
             # After validate+arrival, before admission: a refused

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import reduce
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.adapters import DatabaseAdapter, HttpAdapter
 from ..core.broker import ServiceBroker
@@ -250,6 +251,179 @@ def run_clustering_experiment(
 # ---------------------------------------------------------------------------
 # Experiment B — service differentiation (Figures 9-10, Tables I-IV)
 # ---------------------------------------------------------------------------
+#
+# The §V.B testbed has three variants — run_qos_experiment, the serial
+# run_sharded_qos_experiment and its per-shard partitions — and the
+# helpers below are the set-up blocks all of them share. Per-request
+# code (the page applications) stays inside each experiment.
+
+
+def _bounded_backend(sim, net, name: str, service_time: float, capacity: int):
+    """A backend web server on its own node running one bounded CGI."""
+    from ..http.server import BackendWebServer, bounded_cgi
+
+    backend = BackendWebServer(sim, net.node(name), max_clients=capacity, name=name)
+    backend.add_cgi("/service", bounded_cgi(service_time))
+    return backend
+
+
+def _qos_policy(
+    levels: int, threshold: int, fractions: Optional[Dict[int, float]]
+) -> QoSPolicy:
+    """The testbed's admission policy; calibrated when none is given."""
+    if fractions is None and levels == 3:
+        # Calibrated so the paper's "no drops below 20 clients" band
+        # holds: closed-loop analysis puts broker 3's outstanding count
+        # near 10 at 20 clients, so the lowest class needs a limit of
+        # ~2/3 x threshold. See EXPERIMENTS.md.
+        fractions = {1: 1.0, 2: 5.0 / 6.0, 3: 2.0 / 3.0}
+    return QoSPolicy(levels=levels, threshold=threshold, fractions=fractions)
+
+
+def _centralized_admission(
+    sim, web_node, frontend, brokers, stages: int, qos_policy, metrics=None
+):
+    """Admit at the front end from the brokers' streamed load reports.
+
+    The paper's centralized model (§IV, Figure 4); returns the listener.
+    """
+    from ..core.centralized import (
+        CentralizedController,
+        LoadListener,
+        ResourceProfileRegistry,
+    )
+
+    listener = LoadListener(sim, web_node, process_time=0.0005, metrics=metrics)
+    for broker in brokers:
+        broker.report_load_to(listener.address, interval=0.05)
+    profiles = ResourceProfileRegistry()
+    profiles.register("/page", [f"svc{i}" for i in range(1, stages + 1)])
+    frontend.admission = CentralizedController(listener, profiles, qos_policy).admit
+    return listener
+
+
+def _page_answers(stages: int):
+    """``(service_names, full_fidelity, low_fidelity)``, lists indexed by stage.
+
+    A page application's per-request constants, built once: the
+    responses are frozen, so sharing them across requests is safe.
+    """
+    service_names = [f"svc{stage}" for stage in range(stages + 1)]
+    low_fidelity = [
+        HttpResponse.text(f"low-fidelity (stage {stage})")
+        for stage in range(stages + 1)
+    ]
+    return service_names, HttpResponse.text("full-fidelity"), low_fidelity
+
+
+def _start_class_clients(
+    sim,
+    net,
+    frontend,
+    prefix: str,
+    n_clients: int,
+    levels: int,
+    duration: float,
+    service_times: Tuple[float, ...],
+    think_time: float,
+    shards: int = 1,
+    own_shards: Sequence[int] = (0,),
+) -> Dict[int, List[ClosedLoopClient]]:
+    """Start the WebStone-like closed-loop clients, split over QoS classes.
+
+    One workstation node per class. Client *index* of a class belongs
+    to shard ``index % shards``; only those of *own_shards* are started
+    (and draw a start delay), which by default is all of them.
+    """
+    per_class = n_clients // levels
+    extra = n_clients - per_class * levels
+    clients_by_class: Dict[int, List[ClosedLoopClient]] = {}
+    stagger_rng = sim.rng("qos.stagger")
+    for level in range(1, levels + 1):
+        workstation = net.node(f"workstation{level}")
+        count_for_class = per_class + (1 if level <= extra else 0)
+        class_clients: List[ClosedLoopClient] = []
+        # One immutable request per class, shared by every iteration of
+        # every client in the class (the front end attaches its context
+        # to a fresh copy instead of mutating the original).
+        page_request = HttpRequest(
+            method="GET",
+            path="/page",
+            headers={QOS_HEADER: str(level)},
+        )
+        for index in range(count_for_class):
+            if index % shards not in own_shards:
+                continue
+
+            def one_request(
+                _client, _iteration, _level=level, _request=page_request
+            ):
+                response = yield from HttpClient.fetch(
+                    sim,
+                    workstation,
+                    frontend.address,
+                    _request,
+                )
+                # A 503 is the centralized model's immediate low-fidelity
+                # answer ("an error message is sent to the end user") and
+                # counts as a completed request, like a broker drop reply.
+                if response.status == 500:
+                    raise RuntimeError(f"server error {response.status}")
+
+            client = ClosedLoopClient(
+                sim,
+                name=f"{prefix}{level}-{index}",
+                request_factory=one_request,
+                think_time=think_time,
+                start_delay=stagger_rng.uniform(0.0, sum(service_times)),
+            )
+            client.start(until=duration)
+            class_clients.append(client)
+        clients_by_class[level] = class_clients
+    return clients_by_class
+
+
+def _watch_testbed(
+    telemetry, sim, frontend, brokers, registries, obs, duration, listener=None
+) -> None:
+    """Point *telemetry* at a built testbed and start scraping.
+
+    *registries* lists the broker-side ``(registry, prefix, label)``
+    watches. Purely observational: the scraper reads at fixed instants,
+    draws no RNG and sends no messages, so the workload is unchanged.
+    """
+    telemetry.attach(sim)
+    telemetry.watch_registry(frontend.metrics, prefix="app.")
+    telemetry.watch_registry(frontend.metrics, prefix="frontend.")
+    for registry, prefix, label in registries:
+        telemetry.watch_registry(registry, prefix=prefix, label=label)
+    for broker in brokers:
+        telemetry.watch_broker(broker)
+    if listener is not None:
+        telemetry.watch_listener(listener)
+    obs_metrics = getattr(obs, "metrics", None)
+    if obs_metrics is not None:
+        telemetry.watch_registry(obs_metrics, prefix="obs.latency.")
+    telemetry.start(until=duration)
+
+
+def _collect_classes(result, clients_by_class, frontend) -> None:
+    """Fill the per-class fields both result types carry."""
+    for level, class_clients in clients_by_class.items():
+        merged = SummaryStats()
+        completed = 0
+        for client in class_clients:
+            completed += client.completed
+            for value in client.response_times.values():
+                merged.add(value)
+        result.response_times[level] = merged
+        result.completions[level] = completed
+        result.full_fidelity[level] = int(
+            frontend.metrics.counter(f"app.fullfid.qos{level}")
+        )
+        result.frontend_rejections[level] = int(
+            frontend.metrics.counter(f"frontend.rejected.qos{level}")
+        )
 
 
 @dataclass
@@ -327,31 +501,12 @@ def run_qos_experiment(
     web_node = net.node("web")
     stages = len(service_times)
 
-    # Backend web servers with bounded CGI processing times.
-    from ..http.server import BackendWebServer
-
-    backends: List[BackendWebServer] = []
-    for index, service_time in enumerate(service_times, 1):
-        node = net.node(f"backend{index}")
-        server = BackendWebServer(
-            sim, node, max_clients=backend_capacity, name=f"backend{index}"
-        )
-
-        def bounded_cgi(server, request, _t=service_time):
-            yield _t
-            return HttpResponse.text("served")
-
-        server.add_cgi("/service", bounded_cgi)
-        backends.append(server)
-
+    backends = [
+        _bounded_backend(sim, net, f"backend{index}", service_time, backend_capacity)
+        for index, service_time in enumerate(service_times, 1)
+    ]
     frontend = FrontendWebServer(sim, web_node, name="frontend")
-    if fractions is None and levels == 3:
-        # Calibrated so the paper's "no drops below 20 clients" band
-        # holds: closed-loop analysis puts broker 3's outstanding count
-        # near 10 at 20 clients, so the lowest class needs a limit of
-        # ~2/3 x threshold. See EXPERIMENTS.md.
-        fractions = {1: 1.0, 2: 5.0 / 6.0, 3: 2.0 / 3.0}
-    qos_policy = QoSPolicy(levels=levels, threshold=threshold, fractions=fractions)
+    qos_policy = _qos_policy(levels, threshold, fractions)
 
     brokers: List[ServiceBroker] = []
     if mode in ("broker", "centralized"):
@@ -388,32 +543,12 @@ def run_qos_experiment(
         broker_client = BrokerClient(sim, web_node, routes)
 
         if mode == "centralized":
-            from ..core.centralized import (
-                CentralizedController,
-                LoadListener,
-                ResourceProfileRegistry,
-            )
+            _centralized_admission(sim, web_node, frontend, brokers, stages, qos_policy)
 
-            listener = LoadListener(sim, web_node, process_time=0.0005)
-            for broker in brokers:
-                broker.report_load_to(listener.address, interval=0.05)
-            profiles = ResourceProfileRegistry()
-            profiles.register(
-                "/page", [f"svc{i}" for i in range(1, stages + 1)]
-            )
-            controller = CentralizedController(listener, profiles, qos_policy)
-            frontend.admission = controller.admit
-
-        # Per-request constants, hoisted: the payload tuple is never
-        # mutated downstream (adapters copy the params dict) and the
-        # responses are frozen, so sharing them across requests is safe.
-        service_names = [f"svc{stage}" for stage in range(stages + 1)]
+        # The payload tuple is never mutated downstream (adapters copy
+        # the params dict), so one serves every request.
+        service_names, full_fidelity, low_fidelity = _page_answers(stages)
         page_payload = ("/service", {})
-        full_fidelity = HttpResponse.text("full-fidelity")
-        low_fidelity = [
-            HttpResponse.text(f"low-fidelity (stage {stage})")
-            for stage in range(stages + 1)
-        ]
 
         def page_app(frontend_server, request):
             """3-stage request: one access per backend, in order.
@@ -450,96 +585,26 @@ def run_qos_experiment(
             return HttpResponse.text("full-fidelity")
 
     frontend.register_app(WebApplication(path="/page", handler=page_app))
-
-    # WebStone-like closed-loop clients: one workstation node per class.
-    per_class = n_clients // levels
-    extra = n_clients - per_class * levels
-    clients_by_class: Dict[int, List[ClosedLoopClient]] = {}
-    stagger_rng = sim.rng("qos.stagger")
-    for level in range(1, levels + 1):
-        workstation = net.node(f"workstation{level}")
-        count_for_class = per_class + (1 if level <= extra else 0)
-        class_clients: List[ClosedLoopClient] = []
-        # One immutable request per class, shared by every iteration of
-        # every client in the class (the front end attaches its context
-        # to a fresh copy instead of mutating the original).
-        page_request = HttpRequest(
-            method="GET",
-            path="/page",
-            headers={QOS_HEADER: str(level)},
-        )
-        for index in range(count_for_class):
-
-            def one_request(
-                _client, _iteration, _level=level, _request=page_request
-            ):
-                response = yield from HttpClient.fetch(
-                    sim,
-                    workstation,
-                    frontend.address,
-                    _request,
-                )
-                # A 503 is the centralized model's immediate low-fidelity
-                # answer ("an error message is sent to the end user") and
-                # counts as a completed request, like a broker drop reply.
-                if response.status == 500:
-                    raise RuntimeError(f"server error {response.status}")
-
-            client = ClosedLoopClient(
-                sim,
-                name=f"qos{level}-{index}",
-                request_factory=one_request,
-                think_time=think_time,
-                start_delay=stagger_rng.uniform(0.0, sum(service_times)),
-            )
-            client.start(until=duration)
-            class_clients.append(client)
-        clients_by_class[level] = class_clients
-
+    clients_by_class = _start_class_clients(
+        sim, net, frontend, "qos", n_clients, levels, duration, service_times,
+        think_time,
+    )
     if telemetry is not None:
-        # Purely observational: the scraper reads registries and gauges
-        # at fixed instants, draws no RNG, and sends no messages, so
-        # the workload below is identical with or without it.
-        telemetry.attach(sim)
-        telemetry.watch_registry(frontend.metrics, prefix="app.")
-        telemetry.watch_registry(frontend.metrics, prefix="frontend.")
-        for broker in brokers:
-            telemetry.watch_broker(broker)
-            # Broker registries reuse names across brokers; a label
-            # keeps their series distinct.
-            telemetry.watch_registry(
-                broker.metrics, prefix="broker.", label=f"{broker.name}:"
-            )
-        obs_metrics = getattr(obs, "metrics", None)
-        if obs_metrics is not None:
-            telemetry.watch_registry(obs_metrics, prefix="obs.latency.")
-        telemetry.start(until=duration)
+        # Broker registries reuse names across brokers; a label keeps
+        # their series distinct.
+        labelled = [(b.metrics, "broker.", f"{b.name}:") for b in brokers]
+        _watch_testbed(telemetry, sim, frontend, brokers, labelled, obs, duration)
 
     sim.run(until=duration + 0.0)
     # Let in-flight requests finish so their metrics are counted.
     sim.run(until=duration + 200.0)
 
     result = QosResult(mode=mode, n_clients=n_clients, duration=duration)
-    for level, class_clients in clients_by_class.items():
-        merged = SummaryStats()
-        completed = 0
-        for client in class_clients:
-            completed += client.completed
-            for value in client.response_times.values():
-                merged.add(value)
-        result.response_times[level] = merged
-        result.completions[level] = completed
-        result.full_fidelity[level] = int(
-            frontend.metrics.counter(f"app.fullfid.qos{level}")
-        )
+    _collect_classes(result, clients_by_class, frontend)
     for broker in brokers:
         result.drop_ratios[broker.name] = {
             level: broker.drop_ratio(level) for level in range(1, levels + 1)
         }
-    for level in range(1, levels + 1):
-        result.frontend_rejections[level] = int(
-            frontend.metrics.counter(f"frontend.rejected.qos{level}")
-        )
     return result
 
 
@@ -654,7 +719,7 @@ def run_failure_recovery_experiment(
     web_node = net.node("web")
 
     # Replica backend web servers, all serving the same item lookup.
-    from ..http.server import BackendWebServer
+    from ..http.server import BackendWebServer, item_cgi
 
     backends: List[BackendWebServer] = []
     for index in range(1, replicas + 1):
@@ -662,13 +727,7 @@ def run_failure_recovery_experiment(
         server = BackendWebServer(
             sim, node, max_clients=backend_capacity, name=f"backend{index}"
         )
-
-        def item_cgi(server, request):
-            # CGI handlers honour the slow-backend fault hook themselves.
-            yield service_time * server.service_time_scale
-            return HttpResponse.text(f"item={request.param('id', '?')}")
-
-        server.add_cgi("/item", item_cgi)
+        server.add_cgi("/item", item_cgi(service_time))
         backends.append(server)
 
     qos = QoSPolicy(
@@ -883,6 +942,11 @@ class ShardedQosResult:
         return self.response_times[level].mean
 
 
+#: Virtual seconds a sharded run continues after its clients stop, so
+#: in-flight pages finish and are counted.
+_SHARDED_DRAIN = 200.0
+
+
 def run_sharded_qos_experiment(
     n_clients: int,
     shards: int = 2,
@@ -900,7 +964,6 @@ def run_sharded_qos_experiment(
     obs=None,
     telemetry=None,
     workers: int = 1,
-    lookahead: Optional[float] = None,
 ) -> ShardedQosResult:
     """Run the §V.B testbed with every service sharded N × R ways.
 
@@ -928,23 +991,21 @@ def run_sharded_qos_experiment(
     degenerate configuration — one broker per service, every route
     local, exactly the classic topology.
 
-    ``workers`` selects the execution strategy. ``workers=1`` (the
-    default) runs the exact serial code path — its seeded output is
+    ``workers`` selects the workload as well as where it runs.
+    ``workers=1`` (the default) builds every shard in one simulation
+    whose pages draw from one global key stream — its seeded output is
     byte-identical across releases and covered by the golden
-    determinism test. ``workers>=2`` partitions the topology **by
-    shard** and runs the slices under
-    :class:`~repro.sim.parallel.ParallelSimulation`: every service's
-    ring is seeded identically, so a page's item key owns the same
-    shard index for all services and each shard slice (its brokers,
-    backends, and the clients pinned to its key range) is an
-    independent partition. Partitioned results are deterministic in
-    ``(seed, shards)`` — identical for every ``workers >= 2`` — but
-    they are a *partitioned workload*, not a replay of the serial
-    interleaving: clients are pinned to shards instead of re-drawing a
-    global key stream per page. ``lookahead`` overrides the
-    synchronization window width (shard slices exchange no messages,
-    so it only sets the barrier cadence). The parallel path supports
-    ``mode="broker"`` only.
+    determinism test. ``workers>=2`` builds the same testbed once per
+    shard, each slice holding that shard's brokers and backends, the
+    clients pinned to it and the keys it owns, and runs the slices as
+    independent partitions under
+    :func:`~repro.sim.parallel.run_partitions`: every service's ring
+    is seeded identically, so a page's item key owns the same shard
+    index for all services and no slice ever talks to another.
+    Partitioned results are deterministic in ``(seed, shards)`` —
+    identical for every ``workers >= 2`` — but they are a *partitioned
+    workload*, not a replay of the serial interleaving. The partitioned
+    path supports ``mode="broker"`` only.
     """
     if mode not in ("broker", "centralized"):
         raise ValueError(f"mode must be 'broker' or 'centralized': {mode!r}")
@@ -956,6 +1017,20 @@ def run_sharded_qos_experiment(
         raise ValueError(f"need at least {levels} clients, got {n_clients}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers!r}")
+    config = dict(
+        n_clients=n_clients,
+        shards=shards,
+        replicas=replicas,
+        mode=mode,
+        duration=duration,
+        service_times=service_times,
+        threshold=threshold,
+        backend_capacity=backend_capacity,
+        levels=levels,
+        think_time=think_time,
+        fractions=fractions,
+        seed=seed,
+    )
     if workers > 1:
         if mode != "broker":
             raise ValueError(
@@ -973,61 +1048,73 @@ def run_sharded_qos_experiment(
                 "parallel execution cannot scrape live telemetry across "
                 "worker processes; use workers=1"
             )
-        return _run_sharded_parallel(
-            n_clients=n_clients,
-            shards=shards,
-            replicas=replicas,
-            duration=duration,
-            service_times=service_times,
-            threshold=threshold,
-            backend_capacity=backend_capacity,
-            levels=levels,
-            think_time=think_time,
-            key_pool=key_pool,
-            fractions=fractions,
-            seed=seed,
-            workers=workers,
-            lookahead=lookahead,
-        )
+        return _run_sharded_parallel(workers, key_pool, **config)
     sim = Simulation(seed=seed)
     if obs is not None:
         obs.attach(sim)
+    finalize = _build_sharded(
+        sim, range(shards), range(key_pool), obs=obs, telemetry=telemetry, **config
+    )
+    sim.run(until=duration)
+    sim.run(until=duration + _SHARDED_DRAIN)
+    return finalize()
+
+
+def _build_sharded(
+    sim: Simulation,
+    own_shards: Sequence[int],
+    items: Sequence[int],
+    *,
+    n_clients: int,
+    shards: int,
+    replicas: int,
+    mode: str,
+    duration: float,
+    service_times: Tuple[float, ...],
+    threshold: int,
+    backend_capacity: int,
+    levels: int,
+    think_time: float,
+    fractions: Optional[Dict[int, float]],
+    seed: int,
+    obs=None,
+    telemetry=None,
+):
+    """Build the sharded testbed's slice *own_shards* inside *sim*.
+
+    The slice holds the front end, the brokers and backends of
+    *own_shards* for every service, and the clients pinned to those
+    shards; its pages draw their key from *items*, the keys those
+    shards own. Rings are registered over the **full** shard universe
+    so key placement is that of the whole topology, and a key owned by
+    a shard outside the slice fails loudly in
+    :meth:`~repro.core.sharding.ShardDirectory.group` instead of
+    silently rehashing. With every shard and ``range(key_pool)`` this
+    is the serial experiment. Returns ``finalize() -> ShardedQosResult``
+    for the slice, to call once *sim* has run.
+    """
     metrics = MetricsRegistry()
     net = Network(sim, default_link=Link.lan())
     web_node = net.node("web")
     stages = len(service_times)
-
-    from ..http.server import BackendWebServer
-
     frontend = FrontendWebServer(sim, web_node, name="frontend")
-    if fractions is None and levels == 3:
-        fractions = {1: 1.0, 2: 5.0 / 6.0, 3: 2.0 / 3.0}
-    qos_policy = QoSPolicy(levels=levels, threshold=threshold, fractions=fractions)
+    qos_policy = _qos_policy(levels, threshold, fractions)
 
     directory = ShardDirectory(metrics=metrics)
     base_plan = "distributed" if mode == "broker" else "centralized"
     all_brokers: List[ServiceBroker] = []
     groups: List[ShardGroup] = []
-    peers: List[ShardPeerGroup] = []
     next_port = 7101
     for index, service_time in enumerate(service_times, 1):
         service = f"svc{index}"
         service_brokers: List[ServiceBroker] = []
         service_groups: List[ShardGroup] = []
-        for shard in range(shards):
+        service_peers: List[ShardPeerGroup] = []
+        for shard in own_shards:
             backend_name = f"backend{index}s{shard}"
-            backend = BackendWebServer(
-                sim,
-                net.node(backend_name),
-                max_clients=backend_capacity,
-                name=backend_name,
+            backend = _bounded_backend(
+                sim, net, backend_name, service_time, backend_capacity
             )
-
-            def bounded_cgi(server, request, _t=service_time):
-                yield _t
-                return HttpResponse.text("served")
-
-            backend.add_cgi("/service", bounded_cgi)
             group = ShardGroup(service, shard, metrics=metrics)
             peer = ShardPeerGroup(group)
             for replica in range(replicas):
@@ -1056,13 +1143,14 @@ def run_sharded_qos_experiment(
                 peer.join(broker)
                 service_brokers.append(broker)
             service_groups.append(group)
-            groups.append(group)
-            peers.append(peer)
+            service_peers.append(peer)
         # Route adverts go to every broker of the service, across shards.
-        roster_start = len(peers) - shards
-        for peer in peers[roster_start:]:
+        for peer in service_peers:
             peer.set_roster(service_brokers)
-        directory.register(service, service_groups, seed=seed)
+        directory.register(
+            service, service_groups, seed=seed, universe=range(shards)
+        )
+        groups.extend(service_groups)
         all_brokers.extend(service_brokers)
 
     broker_client = BrokerClient(sim, web_node, {})
@@ -1070,36 +1158,20 @@ def run_sharded_qos_experiment(
 
     listener = None
     if mode == "centralized":
-        from ..core.centralized import (
-            CentralizedController,
-            LoadListener,
-            ResourceProfileRegistry,
+        # Every replica runs a reporter; only the current leader sends,
+        # so the reporting role follows elections.
+        listener = _centralized_admission(
+            sim, web_node, frontend, all_brokers, stages, qos_policy, metrics
         )
 
-        listener = LoadListener(
-            sim, web_node, process_time=0.0005, metrics=metrics
-        )
-        for broker in all_brokers:
-            # Every replica runs a reporter; only the current leader
-            # sends, so the reporting role follows elections.
-            broker.report_load_to(listener.address, interval=0.05)
-        profiles = ResourceProfileRegistry()
-        profiles.register("/page", [f"svc{i}" for i in range(1, stages + 1)])
-        controller = CentralizedController(listener, profiles, qos_policy)
-        frontend.admission = controller.admit
-
-    service_names = [f"svc{stage}" for stage in range(stages + 1)]
-    full_fidelity = HttpResponse.text("full-fidelity")
-    low_fidelity = [
-        HttpResponse.text(f"low-fidelity (stage {stage})")
-        for stage in range(stages + 1)
-    ]
+    service_names, full_fidelity, low_fidelity = _page_answers(stages)
     key_rng = sim.rng("shard.keys")
+    n_items = len(items)
 
     def page_app(frontend_server, request):
         """3-stage page over one item key: the key picks each shard."""
         level = qos_of(request)
-        item = key_rng.randrange(key_pool)
+        item = items[key_rng.randrange(n_items)]
         for stage in range(1, stages + 1):
             reply = yield from broker_client.call(
                 service_names[stage],
@@ -1117,103 +1189,43 @@ def run_sharded_qos_experiment(
         return full_fidelity
 
     frontend.register_app(WebApplication(path="/page", handler=page_app))
-
-    per_class = n_clients // levels
-    extra = n_clients - per_class * levels
-    clients_by_class: Dict[int, List[ClosedLoopClient]] = {}
-    stagger_rng = sim.rng("qos.stagger")
-    for level in range(1, levels + 1):
-        workstation = net.node(f"workstation{level}")
-        count_for_class = per_class + (1 if level <= extra else 0)
-        class_clients: List[ClosedLoopClient] = []
-        page_request = HttpRequest(
-            method="GET",
-            path="/page",
-            headers={QOS_HEADER: str(level)},
-        )
-        for index in range(count_for_class):
-
-            def one_request(
-                _client, _iteration, _level=level, _request=page_request
-            ):
-                response = yield from HttpClient.fetch(
-                    sim,
-                    workstation,
-                    frontend.address,
-                    _request,
-                )
-                if response.status == 500:
-                    raise RuntimeError(f"server error {response.status}")
-
-            client = ClosedLoopClient(
-                sim,
-                name=f"shard-qos{level}-{index}",
-                request_factory=one_request,
-                think_time=think_time,
-                start_delay=stagger_rng.uniform(0.0, sum(service_times)),
-            )
-            client.start(until=duration)
-            class_clients.append(client)
-        clients_by_class[level] = class_clients
-
-    if telemetry is not None:
-        # Purely observational (no RNG, no messages): the workload is
-        # identical with or without the scraper.
-        telemetry.attach(sim)
-        telemetry.watch_registry(frontend.metrics, prefix="app.")
-        telemetry.watch_registry(frontend.metrics, prefix="frontend.")
-        # All brokers share one registry here, so no label is needed.
-        telemetry.watch_registry(metrics, prefix="broker.")
-        telemetry.watch_registry(metrics, prefix="listener.")
-        for broker in all_brokers:
-            telemetry.watch_broker(broker)
-        if listener is not None:
-            # Leader-only shard aggregation rides the ShardLoadReport
-            # path: only group leaders report, so this gauge table is
-            # already the per-shard leader view.
-            telemetry.watch_listener(listener)
-        obs_metrics = getattr(obs, "metrics", None)
-        if obs_metrics is not None:
-            telemetry.watch_registry(obs_metrics, prefix="obs.latency.")
-        telemetry.start(until=duration)
-
-    sim.run(until=duration)
-    sim.run(until=duration + 200.0)  # drain in-flight pages
-
-    result = ShardedQosResult(
-        mode=mode,
-        n_clients=n_clients,
-        shards=shards,
-        replicas=replicas,
-        duration=duration,
-        brokers=len(all_brokers),
+    clients_by_class = _start_class_clients(
+        sim, net, frontend, "shard-qos", n_clients, levels, duration, service_times,
+        think_time, shards, own_shards,
     )
-    for level, class_clients in clients_by_class.items():
-        merged = SummaryStats()
-        histogram = LatencyHistogram()
-        completed = 0
-        for client in class_clients:
-            completed += client.completed
-            for value in client.response_times.values():
-                merged.add(value)
+    if telemetry is not None:
+        # All brokers share one registry here, so no label is needed.
+        # Only group leaders report to the listener, so its gauge table
+        # is already the per-shard leader view.
+        shared = [(metrics, "broker.", ""), (metrics, "listener.", "")]
+        _watch_testbed(
+            telemetry, sim, frontend, all_brokers, shared, obs, duration, listener
+        )
+
+    def finalize() -> ShardedQosResult:
+        result = ShardedQosResult(
+            mode=mode,
+            n_clients=n_clients,
+            shards=shards,
+            replicas=replicas,
+            duration=duration,
+            brokers=len(all_brokers),
+        )
+        _collect_classes(result, clients_by_class, frontend)
+        for level, stats in result.response_times.items():
+            histogram = result.latency_histograms[level] = LatencyHistogram()
+            for value in stats.values():
                 histogram.add(value)
-        result.response_times[level] = merged
-        result.latency_histograms[level] = histogram
-        result.completions[level] = completed
-        result.full_fidelity[level] = int(
-            frontend.metrics.counter(f"app.fullfid.qos{level}")
-        )
-        result.frontend_rejections[level] = int(
-            frontend.metrics.counter(f"frontend.rejected.qos{level}")
-        )
-    result.forwards = int(metrics.counter("broker.shard.forwarded"))
-    result.local_routes = int(metrics.counter("broker.shard.local"))
-    result.elections = sum(group.elections for group in groups)
-    if listener is not None:
-        result.leader_failovers = listener.leader_failovers
-        result.listener_updates = int(metrics.counter("listener.updates"))
-    result.topology = directory.describe()
-    return result
+        result.forwards = int(metrics.counter("broker.shard.forwarded"))
+        result.local_routes = int(metrics.counter("broker.shard.local"))
+        result.elections = sum(group.elections for group in groups)
+        if listener is not None:
+            result.leader_failovers = listener.leader_failovers
+            result.listener_updates = int(metrics.counter("listener.updates"))
+        result.topology = directory.describe()
+        return result
+
+    return finalize
 
 
 def _slice_seed(seed: int, shard: int) -> int:
@@ -1229,295 +1241,66 @@ def _slice_seed(seed: int, shard: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _run_sharded_parallel(
-    n_clients: int,
-    shards: int,
-    replicas: int,
-    duration: float,
-    service_times: Tuple[float, ...],
-    threshold: int,
-    backend_capacity: int,
-    levels: int,
-    think_time: float,
-    key_pool: int,
-    fractions: Optional[Dict[int, float]],
-    seed: int,
-    workers: int,
-    lookahead: Optional[float],
-) -> ShardedQosResult:
-    """Parallel (per-shard partitioned) form of the sharded testbed.
+def _run_sharded_parallel(workers: int, key_pool: int, **config) -> ShardedQosResult:
+    """The sharded testbed as one independent partition per shard.
 
     Every service's ring is built with the same seed over node names
     ``"0" .. "N-1"``, so one item key owns the same shard index for all
     three services; a page request therefore touches exactly one shard
-    and the topology decomposes into *shards* independent slices with
-    zero cross-partition traffic. Each slice instantiates that shard's
-    brokers, backend, frontend, and the clients pinned to its key
-    range, with rings registered over the **full** shard universe so
-    key placement matches the unpartitioned topology (a mis-routed key
-    fails loudly in :meth:`~repro.core.sharding.ShardDirectory.group`
-    instead of silently rehashing).
-
-    Because the slices exchange no messages, the lookahead only sets
-    the barrier cadence; the default covers the whole horizon in one
-    window. Pass ``lookahead`` to force finer windows (the benchmark
-    sweep does, to measure synchronization overhead honestly).
+    and the topology decomposes into *shards* slices with no traffic
+    between them. Each is :func:`_build_sharded` for one shard, seeded
+    by :func:`_slice_seed`; *config* is that function's keyword set.
+    ``workers=1`` runs the slices in this process — the like-for-like
+    baseline of a forked run.
     """
-    drain = 200.0
-    horizon = duration + drain
-    if lookahead is None:
-        lookahead = horizon
+    from ..sim.parallel import run_partitions
 
+    seed, shards = config["seed"], config["shards"]
     # Partition the key population exactly as every slice's directory
     # will: same seed, same node names, same vnode count.
     ring = HashRing(seed=seed, nodes=[str(i) for i in range(shards)])
-    by_shard = ring.partition([f"item{k}" for k in range(key_pool)])
-    items_by_shard: Dict[int, List[int]] = {
-        int(node): [int(key[4:]) for key in keys]
-        for node, keys in by_shard.items()
-    }
+    owned = ring.partition([f"item{k}" for k in range(key_pool)])
 
-    if fractions is None and levels == 3:
-        fractions = {1: 1.0, 2: 5.0 / 6.0, 3: 2.0 / 3.0}
+    def builder(shard: int):
+        items = [int(key[4:]) for key in owned[str(shard)]]
+        return lambda sim: _build_sharded(sim, [shard], items, **config)
 
-    per_class = n_clients // levels
-    extra = n_clients - per_class * levels
-    stages = len(service_times)
-
-    def make_builder(shard: int):
-        items = items_by_shard[shard]
-
-        def build(sim: Simulation, gateway) -> "Callable[[], dict]":
-            from ..http.server import BackendWebServer
-
-            metrics = MetricsRegistry()
-            net = Network(sim, default_link=Link.lan())
-            web_node = net.node("web")
-            frontend = FrontendWebServer(sim, web_node, name="frontend")
-            qos_policy = QoSPolicy(
-                levels=levels, threshold=threshold, fractions=fractions
-            )
-            directory = ShardDirectory(metrics=metrics)
-            groups: List[ShardGroup] = []
-            brokers: List[ServiceBroker] = []
-            next_port = 7101
-            for index, service_time in enumerate(service_times, 1):
-                service = f"svc{index}"
-                backend_name = f"backend{index}s{shard}"
-                backend = BackendWebServer(
-                    sim,
-                    net.node(backend_name),
-                    max_clients=backend_capacity,
-                    name=backend_name,
-                )
-
-                def bounded_cgi(server, request, _t=service_time):
-                    yield _t
-                    return HttpResponse.text("served")
-
-                backend.add_cgi("/service", bounded_cgi)
-                group = ShardGroup(service, shard, metrics=metrics)
-                peer = ShardPeerGroup(group)
-                service_brokers: List[ServiceBroker] = []
-                for replica in range(replicas):
-                    broker = ServiceBroker(
-                        sim,
-                        web_node,
-                        service=service,
-                        port=next_port,
-                        adapters=[
-                            HttpAdapter(
-                                sim,
-                                web_node,
-                                backend.address,
-                                name=backend_name,
-                            )
-                        ],
-                        qos=qos_policy,
-                        pool_size=backend_capacity,
-                        dispatchers=backend_capacity,
-                        priority_queueing=False,
-                        metrics=metrics,
-                        name=f"broker{index}s{shard}r{replica}",
-                        stages=sharded_stage_plan(
-                            directory, shard=shard, base="distributed"
-                        ),
-                    )
-                    next_port += 1
-                    group.add(broker)
-                    peer.join(broker)
-                    service_brokers.append(broker)
-                peer.set_roster(service_brokers)
-                directory.register(
-                    service, [group], seed=seed, universe=range(shards)
-                )
-                groups.append(group)
-                brokers.extend(service_brokers)
-
-            broker_client = BrokerClient(sim, web_node, {})
-            broker_client.use_directory(directory)
-
-            service_names = [f"svc{s}" for s in range(stages + 1)]
-            full_fidelity = HttpResponse.text("full-fidelity")
-            low_fidelity = [
-                HttpResponse.text(f"low-fidelity (stage {s})")
-                for s in range(stages + 1)
-            ]
-            key_rng = sim.rng("shard.keys")
-
-            def page_app(frontend_server, request):
-                level = qos_of(request)
-                item = items[key_rng.randrange(len(items))]
-                for stage in range(1, stages + 1):
-                    reply = yield from broker_client.call(
-                        service_names[stage],
-                        "get",
-                        ("/service", {"item": item}),
-                        qos_level=level,
-                        cacheable=False,
-                        cache_key=f"item{item}",
-                        parent=request.context,
-                    )
-                    if reply.status is not ReplyStatus.OK:
-                        frontend_server.metrics.increment(
-                            f"app.lowfid.qos{level}"
-                        )
-                        return low_fidelity[stage]
-                frontend_server.metrics.increment(f"app.fullfid.qos{level}")
-                return full_fidelity
-
-            frontend.register_app(
-                WebApplication(path="/page", handler=page_app)
-            )
-
-            clients_by_class: Dict[int, List[ClosedLoopClient]] = {}
-            stagger_rng = sim.rng("qos.stagger")
-            for level in range(1, levels + 1):
-                workstation = net.node(f"workstation{level}")
-                count_for_class = per_class + (1 if level <= extra else 0)
-                class_clients: List[ClosedLoopClient] = []
-                page_request = HttpRequest(
-                    method="GET",
-                    path="/page",
-                    headers={QOS_HEADER: str(level)},
-                )
-                for index in range(count_for_class):
-                    if index % shards != shard:
-                        continue
-
-                    def one_request(
-                        _client, _iteration, _level=level, _request=page_request
-                    ):
-                        response = yield from HttpClient.fetch(
-                            sim,
-                            workstation,
-                            frontend.address,
-                            _request,
-                        )
-                        if response.status == 500:
-                            raise RuntimeError(
-                                f"server error {response.status}"
-                            )
-
-                    client = ClosedLoopClient(
-                        sim,
-                        name=f"shard-qos{level}-{index}",
-                        request_factory=one_request,
-                        think_time=think_time,
-                        start_delay=stagger_rng.uniform(
-                            0.0, sum(service_times)
-                        ),
-                    )
-                    client.start(until=duration)
-                    class_clients.append(client)
-                clients_by_class[level] = class_clients
-
-            def finalize() -> dict:
-                per_level: Dict[int, dict] = {}
-                for level, class_clients in clients_by_class.items():
-                    merged = SummaryStats()
-                    histogram = LatencyHistogram()
-                    completed = 0
-                    for client in class_clients:
-                        completed += client.completed
-                        for value in client.response_times.values():
-                            merged.add(value)
-                            histogram.add(value)
-                    per_level[level] = {
-                        "stats": merged,
-                        "hist": histogram,
-                        "completed": completed,
-                        "fullfid": int(
-                            frontend.metrics.counter(f"app.fullfid.qos{level}")
-                        ),
-                        "rejected": int(
-                            frontend.metrics.counter(
-                                f"frontend.rejected.qos{level}"
-                            )
-                        ),
-                    }
-                return {
-                    "levels": per_level,
-                    "forwards": int(metrics.counter("broker.shard.forwarded")),
-                    "local": int(metrics.counter("broker.shard.local")),
-                    "elections": sum(group.elections for group in groups),
-                    "brokers": len(brokers),
-                    "topology": directory.describe(),
-                }
-
-            return finalize
-
-        return build
-
-    from ..sim.parallel import ParallelSimulation, PartitionSpec
-
-    specs = [
-        PartitionSpec(
-            name=f"shard{shard}",
-            builder=make_builder(shard),
-            seed=_slice_seed(seed, shard),
-        )
-        for shard in range(shards)
-    ]
-    driver = ParallelSimulation(specs, lookahead=lookahead, workers=workers)
-    partitions = driver.run(until=horizon)
+    slices = run_partitions(
+        [
+            (f"shard{shard}", _slice_seed(seed, shard), builder(shard))
+            for shard in range(shards)
+        ],
+        until=config["duration"] + _SHARDED_DRAIN,
+        workers=workers,
+    )
 
     result = ShardedQosResult(
-        mode="broker",
-        n_clients=n_clients,
+        mode=config["mode"],
+        n_clients=config["n_clients"],
         shards=shards,
-        replicas=replicas,
-        duration=duration,
+        replicas=config["replicas"],
+        duration=config["duration"],
+        brokers=sum(part.brokers for part in slices),
+        forwards=sum(part.forwards for part in slices),
+        local_routes=sum(part.local_routes for part in slices),
+        elections=sum(part.elections for part in slices),
+        topology="\n".join(
+            f"[shard{shard}] {part.topology}" for shard, part in enumerate(slices)
+        ),
     )
-    topology_lines: List[str] = []
-    for shard in range(shards):
-        value = partitions[f"shard{shard}"].value
-        result.brokers += value["brokers"]
-        result.forwards += value["forwards"]
-        result.local_routes += value["local"]
-        result.elections += value["elections"]
-        topology_lines.append(f"[shard{shard}] {value['topology']}")
-        for level, bundle in value["levels"].items():
-            if level in result.response_times:
-                result.response_times[level] = result.response_times[
-                    level
-                ].merge(bundle["stats"])
-                result.latency_histograms[level] = result.latency_histograms[
-                    level
-                ].merge(bundle["hist"])
-            else:
-                result.response_times[level] = bundle["stats"]
-                result.latency_histograms[level] = bundle["hist"]
-            result.completions[level] = (
-                result.completions.get(level, 0) + bundle["completed"]
-            )
-            result.full_fidelity[level] = (
-                result.full_fidelity.get(level, 0) + bundle["fullfid"]
-            )
-            result.frontend_rejections[level] = (
-                result.frontend_rejections.get(level, 0) + bundle["rejected"]
-            )
-    result.topology = "\n".join(topology_lines)
+    for level in slices[0].completions:
+        result.response_times[level] = reduce(
+            SummaryStats.merge, (part.response_times[level] for part in slices)
+        )
+        result.latency_histograms[level] = reduce(
+            LatencyHistogram.merge,
+            (part.latency_histograms[level] for part in slices),
+        )
+        result.completions[level] = sum(part.completions[level] for part in slices)
+        result.full_fidelity[level] = sum(part.full_fidelity[level] for part in slices)
+        result.frontend_rejections[level] = sum(
+            part.frontend_rejections[level] for part in slices
+        )
     return result
 
 

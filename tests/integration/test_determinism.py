@@ -26,6 +26,8 @@ from pathlib import Path
 
 from repro.workload.chaos import run_autoscale_experiment
 from repro.workload.scenarios import (
+    QOS_SERVICE_TIMES,
+    _run_sharded_parallel,
     run_clustering_experiment,
     run_failure_recovery_experiment,
     run_qos_experiment,
@@ -33,6 +35,32 @@ from repro.workload.scenarios import (
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden_determinism.json"
+
+#: The partitioned point of the snapshot.
+PARTITIONED = dict(n_clients=12, shards=3, replicas=1, duration=20.0, seed=2026)
+
+
+def sharded_section(result):
+    """The golden fields of one sharded-testbed result."""
+    return {
+        "completions": {
+            str(k): v for k, v in sorted(result.completions.items())
+        },
+        "full_fidelity": {
+            str(k): v for k, v in sorted(result.full_fidelity.items())
+        },
+        "mean_response": {
+            str(k): repr(v.mean)
+            for k, v in sorted(result.response_times.items())
+        },
+        "p99_response": {
+            str(k): repr(v.p99)
+            for k, v in sorted(result.response_times.items())
+        },
+        "forwards": result.forwards,
+        "local_routes": result.local_routes,
+        "elections": result.elections,
+    }
 
 
 def snapshot():
@@ -95,27 +123,6 @@ def snapshot():
         "fault_replies": fr.fault_replies,
     }
 
-    def sharded_section(result):
-        return {
-            "completions": {
-                str(k): v for k, v in sorted(result.completions.items())
-            },
-            "full_fidelity": {
-                str(k): v for k, v in sorted(result.full_fidelity.items())
-            },
-            "mean_response": {
-                str(k): repr(v.mean)
-                for k, v in sorted(result.response_times.items())
-            },
-            "p99_response": {
-                str(k): repr(v.p99)
-                for k, v in sorted(result.response_times.items())
-            },
-            "forwards": result.forwards,
-            "local_routes": result.local_routes,
-            "elections": result.elections,
-        }
-
     # The degenerate single-shard topology and the multi-shard serial
     # (workers=1) path both ride the exact classic code path; their
     # seeded outputs are part of the byte-identical contract.
@@ -128,6 +135,11 @@ def snapshot():
         run_sharded_qos_experiment(
             12, shards=2, replicas=2, duration=30.0, seed=2026, workers=1
         )
+    )
+    # The partitioned workload (clients pinned to shards, one seed per
+    # slice) is a different run from the serial one and pinned apart.
+    snap["sharded_partitioned"] = sharded_section(
+        run_sharded_qos_experiment(workers=2, **PARTITIONED)
     )
 
     # One short elastic-pool point: the autoscaler control loop, the
@@ -172,24 +184,29 @@ def test_experiments_match_golden_snapshot():
 
 
 def test_partitioned_results_are_worker_count_invariant():
-    """workers=2 and workers=3 agree exactly on the partitioned run.
+    """In-process, workers=2 and workers=3 all give the golden section.
 
-    The parallel path is deterministic in ``(seed, shards)`` — never in
-    the worker count or scheduling; see DESIGN.md §14.
+    The partitioned path is deterministic in ``(seed, shards)`` — never
+    in the worker count or scheduling; see DESIGN.md §14.2.
     """
-    runs = [
-        run_sharded_qos_experiment(
-            12, shards=3, replicas=1, duration=20.0, seed=2026, workers=w
-        )
-        for w in (2, 3)
-    ]
-    first, second = runs
-    assert first.completions == second.completions
-    assert first.full_fidelity == second.full_fidelity
-    assert first.local_routes == second.local_routes
-    assert {
-        k: repr(v.mean) for k, v in first.response_times.items()
-    } == {k: repr(v.mean) for k, v in second.response_times.items()}
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    inline = _run_sharded_parallel(
+        workers=1,
+        key_pool=4096,
+        mode="broker",
+        service_times=QOS_SERVICE_TIMES,
+        threshold=20,
+        backend_capacity=5,
+        levels=3,
+        think_time=0.1,
+        fractions=None,
+        **PARTITIONED,
+    )
+    assert sharded_section(inline) == golden["sharded_partitioned"]
+    for workers in (2, 3):
+        forked = run_sharded_qos_experiment(workers=workers, **PARTITIONED)
+        assert sharded_section(forked) == golden["sharded_partitioned"]
+        assert forked.topology == inline.topology
 
 
 def test_snapshot_is_itself_deterministic():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Tuple
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from repro.db.client import QueryResult
 from repro.net import Address, estimate_size
 from repro.net import message
-from repro.net.message import Envelope, decode_batch, encode_batch
+from repro.net.message import Envelope
 
 _cell = st.one_of(
     st.none(), st.booleans(), st.integers(-10**6, 10**6),
@@ -86,7 +87,7 @@ class TestQueryResultIsSizedOnce:
         fresh, sized = replace(result), replace(result)
         expected = estimate_size(sized)
         for original in (fresh, sized):
-            (copy,) = decode_batch(encode_batch([envelope(original)]))
+            copy = pickle.loads(pickle.dumps(envelope(original)))
             assert copy.payload == result
             assert estimate_size(copy.payload) == expected == plain_walk(copy.payload)
 

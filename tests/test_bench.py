@@ -238,15 +238,15 @@ def _fake_parallel_results() -> dict:
             "duration_virtual_s": 10.0,
             "repeats": 1,
             "cores": 8,
+            "serial": {"wall_s": 2.0, "pages": 600},
             "points": [
-                {"workers": 1, "wall_s": 2.0, "pages": 600,
-                 "speedup_vs_w1": 1.0},
-                {"workers": 2, "wall_s": 1.1, "pages": 600,
-                 "speedup_vs_w1": 2.0 / 1.1},
+                {"workers": 1, "wall_s": 2.2, "pages": 640,
+                 "speedup_vs_inprocess": 1.0},
+                {"workers": 2, "wall_s": 1.1, "pages": 640,
+                 "speedup_vs_inprocess": 2.0},
             ],
-            "wall_w1_s": 2.0,
             "pages_per_sec_w1": 300.0,
-            "best_speedup": 2.0 / 1.1,
+            "best_speedup": 2.0,
         },
     }
 
@@ -268,7 +268,9 @@ class TestSuites:
     def test_render_report_parallel_section(self):
         report = render_report(_fake_parallel_results())
         assert "parallel" in report
+        assert "serial" in report
         assert "workers=2" in report
+        assert "2.00x vs in-process" in report
         assert "kernel" not in report
 
     def test_compare_skips_missing_benchmarks(self):
