@@ -801,6 +801,20 @@ def _describe_chaos() -> str:
     return "\n".join(lines)
 
 
+def _steady_lines(result, floor: float) -> List[str]:
+    """The steady-workload, latency and availability lines of a soak."""
+    return [
+        f"steady workload : {result.requests} requests  "
+        f"ok={result.ok} degraded={result.degraded} "
+        f"dropped={result.dropped} timeouts={result.timeouts} "
+        f"errors={result.errors} failovers={result.failovers}",
+        f"latency         : p50={result.latency.percentile(50) * 1000:.1f}ms  "
+        f"p99={result.latency.percentile(99) * 1000:.1f}ms",
+        f"availability    : {100.0 * result.availability:.3f}% "
+        f"(floor {100.0 * floor:g}%)",
+    ]
+
+
 def run_chaos(args) -> str:
     """Run the seeded chaos soak and check its invariants."""
     if args.describe:
@@ -824,14 +838,7 @@ def run_chaos(args) -> str:
         f"mtbf={args.mtbf:g}s, mttr={args.mttr:g}s, "
         f"recovery={args.recovery}",
         "",
-        f"steady workload : {result.requests} requests  "
-        f"ok={result.ok} degraded={result.degraded} "
-        f"dropped={result.dropped} timeouts={result.timeouts} "
-        f"errors={result.errors} failovers={result.failovers}",
-        f"latency         : p50={result.latency.percentile(50) * 1000:.1f}ms  "
-        f"p99={result.latency.percentile(99) * 1000:.1f}ms",
-        f"availability    : {100.0 * result.availability:.3f}% "
-        f"(floor {100.0 * args.availability_floor:g}%)",
+        *_steady_lines(result, args.availability_floor),
         f"spike traffic   : {result.spike_requests} requests  "
         f"ok={result.spike_ok} degraded={result.spike_degraded} "
         f"dropped={result.spike_dropped} timeouts={result.spike_timeouts}",
@@ -847,23 +854,7 @@ def run_chaos(args) -> str:
         f"link faults     : {result.link_faults}",
         "",
     ]
-    failed = []
-    for check in result.invariants:
-        verdict = "PASS" if check.passed else "FAIL"
-        lines.append(f"INVARIANT {check.name:<24} {verdict} — {check.detail}")
-        if not check.passed:
-            failed.append(check.name)
-    report = "\n".join(lines)
-    if args.summary_out:
-        payload = result.to_summary()
-        payload["invariants_hold"] = result.all_invariants_hold
-        with open(args.summary_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        report += f"\n\nsummary written to {args.summary_out}"
-    if failed:
-        raise ChaosInvariantFailure(report, failed)
-    return report
+    return _finish_verdict_report(args, result, lines)
 
 
 def _run_shard_chaos(args, duration: float) -> str:
@@ -883,14 +874,7 @@ def _run_shard_chaos(args, duration: float) -> str:
         f"({args.shards * args.replicas} brokers), "
         f"leader kill every {args.leader_kill_every:g}s, mttr={args.mttr:g}s",
         "",
-        f"steady workload : {result.requests} requests  "
-        f"ok={result.ok} degraded={result.degraded} "
-        f"dropped={result.dropped} timeouts={result.timeouts} "
-        f"errors={result.errors} failovers={result.failovers}",
-        f"latency         : p50={result.latency.percentile(50) * 1000:.1f}ms  "
-        f"p99={result.latency.percentile(99) * 1000:.1f}ms",
-        f"availability    : {100.0 * result.availability:.3f}% "
-        f"(floor {100.0 * args.availability_floor:g}%)",
+        *_steady_lines(result, args.availability_floor),
         f"leadership      : leader_kills={result.leader_kills} "
         f"elections={result.elections} "
         f"reporting_failovers={result.leader_failovers}",
@@ -903,23 +887,7 @@ def _run_shard_chaos(args, duration: float) -> str:
         f"replayed={result.replayed} restart_shed={result.restart_shed}",
         "",
     ]
-    failed = []
-    for check in result.invariants:
-        verdict = "PASS" if check.passed else "FAIL"
-        lines.append(f"INVARIANT {check.name:<24} {verdict} — {check.detail}")
-        if not check.passed:
-            failed.append(check.name)
-    report = "\n".join(lines)
-    if args.summary_out:
-        payload = result.to_summary()
-        payload["invariants_hold"] = result.all_invariants_hold
-        with open(args.summary_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        report += f"\n\nsummary written to {args.summary_out}"
-    if failed:
-        raise ChaosInvariantFailure(report, failed)
-    return report
+    return _finish_verdict_report(args, result, lines)
 
 
 def _describe_autoscale() -> str:
@@ -1026,7 +994,7 @@ def run_autoscale(args) -> str:
         f"held_by_cooldown={result.blocked_by_cooldown}",
         "",
     ]
-    return _finish_scale_report(args, result, lines)
+    return _finish_verdict_report(args, result, lines)
 
 
 def _run_scale_chaos(args) -> str:
@@ -1075,11 +1043,11 @@ def _run_scale_chaos(args) -> str:
         f"replayed={result.replayed}",
         "",
     ]
-    return _finish_scale_report(args, result, lines)
+    return _finish_verdict_report(args, result, lines)
 
 
-def _finish_scale_report(args, result, lines: List[str]) -> str:
-    """Shared invariant/summary tail for both autoscale arms."""
+def _finish_verdict_report(args, result, lines: List[str]) -> str:
+    """Shared invariant/summary tail of the chaos and autoscale reports."""
     failed = []
     for check in result.invariants:
         verdict = "PASS" if check.passed else "FAIL"

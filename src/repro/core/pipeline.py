@@ -1150,7 +1150,7 @@ class ClusterStage(BrokerStage):
             key = config.combiner.key(leader.request)
             if key is not None:
                 if config.window > 0:
-                    yield broker.sim.timeout(config.window)
+                    yield config.window
                 companions = broker.queue.take_matching(
                     lambda queued: config.combiner.key(queued.request) == key,
                     config.max_batch - 1,
@@ -1250,7 +1250,7 @@ class QueryCombineStage(BrokerStage):
         window = self.window if self.window is not None else config.window
         peer_group.advertise_combinable(broker, key, len(batch.items), window)
         if window > 0:
-            yield broker.sim.timeout(window)
+            yield window
 
         def _matches(queued: QueuedRequest) -> bool:
             return config.combiner.key(queued.request) == key
@@ -1770,7 +1770,7 @@ class LoadReportStage(BrokerStage):
 
         def reporter():
             while True:
-                yield broker.sim.timeout(self.interval)
+                yield self.interval
                 group = broker.shard_group
                 if group is None:
                     report = LoadReport(

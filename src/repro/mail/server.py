@@ -137,7 +137,7 @@ class MailServer:
         if command == "list":
             _, owner = message
             mailbox = self.store.mailbox(owner)
-            yield self.sim.timeout(self.cost_model.list_time(len(mailbox)))
+            yield self.cost_model.list_time(len(mailbox))
             return ("ok", mailbox.list_ids())
         if command == "retr":
             _, owner, message_id = message

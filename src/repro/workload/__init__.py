@@ -10,6 +10,8 @@ _EXPORTS = {
     "DiurnalLoadGenerator": "clients",
     "FlashCrowdGenerator": "clients",
     "zipf_sampler": "clients",
+    "OUTCOMES": "clients",
+    "OutcomeTally": "clients",
     "ClusteringResult": "scenarios",
     "QosResult": "scenarios",
     "FailureRecoveryResult": "scenarios",

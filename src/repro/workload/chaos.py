@@ -37,14 +37,19 @@
 
 All are plain functions returning result dataclasses; the ``repro
 chaos`` / ``repro autoscale`` CLIs and the matching benchmarks render
-them.
+them. Every experiment counts its requests into one
+:class:`~repro.workload.clients.OutcomeTally`, takes one residue
+snapshot (:func:`_residue`) and states its shared verdicts through one
+function each (:func:`_no_lost_request`, :func:`_post_crash_consistency`,
+:func:`_availability_floor`); every result's summary follows one rule
+(:class:`_Verdicts`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field, fields
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.adapters import HttpAdapter
 from ..core.autoscale import (
@@ -60,7 +65,9 @@ from ..core.faulttolerance import RetryPolicy
 from ..core.lifecycle import BrokerSupervisor, RecoveryJournal
 from ..core.peering import ShardPeerGroup
 from ..core.pipeline import (
+    ArrivalStage,
     BackpressureStage,
+    EnqueueStage,
     ThrottleStage,
     distributed_stage_plan,
     fault_tolerant_stage_plan,
@@ -82,6 +89,7 @@ from .clients import (
     DiurnalLoadGenerator,
     FlashCrowdGenerator,
     OpenLoopGenerator,
+    OutcomeTally,
 )
 
 __all__ = [
@@ -210,9 +218,9 @@ def run_overload_experiment(
     background = max(total - premium_rate, 0.0) / 2.0
     offered = {1: premium_rate, 2: background, 3: background}
 
-    samples: Dict[int, List[Tuple[float, str, float, float]]] = {
-        level: [] for level in offered
-    }
+    outcomes = {level: OutcomeTally() for level in offered}
+    latency = {level: SummaryStats() for level in offered}
+    in_window = dict.fromkeys(offered, 0)
 
     def make_factory(level: int):
         def one_request(_generator, index):
@@ -224,9 +232,10 @@ def run_overload_experiment(
                 qos_level=level,
                 cacheable=False,
             )
-            samples[level].append(
-                (issued, reply.status.value, sim.now, sim.now - issued)
-            )
+            if outcomes[level].add(reply.status.value) == "ok":
+                latency[level].add(sim.now - issued)
+                if sim.now <= duration:
+                    in_window[level] += 1
 
         return one_request
 
@@ -244,40 +253,31 @@ def run_overload_experiment(
     sim.run(until=duration)
     sim.run(until=duration + drain)  # let the backlog empty
 
-    result = OverloadResult(
+    # Everything not answered is a drop here: a shed or busy reply.
+    return OverloadResult(
         saturation=saturation,
         bounded=bounded,
         capacity=capacity if bounded else None,
         shed_policy=shed_policy if bounded else "none",
         duration=duration,
+        offered=offered,
+        issued={level: tally.requests for level, tally in outcomes.items()},
+        ok={level: tally.counts["ok"] for level, tally in outcomes.items()},
+        degraded={
+            level: tally.counts["degraded"] for level, tally in outcomes.items()
+        },
+        dropped={
+            level: tally.requests - tally.answered
+            for level, tally in outcomes.items()
+        },
+        goodput={level: count / duration for level, count in in_window.items()},
+        latency=latency,
+        shed=broker.queue.shed_count,
+        peak_depth=broker.queue.peak_depth,
+        backpressure_engaged=int(
+            broker.metrics.counter("broker.backpressure.engaged")
+        ),
     )
-    result.offered = offered
-    for level, entries in samples.items():
-        stats = SummaryStats()
-        in_window = 0
-        counts = {"ok": 0, "degraded": 0, "dropped": 0}
-        for _issued, status, completed, elapsed in entries:
-            if status == ReplyStatus.OK.value:
-                counts["ok"] += 1
-                stats.add(elapsed)
-                if completed <= duration:
-                    in_window += 1
-            elif status == ReplyStatus.DEGRADED.value:
-                counts["degraded"] += 1
-            else:
-                counts["dropped"] += 1
-        result.issued[level] = len(entries)
-        result.ok[level] = counts["ok"]
-        result.degraded[level] = counts["degraded"]
-        result.dropped[level] = counts["dropped"]
-        result.goodput[level] = in_window / duration
-        result.latency[level] = stats
-    result.shed = broker.queue.shed_count
-    result.peak_depth = broker.queue.peak_depth
-    result.backpressure_engaged = int(
-        broker.metrics.counter("broker.backpressure.engaged")
-    )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +294,160 @@ class InvariantCheck:
     detail: str
 
 
+def _plain(value):
+    """*value* as JSON-safe data: verdicts as dicts, containers copied."""
+    if isinstance(value, InvariantCheck):
+        return asdict(value)
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    return value
+
+
+class _Verdicts:
+    """What every robustness result shares: its verdicts and one summary rule.
+
+    ``to_summary()`` is derived from the dataclass fields — each copied
+    as plain data, except ``latency``, which holds raw samples — plus
+    :meth:`_summary_entries`, the entries that are not a plain copy.
+    """
+
+    @property
+    def all_invariants_hold(self) -> bool:
+        """True when every invariant check passed."""
+        return all(check.passed for check in self.invariants)
+
+    def _summary_entries(self) -> Dict[str, object]:
+        """Availability and the latency p50/p99 (``None`` with no sample)."""
+        latency = self.latency
+        entries: Dict[str, object] = {"availability": round(self.availability, 6)}
+        for q in (50.0, 99.0):
+            entries[f"latency_p{q:g}"] = (
+                round(latency.percentile(q), 6) if latency.count else None
+            )
+        return entries
+
+    def to_summary(self) -> Dict[str, object]:
+        """A JSON-safe summary (the CI artifact / ``--summary-out``)."""
+        summary = {
+            spec.name: _plain(getattr(self, spec.name))
+            for spec in fields(self)
+            if spec.name != "latency"
+        }
+        summary.update(self._summary_entries())
+        return summary
+
+
+#: Result fields that read one registry counter each, by field name.
+_COUNTED = {
+    "crashes": "broker.crashes",
+    "restarts": "broker.restarts",
+    "failed_fast": "lifecycle.failed_fast",
+    "replayed": "lifecycle.replayed",
+    "restart_shed": "lifecycle.restart_shed",
+    "shed_total": "broker.shed",
+    "route_adverts": "peering.route_adverts_applied",
+    "journal_syncs": "peering.journal_syncs_applied",
+    "forwards": "broker.shard.forwarded",
+    "provisioned": "autoscaler.provisioned",
+    "drain_refused": "broker.drain.refused",
+    "drain_interrupted": "autoscaler.drain.interrupted",
+    "blocked_by_alert": "autoscaler.blocked_alert",
+    "blocked_by_cooldown": "autoscaler.blocked_cooldown",
+}
+
+
+def _counters_of(result_class, metrics: MetricsRegistry) -> Dict[str, int]:
+    """The fields of *result_class* that :data:`_COUNTED` reads from *metrics*."""
+    return {
+        spec.name: int(metrics.counter(_COUNTED[spec.name]))
+        for spec in fields(result_class)
+        if spec.name in _COUNTED
+    }
+
+
+def _residue(brokers: Iterable[ServiceBroker]) -> Dict[str, Dict[str, int]]:
+    """End-of-run residue per broker: backlog, held admissions, journal."""
+    residue = {}
+    for broker in brokers:
+        journal = broker.journal
+        residue[broker.name] = {
+            "queue_depth": len(broker.queue),
+            "outstanding": broker.admission.outstanding,
+            "journal_pending": journal.pending_count if journal else 0,
+        }
+    return residue
+
+
+def _no_lost_request(result, scope: str = "") -> InvariantCheck:
+    """Every request reached one terminal outcome; no broker kept residue.
+
+    A pool run names what it covered in *scope* (``" across 5 units
+    (2 retired)"``); the supervised soaks name nothing and say
+    "residue" before the per-broker listing instead.
+    """
+    lost = [(name, info) for name, info in result.residue.items() if any(info.values())]
+    terminal = (
+        result.ok + result.degraded + getattr(result, "throttled", 0)
+        + result.dropped + result.timeouts + result.errors
+    )
+    listing = "; ".join(f"{name}: {info}" for name, info in lost)
+    if scope:
+        residue = listing or "residue clean"
+    else:
+        residue = "residue " + (listing or "clean")
+    return InvariantCheck(
+        name="no-lost-request",
+        passed=not lost and terminal == result.requests,
+        detail=f"{result.requests} requests all terminal{scope}; {residue}",
+    )
+
+
+def _post_crash_consistency(
+    result, brokers: Iterable[ServiceBroker], watches=(), extra: str = ""
+) -> InvariantCheck:
+    """Restarts match crashes, every broker lives and every watch is up."""
+    dead = [broker.name for broker in brokers if not broker.alive]
+    return InvariantCheck(
+        name="post-crash-consistency",
+        passed=result.restarts == result.crashes
+        and not dead
+        and all(watch.up for watch in watches),
+        detail=(
+            f"crashes={result.crashes} restarts={result.restarts} "
+            f"failed_fast={result.failed_fast} replayed={result.replayed}"
+            + extra
+            + (f"; still dead: {dead}" if dead else "")
+        ),
+    )
+
+
+def _availability_floor(result, floor: float, extra: str = "") -> InvariantCheck:
+    """The answered fraction of the workload is at least *floor*."""
+    return InvariantCheck(
+        name="availability-floor",
+        passed=result.availability >= floor,
+        detail=(
+            f"availability {result.availability:.4f} "
+            f"(floor {floor:.4f}; ok={result.ok} degraded={result.degraded} "
+            f"dropped={result.dropped} timeouts={result.timeouts}{extra})"
+        ),
+    )
+
+
+def _soak_qos() -> QoSPolicy:
+    """Three classes with 1/1.5/2 s deadlines and out-of-reach admission.
+
+    With a threshold of 10,000 the admission rule never sheds, so what
+    drops a request in a soak is the mechanism under test (backpressure,
+    an election, a drain).
+    """
+    return QoSPolicy(levels=3, threshold=10_000, deadlines={1: 1.0, 2: 1.5, 3: 2.0})
+
+
 @dataclass
-class ChaosResult:
+class ChaosResult(_Verdicts):
     """Everything a chaos soak observed, plus its invariant verdicts."""
 
     duration: float
@@ -344,66 +496,28 @@ class ChaosResult:
             return 1.0
         return (self.ok + self.degraded) / self.requests
 
-    @property
-    def all_invariants_hold(self) -> bool:
-        """True when every invariant check passed."""
-        return all(check.passed for check in self.invariants)
 
-    def to_summary(self) -> Dict[str, object]:
-        """A JSON-safe summary (the CI artifact / ``--summary-out``)."""
-        return {
-            "duration": self.duration,
-            "seed": self.seed,
-            "capacity": self.capacity,
-            "shed_policy": self.shed_policy,
-            "mtbf": self.mtbf,
-            "mttr": self.mttr,
-            "requests": self.requests,
-            "ok": self.ok,
-            "degraded": self.degraded,
-            "dropped": self.dropped,
-            "timeouts": self.timeouts,
-            "errors": self.errors,
-            "failovers": self.failovers,
-            "availability": round(self.availability, 6),
-            "latency_p50": round(self.latency.percentile(50.0), 6)
-            if self.latency.count
-            else None,
-            "latency_p99": round(self.latency.percentile(99.0), 6)
-            if self.latency.count
-            else None,
-            "spike_requests": self.spike_requests,
-            "spike_ok": self.spike_ok,
-            "spike_degraded": self.spike_degraded,
-            "spike_dropped": self.spike_dropped,
-            "spike_timeouts": self.spike_timeouts,
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-            "detected": self.detected,
-            "recoveries": self.recoveries,
-            "failed_fast": self.failed_fast,
-            "replayed": self.replayed,
-            "restart_shed": self.restart_shed,
-            "shed_total": self.shed_total,
-            "link_faults": self.link_faults,
-            "peak_depths": dict(self.peak_depths),
-            "residue": {name: dict(info) for name, info in self.residue.items()},
-            "invariants": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.invariants
-            ],
-        }
+def _hardened_stages(
+    capacity: int, shed_policy: str, throttle: Optional[TenantThrottle] = None
+) -> list:
+    """The fault-tolerant plan with backpressure before ``enqueue``.
 
-
-def _hardened_stages(capacity: int, shed_policy: str) -> list:
-    """The fault-tolerant plan with backpressure before the boundary."""
+    Given *throttle*, a :class:`~repro.core.pipeline.ThrottleStage`
+    follows ``arrival``: before admission, so a refused request never
+    touches the ledger or the journal.
+    """
     plan = fault_tolerant_stage_plan(
         retry=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5),
         failure_threshold=3,
         reset_timeout=0.5,
     )
-    boundary = next(index for index, stage in enumerate(plan) if stage.boundary)
-    plan.insert(boundary, BackpressureStage(capacity, shed_policy=shed_policy))
+    names = [stage.name for stage in plan]
+    plan.insert(
+        names.index(EnqueueStage.name),
+        BackpressureStage(capacity, shed_policy=shed_policy),
+    )
+    if throttle is not None:
+        plan.insert(names.index(ArrivalStage.name) + 1, ThrottleStage(throttle))
     return plan
 
 
@@ -482,19 +596,13 @@ def run_chaos_experiment(
         server.add_cgi("/item", item_cgi(service_time))
         backends.append(server)
 
-    qos = QoSPolicy(
-        levels=3,
-        threshold=10_000,  # backpressure, not admission, does the shedding
-        deadlines={1: 1.0, 2: 1.5, 3: 2.0},
-    )
+    qos = _soak_qos()
     brokers: Dict[str, ServiceBroker] = {}
-    services: List[str] = []
     for index, suffix in enumerate("ab"):
-        service = f"items-{suffix}"
         brokers[f"chaos-{suffix}"] = ServiceBroker(
             sim,
             web_node,
-            service=service,
+            service=f"items-{suffix}",
             adapters=[
                 HttpAdapter(sim, web_node, server.address, name=server.name)
                 for server in backends
@@ -510,7 +618,7 @@ def run_chaos_experiment(
             name=f"chaos-{suffix}",
             stages=_hardened_stages(capacity, shed_policy),
         )
-        services.append(service)
+    services = [broker.service for broker in brokers.values()]
 
     supervisor = BrokerSupervisor(sim, web_node, metrics=metrics)
     watches = {
@@ -564,31 +672,13 @@ def run_chaos_experiment(
     # scheduling or RNG impact, so seeded outputs are unchanged; the
     # telemetry scraper reads these for the chaos SLOs ("workload.done"
     # counts every terminal outcome including spike traffic, which the
-    # availability-floor invariant deliberately excludes). The sample
-    # lists below stay the source of truth for the result dataclass.
-    _ok = ReplyStatus.OK.value
-    _degraded = ReplyStatus.DEGRADED.value
-    _dropped = ReplyStatus.DROPPED.value
-
-    def count_outcome(status: str, elapsed: Optional[float]) -> None:
-        metrics.increment("workload.done")
-        if status == _ok:
-            metrics.increment("workload.ok")
-        elif status == _degraded:
-            metrics.increment("workload.degraded")
-        elif status == _dropped:
-            metrics.increment("workload.dropped")
-        elif status == "timeout":
-            metrics.increment("workload.timeout")
-        else:
-            metrics.increment("workload.error")
-        if status in (_ok, _degraded):
-            metrics.increment("workload.answered")
-            if elapsed is not None and elapsed <= fast_threshold:
-                metrics.increment("workload.fast")
+    # availability-floor invariant deliberately excludes).
+    steady = OutcomeTally(metrics, fast_threshold)
+    spikes = OutcomeTally(metrics, fast_threshold)
+    latency = SummaryStats()
+    failovers = 0
 
     # Steady closed-loop workload with one-hop failover.
-    samples: List[Tuple[float, str, float, bool]] = []
     key_rng = sim.rng("chaos.keys")
     stagger_rng = sim.rng("chaos.stagger")
     for index in range(n_clients):
@@ -601,6 +691,7 @@ def run_chaos_experiment(
         )
 
         def one_request(_client, _iteration, _level=level, _order=order):
+            nonlocal failovers
             issued = sim.now
             item = key_rng.randrange(key_pool)
             status = "error"
@@ -622,8 +713,9 @@ def run_chaos_experiment(
                     failed_over = attempt > 0
                     break
             elapsed = sim.now - issued
-            samples.append((issued, status, elapsed, failed_over))
-            count_outcome(status, elapsed)
+            steady.add(status, elapsed=elapsed)
+            latency.add(elapsed)
+            failovers += failed_over
 
         ClosedLoopClient(
             sim,
@@ -634,7 +726,6 @@ def run_chaos_experiment(
         ).start(until=duration)
 
     # Load spikes: open-loop class-3 bursts, alternating target broker.
-    spike_samples: List[str] = []
     spike_rng = sim.rng("chaos.spike.keys")
 
     def spike_request(_generator, index):
@@ -650,11 +741,9 @@ def run_chaos_experiment(
                 timeout=attempt_timeout,
             )
         except BrokerTimeout:
-            spike_samples.append("timeout")
-            count_outcome("timeout", None)
+            spikes.add("timeout")
             return
-        spike_samples.append(reply.status.value)
-        count_outcome(reply.status.value, sim.now - issued)
+        spikes.add(reply.status.value, elapsed=sim.now - issued)
 
     def spike_driver():
         spike_at = spike_every / 2.0
@@ -698,123 +787,38 @@ def run_chaos_experiment(
         shed_policy=shed_policy,
         mtbf=mtbf,
         mttr=mttr,
+        failovers=failovers,
+        latency=latency,
+        spike_requests=spikes.requests,
+        spike_ok=spikes.counts["ok"],
+        spike_degraded=spikes.counts["degraded"],
+        # An unanswered spike request that did not time out was dropped.
+        spike_dropped=spikes.requests - spikes.answered - spikes.counts["timeouts"],
+        spike_timeouts=spikes.counts["timeouts"],
+        detected=sum(watch.detected for watch in watches.values()),
+        recoveries=sum(watch.recoveries for watch in watches.values()),
+        link_faults=link_faults,
+        peak_depths={name: broker.queue.peak_depth for name, broker in brokers.items()},
+        residue=_residue(brokers.values()),
+        **steady.fields(),
+        **_counters_of(ChaosResult, metrics),
     )
-    for _issued, status, elapsed, failed_over in samples:
-        result.requests += 1
-        result.latency.add(elapsed)
-        if failed_over:
-            result.failovers += 1
-        if status == ReplyStatus.OK.value:
-            result.ok += 1
-        elif status == ReplyStatus.DEGRADED.value:
-            result.degraded += 1
-        elif status == ReplyStatus.DROPPED.value:
-            result.dropped += 1
-        elif status == "timeout":
-            result.timeouts += 1
-        else:
-            result.errors += 1
-    for status in spike_samples:
-        result.spike_requests += 1
-        if status == ReplyStatus.OK.value:
-            result.spike_ok += 1
-        elif status == ReplyStatus.DEGRADED.value:
-            result.spike_degraded += 1
-        elif status == "timeout":
-            result.spike_timeouts += 1
-        else:
-            result.spike_dropped += 1
-
-    counter = metrics.counter
-    result.crashes = int(counter("broker.crashes"))
-    result.restarts = int(counter("broker.restarts"))
-    result.detected = sum(watch.detected for watch in watches.values())
-    result.recoveries = sum(watch.recoveries for watch in watches.values())
-    result.failed_fast = int(counter("lifecycle.failed_fast"))
-    result.replayed = int(counter("lifecycle.replayed"))
-    result.restart_shed = int(counter("lifecycle.restart_shed"))
-    result.shed_total = int(counter("broker.shed"))
-    result.link_faults = link_faults
-    for name, broker in brokers.items():
-        result.peak_depths[name] = broker.queue.peak_depth
-        journal = broker.journal
-        result.residue[name] = {
-            "queue_depth": len(broker.queue),
-            "outstanding": broker.admission.outstanding,
-            "journal_pending": journal.pending_count if journal else 0,
-        }
-
-    # -- invariants --------------------------------------------------------
-    lost = [
-        (name, info)
-        for name, info in result.residue.items()
-        if info["queue_depth"] or info["outstanding"] or info["journal_pending"]
-    ]
-    answered = (
-        result.ok
-        + result.degraded
-        + result.dropped
-        + result.timeouts
-        + result.errors
-    )
-    result.invariants.append(
-        InvariantCheck(
-            name="no-lost-request",
-            passed=not lost and answered == result.requests,
-            detail=(
-                f"{result.requests} requests all terminal; residue "
-                + (
-                    "clean"
-                    if not lost
-                    else "; ".join(f"{name}: {info}" for name, info in lost)
-                )
-            ),
-        )
-    )
-    dead = [name for name, broker in brokers.items() if not broker.alive]
-    accounting_ok = (
-        result.restarts == result.crashes
-        and not dead
-        and all(watch.up for watch in watches.values())
-    )
-    result.invariants.append(
-        InvariantCheck(
-            name="post-crash-consistency",
-            passed=accounting_ok,
-            detail=(
-                f"crashes={result.crashes} restarts={result.restarts} "
-                f"failed_fast={result.failed_fast} replayed={result.replayed} "
-                f"restart_shed={result.restart_shed}"
-                + (f"; still dead: {dead}" if dead else "")
-            ),
-        )
-    )
-    over = {
-        name: depth
-        for name, depth in result.peak_depths.items()
-        if depth > capacity
-    }
-    result.invariants.append(
+    over = {name: depth for name, depth in result.peak_depths.items() if depth > capacity}
+    result.invariants = [
+        _no_lost_request(result),
+        _post_crash_consistency(
+            result,
+            brokers.values(),
+            watches.values(),
+            f" restart_shed={result.restart_shed}",
+        ),
         InvariantCheck(
             name="queue-bound",
             passed=not over,
-            detail=(
-                f"peak depths {result.peak_depths} vs capacity {capacity}"
-            ),
-        )
-    )
-    result.invariants.append(
-        InvariantCheck(
-            name="availability-floor",
-            passed=result.availability >= availability_floor,
-            detail=(
-                f"availability {result.availability:.4f} "
-                f"(floor {availability_floor:.4f}; "
-                f"ok={result.ok} degraded={result.degraded} "
-                f"dropped={result.dropped} timeouts={result.timeouts})"
-            ),
-        )
-    )
+            detail=f"peak depths {result.peak_depths} vs capacity {capacity}",
+        ),
+        _availability_floor(result, availability_floor),
+    ]
     return result
 
 
@@ -841,23 +845,6 @@ class ShardChaosResult(ChaosResult):
     leader_failovers: int = 0
     #: Requests relayed broker→broker by the ShardRouteStage.
     forwards: int = 0
-
-    def to_summary(self) -> Dict[str, object]:
-        """The base summary extended with the shard-tier fields."""
-        summary = super().to_summary()
-        summary.update(
-            {
-                "shards": self.shards,
-                "replicas": self.replicas,
-                "leader_kills": self.leader_kills,
-                "elections": self.elections,
-                "route_adverts": self.route_adverts,
-                "journal_syncs": self.journal_syncs,
-                "leader_failovers": self.leader_failovers,
-                "forwards": self.forwards,
-            }
-        )
-        return summary
 
 
 def run_shard_chaos_experiment(
@@ -918,11 +905,7 @@ def run_shard_chaos_experiment(
     net = Network(sim, default_link=Link.lan())
     web_node = net.node("web")
 
-    qos = QoSPolicy(
-        levels=3,
-        threshold=10_000,  # elections, not admission, are under test
-        deadlines={1: 1.0, 2: 1.5, 3: 2.0},
-    )
+    qos = _soak_qos()
     directory = ShardDirectory(metrics=metrics)
     supervisor = BrokerSupervisor(sim, web_node, metrics=metrics)
     from ..core.centralized import LoadListener
@@ -1016,7 +999,9 @@ def run_shard_chaos_experiment(
     sim.process(leader_killer(), name="chaos:leader-killer")
 
     # Steady closed-loop workload through the directory, with retries.
-    samples: List[Tuple[float, str, float, bool]] = []
+    outcomes = OutcomeTally()
+    latency = SummaryStats()
+    retries = 0
     key_rng = sim.rng("chaos.shard.keys")
     stagger_rng = sim.rng("chaos.shard.stagger")
     for index in range(n_clients):
@@ -1024,6 +1009,7 @@ def run_shard_chaos_experiment(
         level = (index % qos.levels) + 1
 
         def one_request(_client, _iteration, _level=level):
+            nonlocal retries
             issued = sim.now
             item = key_rng.randrange(key_pool)
             status = "error"
@@ -1048,7 +1034,9 @@ def run_shard_chaos_experiment(
                     retried = attempt > 0
                     break
                 retried = attempt + 1 < max_tries
-            samples.append((issued, status, sim.now - issued, retried))
+            outcomes.add(status)
+            latency.add(sim.now - issued)
+            retries += retried
 
         ClosedLoopClient(
             sim,
@@ -1071,123 +1059,36 @@ def run_shard_chaos_experiment(
         mttr=mttr,
         shards=shards,
         replicas=replicas,
+        failovers=retries,
+        latency=latency,
+        leader_kills=kills["count"],
+        detected=sum(watch.detected for watch in watches.values()),
+        recoveries=sum(watch.recoveries for watch in watches.values()),
+        elections=sum(group.elections for group in groups),
+        leader_failovers=listener.leader_failovers,
+        peak_depths={name: broker.queue.peak_depth for name, broker in brokers.items()},
+        residue=_residue(brokers.values()),
+        **outcomes.fields(),
+        **_counters_of(ShardChaosResult, metrics),
     )
-    for _issued, status, elapsed, retried in samples:
-        result.requests += 1
-        result.latency.add(elapsed)
-        if retried:
-            result.failovers += 1
-        if status == ReplyStatus.OK.value:
-            result.ok += 1
-        elif status == ReplyStatus.DEGRADED.value:
-            result.degraded += 1
-        elif status == ReplyStatus.DROPPED.value:
-            result.dropped += 1
-        elif status == "timeout":
-            result.timeouts += 1
-        else:
-            result.errors += 1
-
-    counter = metrics.counter
-    result.leader_kills = kills["count"]
-    result.crashes = int(counter("broker.crashes"))
-    result.restarts = int(counter("broker.restarts"))
-    result.detected = sum(watch.detected for watch in watches.values())
-    result.recoveries = sum(watch.recoveries for watch in watches.values())
-    result.failed_fast = int(counter("lifecycle.failed_fast"))
-    result.replayed = int(counter("lifecycle.replayed"))
-    result.restart_shed = int(counter("lifecycle.restart_shed"))
-    result.shed_total = int(counter("broker.shed"))
-    result.elections = sum(group.elections for group in groups)
-    result.route_adverts = int(counter("peering.route_adverts_applied"))
-    result.journal_syncs = int(counter("peering.journal_syncs_applied"))
-    result.leader_failovers = listener.leader_failovers
-    result.forwards = int(counter("broker.shard.forwarded"))
-    for name, broker in brokers.items():
-        result.peak_depths[name] = broker.queue.peak_depth
-        journal = broker.journal
-        result.residue[name] = {
-            "queue_depth": len(broker.queue),
-            "outstanding": broker.admission.outstanding,
-            "journal_pending": journal.pending_count if journal else 0,
-        }
-
-    # -- invariants --------------------------------------------------------
-    lost = [
-        (name, info)
-        for name, info in result.residue.items()
-        if info["queue_depth"] or info["outstanding"] or info["journal_pending"]
-    ]
-    answered = (
-        result.ok
-        + result.degraded
-        + result.dropped
-        + result.timeouts
-        + result.errors
-    )
-    result.invariants.append(
-        InvariantCheck(
-            name="no-lost-request",
-            passed=not lost and answered == result.requests,
-            detail=(
-                f"{result.requests} requests all terminal; residue "
-                + (
-                    "clean"
-                    if not lost
-                    else "; ".join(f"{name}: {info}" for name, info in lost)
-                )
-            ),
-        )
-    )
-    dead = [name for name, broker in brokers.items() if not broker.alive]
-    accounting_ok = (
-        result.restarts == result.crashes
-        and not dead
-        and all(watch.up for watch in watches.values())
-    )
-    result.invariants.append(
-        InvariantCheck(
-            name="post-crash-consistency",
-            passed=accounting_ok,
-            detail=(
-                f"crashes={result.crashes} restarts={result.restarts} "
-                f"failed_fast={result.failed_fast} replayed={result.replayed}"
-                + (f"; still dead: {dead}" if dead else "")
-            ),
-        )
-    )
-    leaderless = [
-        group.name for group in groups if group.route() is None
-    ]
-    convergence_ok = (
-        not leaderless
-        and result.elections >= result.leader_kills
-    )
-    result.invariants.append(
+    leaderless = [group.name for group in groups if group.route() is None]
+    result.invariants = [
+        _no_lost_request(result),
+        _post_crash_consistency(result, brokers.values(), watches.values()),
         InvariantCheck(
             name="leadership-convergence",
-            passed=convergence_ok,
+            passed=not leaderless and result.elections >= result.leader_kills,
             detail=(
                 f"kills={result.leader_kills} elections={result.elections} "
                 f"adverts={result.route_adverts} "
                 f"reporting_failovers={result.leader_failovers}"
                 + (f"; leaderless: {leaderless}" if leaderless else "")
             ),
-        )
-    )
-    result.invariants.append(
-        InvariantCheck(
-            name="availability-floor",
-            passed=result.availability >= availability_floor,
-            detail=(
-                f"availability {result.availability:.4f} "
-                f"(floor {availability_floor:.4f}; "
-                f"ok={result.ok} degraded={result.degraded} "
-                f"dropped={result.dropped} timeouts={result.timeouts}; "
-                f"retried={result.failovers})"
-            ),
-        )
-    )
+        ),
+        _availability_floor(
+            result, availability_floor, f"; retried={result.failovers}"
+        ),
+    ]
     return result
 
 
@@ -1226,12 +1127,8 @@ def _elastic_pool(
     """
     from ..core.centralized import LoadListener
 
-    web_node = net.nodes["web"] if "web" in net.nodes else net.node("web")
-    qos = QoSPolicy(
-        levels=3,
-        threshold=10_000,  # scaling, not admission, is under test
-        deadlines={1: 1.0, 2: 1.5, 3: 2.0},
-    )
+    web_node = net.nodes["web"]
+    qos = _soak_qos()
     supervisor = BrokerSupervisor(sim, web_node, metrics=metrics)
     listener = LoadListener(sim, web_node, process_time=0.0005, metrics=metrics)
     group = ShardGroup(prefix, 0, metrics=metrics)
@@ -1247,11 +1144,6 @@ def _elastic_pool(
             name=backend_name,
         )
         backend.add_cgi("/item", item_cgi(service_time))
-        stages = _hardened_stages(capacity, shed_policy)
-        if throttle is not None:
-            # After validate+arrival, before admission: a refused
-            # request never touches the ledger or the journal.
-            stages.insert(2, ThrottleStage(throttle))
         broker = ServiceBroker(
             sim,
             web_node,
@@ -1265,7 +1157,7 @@ def _elastic_pool(
             dispatchers=backend_capacity,
             metrics=metrics,
             name=f"{prefix}{index}",
-            stages=stages,
+            stages=_hardened_stages(capacity, shed_policy, throttle),
         )
         watches[broker.name] = supervisor.watch(
             broker, journal=RecoveryJournal(sim, metrics=metrics)
@@ -1286,17 +1178,69 @@ def _elastic_pool(
     return pool, supervisor, listener, group, watches
 
 
-def _workload_counters(metrics: MetricsRegistry):
-    """Pre-resolved ``workload.*`` handles for the outcome closure."""
-    names = (
-        "done", "ok", "degraded", "throttled", "dropped",
-        "timeout", "error", "answered", "fast",
-    )
-    return {name: metrics.handle(f"workload.{name}") for name in names}
+def _pool_requests(
+    sim: Simulation,
+    pool: BrokerPool,
+    broker_client: BrokerClient,
+    key_rng,
+    key_pool: int,
+    max_tries: int,
+    attempt_timeout: float,
+    record,
+):
+    """Request factories over the elastic pool: route by key, retry.
+
+    ``make(level, tenant)`` returns an open-loop request factory for one
+    QoS class. Each request draws an item from *key_pool*, routes it
+    through the pool's ring, and retries a timeout or a refusal on the
+    freshly routed unit up to *max_tries* times — except a throttle
+    refusal, which a retry would only meet again. The request carries
+    the *tenant* tag when one is given. Every request ends in
+    ``record(level, tenant, status, error, elapsed)``.
+    """
+
+    def make(level: int, tenant: Optional[str] = None):
+        def one_request(_generator, _index):
+            issued = sim.now
+            item = key_rng.randrange(key_pool)
+            params = {"id": item} if tenant is None else {"id": item, "tenant": tenant}
+            status = "error"
+            error = ""
+            for _attempt in range(max_tries):
+                try:
+                    broker = pool.route(f"item{item}")
+                except BrokerError:
+                    status = "error"
+                    error = "no-pool"
+                    break
+                try:
+                    reply = yield from broker_client.call(
+                        broker.service,
+                        "get",
+                        ("/item", params),
+                        qos_level=level,
+                        cacheable=False,
+                        timeout=attempt_timeout,
+                    )
+                except BrokerTimeout:
+                    status = "timeout"
+                    error = ""
+                    continue
+                status = reply.status.value
+                error = reply.error or ""
+                if reply.status in (ReplyStatus.OK, ReplyStatus.DEGRADED):
+                    break
+                if error == "throttled":
+                    break  # deliberate refusal; a retry is refused too
+            record(level, tenant, status, error, sim.now - issued)
+
+        return one_request
+
+    return make
 
 
 @dataclass
-class AutoscaleResult:
+class AutoscaleResult(_Verdicts):
     """One elastic-pool run: workload outcome, pool economy, verdicts."""
 
     duration: float
@@ -1353,53 +1297,17 @@ class AutoscaleResult:
             return float("nan")
         return stats.percentile(99.0)
 
-    @property
-    def all_invariants_hold(self) -> bool:
-        """True when every invariant check passed."""
-        return all(check.passed for check in self.invariants)
-
-    def to_summary(self) -> Dict[str, object]:
-        """A JSON-safe summary (the CI artifact / ``--summary-out``)."""
+    def _summary_entries(self) -> Dict[str, object]:
+        """Availability, premium p99, rounded mean size, 48-point timeline."""
         premium = self.premium_p99()
         step = max(1, math.ceil(len(self.timeline) / 48))
         return {
-            "duration": self.duration,
-            "seed": self.seed,
-            "base_rate": self.base_rate,
-            "peak_rate": self.peak_rate,
-            "period": self.period,
-            "target": self.target,
-            "requests": self.requests,
-            "ok": self.ok,
-            "degraded": self.degraded,
-            "throttled": self.throttled,
-            "dropped": self.dropped,
-            "timeouts": self.timeouts,
-            "errors": self.errors,
             "availability": round(self.availability, 6),
             "premium_p99": None if math.isnan(premium) else round(premium, 6),
-            "tenants": {name: dict(info) for name, info in self.tenants.items()},
-            "provisioned": self.provisioned,
-            "scale_outs": self.scale_outs,
-            "scale_ins": self.scale_ins,
-            "drains_completed": self.drains_completed,
-            "handoffs": self.handoffs,
-            "drain_refused": self.drain_refused,
-            "steady_size": self.steady_size,
             "mean_size": round(self.mean_size, 3),
-            "peak_size": self.peak_size,
-            "min_size": self.min_size,
-            "alerts": self.alerts,
-            "blocked_by_alert": self.blocked_by_alert,
-            "blocked_by_cooldown": self.blocked_by_cooldown,
             "timeline": [
                 [round(t, 1), size, round(signal, 2), action]
                 for t, size, signal, action in self.timeline[::step]
-            ],
-            "residue": {name: dict(info) for name, info in self.residue.items()},
-            "invariants": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.invariants
             ],
         }
 
@@ -1524,63 +1432,26 @@ def run_autoscale_experiment(
     autoscaler.start(until=duration)
 
     # -- workload ----------------------------------------------------------
-    workload = _workload_counters(metrics)
-    samples: List[Tuple[float, int, str, str, float, str]] = []
-    key_rng = sim.rng("autoscale.keys")
+    outcomes = OutcomeTally(metrics, fast_threshold)
+    latency: Dict[int, SummaryStats] = {}
+    tenants: Dict[str, Dict[str, int]] = {}
 
-    def make_factory(level: int, tenant: str):
-        def one_request(_generator, index):
-            issued = sim.now
-            item = key_rng.randrange(key_pool)
-            status = "error"
-            error = ""
-            for attempt in range(max_tries):
-                try:
-                    broker = pool.route(f"item{item}")
-                except BrokerError:
-                    status = "error"
-                    error = "no-pool"
-                    break
-                try:
-                    reply = yield from broker_client.call(
-                        broker.service,
-                        "get",
-                        ("/item", {"id": item, "tenant": tenant}),
-                        qos_level=level,
-                        cacheable=False,
-                        timeout=attempt_timeout,
-                    )
-                except BrokerTimeout:
-                    status = "timeout"
-                    error = ""
-                    continue
-                status = reply.status.value
-                error = reply.error or ""
-                if reply.status in (ReplyStatus.OK, ReplyStatus.DEGRADED):
-                    break
-                if error == "throttled":
-                    break  # deliberate refusal; a retry is refused too
-            elapsed = sim.now - issued
-            samples.append((issued, level, tenant, status, elapsed, error))
-            workload["done"].inc()
-            if status == ReplyStatus.OK.value:
-                workload["ok"].inc()
-            elif status == ReplyStatus.DEGRADED.value:
-                workload["degraded"].inc()
-            elif status == ReplyStatus.DROPPED.value and error == "throttled":
-                workload["throttled"].inc()
-            elif status == ReplyStatus.DROPPED.value:
-                workload["dropped"].inc()
-            elif status == "timeout":
-                workload["timeout"].inc()
-            else:
-                workload["error"].inc()
-            if status in (ReplyStatus.OK.value, ReplyStatus.DEGRADED.value):
-                workload["answered"].inc()
-                if elapsed <= fast_threshold:
-                    workload["fast"].inc()
+    def record(level, tenant, status, error, elapsed):
+        bucket = outcomes.add(status, error, elapsed)
+        per_tenant = tenants.setdefault(
+            tenant, {"requests": 0, "answered": 0, "throttled": 0}
+        )
+        per_tenant["requests"] += 1
+        if bucket == "throttled":
+            per_tenant["throttled"] += 1
+        elif bucket == "ok" or bucket == "degraded":
+            per_tenant["answered"] += 1
+            latency.setdefault(level, SummaryStats()).add(elapsed)
 
-        return one_request
+    make_factory = _pool_requests(
+        sim, pool, broker_client, sim.rng("autoscale.keys"),
+        key_pool, max_tries, attempt_timeout, record,
+    )
 
     # The diurnal curve carries all three QoS classes; a third of its
     # volume per class, premium traffic billed to tenant "premium".
@@ -1616,6 +1487,7 @@ def run_autoscale_experiment(
     unit_rate = backend_capacity / service_time
     mean_rate = (base_rate + peak_rate) / 2.0 + burst_rate
     steady_size = max(min_size, math.ceil(mean_rate / (unit_rate * headroom)))
+    sizes = [size for _t, size, _signal, _action in autoscaler.history]
     result = AutoscaleResult(
         duration=duration,
         seed=seed,
@@ -1623,58 +1495,30 @@ def run_autoscale_experiment(
         peak_rate=peak_rate,
         period=period,
         target=target,
+        throttled=outcomes.counts["throttled"],
+        latency=latency,
+        tenants=tenants,
+        scale_outs=pool.scale_out_events,
+        scale_ins=pool.scale_in_events,
+        drains_completed=pool.drains_completed,
+        handoffs=pool.handoffs,
         steady_size=steady_size,
+        mean_size=sum(sizes) / len(sizes) if sizes else 0.0,
+        peak_size=max(sizes, default=0),
+        min_size=min(sizes, default=0),
+        alerts=len(engine.alerts),
+        timeline=list(autoscaler.history),
+        residue=_residue(pool.every),
+        **outcomes.fields(),
+        **_counters_of(AutoscaleResult, metrics),
     )
-    for _issued, level, tenant, status, elapsed, _error in samples:
-        result.requests += 1
-        per_tenant = result.tenants.setdefault(
-            tenant, {"requests": 0, "answered": 0, "throttled": 0}
-        )
-        per_tenant["requests"] += 1
-        if status == ReplyStatus.OK.value:
-            result.ok += 1
-        elif status == ReplyStatus.DEGRADED.value:
-            result.degraded += 1
-        elif status == ReplyStatus.DROPPED.value and _error == "throttled":
-            result.throttled += 1
-            per_tenant["throttled"] += 1
-        elif status == ReplyStatus.DROPPED.value:
-            result.dropped += 1
-        elif status == "timeout":
-            result.timeouts += 1
-        else:
-            result.errors += 1
-        if status in (ReplyStatus.OK.value, ReplyStatus.DEGRADED.value):
-            per_tenant["answered"] += 1
-            result.latency.setdefault(level, SummaryStats()).add(elapsed)
-
-    counter = metrics.counter
-    result.provisioned = int(counter("autoscaler.provisioned"))
-    result.scale_outs = pool.scale_out_events
-    result.scale_ins = pool.scale_in_events
-    result.drains_completed = pool.drains_completed
-    result.handoffs = pool.handoffs
-    result.drain_refused = int(counter("broker.drain.refused"))
-    result.alerts = len(engine.alerts)
-    result.blocked_by_alert = int(counter("autoscaler.blocked_alert"))
-    result.blocked_by_cooldown = int(counter("autoscaler.blocked_cooldown"))
-    result.timeline = list(autoscaler.history)
-    sizes = [size for _t, size, _signal, _action in result.timeline]
-    if sizes:
-        result.mean_size = sum(sizes) / len(sizes)
-        result.peak_size = max(sizes)
-        result.min_size = min(sizes)
-    for broker in pool.every:
-        journal = broker.journal
-        result.residue[broker.name] = {
-            "queue_depth": len(broker.queue),
-            "outstanding": broker.admission.outstanding,
-            "journal_pending": journal.pending_count if journal else 0,
-        }
 
     # -- invariants --------------------------------------------------------
     premium = result.premium_p99()
-    result.invariants.append(
+    bound = efficiency_factor * steady_size
+    burst_throttled = result.tenants.get("burst", {}).get("throttled", 0)
+    premium_throttled = result.tenants.get("premium", {}).get("throttled", 0)
+    result.invariants = [
         InvariantCheck(
             name="premium-p99",
             passed=not math.isnan(premium) and premium <= premium_p99_slo,
@@ -1683,10 +1527,7 @@ def run_autoscale_experiment(
                 f"{result.latency.get(1).count if 1 in result.latency else 0} "
                 f"answered premium replies)"
             ),
-        )
-    )
-    bound = efficiency_factor * steady_size
-    result.invariants.append(
+        ),
         InvariantCheck(
             name="pool-efficiency",
             passed=bool(sizes) and result.mean_size <= bound,
@@ -1696,26 +1537,17 @@ def run_autoscale_experiment(
                 f"peak {result.peak_size}, static peak provisioning needs "
                 f"{math.ceil(peak_rate / (unit_rate * headroom))})"
             ),
-        )
-    )
-    tracked = (
-        result.scale_outs >= 1
-        and result.scale_ins >= 1
-        and result.peak_size > result.min_size
-    )
-    result.invariants.append(
+        ),
         InvariantCheck(
             name="elasticity",
-            passed=tracked,
+            passed=result.scale_outs >= 1
+            and result.scale_ins >= 1
+            and result.peak_size > result.min_size,
             detail=(
                 f"scale_outs={result.scale_outs} scale_ins={result.scale_ins} "
                 f"size range [{result.min_size}, {result.peak_size}]"
             ),
-        )
-    )
-    burst_throttled = result.tenants.get("burst", {}).get("throttled", 0)
-    premium_throttled = result.tenants.get("premium", {}).get("throttled", 0)
-    result.invariants.append(
+        ),
         InvariantCheck(
             name="throttle-containment",
             passed=burst_throttled > 0 and premium_throttled == 0,
@@ -1724,37 +1556,16 @@ def run_autoscale_experiment(
                 f"{result.tenants.get('burst', {}).get('requests', 0)}; "
                 f"premium throttled {premium_throttled}"
             ),
-        )
-    )
-    lost = [
-        (name, info)
-        for name, info in result.residue.items()
-        if info["queue_depth"] or info["outstanding"] or info["journal_pending"]
+        ),
+        _no_lost_request(
+            result, f" across {len(pool.every)} units ({len(pool.retired)} retired)"
+        ),
     ]
-    answered = (
-        result.ok + result.degraded + result.throttled
-        + result.dropped + result.timeouts + result.errors
-    )
-    result.invariants.append(
-        InvariantCheck(
-            name="no-lost-request",
-            passed=not lost and answered == result.requests,
-            detail=(
-                f"{result.requests} requests all terminal across "
-                f"{len(pool.every)} units ({len(pool.retired)} retired); "
-                + (
-                    "residue clean"
-                    if not lost
-                    else "; ".join(f"{name}: {info}" for name, info in lost)
-                )
-            ),
-        )
-    )
     return result
 
 
 @dataclass
-class ScaleChaosResult:
+class ScaleChaosResult(_Verdicts):
     """One scale-chaos soak: drains under fire, plus its verdicts."""
 
     duration: float
@@ -1796,54 +1607,6 @@ class ScaleChaosResult:
         if not self.requests:
             return 1.0
         return (self.ok + self.degraded) / self.requests
-
-    @property
-    def all_invariants_hold(self) -> bool:
-        """True when every invariant check passed."""
-        return all(check.passed for check in self.invariants)
-
-    def to_summary(self) -> Dict[str, object]:
-        """A JSON-safe summary (the CI artifact / ``--summary-out``)."""
-        return {
-            "duration": self.duration,
-            "seed": self.seed,
-            "wave_period": self.wave_period,
-            "base_rate": self.base_rate,
-            "high_rate": self.high_rate,
-            "mttr": self.mttr,
-            "requests": self.requests,
-            "ok": self.ok,
-            "degraded": self.degraded,
-            "dropped": self.dropped,
-            "timeouts": self.timeouts,
-            "errors": self.errors,
-            "availability": round(self.availability, 6),
-            "latency_p50": round(self.latency.percentile(50.0), 6)
-            if self.latency.count
-            else None,
-            "latency_p99": round(self.latency.percentile(99.0), 6)
-            if self.latency.count
-            else None,
-            "provisioned": self.provisioned,
-            "scale_outs": self.scale_outs,
-            "scale_ins": self.scale_ins,
-            "drains_completed": self.drains_completed,
-            "handoffs": self.handoffs,
-            "drain_refused": self.drain_refused,
-            "drain_interrupted": self.drain_interrupted,
-            "mid_drain_kills": self.mid_drain_kills,
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-            "failed_fast": self.failed_fast,
-            "replayed": self.replayed,
-            "peak_size": self.peak_size,
-            "min_size": self.min_size,
-            "residue": {name: dict(info) for name, info in self.residue.items()},
-            "invariants": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.invariants
-            ],
-        }
 
 
 def run_scale_chaos_experiment(
@@ -1919,11 +1682,9 @@ def run_scale_chaos_experiment(
     )
 
     broker_client = BrokerClient(sim, web_node, {})
-
-    def on_provision(broker: ServiceBroker) -> None:
-        broker_client.add_route(broker.service, broker.address)
-
-    pool.on_provision = on_provision
+    pool.on_provision = lambda broker: broker_client.add_route(
+        broker.service, broker.address
+    )
     pool.scale_to(max(min_size, initial_size))
 
     policy = AutoscalerPolicy(
@@ -1977,56 +1738,17 @@ def run_scale_chaos_experiment(
     sim.process(drain_sniper(), name="chaos:drain-sniper")
 
     # -- workload ----------------------------------------------------------
-    workload = _workload_counters(metrics)
-    samples: List[Tuple[float, int, str, float]] = []
-    key_rng = sim.rng("scalechaos.keys")
+    outcomes = OutcomeTally(metrics, fast_threshold)
+    latency = SummaryStats()
 
-    def make_factory(level: int):
-        def one_request(_generator, index):
-            issued = sim.now
-            item = key_rng.randrange(key_pool)
-            status = "error"
-            for attempt in range(max_tries):
-                try:
-                    broker = pool.route(f"item{item}")
-                except BrokerError:
-                    status = "error"
-                    break
-                try:
-                    reply = yield from broker_client.call(
-                        broker.service,
-                        "get",
-                        ("/item", {"id": item}),
-                        qos_level=level,
-                        cacheable=False,
-                        timeout=attempt_timeout,
-                    )
-                except BrokerTimeout:
-                    status = "timeout"
-                    continue
-                status = reply.status.value
-                if reply.status in (ReplyStatus.OK, ReplyStatus.DEGRADED):
-                    break
-            elapsed = sim.now - issued
-            samples.append((issued, level, status, elapsed))
-            workload["done"].inc()
-            if status == ReplyStatus.OK.value:
-                workload["ok"].inc()
-            elif status == ReplyStatus.DEGRADED.value:
-                workload["degraded"].inc()
-            elif status == ReplyStatus.DROPPED.value:
-                workload["dropped"].inc()
-            elif status == "timeout":
-                workload["timeout"].inc()
-            else:
-                workload["error"].inc()
-            if status in (ReplyStatus.OK.value, ReplyStatus.DEGRADED.value):
-                workload["answered"].inc()
-                if elapsed <= fast_threshold:
-                    workload["fast"].inc()
+    def record(_level, _tenant, status, error, elapsed):
+        if outcomes.add(status, error, elapsed) in ("ok", "degraded"):
+            latency.add(elapsed)
 
-        return one_request
-
+    make_factory = _pool_requests(
+        sim, pool, broker_client, sim.rng("scalechaos.keys"),
+        key_pool, max_tries, attempt_timeout, record,
+    )
     cycles = int(duration / wave_period) + 1
     for level in (1, 2, 3):
         FlashCrowdGenerator(
@@ -2046,6 +1768,7 @@ def run_scale_chaos_experiment(
     sim.run(until=duration + mttr + drain_grace * 3 + 30.0)
 
     # -- result ------------------------------------------------------------
+    sizes = [size for _t, size, _signal, _action in autoscaler.history]
     result = ScaleChaosResult(
         duration=duration,
         seed=seed,
@@ -2053,74 +1776,27 @@ def run_scale_chaos_experiment(
         base_rate=base_rate,
         high_rate=base_rate * high_multiplier,
         mttr=mttr,
+        latency=latency,
+        scale_outs=pool.scale_out_events,
+        scale_ins=pool.scale_in_events,
+        drains_completed=pool.drains_completed,
+        handoffs=pool.handoffs,
+        mid_drain_kills=kills["count"],
+        peak_size=max(sizes, default=0),
+        min_size=min(sizes, default=0),
+        residue=_residue(pool.every),
+        **outcomes.fields(),
+        **_counters_of(ScaleChaosResult, metrics),
     )
-    for _issued, _level, status, elapsed in samples:
-        result.requests += 1
-        if status == ReplyStatus.OK.value:
-            result.ok += 1
-            result.latency.add(elapsed)
-        elif status == ReplyStatus.DEGRADED.value:
-            result.degraded += 1
-            result.latency.add(elapsed)
-        elif status == ReplyStatus.DROPPED.value:
-            result.dropped += 1
-        elif status == "timeout":
-            result.timeouts += 1
-        else:
-            result.errors += 1
-
-    counter = metrics.counter
-    result.provisioned = int(counter("autoscaler.provisioned"))
-    result.scale_outs = pool.scale_out_events
-    result.scale_ins = pool.scale_in_events
-    result.drains_completed = pool.drains_completed
-    result.handoffs = pool.handoffs
-    result.drain_refused = int(counter("broker.drain.refused"))
-    result.drain_interrupted = int(counter("autoscaler.drain.interrupted"))
-    result.mid_drain_kills = kills["count"]
-    result.crashes = int(counter("broker.crashes"))
-    result.restarts = int(counter("broker.restarts"))
-    result.failed_fast = int(counter("lifecycle.failed_fast"))
-    result.replayed = int(counter("lifecycle.replayed"))
-    sizes = [size for _t, size, _signal, _action in autoscaler.history]
-    if sizes:
-        result.peak_size = max(sizes)
-        result.min_size = min(sizes)
-    for broker in pool.every:
-        journal = broker.journal
-        result.residue[broker.name] = {
-            "queue_depth": len(broker.queue),
-            "outstanding": broker.admission.outstanding,
-            "journal_pending": journal.pending_count if journal else 0,
-        }
 
     # -- invariants --------------------------------------------------------
-    lost = [
-        (name, info)
-        for name, info in result.residue.items()
-        if info["queue_depth"] or info["outstanding"] or info["journal_pending"]
-    ]
-    answered = (
-        result.ok + result.degraded + result.dropped
-        + result.timeouts + result.errors
-    )
-    result.invariants.append(
-        InvariantCheck(
-            name="no-lost-request",
-            passed=not lost and answered == result.requests,
-            detail=(
-                f"{result.requests} requests all terminal across "
-                f"{len(pool.every)} units ({len(pool.retired)} retired, "
-                f"{result.mid_drain_kills} mid-drain kills); "
-                + (
-                    "residue clean"
-                    if not lost
-                    else "; ".join(f"{name}: {info}" for name, info in lost)
-                )
-            ),
-        )
-    )
-    result.invariants.append(
+    stuck = sorted(pool.draining)
+    result.invariants = [
+        _no_lost_request(
+            result,
+            f" across {len(pool.every)} units ({len(pool.retired)} retired, "
+            f"{result.mid_drain_kills} mid-drain kills)",
+        ),
         InvariantCheck(
             name="scale-in-coverage",
             passed=(
@@ -2132,10 +1808,7 @@ def run_scale_chaos_experiment(
                 f"mid_drain_kills={result.mid_drain_kills} "
                 f"(need >= {min_mid_drain_kills})"
             ),
-        )
-    )
-    stuck = sorted(pool.draining)
-    result.invariants.append(
+        ),
         InvariantCheck(
             name="drain-completion",
             passed=not stuck and result.drains_completed == result.scale_ins,
@@ -2144,9 +1817,7 @@ def run_scale_chaos_experiment(
                 f"{result.scale_ins} started"
                 + (f"; still draining: {stuck}" if stuck else "")
             ),
-        )
-    )
-    result.invariants.append(
+        ),
         InvariantCheck(
             name="pool-bounds",
             passed=bool(sizes)
@@ -2156,34 +1827,8 @@ def run_scale_chaos_experiment(
                 f"observed sizes [{result.min_size}, {result.peak_size}] "
                 f"within [{min_size}, {max_size}]"
             ),
-        )
-    )
-    dead = [
-        broker.name
-        for broker in pool.active
-        if not broker.alive
+        ),
+        _post_crash_consistency(result, pool.active),
+        _availability_floor(result, availability_floor),
     ]
-    result.invariants.append(
-        InvariantCheck(
-            name="post-crash-consistency",
-            passed=result.restarts == result.crashes and not dead,
-            detail=(
-                f"crashes={result.crashes} restarts={result.restarts} "
-                f"failed_fast={result.failed_fast} replayed={result.replayed}"
-                + (f"; still dead: {dead}" if dead else "")
-            ),
-        )
-    )
-    result.invariants.append(
-        InvariantCheck(
-            name="availability-floor",
-            passed=result.availability >= availability_floor,
-            detail=(
-                f"availability {result.availability:.4f} "
-                f"(floor {availability_floor:.4f}; ok={result.ok} "
-                f"degraded={result.degraded} dropped={result.dropped} "
-                f"timeouts={result.timeouts})"
-            ),
-        )
-    )
     return result

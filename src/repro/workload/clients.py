@@ -17,12 +17,14 @@
 * :class:`FlashCrowdGenerator` — a steady base rate with sudden
   flash-crowd windows multiplying it.
 * :func:`zipf_sampler` — popularity skew for cache experiments.
+* :class:`OutcomeTally` — the one ledger of terminal request outcomes
+  every experiment counts its requests into.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from ..metrics import MetricsRegistry, SummaryStats
 from ..sim.core import Process, Simulation
@@ -36,11 +38,101 @@ __all__ = [
     "DiurnalLoadGenerator",
     "FlashCrowdGenerator",
     "zipf_sampler",
+    "OUTCOMES",
+    "OutcomeTally",
 ]
 
 #: A request factory: called per iteration, returns a ``yield from``
 #: generator that performs one complete request.
 RequestFactory = Callable[..., Any]
+
+#: The buckets a terminal request outcome lands in — exactly one each —
+#: named as the result fields that count them.
+OUTCOMES = ("ok", "degraded", "throttled", "dropped", "timeouts", "errors")
+
+#: Bucket of each terminal status: a reply's ``ReplyStatus`` value, or
+#: ``"timeout"`` for a call that timed out. Anything else is an error.
+_BUCKETS = {"ok": "ok", "degraded": "degraded", "dropped": "dropped", "timeout": "timeouts"}
+
+#: The ``workload.*`` counter each bucket bumps.
+_COUNTERS = {
+    "ok": "workload.ok",
+    "degraded": "workload.degraded",
+    "throttled": "workload.throttled",
+    "dropped": "workload.dropped",
+    "timeouts": "workload.timeout",
+    "errors": "workload.error",
+}
+
+
+class OutcomeTally:
+    """Terminal request outcomes, each counted in exactly one bucket.
+
+    :meth:`add` maps a status to its bucket in :data:`OUTCOMES`; a
+    DROPPED reply whose error is ``"throttled"`` is a deliberate
+    per-tenant refusal and lands in ``throttled``, apart from capacity
+    drops. With *metrics*, every outcome also bumps ``workload.done``
+    and ``workload.<bucket>`` and, when answered (OK or DEGRADED),
+    ``workload.answered`` — plus ``workload.fast`` within
+    *fast_threshold* seconds. Each counter is created by its first
+    increment, so an outcome that never happens adds no series to a
+    telemetry export.
+    """
+
+    def __init__(
+        self,
+        metrics: Optional[MetricsRegistry] = None,
+        fast_threshold: float = math.inf,
+    ) -> None:
+        self.metrics = metrics
+        self.fast_threshold = fast_threshold
+        #: Outcomes per bucket, in :data:`OUTCOMES` order.
+        self.counts: Dict[str, int] = dict.fromkeys(OUTCOMES, 0)
+
+    @property
+    def requests(self) -> int:
+        """Every outcome counted so far."""
+        return sum(self.counts.values())
+
+    @property
+    def answered(self) -> int:
+        """Outcomes answered with a result (OK + DEGRADED)."""
+        return self.counts["ok"] + self.counts["degraded"]
+
+    def add(
+        self, status: str, error: str = "", elapsed: Optional[float] = None
+    ) -> str:
+        """Count one outcome; returns its bucket."""
+        bucket = _BUCKETS.get(status, "errors")
+        if bucket == "dropped" and error == "throttled":
+            bucket = "throttled"
+        self.counts[bucket] += 1
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.increment("workload.done")
+            metrics.increment(_COUNTERS[bucket])
+            if bucket == "ok" or bucket == "degraded":
+                metrics.increment("workload.answered")
+                if elapsed is not None and elapsed <= self.fast_threshold:
+                    metrics.increment("workload.fast")
+        return bucket
+
+    def fields(self) -> Dict[str, int]:
+        """``requests`` and every bucket but ``throttled``, as result fields.
+
+        A result that counts refusals reads ``counts["throttled"]``
+        besides; in one that does not, a refusal leaves ``requests``
+        above the sum of its buckets, which its ledger check reports.
+        """
+        counts = self.counts
+        return {
+            "requests": self.requests,
+            "ok": counts["ok"],
+            "degraded": counts["degraded"],
+            "dropped": counts["dropped"],
+            "timeouts": counts["timeouts"],
+            "errors": counts["errors"],
+        }
 
 
 class ClosedLoopClient:

@@ -36,7 +36,7 @@ the paper's tables/series.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -74,7 +74,7 @@ from ..net.faults import FaultInjector, FaultPlan
 from ..net.link import Link
 from ..net.network import Network
 from ..sim.core import Simulation
-from .clients import ClosedLoopClient, zipf_sampler
+from .clients import ClosedLoopClient, OutcomeTally, zipf_sampler
 
 __all__ = [
     "ClusteringResult",
@@ -829,28 +829,18 @@ def run_failure_recovery_experiment(
     def in_outage(at: float) -> bool:
         return any(start <= at < end for start, end in windows)
 
+    outcomes = OutcomeTally()
     for issued, status, elapsed in samples:
-        result.requests += 1
+        bucket = outcomes.add(status)
         result.latency.add(elapsed)
-        answered = status in (ReplyStatus.OK.value, ReplyStatus.DEGRADED.value)
-        if status == ReplyStatus.OK.value:
-            result.ok += 1
-        elif status == ReplyStatus.DEGRADED.value:
-            result.degraded += 1
-        elif status == ReplyStatus.DROPPED.value:
-            result.dropped += 1
-        elif status == "timeout":
-            result.timeouts += 1
-        else:
-            result.errors += 1
         if in_outage(issued):
             result.outage_requests += 1
             result.outage_latency.add(elapsed)
-            if answered:
-                if status == ReplyStatus.OK.value:
-                    result.outage_ok += 1
-                else:
-                    result.outage_degraded += 1
+            if bucket == "ok":
+                result.outage_ok += 1
+            elif bucket == "degraded":
+                result.outage_degraded += 1
+    result = replace(result, **outcomes.fields())
 
     counter = broker.metrics.counter
     result.retries = int(counter("broker.retry.attempts"))

@@ -209,6 +209,7 @@ def _pool_fixture(sim, net, **kwargs):
         backend_capacity=1, base_port=7500, prefix="t", seed=0,
     )
     defaults.update(kwargs)
+    net.node("web")  # the front end every unit lives on
     pool, supervisor, listener, group, _watches = _elastic_pool(
         sim, net, metrics, **defaults
     )

@@ -3,7 +3,8 @@
 The performance work on the kernel, pipeline, net and metrics layers is
 only acceptable if it changes *nothing* observable: same seeds must
 produce byte-identical experiment outputs. This test replays one point
-of each experiment family (clustering, QoS, failure recovery) and
+of each experiment family (clustering, QoS, failure recovery, shards,
+and the overload/chaos/autoscale robustness testbeds) and
 compares the result — floats via ``repr``, so even a single ulp of
 drift fails — against ``golden_determinism.json``.
 
@@ -24,7 +25,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.workload.chaos import run_autoscale_experiment
+from repro.workload.chaos import (
+    run_autoscale_experiment,
+    run_chaos_experiment,
+    run_overload_experiment,
+    run_scale_chaos_experiment,
+    run_shard_chaos_experiment,
+)
 from repro.workload.scenarios import (
     QOS_SERVICE_TIMES,
     _run_sharded_parallel,
@@ -60,6 +67,35 @@ def sharded_section(result):
         "forwards": result.forwards,
         "local_routes": result.local_routes,
         "elections": result.elections,
+    }
+
+
+def soak_section(result):
+    """A chaos-family result: its whole summary plus the raw latency."""
+    return {
+        "summary": result.to_summary(),
+        "latency_mean": repr(result.latency.mean),
+        "latency_p99": repr(result.latency.p99),
+    }
+
+
+def overload_section(result):
+    """The golden fields of one overload run."""
+    return {
+        "classes": {
+            str(level): {
+                "issued": result.issued[level],
+                "ok": result.ok[level],
+                "degraded": result.degraded[level],
+                "dropped": result.dropped[level],
+                "goodput": repr(result.goodput[level]),
+            }
+            for level in sorted(result.issued)
+        },
+        "premium_p99": repr(result.premium_p99()),
+        "shed": result.shed,
+        "peak_depth": result.peak_depth,
+        "backpressure_engaged": result.backpressure_engaged,
     }
 
 
@@ -168,6 +204,28 @@ def snapshot():
             for name, info in sorted(scale.tenants.items())
         },
         "timeline_len": len(scale.timeline),
+    }
+
+    # The robustness testbeds: crash/restart soak, shard-leader kills,
+    # mid-drain kills, and the bounded vs unbounded overload queue.
+    snap["chaos"] = soak_section(run_chaos_experiment(duration=60.0, seed=2026))
+    snap["shard_chaos"] = soak_section(
+        run_shard_chaos_experiment(
+            duration=60.0, shards=3, replicas=2, seed=2026
+        )
+    )
+    snap["scale_chaos"] = soak_section(
+        run_scale_chaos_experiment(
+            duration=72.0, min_scale_ins=1, min_mid_drain_kills=1, seed=2026
+        )
+    )
+    snap["overload"] = {
+        ("bounded" if bounded else "unbounded"): overload_section(
+            run_overload_experiment(
+                duration=10.0, drain=30.0, bounded=bounded, seed=2026
+            )
+        )
+        for bounded in (True, False)
     }
     return snap
 

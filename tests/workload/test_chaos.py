@@ -2,12 +2,66 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import MISSING, fields
+
 import pytest
 
+from repro.core.autoscale import TenantThrottle
 from repro.workload import (
     run_chaos_experiment,
     run_overload_experiment,
 )
+from repro.workload.chaos import (
+    AutoscaleResult,
+    ChaosResult,
+    ScaleChaosResult,
+    ShardChaosResult,
+    _hardened_stages,
+)
+
+#: The hardened plan every chaos and elastic-pool broker runs.
+HARDENED = [
+    "validate", "arrival", "timeout", "cache-lookup", "admission", "fidelity",
+    "backpressure", "enqueue", "cluster", "breaker", "retry", "failover",
+    "fidelity", "cache-fill", "reply",
+]
+
+#: What each result's summary reports in place of its raw latency samples.
+LATENCY_ENTRIES = {
+    ChaosResult: {"latency_p50", "latency_p99"},
+    ShardChaosResult: {"latency_p50", "latency_p99"},
+    ScaleChaosResult: {"latency_p50", "latency_p99"},
+    AutoscaleResult: {"premium_p99"},
+}
+
+
+class TestHardenedStages:
+    def test_backpressure_sits_before_enqueue(self):
+        plan = _hardened_stages(48, "drop-lowest")
+        assert [stage.name for stage in plan] == HARDENED
+
+    def test_throttle_follows_arrival(self):
+        plan = _hardened_stages(48, "drop-lowest", TenantThrottle(1.0, 1.0))
+        assert [stage.name for stage in plan] == (
+            HARDENED[:2] + ["throttle"] + HARDENED[2:]
+        )
+
+
+@pytest.mark.parametrize("result_class", list(LATENCY_ENTRIES))
+def test_summary_has_one_key_per_field(result_class):
+    """A field added later cannot silently drop out of ``--summary-out``."""
+    result = result_class(
+        **{
+            spec.name: 1
+            for spec in fields(result_class)
+            if spec.default is MISSING and spec.default_factory is MISSING
+        }
+    )
+    summary = result.to_summary()
+    names = {spec.name for spec in fields(result_class)} - {"latency"}
+    assert set(summary) == names | {"availability"} | LATENCY_ENTRIES[result_class]
+    assert json.loads(json.dumps(summary)) == summary
 
 
 @pytest.fixture(scope="module")

@@ -6,8 +6,17 @@ import math
 
 import pytest
 
+from repro.core.protocol import ReplyStatus
+from repro.metrics import MetricsRegistry
 from repro.sim import Simulation
-from repro.workload import BurstClient, ClosedLoopClient, OpenLoopGenerator, zipf_sampler
+from repro.workload import (
+    OUTCOMES,
+    BurstClient,
+    ClosedLoopClient,
+    OpenLoopGenerator,
+    OutcomeTally,
+    zipf_sampler,
+)
 
 
 def make_request_factory(sim, duration):
@@ -130,3 +139,68 @@ class TestZipfSampler:
         sim = Simulation(seed=3)
         with pytest.raises(ValueError):
             zipf_sampler(sim.rng("z4"), n=0)
+
+
+class TestOutcomeTally:
+    @pytest.mark.parametrize(
+        "status, error, bucket",
+        [
+            (ReplyStatus.OK.value, "", "ok"),
+            (ReplyStatus.DEGRADED.value, "", "degraded"),
+            (ReplyStatus.DROPPED.value, "", "dropped"),
+            (ReplyStatus.DROPPED.value, "busy", "dropped"),
+            (ReplyStatus.DROPPED.value, "throttled", "throttled"),
+            (ReplyStatus.ERROR.value, "", "errors"),
+            ("timeout", "", "timeouts"),
+            ("no-such-status", "", "errors"),
+            # A refusal tag only means something on a DROPPED reply.
+            (ReplyStatus.OK.value, "throttled", "ok"),
+            ("timeout", "throttled", "timeouts"),
+        ],
+    )
+    def test_each_status_lands_in_exactly_one_bucket(self, status, error, bucket):
+        tally = OutcomeTally()
+        assert tally.add(status, error) == bucket
+        assert tally.counts == {name: int(name == bucket) for name in OUTCOMES}
+        assert tally.requests == 1
+
+    def test_every_reply_status_has_a_bucket(self):
+        tally = OutcomeTally()
+        for status in ReplyStatus:
+            tally.add(status.value)
+        assert tally.requests == len(ReplyStatus)
+        assert tally.answered == 2
+        assert tally.counts["ok"] == tally.counts["degraded"] == 1
+
+    def test_fields_are_the_result_ledger_without_refusals(self):
+        tally = OutcomeTally()
+        for status, error in (("ok", ""), ("dropped", "throttled"), ("timeout", "")):
+            tally.add(status, error)
+        assert tally.fields() == {
+            "requests": 3, "ok": 1, "degraded": 0, "dropped": 0,
+            "timeouts": 1, "errors": 0,
+        }
+        assert tally.counts["throttled"] == 1
+
+    def test_counters_appear_only_when_incremented(self):
+        metrics = MetricsRegistry()
+        tally = OutcomeTally(metrics, fast_threshold=0.5)
+        tally.add("ok", elapsed=0.1)
+        assert metrics.counters("workload.") == {
+            "workload.answered": 1.0,
+            "workload.done": 1.0,
+            "workload.fast": 1.0,
+            "workload.ok": 1.0,
+        }
+        tally.add("degraded", elapsed=0.9)
+        tally.add("dropped", "throttled")
+        tally.add("timeout")
+        assert metrics.counters("workload.") == {
+            "workload.answered": 2.0,
+            "workload.degraded": 1.0,
+            "workload.done": 4.0,
+            "workload.fast": 1.0,
+            "workload.ok": 1.0,
+            "workload.throttled": 1.0,
+            "workload.timeout": 1.0,
+        }
