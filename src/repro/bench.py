@@ -8,8 +8,8 @@ with ``--suite``:
   simulator events per wall-clock second. The primary number uses the
   kernel-native float-yield idiom (``yield 0.001``, see DESIGN.md §14);
   ``timeout_events_per_sec`` tracks the classic
-  ``yield sim.timeout(...)`` spelling. Exercises the batched heap loop,
-  the :class:`~repro.sim.core.Timeout` pool, and process resumption
+  ``yield sim.timeout(...)`` spelling. Exercises the heap loop,
+  :class:`~repro.sim.core.Timeout` allocation, and process resumption
   with no networking or broker code at all.
 * ``pipeline`` — a small broker scenario (closed-loop clients against
   the distributed stage plan) measured in completed requests per

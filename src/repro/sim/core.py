@@ -15,10 +15,9 @@ Two wait idioms are supported. The classic one yields an event::
 
     yield sim.timeout(3.0)
 
-The kernel-native fast idiom yields a bare delay (``float`` or ``int``
-seconds) and the dispatcher parks the process on a private, reusable
-"tick" event — no :class:`Timeout` object, no pool traffic, no
-allocation::
+The kernel-native idiom yields a bare delay (``float`` or ``int``
+seconds) and the process is parked on a private, reusable "tick" event,
+so no :class:`Timeout` object is allocated::
 
     yield 3.0
 
@@ -27,16 +26,13 @@ scheduling sequence number at the yield point, so converting a direct
 ``yield sim.timeout(d)`` into ``yield d`` leaves seeded trajectories
 byte-identical (DESIGN.md §14).
 
-Scheduling internals (the "batched dispatch" layout, DESIGN.md §14):
-entries are ``(when, key, event)`` 3-tuples where ``key`` is a global
-monotonic sequence number, biased negative for :data:`URGENT` entries so
-urgent bookkeeping still dispatches first at equal times. New entries
-are not pushed onto the heap eagerly; they collect in a small pending
-batch and the run loop merges batch and heap by ``(when, key)``. The
-overwhelmingly common single-successor case then costs one
-``heappushpop`` (one sift) instead of a push+pop pair — and when the
-new entry is already the earliest (zero-delay wakes), no heap traffic
-at all.
+Scheduling (DESIGN.md §14.1): the heap holds ``(when, key, event)``
+3-tuples where ``key`` is a global monotonic sequence number, biased
+negative for :data:`URGENT` entries so urgent bookkeeping dispatches
+first at equal times. :meth:`Simulation.run` pops one entry at a time
+and hands it to :meth:`Simulation._dispatch`; every process resume goes
+through :meth:`Process._resume`. ``tests/sim/reference_kernel.py`` is
+the plain oracle the kernel is checked against.
 
 Example::
 
@@ -55,7 +51,6 @@ Example::
 from __future__ import annotations
 
 import heapq
-import sys
 from itertools import count
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
@@ -102,12 +97,8 @@ _PENDING = object()
 #: Type alias for process generator functions' return value.
 ProcessGenerator = Generator["Event", Any, Any]
 
-#: Maximum number of retired :class:`Timeout` objects kept for reuse.
-_TIMEOUT_POOL_CAP = 1024
-
 _heappush = heapq.heappush
 _heappop = heapq.heappop
-_heappushpop = heapq.heappushpop
 
 
 class Event:
@@ -118,12 +109,12 @@ class Event:
     heap pops it, the event is *processed*: its callbacks run and any
     waiting processes resume.
 
-    The first process to wait on an event occupies the ``_waiter`` fast
-    slot instead of the ``callbacks`` list; the dispatcher resumes it
-    inline without a callback call. Later subscribers (more processes,
-    conditions, transport deliveries) append to ``callbacks`` as
-    always, and dispatch order is waiter first, then callbacks — i.e.
-    subscription order, exactly as before the slot existed.
+    The first process to wait on an event occupies the ``_waiter``
+    slot instead of the ``callbacks`` list, so the common single-waiter
+    case allocates no bound method. Later subscribers (more processes,
+    conditions, transport deliveries) append to ``callbacks``, and
+    dispatch order is waiter first, then callbacks — i.e. subscription
+    order.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "defused", "_waiter")
@@ -137,7 +128,7 @@ class Event:
         self._ok: Optional[bool] = None
         #: ``True`` if a failure has been handled and must not crash the run.
         self.defused = False
-        #: First waiting process (dispatch fast path), if any.
+        #: First waiting process, if any (resumed before ``callbacks``).
         self._waiter: Optional["Process"] = None
 
     @property
@@ -224,9 +215,9 @@ class Timeout(Event):
 class _Tick(Event):
     """A process's private, reusable delay event (the ``yield 3.0`` idiom).
 
-    A tick is never handed to model code: it exists only between the
-    dispatcher scheduling it and the dispatcher resuming its owner, so
-    it needs no value plumbing, never fails, and is reused for every
+    A tick is never handed to model code: it exists only between its
+    owner yielding a delay and the dispatcher resuming the owner, so it
+    needs no value plumbing, never fails, and is reused for every
     bare-delay wait of its process. An interrupted wait orphans the
     in-flight tick (the owner allocates a fresh one next time) so a
     stale heap entry can never resume the process early.
@@ -241,20 +232,6 @@ class _Tick(Event):
 
     def __repr__(self) -> str:
         return f"<_Tick at {id(self):#x}>"
-
-
-class _Interruption(Event):
-    """Urgent bookkeeping event carrying an :class:`Interrupt` to a process."""
-
-    __slots__ = ()
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.sim)
-        self._ok = False
-        self._value = Interrupt(cause)
-        self.defused = True
-        self._waiter = process
-        self.sim._schedule(self, 0.0, priority=URGENT)
 
 
 class Process(Event):
@@ -277,12 +254,11 @@ class Process(Event):
         self._throw = generator.throw
         self.name = name or getattr(generator, "__name__", "process")
         #: Cached bound resume callback — one allocation per process
-        #: instead of one per wait. A self-cycle: every termination site
-        #: drops it (with ``_tick`` and ``_target``, which pins the last
-        #: event waited on) so a finished process is freed by reference
+        #: instead of one per wait. A self-cycle: :meth:`_finish` drops it
+        #: (with ``_tick`` and ``_target``, which pins the last event
+        #: waited on) so a finished process is freed by reference
         #: counting alone (DESIGN.md §9). The exhausted generator holds
-        #: no frame, so ``_send``/``_throw`` can stay for a stale
-        #: same-instant interruption to throw into.
+        #: no frame, so ``_send``/``_throw`` can stay.
         self._rcb = self._resume
         #: Reusable bare-delay tick event (created on first float wait).
         self._tick: Optional[_Tick] = None
@@ -309,52 +285,113 @@ class Process(Event):
         """
         if self._value is not _PENDING:
             raise SimError("cannot interrupt a terminated process")
+        self._detach()
+        interruption = Event(self.sim)
+        interruption._ok = False
+        interruption._value = Interrupt(cause)
+        interruption.defused = True
+        interruption.callbacks.append(self._interrupted)
+        self.sim._schedule(interruption, 0.0, priority=URGENT)
+
+    def _detach(self) -> None:
+        """Unsubscribe from the event the generator waits on."""
         target = self._target
-        if target is not None:
-            if target._waiter is self:
-                target._waiter = None
-                if target is self._tick:
-                    # The tick stays scheduled; orphan it so the next
-                    # bare-delay wait cannot alias the stale heap entry.
-                    self._tick = None
-            elif target.callbacks is not None:
-                try:
-                    target.callbacks.remove(self._rcb)
-                except ValueError:
-                    pass
-        _Interruption(self, cause)
+        if target is None:
+            return
+        if target._waiter is self:
+            target._waiter = None
+            if target is self._tick:
+                # The tick stays scheduled; orphan it so the next
+                # bare-delay wait cannot alias the stale heap entry.
+                self._tick = None
+        elif target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._rcb)
+            except ValueError:
+                pass
+
+    def _interrupted(self, interruption: Event) -> None:
+        """Deliver an interruption (URGENT, so first at its instant).
+
+        A second interrupt in the same instant finds the process either
+        finished (it is dropped) or parked on what the first one made it
+        yield (it is detached from that first, so it resumes once).
+        """
+        if self._value is _PENDING:
+            self._detach()
+            self._resume(interruption)
 
     def _resume(self, event: Event) -> None:
-        """Advance the generator with the outcome of *event*.
+        """Advance the generator with the outcome of *event* and park it.
 
-        This is the out-of-line twin of the dispatch fast paths inlined
-        in :meth:`Simulation.run`; it serves waits that went through the
-        ``callbacks`` list (second and later subscribers, conditions)
-        and the :meth:`Simulation._step` slow path. The two must stay
-        behaviourally identical.
+        The one resume path: the generator runs until it yields
+        something to wait on. A bare delay arms the process's reusable
+        tick; a pending event is subscribed to (the ``_waiter`` slot if
+        free, else the ``callbacks`` list); an already-processed event's
+        outcome is delivered at once and the generator runs on; any
+        other yield closes the generator and fails the process.
         """
         sim = self.sim
         sim._active_process = self
-        try:
-            if event._ok:
-                target = self._send(event._value)
-            else:
-                # The failure is being delivered, hence handled.
-                event.defused = True
-                target = self._throw(event._value)
-        except StopIteration as exc:
-            self._ok = True
-            self._value = exc.value
-            self._rcb = self._tick = self._target = None
-            sim.wake(self)
-        except BaseException as exc:  # noqa: BLE001 - propagate via event
-            self._ok = False
-            self._value = exc
-            self._rcb = self._tick = self._target = None
-            sim.wake(self)
-        else:
-            sim._advance(self, target)
+        ok = event._ok
+        value = event._value
+        if not ok:
+            # The failure is being delivered, hence handled.
+            event.defused = True
+        while True:
+            try:
+                target = self._send(value) if ok else self._throw(value)
+            except StopIteration as stop:
+                self._finish(True, stop.value)
+                break
+            except BaseException as exc:  # noqa: BLE001 - propagate via event
+                # Drop this frame from the stored traceback: it names
+                # ``self``, and the process keeps the exception.
+                self._finish(False, exc.with_traceback(exc.__traceback__.tb_next))
+                break
+            cls = target.__class__
+            if cls is float or cls is int:
+                if target >= 0:
+                    tick = self._tick
+                    if tick is None:
+                        tick = self._tick = _Tick(sim)
+                    tick._waiter = self
+                    self._target = tick
+                    _heappush(sim._heap, (sim._now + target, next(sim._counter), tick))
+                    break
+                ok = False
+                value = ValueError(f"negative timeout delay: {target!r}")
+                continue
+            if not isinstance(target, Event):
+                self._generator.close()
+                self._finish(
+                    False,
+                    SimError(f"process {self.name!r} yielded {target!r}, expected an Event"),
+                )
+                break
+            if target.sim is not sim:
+                raise SimError("event belongs to a different Simulation")
+            callbacks = target.callbacks
+            if callbacks is not None:
+                if target._waiter is None and not callbacks:
+                    target._waiter = self
+                else:
+                    callbacks.append(self._rcb)
+                self._target = target
+                break
+            # Already processed: consume its outcome immediately.
+            ok = target._ok
+            value = target._value
+            if not ok:
+                target.defused = True
         sim._active_process = None
+
+    def _finish(self, ok: bool, value: Any) -> None:
+        """Terminate: record the outcome, drop the self-cycles, schedule."""
+        self._ok = ok
+        self._value = value
+        self._rcb = self._tick = self._target = None
+        self.sim.wake(self)
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
@@ -407,9 +444,9 @@ class Condition(Event):
         else:
             return
         # Decided: let go of the losers that can no longer fail (a long
-        # pre-triggered Timeout, typically), so they neither pin this
-        # condition's value until they fire nor miss the Timeout pool.
-        # One that may still fail stays subscribed, to be defused above.
+        # pre-triggered Timeout, typically), so they do not pin this
+        # condition's value until they fire. One that may still fail
+        # stays subscribed, to be defused above.
         check = self._check
         for loser in self._events:
             if loser._ok is True and loser.callbacks is not None:
@@ -471,13 +508,10 @@ class Simulation:
     __slots__ = (
         "_now",
         "_heap",
-        "_pending",
-        "_pending_append",
         "_counter",
         "_rngs",
         "seed",
         "_active_process",
-        "_timeout_pool",
         "tracer",
         "obs",
     )
@@ -485,18 +519,10 @@ class Simulation:
     def __init__(self, seed: int = 0, tracer: Optional[Any] = None) -> None:
         self._now = 0.0
         self._heap: List[Any] = []
-        #: Entries scheduled since the dispatcher last chose an event.
-        #: The run loop merges this batch against the heap by
-        #: ``(when, key)`` — see the module docstring. The list object's
-        #: identity is load-bearing (``_pending_append`` is bound once).
-        self._pending: List[Any] = []
-        self._pending_append = self._pending.append
         self._counter = count()
         self._rngs = RngRegistry(seed)
         self.seed = seed
         self._active_process: Optional[Process] = None
-        #: Retired Timeout objects available for reuse (see :meth:`timeout`).
-        self._timeout_pool: List[Timeout] = []
         #: Optional :class:`repro.sim.trace.Tracer`; see :meth:`trace`.
         self.tracer = tracer
         #: Optional :class:`repro.obs.spans.TraceCollector`; instrumented
@@ -532,23 +558,10 @@ class Simulation:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that succeeds with *value* after *delay* seconds.
 
-        Retired timeouts are pooled: the run loop recycles a processed
-        :class:`Timeout` when nothing else references it (verified via
-        the interpreter refcount), so steady-state runs allocate almost
-        no timeout objects. Processes that just need to sleep should
-        prefer the bare-delay idiom (``yield delay``), which skips this
-        factory entirely.
+        Processes that just need to sleep should prefer the bare-delay
+        idiom (``yield delay``), which allocates no event.
         """
-        pool = self._timeout_pool
-        if not pool:
-            return Timeout(self, delay, value)
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        timeout = pool.pop()
-        timeout.delay = delay
-        timeout._value = value
-        self._pending_append((self._now + delay, next(self._counter), timeout))
-        return timeout
+        return Timeout(self, delay, value)
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start *generator* as a concurrent process."""
@@ -573,13 +586,10 @@ class Simulation:
     def wake(self, event: Event) -> None:
         """Schedule *event* for dispatch at the current instant.
 
-        The single zero-delay fast path behind :meth:`Event.succeed`,
-        :meth:`Event.fail` and process termination — previously five
-        hand-inlined heap pushes. Entries land in the pending batch, so
-        a wake costs a tuple append; the dispatcher usually consumes it
-        without any heap traffic.
+        The zero-delay path behind :meth:`Event.succeed`,
+        :meth:`Event.fail` and process termination.
         """
-        self._pending_append((self._now, next(self._counter), event))
+        _heappush(self._heap, (self._now, next(self._counter), event))
 
     def wake_at(self, event: Event, when: float) -> None:
         """Schedule *event* for dispatch at the absolute time *when*.
@@ -591,12 +601,12 @@ class Simulation:
         """
         if when < self._now:
             raise ValueError(f"when={when!r} is in the past (now={self._now!r})")
-        self._pending_append((when, next(self._counter), event))
+        _heappush(self._heap, (when, next(self._counter), event))
 
     @property
     def scheduled(self) -> int:
-        """Entries waiting for dispatch (heap plus pending batch)."""
-        return len(self._heap) + len(self._pending)
+        """Entries waiting for dispatch."""
+        return len(self._heap)
 
     def _schedule(self, event: Event, delay: float, priority: int = NORMAL) -> None:
         if delay < 0:
@@ -604,20 +614,10 @@ class Simulation:
         key = next(self._counter)
         if priority == URGENT:
             key -= _URGENT_BIAS
-        self._pending_append((self._now + delay, key, event))
-
-    def _flush_pending(self) -> None:
-        """Move the pending batch onto the heap (slow-path bookkeeping)."""
-        pending = self._pending
-        if pending:
-            heap = self._heap
-            for item in pending:
-                _heappush(heap, item)
-            del pending[:]
+        _heappush(self._heap, (self._now + delay, key, event))
 
     def _dispatch(self, event: Event) -> None:
-        """Process one popped event — the out-of-line dispatch used by
-        :meth:`_step`; the run loop inlines the same logic for speed."""
+        """Process one popped event: resume its waiter, run its callbacks."""
         callbacks = event.callbacks
         event.callbacks = None
         waiter = event._waiter
@@ -632,88 +632,14 @@ class Simulation:
             # letting errors pass silently.
             raise event._value
 
-    def _advance(self, waiter: Process, target: Any) -> None:
-        """Park *waiter* on the *target* its generator just yielded.
-
-        Handles every wait shape: bare delays (arming the process's
-        reusable tick), pending events (subscribe via the ``_waiter``
-        slot or the callbacks list), already-processed events (their
-        outcome is delivered immediately and the generator advances
-        again), and invalid yields (the generator is closed and the
-        process fails). The run loop inlines the hot cases of this
-        logic — keep the two in sync. The caller manages
-        ``_active_process``.
-        """
-        while True:
-            cls = target.__class__
-            if cls is float or cls is int:
-                if target >= 0:
-                    tick = waiter._tick
-                    if tick is None:
-                        tick = waiter._tick = _Tick(self)
-                    tick._waiter = waiter
-                    waiter._target = tick
-                    self._pending_append(
-                        (self._now + target, next(self._counter), tick)
-                    )
-                    return
-                ok = False
-                value: Any = ValueError(f"negative timeout delay: {target!r}")
-            elif isinstance(target, Event):
-                if target.sim is not self:
-                    raise SimError("event belongs to a different Simulation")
-                tcbs = target.callbacks
-                if tcbs is not None:
-                    if target._waiter is None and not tcbs:
-                        target._waiter = waiter
-                    else:
-                        tcbs.append(waiter._rcb)
-                    waiter._target = target
-                    return
-                # Already processed: consume its outcome immediately.
-                ok = target._ok
-                value = target._value
-                if not ok:
-                    target.defused = True
-            else:
-                exc = SimError(
-                    f"process {waiter.name!r} yielded {target!r}, expected an Event"
-                )
-                waiter._generator.close()
-                waiter._ok = False
-                waiter._value = exc
-                waiter._rcb = waiter._tick = waiter._target = None
-                self.wake(waiter)
-                return
-            try:
-                if ok:
-                    target = waiter._send(value)
-                else:
-                    target = waiter._throw(value)
-            except StopIteration as stop:
-                waiter._ok = True
-                waiter._value = stop.value
-                waiter._rcb = waiter._tick = waiter._target = None
-                self.wake(waiter)
-                return
-            except BaseException as failure:  # noqa: BLE001 - propagate via event
-                waiter._ok = False
-                waiter._value = failure
-                waiter._rcb = waiter._tick = waiter._target = None
-                self.wake(waiter)
-                return
-
     def _step(self) -> None:
-        """Pop and process one event; used by tests and the run loop's
-        slow path (the main loop inlines this body for speed)."""
-        self._flush_pending()
+        """Pop and process one event."""
         when, _key, event = _heappop(self._heap)
         self._now = when
         self._dispatch(event)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        self._flush_pending()
         return self._heap[0][0] if self._heap else float("inf")
 
     def run(self, until: Any = None) -> Any:
@@ -738,163 +664,17 @@ class Simulation:
         else:
             raise TypeError(f"until must be None, a number, or an Event: {until!r}")
 
-        # The dispatch below is `_step` batched and inlined: heapq, the
-        # heap, and the pending batch are bound to locals; the next
-        # entry is chosen by merging the pending batch against the heap
-        # (one `heappushpop`, or no heap traffic when the batch entry is
-        # already the earliest); tick and timeout events resume their
-        # waiting process without a callback call; and retired Timeout
-        # objects are recycled into the pool when the refcount proves
-        # nothing else can observe them (the two references are the
-        # `event` local and getrefcount's argument — a Condition, a
-        # waiting process `_target`, or model code holding the timeout
-        # keeps the count higher).
         heap = self._heap
-        pending = self._pending
-        pending_append = self._pending_append
-        pop = _heappop
-        push = _heappush
-        pushpop = _heappushpop
-        counter = self._counter
-        getrefcount = sys.getrefcount
-        pool = self._timeout_pool
-        pool_cap = _TIMEOUT_POOL_CAP
+        dispatch = self._dispatch
         horizon = float("inf") if stop_at is None else stop_at
-        target = None
         try:
-            while True:
-                # ---- select the next entry (exact (when, key) merge) --
-                if pending:
-                    if len(pending) == 1:
-                        item = pending.pop()
-                        if heap:
-                            # heappushpop returns `item` untouched when it
-                            # is already <= heap[0] — the exact merge.
-                            item = pushpop(heap, item)
-                    else:
-                        # Burst of schedules: fall back to the heap.
-                        for it in pending:
-                            push(heap, it)
-                        del pending[:]
-                        item = pop(heap)
-                elif heap:
-                    item = pop(heap)
-                else:
-                    break
-                when, _key, event = item
-                if when > horizon:
-                    push(heap, item)
-                    break
-                item = None  # drop the tuple's reference for pool recycling
+            while heap and heap[0][0] <= horizon:
+                when, _key, event = _heappop(heap)
                 self._now = when
-                # ---- dispatch ----------------------------------------
-                cls = event.__class__
-                if cls is _Tick:
-                    # Bare-delay wake: resume the owner directly; the
-                    # sleep-loop continuation (yield another delay)
-                    # re-arms this very tick with zero object traffic.
-                    waiter = event._waiter
-                    if waiter is None:
-                        continue  # orphaned by an interrupt
-                    event._waiter = None
-                    self._active_process = waiter
-                    try:
-                        target = waiter._send(None)
-                    except StopIteration as exc:
-                        waiter._ok = True
-                        waiter._value = exc.value
-                        waiter._rcb = waiter._tick = waiter._target = None
-                        pending_append((when, next(counter), waiter))
-                    except BaseException as exc:  # noqa: BLE001
-                        waiter._ok = False
-                        waiter._value = exc
-                        waiter._rcb = waiter._tick = waiter._target = None
-                        pending_append((when, next(counter), waiter))
-                    else:
-                        tcls = target.__class__
-                        if (tcls is float or tcls is int) and target >= 0:
-                            # waiter._target is already this tick.
-                            event._waiter = waiter
-                            pending_append((when + target, next(counter), event))
-                        else:
-                            self._advance(waiter, target)
-                    self._active_process = None
-                    continue
-                cbs = event.callbacks
-                event.callbacks = None
-                waiter = event._waiter
-                if waiter is not None:
-                    # Inline twin of Process._resume/_advance — keep in sync.
-                    event._waiter = None
-                    self._active_process = waiter
-                    deliver = event
-                    while True:
-                        try:
-                            if deliver._ok:
-                                target = waiter._send(deliver._value)
-                            else:
-                                deliver.defused = True
-                                target = waiter._throw(deliver._value)
-                        except StopIteration as exc:
-                            waiter._ok = True
-                            waiter._value = exc.value
-                            waiter._rcb = waiter._tick = waiter._target = None
-                            pending_append((when, next(counter), waiter))
-                            break
-                        except BaseException as exc:  # noqa: BLE001
-                            waiter._ok = False
-                            waiter._value = exc
-                            waiter._rcb = waiter._tick = waiter._target = None
-                            pending_append((when, next(counter), waiter))
-                            break
-                        tcls = target.__class__
-                        if tcls is float or tcls is int:
-                            if target < 0:
-                                self._advance(waiter, target)
-                                break
-                            tick = waiter._tick
-                            if tick is None:
-                                tick = waiter._tick = _Tick(self)
-                            tick._waiter = waiter
-                            waiter._target = tick
-                            pending_append((when + target, next(counter), tick))
-                            break
-                        if not isinstance(target, Event):
-                            self._advance(waiter, target)
-                            break
-                        if target.sim is not self:
-                            raise SimError("event belongs to a different Simulation")
-                        tcbs = target.callbacks
-                        if tcbs is None:
-                            # Already processed: consume it immediately.
-                            deliver = target
-                            continue
-                        if target._waiter is None and not tcbs:
-                            target._waiter = waiter
-                        else:
-                            tcbs.append(waiter._rcb)
-                        waiter._target = target
-                        break
-                    self._active_process = None
-                if cbs:
-                    for callback in cbs:
-                        callback(event)
-                if cls is Timeout:
-                    # `deliver`/`target` may still alias this event (or a
-                    # pooled-timeout candidate) from a waiter resume; drop
-                    # them so the refcount check below can prove exclusivity.
-                    deliver = target = None
-                    if len(pool) < pool_cap and getrefcount(event) == 2:
-                        # Reuse the (empty) callbacks list as well.
-                        event.callbacks = cbs if not cbs else []
-                        pool.append(event)
-                elif event._ok is False and not event.defused:
-                    raise event._value
+                dispatch(event)
         except StopSimulation as stop:
             stopper: Event = stop.value
             return stopper.value if stopper.ok else self._raise(stopper)
-        finally:
-            self._flush_pending()
         if stop_at is not None:
             self._now = max(self._now, stop_at)
         if isinstance(until, Event) and not until.triggered:

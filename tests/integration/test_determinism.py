@@ -4,7 +4,8 @@ The performance work on the kernel, pipeline, net and metrics layers is
 only acceptable if it changes *nothing* observable: same seeds must
 produce byte-identical experiment outputs. This test replays one point
 of each experiment family (clustering, QoS, failure recovery, shards,
-and the overload/chaos/autoscale robustness testbeds) and
+the shared cache tier, and the overload/chaos/autoscale robustness
+testbeds) and
 compares the result — floats via ``repr``, so even a single ulp of
 drift fails — against ``golden_determinism.json``.
 
@@ -22,6 +23,8 @@ accidental one::
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from repro.workload.chaos import (
 from repro.workload.scenarios import (
     QOS_SERVICE_TIMES,
     _run_sharded_parallel,
+    run_cache_tier_experiment,
     run_clustering_experiment,
     run_failure_recovery_experiment,
     run_qos_experiment,
@@ -77,6 +81,24 @@ def soak_section(result):
         "latency_mean": repr(result.latency.mean),
         "latency_p99": repr(result.latency.p99),
     }
+
+
+def cache_tier_section(result):
+    """A cache-tier result: every counter field plus the raw latency."""
+    section = {
+        field.name: getattr(result, field.name)
+        for field in dataclasses.fields(result)
+        if field.name not in ("duration", "latency")
+    }
+    section["duration"] = repr(result.duration)
+    section["latency_count"] = result.latency.count
+    section["latency_mean"] = repr(result.latency.mean)
+    section["latency_p50"] = repr(result.latency.median)
+    section["latency_p99"] = repr(result.latency.p99)
+    section["latency_sha256"] = hashlib.sha256(
+        repr(result.latency.values()).encode()
+    ).hexdigest()
+    return section
 
 
 def overload_section(result):
@@ -226,6 +248,18 @@ def snapshot():
             )
         )
         for bounded in (True, False)
+    }
+
+    # The shared cache tier (the e2e cache_read and cache_write shapes
+    # at 0.1 scale): combining, write-behind and view refresh all lean
+    # on same-instant ordering, so the kernel's tie rule shows here first.
+    snap["cache_tier"] = {
+        name: cache_tier_section(
+            run_cache_tier_experiment(
+                n_clients=60, duration=duration, write_fraction=writes, seed=2026
+            )
+        )
+        for name, duration, writes in (("read", 1.2, 0.02), ("write", 0.6, 0.3))
     }
     return snap
 

@@ -76,6 +76,35 @@ class TestFreedByRefcount:
         sim.process(parent())
         sim.run(sim.process(bystander()))
 
+    def test_process_failing_on_a_callback_resume(self, sim, no_collector):
+        # The child is the gate's second subscriber, so the gate resumes
+        # it from its ``callbacks`` list; the exception it fails with must
+        # not keep the kernel frame that names the child.
+        refs = []
+        gate = sim.event()
+
+        def first():
+            yield gate
+
+        def worker():
+            yield gate
+            raise RuntimeError("boom")
+
+        def spawn():
+            child = WeakProcess(sim, worker())
+            refs.append(weakref.ref(child))
+            return child
+
+        def parent():
+            with pytest.raises(RuntimeError):
+                yield spawn()
+
+        sim.process(first())
+        sim.process(parent())
+        gate.succeed(delay=1.0)
+        sim.run()
+        assert len(refs) == 1 and refs[0]() is None
+
     def test_both_stream_ends_after_close(self, sim, net, no_collector):
         a, b = net.node("a"), net.node("b")
         listener = b.listen_stream(80)

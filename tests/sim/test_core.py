@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import (
@@ -11,6 +14,13 @@ from repro.errors import (
     SimError,
 )
 from repro.sim import Simulation
+from repro.sim.core import Timeout
+
+
+class WeakTimeout(Timeout):
+    """A :class:`Timeout` a test can hold a ``weakref`` to."""
+
+    __slots__ = ("__weakref__",)
 
 
 class TestEvent:
@@ -287,7 +297,7 @@ class TestConditions:
         # A pre-triggered Timeout cannot fail, so the decided condition
         # unsubscribes from it ...
         def proc():
-            winner, timer = sim.event(), sim.timeout(30)
+            winner, timer = sim.event(), WeakTimeout(sim, 30)
             winner.succeed("won")
             yield sim.any_of([winner, timer])
             return timer
@@ -295,12 +305,17 @@ class TestConditions:
         process = sim.process(proc())
         sim.run(until=1)
         assert process.value.callbacks == []
-        # ... and once nothing else names it, the kernel pools it when it fires.
-        timer_id = id(process.value)
+        # ... so once nothing else names it, it dies by refcount when it fires.
+        timer = weakref.ref(process.value)
         del process
-        sim.run()
-        assert sim.now == 30.0
-        assert [id(timeout) for timeout in sim._timeout_pool] == [timer_id]
+        gc.disable()
+        try:
+            sim.run(until=29)
+            assert timer() is not None  # the heap entry still names it
+            sim.run()
+            assert sim.now == 30.0 and timer() is None
+        finally:
+            gc.enable()
 
     def test_already_decided_any_of_never_subscribes_to_a_timeout(self, sim):
         done = sim.event().succeed("early")
