@@ -62,8 +62,12 @@ class AdmissionController:
         self.rate_window = rate_window
         self.metrics = metrics or MetricsRegistry()
         self.outstanding = 0
+        # Arrival timestamps inside the current window, kept only for the
+        # levels with a rate limit: nothing else reads them.
         self._arrivals: Dict[int, Deque[float]] = {
-            level: deque() for level in range(1, policy.levels + 1)
+            level: deque()
+            for level in range(1, policy.levels + 1)
+            if policy.rate_limit(level) is not None
         }
         # The policy is immutable, so the per-level limits and metric
         # names are fixed: precompute one plan per level instead of
@@ -94,20 +98,28 @@ class AdmissionController:
 
     # -- rate estimation ---------------------------------------------------
 
-    def _rate(self, level: int) -> float:
-        """Arrivals/second for *level* over the sliding window."""
+    def _pruned(self, level: int) -> Deque[float]:
+        """*level*'s arrivals less those that left the sliding window."""
         window = self._arrivals[level]
-        horizon = self.sim.now - self.rate_window
+        horizon = self.sim._now - self.rate_window
         while window and window[0] <= horizon:
             window.popleft()
-        return len(window) / self.rate_window
+        return window
+
+    def _rate(self, level: int) -> float:
+        """Arrivals/second for *level* over the sliding window."""
+        return len(self._pruned(level)) / self.rate_window
 
     def record_arrival(self, level: int) -> None:
-        """Note one arrival of *level* (call for every request seen)."""
-        window = self._arrivals.get(level)
-        if window is None:
-            window = self._arrivals[self.policy.clamp(level)]
-        window.append(self.sim._now)
+        """Note one arrival of *level* (call for every request seen).
+
+        A level without a rate limit keeps no window; a limited one
+        holds only the arrivals of the last ``rate_window`` seconds.
+        """
+        if level not in self._plans:
+            level = self.policy.clamp(level)
+        if level in self._arrivals:
+            self._pruned(level).append(self.sim._now)
 
     # -- the decision ------------------------------------------------------
 

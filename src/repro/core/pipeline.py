@@ -1959,7 +1959,9 @@ class StagePipeline:
         advance inside ``on_request`` — so the timestamp is read once
         for the whole section and every stage record spans zero time,
         exactly as the generic entered/exited bookkeeping would have
-        produced.
+        produced. A stage's time sample therefore only ever sees
+        ``0.0``: once it holds one, folding another leaves mean,
+        variance, minimum and maximum at zero, so it is a count.
         """
         now = self.broker.sim._now
         continue_ = StageOutcome.CONTINUE
@@ -1968,7 +1970,10 @@ class StagePipeline:
         outcome = continue_
         for on_request, name, time_stats, decisions in self._ingress_plan:
             outcome = on_request(ctx) or continue_
-            time_stats.add(0.0)
+            if time_stats.count:
+                time_stats.count += 1
+            else:
+                time_stats.add(0.0)
             # ``_value_`` skips the enum's DynamicClassAttribute descriptor.
             decision = ctx.take_decision(outcome._value_)
             records.append(StageRecord(name, now, now, decision))

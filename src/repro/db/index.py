@@ -8,36 +8,50 @@ other's lookups where meaningful (a sorted index also answers equality).
 from __future__ import annotations
 
 import bisect
-from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 __all__ = ["HashIndex", "SortedIndex"]
 
 
 class HashIndex:
-    """value → set of row ids; O(1) equality lookup."""
+    """value → ascending list of row ids; O(1) equality lookup.
+
+    A list, not a set: a unique column maps each value to one row id,
+    and a one-element list is a quarter of a one-element set's bytes.
+    Keeping it sorted makes :meth:`lookup` a copy instead of a sort.
+    """
 
     kind = "hash"
 
     def __init__(self, column: str) -> None:
         self.column = column
-        self._map: Dict[Any, Set[int]] = defaultdict(set)
+        self._map: Dict[Any, List[int]] = {}
 
     def insert(self, value: Any, row_id: int) -> None:
-        """Index *row_id* under *value*."""
-        self._map[value].add(row_id)
+        """Index *row_id* under *value* (a repeat pair is a no-op)."""
+        ids = self._map.get(value)
+        if ids is None:
+            self._map[value] = [row_id]
+            return
+        pos = bisect.bisect_left(ids, row_id)
+        if pos == len(ids) or ids[pos] != row_id:
+            ids.insert(pos, row_id)
 
     def remove(self, value: Any, row_id: int) -> None:
         """Drop the (value, row id) pair if present."""
         ids = self._map.get(value)
-        if ids is not None:
-            ids.discard(row_id)
+        if ids is None:
+            return
+        pos = bisect.bisect_left(ids, row_id)
+        if pos < len(ids) and ids[pos] == row_id:
+            del ids[pos]
             if not ids:
                 del self._map[value]
 
     def lookup(self, value: Any) -> List[int]:
-        """Row ids with exactly *value* in the indexed column."""
-        return sorted(self._map.get(value, ()))
+        """Row ids with exactly *value* in the indexed column, ascending."""
+        ids = self._map.get(value)
+        return ids[:] if ids is not None else []
 
     def __len__(self) -> int:
         return sum(len(ids) for ids in self._map.values())

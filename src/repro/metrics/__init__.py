@@ -5,6 +5,7 @@ from .._lazy import lazy_exports
 _EXPORTS = {
     "MetricsRegistry": "collector",
     "Counter": "collector",
+    "Moments": "stats",
     "SummaryStats": "stats",
     "LatencyHistogram": "histogram",
     "DEFAULT_LATENCY_EDGES": "histogram",

@@ -12,10 +12,17 @@ Two access styles coexist:
 * **By handle** — ``handle(name)`` returns the underlying
   :class:`Counter` once; hot paths keep it and call ``.inc()``, which is
   a plain attribute add with no string hashing. ``sample_handle(name)``
-  does the same for :class:`~repro.metrics.stats.SummaryStats` (call
+  does the same for :class:`~repro.metrics.stats.Moments` (call
   ``.add(value)`` directly). The stage pipeline and the network layer
   pre-resolve their handles at construction time (see
   ``DESIGN.md`` §Performance).
+
+A sample is a :class:`~repro.metrics.stats.Moments`: count, mean,
+variance, minimum and maximum, folded as each value arrives. It keeps
+no observations, so a request costs a registry no bytes however long a
+run lasts (DESIGN.md §9). Exact percentiles are for the result
+latencies an experiment collects itself, in
+:class:`~repro.metrics.stats.SummaryStats`.
 
 ``counters(prefix)`` / ``samples(prefix)`` use a lazily maintained
 sorted-name index, so reporting loops that repeatedly filter by prefix
@@ -30,7 +37,7 @@ from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from .histogram import LatencyHistogram
-from .stats import SummaryStats
+from .stats import Moments
 
 __all__ = ["MetricsRegistry", "Counter", "DEFAULT_EVENT_CAPACITY"]
 
@@ -63,7 +70,8 @@ class MetricsRegistry:
     """Named counters and samples.
 
     * ``increment(name, by)`` — monotonically counts events.
-    * ``observe(name, value)`` — accumulates a :class:`SummaryStats` sample.
+    * ``observe(name, value)`` — folds a value into the :class:`Moments`
+      sample *name*.
     * ``handle(name)`` / ``sample_handle(name)`` — pre-resolved hot-path
       handles (no per-call string hashing).
     * ``record_event(name, time)`` — keeps a bounded ring buffer of raw
@@ -86,7 +94,7 @@ class MetricsRegistry:
         if event_capacity < 1:
             raise ValueError(f"event_capacity must be >= 1: {event_capacity!r}")
         self._counters: Dict[str, Counter] = {}
-        self._samples: Dict[str, SummaryStats] = {}
+        self._samples: Dict[str, Moments] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
         self._events: Dict[str, Union[Deque[float], List[float]]] = {}
         self._event_capacity = event_capacity
@@ -147,15 +155,15 @@ class MetricsRegistry:
 
     # -- samples -------------------------------------------------------
 
-    def sample_handle(self, name: str) -> SummaryStats:
-        """The :class:`SummaryStats` for *name*, created on first use.
+    def sample_handle(self, name: str) -> Moments:
+        """The :class:`Moments` for *name*, created on first use.
 
-        The stats object doubles as the hot-path handle: keep it and
+        The moments object doubles as the hot-path handle: keep it and
         call ``.add(value)`` directly.
         """
         stats = self._samples.get(name)
         if stats is None:
-            stats = SummaryStats()
+            stats = Moments()
             self._samples[name] = stats
             self._sample_index = None
         return stats
@@ -164,16 +172,16 @@ class MetricsRegistry:
         """Add one observation to the sample *name*."""
         stats = self._samples.get(name)
         if stats is None:
-            stats = SummaryStats()
+            stats = Moments()
             self._samples[name] = stats
             self._sample_index = None
         stats.add(value)
 
-    def sample(self, name: str) -> SummaryStats:
-        """The sample for *name* (an empty one if nothing was observed)."""
-        return self._samples.get(name, SummaryStats())
+    def sample(self, name: str) -> Moments:
+        """The moments of *name* (empty ones if nothing was observed)."""
+        return self._samples.get(name, Moments())
 
-    def samples(self, prefix: str = "") -> Dict[str, SummaryStats]:
+    def samples(self, prefix: str = "") -> Dict[str, Moments]:
         """All samples whose name starts with *prefix* (indexed lookup)."""
         samples = self._samples
         if not prefix:
@@ -181,7 +189,7 @@ class MetricsRegistry:
         index = self._sample_index
         if index is None:
             index = self._sample_index = sorted(samples)
-        result: Dict[str, SummaryStats] = {}
+        result: Dict[str, Moments] = {}
         for i in range(bisect_left(index, prefix), len(index)):
             name = index[i]
             if not name.startswith(prefix):

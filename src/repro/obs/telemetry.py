@@ -19,7 +19,8 @@ process that wakes every ``interval`` simulated seconds and samples
 
 into bounded ring-buffer :class:`TimeSeries` plus a bounded deque of
 per-scrape :class:`ScrapeRecord` rows (the JSONL export unit — see
-:func:`repro.obs.export.write_telemetry_jsonl`).
+:func:`repro.obs.export.write_telemetry_jsonl`). Both keep C-double
+columns rather than boxed floats (DESIGN.md §15.1).
 
 Determinism contract: the scraper draws **no** random numbers, sends
 **no** simulation messages, and mutates **no** workload state — each
@@ -40,6 +41,7 @@ autoscaler (ROADMAP item 3) will consume.
 
 from __future__ import annotations
 
+import struct
 from array import array
 from bisect import bisect_right
 from collections import deque
@@ -275,37 +277,105 @@ class _HistogramTrack:
         return delta
 
 
-class ScrapeRecord:
-    """One scrape's worth of samples — the JSONL export unit."""
+#: How a ``None`` percentile (no observation in the window) is stored:
+#: a quiet NaN whose payload no arithmetic produces, so it cannot
+#: collide with a real value, a real NaN included.
+_NO_DATA_BITS = 0x7FF8_5CA9_E000_0001
+_NO_DATA_BYTES = _NO_DATA_BITS.to_bytes(8, "little")
+_NO_DATA = struct.unpack("<d", _NO_DATA_BYTES)[0]
 
-    __slots__ = ("t", "counters", "gauges", "percentiles")
+
+def _is_no_data(value: float) -> bool:
+    return value != value and struct.pack("<d", value) == _NO_DATA_BYTES
+
+
+def _names(section: Mapping[str, Any], shared: Optional[Tuple[str, ...]]):
+    """*section*'s keys as a tuple — *shared* itself when they match it."""
+    names = tuple(section)
+    return shared if names == shared else names
+
+
+class ScrapeRecord:
+    """One scrape's worth of samples — the JSONL export unit.
+
+    Stored as columns, not dicts: ``t`` plus, per section (counters,
+    gauges, percentiles), one tuple of names and one ``array('d')`` of
+    values in the same order. A record built with *previous* (the
+    scraper passes the record before it) shares each name tuple that
+    did not change, so a record costs about 8 bytes a value. Values read
+    back as floats; a ``None`` percentile is stored as a reserved NaN
+    and reads back as ``None``. :attr:`counters`, :attr:`gauges`,
+    :attr:`percentiles` and :meth:`to_dict` rebuild fresh dicts in the
+    original order; a record never changes once built.
+    """
+
+    __slots__ = (
+        "t",
+        "_counter_names",
+        "_counter_values",
+        "_gauge_names",
+        "_gauge_values",
+        "_percentile_names",
+        "_percentile_values",
+    )
 
     def __init__(
         self,
         t: float,
-        counters: Dict[str, float],
-        gauges: Dict[str, float],
-        percentiles: Dict[str, Optional[float]],
+        counters: Mapping[str, float],
+        gauges: Mapping[str, float],
+        percentiles: Mapping[str, Optional[float]],
+        previous: Optional["ScrapeRecord"] = None,
     ) -> None:
         self.t = t
-        self.counters = counters
-        self.gauges = gauges
-        self.percentiles = percentiles
+        self._counter_names = _names(
+            counters, previous._counter_names if previous else None
+        )
+        self._counter_values = array("d", counters.values())
+        self._gauge_names = _names(
+            gauges, previous._gauge_names if previous else None
+        )
+        self._gauge_values = array("d", gauges.values())
+        self._percentile_names = _names(
+            percentiles, previous._percentile_names if previous else None
+        )
+        self._percentile_values = array(
+            "d",
+            [_NO_DATA if value is None else value for value in percentiles.values()],
+        )
+
+    @property
+    def counters(self) -> Dict[str, float]:
+        """``{name: cumulative value}``, in scrape order."""
+        return dict(zip(self._counter_names, self._counter_values))
+
+    @property
+    def gauges(self) -> Dict[str, float]:
+        """``{name: instantaneous value}``, in scrape order."""
+        return dict(zip(self._gauge_names, self._gauge_values))
+
+    @property
+    def percentiles(self) -> Dict[str, Optional[float]]:
+        """``{name: windowed percentile or None}``, in scrape order."""
+        return {
+            name: None if _is_no_data(value) else value
+            for name, value in zip(self._percentile_names, self._percentile_values)
+        }
 
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready dict (``kind`` discriminates against the header)."""
         return {
             "kind": "scrape",
             "t": self.t,
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "percentiles": dict(self.percentiles),
+            "counters": self.counters,
+            "gauges": self.gauges,
+            "percentiles": self.percentiles,
         }
 
     def __repr__(self) -> str:
         return (
-            f"<ScrapeRecord t={self.t:.3f} counters={len(self.counters)} "
-            f"gauges={len(self.gauges)}>"
+            f"<ScrapeRecord t={self.t:.3f} counters={len(self._counter_names)} "
+            f"gauges={len(self._gauge_names)}>"
         )
 
 
@@ -515,7 +585,6 @@ class TelemetryScraper:
         for source in self._gauge_sources:
             for name, value in source().items():
                 gauges[name] = float(value)
-        record = ScrapeRecord(now, counters, gauges, percentiles)
         for name, value in counters.items():
             self._series(name).append(now, value)
         for name, value in gauges.items():
@@ -523,13 +592,17 @@ class TelemetryScraper:
         for name, maybe in percentiles.items():
             if maybe is not None:
                 self._series(name).append(now, maybe)
-        self.records.append(record)
         self.scrapes += 1
         if self.slo is not None:
             slo_gauges = self.slo.evaluate(self, now)
-            record.gauges.update(slo_gauges)
+            gauges.update(slo_gauges)
             for name, value in slo_gauges.items():
                 self._series(name).append(now, value)
+        records = self.records
+        record = ScrapeRecord(
+            now, counters, gauges, percentiles, records[-1] if records else None
+        )
+        records.append(record)
         for fn in self._subscribers:
             fn(self, record)
         return record

@@ -130,3 +130,24 @@ class TestAdmissionController:
     def test_rate_window_validation(self, sim):
         with pytest.raises(ValueError):
             AdmissionController(sim, QoSPolicy(), rate_window=0)
+
+    def test_arrival_windows_hold_only_what_a_limit_reads(self, sim):
+        """10,000 arrivals leave nothing behind for an unlimited level,
+        and no more than one ``rate_window`` of them for a limited one."""
+        policy = QoSPolicy(levels=2, threshold=100, rate_limits={2: 50.0})
+        ctrl = AdmissionController(sim, policy, rate_window=0.5)
+        stamps = []
+
+        def run():
+            for _ in range(10_000):
+                yield 0.003
+                ctrl.record_arrival(1)
+                ctrl.record_arrival(2)
+                stamps.append(sim.now)
+
+        sim.run(sim.process(run()))
+        in_window = sum(1 for t in stamps if t > sim.now - ctrl.rate_window)
+        assert len(ctrl._arrivals.get(1, ())) == 0
+        assert 0 < len(ctrl._arrivals[2]) <= in_window
+        # The intensity gate still sees the full window.
+        assert ctrl._rate(2) == in_window / ctrl.rate_window

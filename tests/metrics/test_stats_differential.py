@@ -1,10 +1,14 @@
-"""Differential oracle: array-backed ``SummaryStats`` vs the list-backed one.
+"""Differential oracles for the two sample types.
 
 Hypothesis generates programs of adds (floats incl. subnormals, ±inf and
-nan; ints; bools) interleaved with reads; the shipped class and
-``reference_stats.SummaryStats`` run the same program and every read
-must be ``==`` (nan matching nan) — not approximately equal: a C double
-is a Python float, so the storage change may not move a single bit.
+nan; ints; bools) interleaved with reads, and every read must be ``==``
+(nan matching nan) — not approximately equal:
+
+* the array-backed ``SummaryStats`` against the list-backed
+  ``reference_stats.SummaryStats`` (a C double is a Python float, so the
+  storage change may not move a single bit);
+* the eager ``Moments`` every registry sample is against ``SummaryStats``
+  folding the kept sample lazily (the same recurrence, so the same bits).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics import SummaryStats
+from repro.metrics import Moments, SummaryStats
 
 from .reference_stats import SummaryStats as ReferenceStats
 
@@ -110,3 +114,57 @@ def test_differential_test_catches_a_single_precision_sample():
 
     with pytest.raises(AssertionError):
         run_program(SinglePrecision, [("add", 0.1), ("read", "mean")])
+
+
+_MOMENT_READS = ("count", "len", "mean", "variance", "stdev", "minimum", "maximum")
+
+
+def run_moments_program(make, program):
+    """Run *program* on ``make()`` and on a ``SummaryStats``; equal moments."""
+    subject, reference = make(), SummaryStats()
+    for step, (kind, arg) in enumerate(program):
+        if kind == "add":
+            subject.add(arg)
+            reference.add(arg)
+        else:
+            assert same(read(subject, arg), read(reference, arg)), f"step {step}: {arg}"
+    for name in _MOMENT_READS:
+        assert same(read(subject, name), read(reference, name)), f"final {name}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    program=st.lists(
+        st.one_of(
+            st.tuples(st.just("add"), _number),
+            st.tuples(st.just("read"), st.sampled_from(_MOMENT_READS)),
+        ),
+        max_size=40,
+    )
+)
+def test_moments_equal_the_summary_of_the_kept_sample(program):
+    run_moments_program(Moments, program)
+
+
+@pytest.mark.parametrize("bad", ["1.5", None, 1j, [1.0]])
+def test_moments_reject_what_the_column_rejects(bad):
+    with pytest.raises(TypeError):
+        SummaryStats().add(bad)
+    with pytest.raises(TypeError):
+        Moments().add(bad)
+
+
+def test_moments_differential_catches_a_skipped_minimum():
+    """A seeded mutant: the first observation never reaches the minimum."""
+
+    class LateMinimum(Moments):
+        __slots__ = ()
+
+        def add(self, value):
+            low = self._min
+            super().add(value)
+            if self.count == 1:
+                self._min = low
+
+    with pytest.raises(AssertionError):
+        run_moments_program(LateMinimum, [("add", 2.0), ("read", "minimum")])
