@@ -32,8 +32,9 @@ from repro import (
     Simulation,
     SlowBackend,
     SummaryStats,
-    fault_tolerant_stage_plan,
+    stage_plan,
 )
+from repro.core import CircuitBreakerStage, RetryStage
 
 N_CLIENTS = 6
 DURATION = 60.0
@@ -72,10 +73,12 @@ def main() -> None:
         pool_size=4,
         dispatchers=8,
         name="ft-broker",
-        stages=fault_tolerant_stage_plan(
-            retry=RetryPolicy(max_attempts=3, base_delay=0.05),
-            failure_threshold=3,
-            reset_timeout=0.5,
+        # The fault-tolerant base with this broker's breaker and retry
+        # settings: each extra replaces the base stage of its name.
+        stages=stage_plan(
+            "fault-tolerant",
+            CircuitBreakerStage(failure_threshold=3, reset_timeout=0.5),
+            RetryStage(policy=RetryPolicy(max_attempts=3, base_delay=0.05)),
         ),
     )
     client = BrokerClient(sim, web_node, {"items": broker.address})

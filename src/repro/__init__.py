@@ -63,12 +63,7 @@ _EXPORTS = {
     "BrokerStage": "core",
     "StagePipeline": "core",
     "RequestContext": "core",
-    "distributed_stage_plan": "core",
-    "centralized_stage_plan": "core",
-    "fault_tolerant_stage_plan": "core",
-    "overload_protected_stage_plan": "core",
-    "sharded_stage_plan": "core",
-    "cache_tier_stage_plan": "core",
+    "stage_plan": "core",
     "HashRing": "core",
     "ShardGroup": "core",
     "ShardDirectory": "core",

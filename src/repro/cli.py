@@ -90,6 +90,8 @@ def _float_list(text: str) -> List[float]:
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser for the ``repro`` CLI."""
+    from .core.pipeline import NAMED_PLANS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the evaluation artifacts of Chen & Mohapatra, "
@@ -133,10 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument(
         "--model",
-        choices=(
-            "distributed", "centralized", "fault-tolerant", "sharded",
-            "cache-tier", "all",
-        ),
+        choices=(*NAMED_PLANS, "all"),
         default="all",
         help="which stage plan to describe (default: all)",
     )
@@ -588,29 +587,38 @@ def run_drops(args) -> str:
     return "\n\n".join(sections)
 
 
+def _plan_lines(model: str) -> List[str]:
+    """One numbered line per stage of the named plan *model*.
+
+    The name column is as wide as the plan's longest stage name.
+    """
+    from .core.pipeline import NAMED_PLANS, stage_plan
+
+    base, extras = NAMED_PLANS[model]
+    stages = stage_plan(base, *(extra() for extra in extras))
+    width = max(len(stage.name) for stage in stages)
+    return [
+        f"  {index:>2}. {stage.name:<{width}} {stage.summary()}"
+        + ("  [ingress/dispatch boundary]" if stage.boundary else "")
+        for index, stage in enumerate(stages, 1)
+    ]
+
+
 def run_pipeline(args) -> str:
     """Render the stage order of the requested broker model(s)."""
-    from .core.pipeline import stage_plan
+    from .core.pipeline import NAMED_PLANS
 
-    models = (
-        ("distributed", "centralized", "fault-tolerant", "sharded", "cache-tier")
-        if args.model == "all"
-        else (args.model,)
-    )
+    models = tuple(NAMED_PLANS) if args.model == "all" else (args.model,)
     sections = []
     for model in models:
-        stages = stage_plan(model)
-        lines = [f"{model} broker pipeline ({len(stages)} stages):"]
-        for index, stage in enumerate(stages, 1):
-            marker = "  [ingress/dispatch boundary]" if stage.boundary else ""
-            lines.append(f"  {index:>2}. {stage.name:<12} {stage.summary()}{marker}")
-        sections.append("\n".join(lines))
+        lines = _plan_lines(model)
+        header = f"{model} broker pipeline ({len(lines)} stages):"
+        sections.append("\n".join([header, *lines]))
     return "\n\n".join(sections)
 
 
 def _describe_faults() -> str:
     from .core.faulttolerance import RetryPolicy
-    from .core.pipeline import stage_plan
     from .net.faults import BackendCrash, LinkDegrade, LinkDown, SlowBackend
 
     lines = ["Fault types (repro.net.faults — scheduled via FaultPlan):"]
@@ -619,9 +627,7 @@ def _describe_faults() -> str:
         lines.append(f"  {cls.kind:<14} {summary}")
     lines.append("")
     lines.append("Fault-tolerant broker pipeline (stage_plan('fault-tolerant')):")
-    for index, stage in enumerate(stage_plan("fault-tolerant"), 1):
-        marker = "  [ingress/dispatch boundary]" if stage.boundary else ""
-        lines.append(f"  {index:>2}. {stage.name:<12} {stage.summary()}{marker}")
+    lines += _plan_lines("fault-tolerant")
     policy = RetryPolicy()
     lines += [
         "",
@@ -680,14 +686,11 @@ def run_faults(args) -> str:
 
 
 def _describe_shard() -> str:
-    from .core.pipeline import stage_plan
     from .core.sharding import ShardDirectory, ShardGroup
     from .metrics import MetricsRegistry
 
     lines = ["Sharded broker pipeline (stage_plan('sharded')):"]
-    for index, stage in enumerate(stage_plan("sharded"), 1):
-        marker = "  [ingress/dispatch boundary]" if stage.boundary else ""
-        lines.append(f"  {index:>2}. {stage.name:<12} {stage.summary()}{marker}")
+    lines += _plan_lines("sharded")
     lines += [
         "",
         "Routing: the front end addresses a *service*; the shard directory",
@@ -1068,12 +1071,8 @@ def _finish_verdict_report(args, result, lines: List[str]) -> str:
 
 
 def _describe_cache() -> str:
-    from .core.pipeline import stage_plan
-
     lines = ["Cache-tier broker pipeline (stage_plan('cache-tier')):"]
-    for index, stage in enumerate(stage_plan("cache-tier"), 1):
-        marker = "  [ingress/dispatch boundary]" if stage.boundary else ""
-        lines.append(f"  {index:>2}. {stage.name:<13} {stage.summary()}{marker}")
+    lines += _plan_lines("cache-tier")
     lines += [
         "",
         "Shared cache tier (repro.core.cachetier.SharedCacheTier): one",

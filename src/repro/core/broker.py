@@ -15,14 +15,14 @@ through a composable :class:`~repro.core.pipeline.StagePipeline`:
 * executing them over pooled persistent connections to (possibly
   replicated) backends chosen by a load balancer
   (:class:`ExecuteStage`),
-* caching results for future requests (:class:`CacheFillStage`),
-* and periodically reporting its load for the centralized model's
-  listener (:class:`LoadReportStage`).
+* and caching results for future requests (:class:`CacheFillStage`).
 
 The stage list is a constructor argument (``stages=``), so the
 distributed and centralized models — and any custom policy — are stage
 configurations rather than separate code paths. See
-:mod:`repro.core.pipeline`.
+:mod:`repro.core.pipeline`. Outside the request path, the broker can
+stream its load to the centralized model's listener
+(:meth:`ServiceBroker.report_load_to`).
 """
 
 from __future__ import annotations
@@ -46,13 +46,7 @@ from .clustering import ClusteringConfig
 from .fidelity import FidelityPolicy
 from .loadbalance import BackendState, Balancer, LeastOutstandingBalancer
 from .peering import CombinableAdvert, JournalSync, RouteAdvert, TxnStateUpdate
-from .pipeline import (
-    BrokerStage,
-    LoadReportStage,
-    RequestContext,
-    StagePipeline,
-    distributed_stage_plan,
-)
+from .pipeline import BrokerStage, RequestContext, StagePipeline, stage_plan
 from .pool import ConnectionPool
 from .protocol import BrokerReply, BrokerRequest, ReplyStatus
 from .qos import QoSPolicy
@@ -95,10 +89,10 @@ class ServiceBroker:
     stages:
         The broker's stage plan — an ordered list of
         :class:`~repro.core.pipeline.BrokerStage` objects. Defaults to
-        :func:`~repro.core.pipeline.distributed_stage_plan`; pass
-        :func:`~repro.core.pipeline.centralized_stage_plan` () for the
-        centralized model, or any custom list. Plans are per-broker
-        (stages bind to exactly one broker).
+        ``stage_plan("distributed")``; pass ``stage_plan("centralized")``
+        for the centralized model (see
+        :func:`~repro.core.pipeline.stage_plan`), or any custom list.
+        Plans are per-broker (stages bind to exactly one broker).
     """
 
     def __init__(
@@ -192,9 +186,10 @@ class ServiceBroker:
         #: installed by :meth:`BrokerSupervisor.watch` (or directly).
         self.journal = None
         self._heartbeat: Optional[tuple] = None
+        self._load_report: Optional[tuple] = None
         #: The request path as an ordered, composable stage list.
         self.pipeline = StagePipeline(
-            self, stages if stages is not None else distributed_stage_plan()
+            self, stages if stages is not None else stage_plan("distributed")
         )
         worker_count = (
             dispatchers if dispatchers is not None else len(self.backends) * pool_size
@@ -439,11 +434,8 @@ class ServiceBroker:
         self._spawn_processes()
         if self._heartbeat is not None:
             self._start_heartbeat()
-        for stage in self.pipeline.stages:
-            if isinstance(stage, LoadReportStage) and stage.address is not None:
-                self._processes.append(
-                    stage.start(stage.address, interval=stage.interval)
-                )
+        if self._load_report is not None:
+            self._start_load_report()
         self.sim.trace("lifecycle", "restart", broker=self.name)
         if self.journal is not None:
             self.journal.recover(self)
@@ -542,20 +534,61 @@ class ServiceBroker:
         self.socket.sendto(reply, request.reply_to)
 
     def report_load_to(self, address: Address, interval: float = 0.1):
-        """Start periodically sending load reports to *address*.
+        """Stream load reports to *address* every *interval* seconds.
 
-        Activates the pipeline's :class:`LoadReportStage` (appending one
-        if the current stage plan has none — brokers built with the
-        distributed plan can still feed a listener).
+        Feeds the centralized model's
+        :class:`~repro.core.centralized.LoadListener` (§IV). The reporter
+        is no step of any request's path; like the heartbeat it dies with
+        the broker on :meth:`crash` and is revived by :meth:`restart`.
+        Returns the reporter process.
         """
-        try:
-            stage = self.pipeline.stage(LoadReportStage.name)
-        except BrokerError:
-            stage = LoadReportStage()
-            self.pipeline.append(stage)
-        process = stage.start(address, interval=interval)
+        self._load_report = (address, interval)
+        return self._start_load_report()
+
+    def _start_load_report(self):
+        process = self.sim.process(
+            self._load_report_loop(), name=f"{self.name}:load-report"
+        )
         self._processes.append(process)
         return process
+
+    def _load_report_loop(self):
+        from .centralized import LoadReport, ShardLoadReport  # avoids a cycle
+
+        address, interval = self._load_report
+        while True:
+            yield interval
+            group = self.shard_group
+            if group is None:
+                report = LoadReport(
+                    broker=self.name,
+                    service=self.service,
+                    outstanding=self.outstanding,
+                    queue_depth=len(self.queue),
+                    threshold=self.qos.threshold,
+                    sent_at=self.sim.now,
+                )
+            else:
+                # Shard replicas only report while leading: the
+                # listener's load is bounded by the shard count, not the
+                # replica count (every replica runs a reporter, so the
+                # reporting role follows bully elections automatically —
+                # a demoted broker falls silent, the promoted one starts
+                # claiming the role). Leadership is re-checked every
+                # tick, at send time.
+                if group.leader is not self:
+                    continue
+                report = ShardLoadReport(
+                    broker=self.name,
+                    service=self.service,
+                    outstanding=self.outstanding,
+                    queue_depth=len(self.queue),
+                    threshold=self.qos.threshold,
+                    sent_at=self.sim.now,
+                    shard=group.index,
+                    leader=group.leader is self,
+                )
+            self.socket.sendto(report, address)
 
     def __repr__(self) -> str:
         return (

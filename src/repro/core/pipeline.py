@@ -10,21 +10,14 @@ into a :class:`StagePipeline`, and every request carries a
 through the net layer, through every stage, to the backend adapter and
 back.
 
-Three stock configurations express the paper's models as *stage plans*
-rather than code paths:
-
-* :func:`distributed_stage_plan` — admission happens at the broker
-  (§III, Figure 2);
-* :func:`centralized_stage_plan` — admission happens at the front end
-  from streamed load reports, so the broker omits its admission gate
-  and gains a :class:`LoadReportStage` (§IV, Figure 4);
-* :func:`fault_tolerant_stage_plan` — the distributed plan hardened for
-  backend failures: a :class:`TimeoutBudgetStage` stamps each request
-  with its QoS deadline, and dispatch runs through
-  :class:`CircuitBreakerStage` → :class:`RetryStage` →
-  :class:`FailoverStage` before a second :class:`FidelityFallbackStage`
-  converts whatever still failed into the paper's §III degraded reply
-  (stale cache or busy notice) instead of an error.
+:func:`stage_plan` expresses the paper's models as *stage plans* rather
+than code paths: one of three base lists — ``"distributed"``
+(admission at the broker, §III), ``"centralized"`` (the same without the
+admission gate: the front end admits from streamed load reports, §IV)
+and ``"fault-tolerant"`` (deadlines, breakers, retry, failover and a
+degraded-reply fallback around execution) — composed with optional
+stages, each of which names its own anchor (``ShardRouteStage.anchor ==
+("after", "validate")``).
 
 The context records a per-stage timeline (enter/exit timestamps and the
 stage's decision) and the pipeline mirrors it into the broker's
@@ -42,7 +35,6 @@ from inspect import isgeneratorfunction
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -57,7 +49,6 @@ from ..errors import (
     NetworkError,
     ServiceError,
 )
-from ..net.address import Address
 from .faulttolerance import (
     BreakerState,
     CircuitBreaker,
@@ -97,15 +88,9 @@ __all__ = [
     "ExecuteStage",
     "CacheFillStage",
     "ReplyStage",
-    "LoadReportStage",
     "execute_batch_on",
-    "distributed_stage_plan",
-    "centralized_stage_plan",
-    "fault_tolerant_stage_plan",
-    "overload_protected_stage_plan",
-    "sharded_stage_plan",
-    "cache_tier_stage_plan",
     "stage_plan",
+    "NAMED_PLANS",
 ]
 
 
@@ -408,6 +393,12 @@ class BrokerStage:
     #: marks the boundary between the ingress and dispatch sections.
     boundary = False
 
+    #: Where :func:`stage_plan` places the stage when it is passed as an
+    #: extra: ``("after", name)`` or ``("before", name)`` of a base
+    #: stage. ``None`` for the base stages, which an extra can only
+    #: replace (by sharing its name).
+    anchor: Optional[Tuple[str, str]] = None
+
     def __init__(self) -> None:
         self.broker: Optional["ServiceBroker"] = None
 
@@ -495,6 +486,7 @@ class ShardRouteStage(BrokerStage):
     """
 
     name = "shard-route"
+    anchor = ("after", "validate")
 
     #: Forward-hop ceiling: under ring-view disagreement a request could
     #: otherwise bounce between brokers forever; past the ceiling the
@@ -701,6 +693,7 @@ class CacheTierStage(BrokerStage):
     """
 
     name = "cache-tier"
+    anchor = ("after", "cache-lookup")
 
     def __init__(self, tier=None) -> None:
         super().__init__()
@@ -781,6 +774,7 @@ class ThrottleStage(BrokerStage):
     """
 
     name = "throttle"
+    anchor = ("after", "arrival")
 
     def __init__(self, throttle, tenant_of=None) -> None:
         super().__init__()
@@ -1018,6 +1012,7 @@ class BackpressureStage(BrokerStage):
     """
 
     name = "backpressure"
+    anchor = ("before", "enqueue")
 
     def __init__(
         self,
@@ -1197,6 +1192,7 @@ class QueryCombineStage(BrokerStage):
     """
 
     name = "query-combine"
+    anchor = ("after", "cluster")
 
     def __init__(
         self,
@@ -1743,71 +1739,6 @@ class ReplyStage(BrokerStage):
         broker.admission.request_finished()
 
 
-class LoadReportStage(BrokerStage):
-    """Periodic load reporting to the centralized model's listener.
-
-    Not a per-request step: :meth:`start` launches the reporter process
-    that streams :class:`~repro.core.centralized.LoadReport` datagrams
-    to the front end's load listener. Part of the centralized stage
-    plan; :meth:`ServiceBroker.report_load_to` activates it.
-    """
-
-    name = "load-report"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.address: Optional[Address] = None
-        self.interval = 0.1
-
-    def start(self, address: Address, interval: float = 0.1):
-        """Begin streaming load reports to *address* every *interval* s."""
-        # Local import avoids a cycle.
-        from .centralized import LoadReport, ShardLoadReport
-
-        broker = self.broker
-        self.address = address
-        self.interval = interval
-
-        def reporter():
-            while True:
-                yield self.interval
-                group = broker.shard_group
-                if group is None:
-                    report = LoadReport(
-                        broker=broker.name,
-                        service=broker.service,
-                        outstanding=broker.outstanding,
-                        queue_depth=len(broker.queue),
-                        threshold=broker.qos.threshold,
-                        sent_at=broker.sim.now,
-                    )
-                else:
-                    # Shard replicas only report while leading: the
-                    # listener's load is bounded by the shard count, not
-                    # the replica count (every replica runs a reporter,
-                    # so the reporting role follows bully elections
-                    # automatically — a demoted broker falls silent, the
-                    # promoted one starts claiming the role). Leadership
-                    # is re-checked every tick, at send time.
-                    if group.leader is not broker:
-                        continue
-                    report = ShardLoadReport(
-                        broker=broker.name,
-                        service=broker.service,
-                        outstanding=broker.outstanding,
-                        queue_depth=len(broker.queue),
-                        threshold=broker.qos.threshold,
-                        sent_at=broker.sim.now,
-                        shard=group.index,
-                        leader=group.leader is broker,
-                    )
-                broker.socket.sendto(report, self.address)
-
-        return broker.sim.process(
-            reporter(), name=f"{broker.name}:load-report"
-        )
-
-
 # ---------------------------------------------------------------------------
 # The pipeline
 # ---------------------------------------------------------------------------
@@ -1831,32 +1762,29 @@ class StagePipeline:
         if not stages:
             raise BrokerError("a pipeline needs at least one stage")
         self.broker = broker
-        self.stages: List[BrokerStage] = list(stages)
+        #: The stages in execution order, fixed once the pipeline is built.
+        self.stages: Tuple[BrokerStage, ...] = tuple(stages)
+        self._ingress: List[BrokerStage] = []
+        self._dispatch: List[BrokerStage] = []
+        section = self._ingress
         for stage in self.stages:
             stage.bind(broker)
-        self._split()
-
-    def _split(self) -> None:
-        boundary = next(
-            (i for i, stage in enumerate(self.stages) if stage.boundary),
-            len(self.stages) - 1,
-        )
-        self._ingress = self.stages[: boundary + 1]
-        self._dispatch = self.stages[boundary + 1 :]
+            section.append(stage)
+            if stage.boundary:
+                section = self._dispatch
         self._compile()
 
     def _compile(self) -> None:
-        """Precompile the per-request execution plan.
+        """Precompile the per-request execution plan (once, at construction).
 
-        Run once at construction and after every composition change.
         For each stage the plan pre-binds the ``on_request``/``on_batch``
         method, interns the stage's metric names into registry handles
         (``broker.stage.<name>.time`` sample, plus a per-decision
         counter cache filled lazily as decisions occur), and records
         whether ``on_batch`` is a generator function — so the
-        per-request path does no f-string formatting, no dict hashing
-        on metric names, and no ``hasattr`` probing for the stock
-        stages.
+        per-request path does no f-string formatting and no dict hashing
+        on metric names. A stage that advances simulated time must
+        therefore write ``on_batch`` as a generator function.
         """
         metrics = self.broker.metrics
         self._pipeline_time = metrics.sample_handle("broker.pipeline.time")
@@ -1897,7 +1825,7 @@ class StagePipeline:
             cache[decision] = counter
         return counter
 
-    # -- composition -----------------------------------------------------
+    # -- inspection ------------------------------------------------------
 
     @property
     def ingress_stages(self) -> List[BrokerStage]:
@@ -1915,30 +1843,6 @@ class StagePipeline:
             if stage.name == name:
                 return stage
         raise BrokerError(f"no stage named {name!r} in {self.describe()}")
-
-    def _index_of(self, name: str) -> int:
-        for index, stage in enumerate(self.stages):
-            if stage.name == name:
-                return index
-        raise BrokerError(f"no stage named {name!r} in {self.describe()}")
-
-    def insert_before(self, name: str, stage: BrokerStage) -> None:
-        """Insert *stage* immediately before the stage called *name*."""
-        stage.bind(self.broker)
-        self.stages.insert(self._index_of(name), stage)
-        self._split()
-
-    def insert_after(self, name: str, stage: BrokerStage) -> None:
-        """Insert *stage* immediately after the stage called *name*."""
-        stage.bind(self.broker)
-        self.stages.insert(self._index_of(name) + 1, stage)
-        self._split()
-
-    def append(self, stage: BrokerStage) -> None:
-        """Add *stage* at the end of the dispatch section."""
-        stage.bind(self.broker)
-        self.stages.append(stage)
-        self._split()
 
     def describe(self) -> List[str]:
         """The configured stage names, in execution order."""
@@ -2003,10 +1907,6 @@ class StagePipeline:
             outcome = on_batch(batch)
             if is_generator:
                 outcome = yield from outcome
-            elif outcome is not None and hasattr(outcome, "send"):
-                # A custom stage returned a generator from a plain
-                # function; drive it the slow way.
-                outcome = yield from outcome
             outcome = outcome or StageOutcome.CONTINUE
             exited = sim._now
             time_stats.add(exited - entered)
@@ -2053,204 +1953,88 @@ class StagePipeline:
 
 
 # ---------------------------------------------------------------------------
-# Stock stage plans (the paper's two models as configurations)
+# Stage plans: three bases, composed with anchored extras
 # ---------------------------------------------------------------------------
 
 
-def distributed_stage_plan() -> List[BrokerStage]:
-    """The distributed model (§III): admission happens at the broker."""
-    return [
-        ValidateServiceStage(),
-        ArrivalStage(),
-        CacheLookupStage(),
-        AdmissionStage(),
-        FidelityFallbackStage(),
-        EnqueueStage(),
-        ClusterStage(),
-        ExecuteStage(),
-        CacheFillStage(),
-        ReplyStage(),
-    ]
-
-
-def centralized_stage_plan() -> List[BrokerStage]:
-    """The centralized model (§IV): front-end admission + load reports.
-
-    The broker omits its admission gate (the front end rejects from
-    streamed load state before requests reach the broker) and carries a
-    :class:`LoadReportStage` feeding the front end's listener.
-    """
-    return [
-        ValidateServiceStage(),
-        ArrivalStage(),
-        CacheLookupStage(),
-        FidelityFallbackStage(),
-        EnqueueStage(),
-        ClusterStage(),
-        ExecuteStage(),
-        CacheFillStage(),
-        ReplyStage(),
-        LoadReportStage(),
-    ]
-
-
-def fault_tolerant_stage_plan(
-    default_budget: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    failure_threshold: int = 3,
-    reset_timeout: float = 1.0,
-    half_open_probes: int = 1,
-) -> List[BrokerStage]:
-    """The distributed plan hardened against backend faults.
-
-    Ingress gains a :class:`TimeoutBudgetStage` (per-request deadlines
-    from the QoS spec, *default_budget* for classes without one);
-    dispatch runs breaker → retry → failover around the execution, and
-    a second :class:`FidelityFallbackStage` converts anything still
-    faulted into the §III degraded reply. With healthy backends the
-    added stages are pass-throughs and behavior matches the distributed
-    plan.
-    """
-    return [
-        ValidateServiceStage(),
-        ArrivalStage(),
-        TimeoutBudgetStage(default_budget=default_budget),
-        CacheLookupStage(),
-        AdmissionStage(),
-        FidelityFallbackStage(),
-        EnqueueStage(),
-        ClusterStage(),
-        CircuitBreakerStage(
-            failure_threshold=failure_threshold,
-            reset_timeout=reset_timeout,
-            half_open_probes=half_open_probes,
-        ),
-        RetryStage(policy=retry),
-        FailoverStage(),
-        FidelityFallbackStage(),
-        CacheFillStage(),
-        ReplyStage(),
-    ]
-
-
-def overload_protected_stage_plan(
-    capacity: int,
-    shed_policy: str = "drop-lowest",
-    high_watermark: float = 0.75,
-    low_watermark: float = 0.5,
-) -> List[BrokerStage]:
-    """The distributed plan plus bounded-queue backpressure.
-
-    Inserts a :class:`BackpressureStage` just before the enqueue
-    boundary: the queue is capped at *capacity*, overflow is shed per
-    *shed_policy*, and the watermark throttle can signal the front end
-    (see :meth:`BackpressureStage.add_listener`).
-    """
-    plan = distributed_stage_plan()
-    boundary = next(
-        index for index, stage in enumerate(plan) if stage.boundary
-    )
-    plan.insert(
-        boundary,
-        BackpressureStage(
-            capacity,
-            shed_policy=shed_policy,
-            high_watermark=high_watermark,
-            low_watermark=low_watermark,
-        ),
-    )
-    return plan
-
-
-def sharded_stage_plan(
-    directory=None,
-    shard: int = 0,
-    base: str = "distributed",
-) -> List[BrokerStage]:
-    """The *base* model's plan with shard routing at ingress.
-
-    Inserts a :class:`ShardRouteStage` immediately after service
-    validation, so a request landing on the wrong shard is relayed to
-    the owning shard's leader *before* it consumes any local admission
-    slot or queue capacity. Pass the topology's
-    :class:`~repro.core.sharding.ShardDirectory` and this broker's
-    *shard* index; with the defaults (no directory) the stage is a
-    pass-through and the plan behaves exactly like the base model —
-    the degenerate 1-shard/1-replica configuration.
-    """
-    plan = stage_plan(base)
-    index = next(
-        (
-            i + 1
-            for i, stage in enumerate(plan)
-            if stage.name == ValidateServiceStage.name
-        ),
-        0,
-    )
-    plan.insert(index, ShardRouteStage(directory=directory, shard=shard))
-    return plan
-
-
-def cache_tier_stage_plan(
-    tier=None,
-    base: str = "distributed",
-    combine_window: Optional[float] = None,
-    combine_max_batch: Optional[int] = None,
-) -> List[BrokerStage]:
-    """The *base* model's plan with the cross-request optimization tier.
-
-    Inserts a :class:`CacheTierStage` right after the per-broker
-    ``cache-lookup`` (local hits stay local; local misses get a second
-    chance against the shared tier) and a :class:`QueryCombineStage`
-    right after ``cluster`` (per-broker batches widen across the peer
-    mesh before execution). Pass the deployment's
-    :class:`~repro.core.cachetier.SharedCacheTier`; with the default
-    (``tier=None``, no peer group) both stages are pass-throughs and
-    the plan behaves exactly like the base model.
-    """
-    plan = stage_plan(base)
-    lookup = next(
-        (
-            i + 1
-            for i, stage in enumerate(plan)
-            if stage.name == CacheLookupStage.name
-        ),
-        0,
-    )
-    plan.insert(lookup, CacheTierStage(tier=tier))
-    cluster = next(
-        (
-            i + 1
-            for i, stage in enumerate(plan)
-            if stage.name == ClusterStage.name
-        ),
-        len(plan),
-    )
-    plan.insert(
-        cluster,
-        QueryCombineStage(window=combine_window, max_batch=combine_max_batch),
-    )
-    return plan
-
-
-#: Factories for the stock stage plans, by model name.
-_STAGE_PLANS: Dict[str, Callable[[], List[BrokerStage]]] = {
-    "distributed": distributed_stage_plan,
-    "centralized": centralized_stage_plan,
-    "fault-tolerant": fault_tolerant_stage_plan,
-    "sharded": sharded_stage_plan,
-    "cache-tier": cache_tier_stage_plan,
+#: The three base plans: each one's stage classes, in execution order.
+_BASE_PLANS: Dict[str, Tuple[type, ...]] = {
+    "distributed": (
+        ValidateServiceStage, ArrivalStage, CacheLookupStage, AdmissionStage,
+        FidelityFallbackStage, EnqueueStage, ClusterStage, ExecuteStage,
+        CacheFillStage, ReplyStage,
+    ),
+    "centralized": (
+        ValidateServiceStage, ArrivalStage, CacheLookupStage,
+        FidelityFallbackStage, EnqueueStage, ClusterStage, ExecuteStage,
+        CacheFillStage, ReplyStage,
+    ),
+    "fault-tolerant": (
+        ValidateServiceStage, ArrivalStage, TimeoutBudgetStage,
+        CacheLookupStage, AdmissionStage, FidelityFallbackStage, EnqueueStage,
+        ClusterStage, CircuitBreakerStage, RetryStage, FailoverStage,
+        FidelityFallbackStage, CacheFillStage, ReplyStage,
+    ),
 }
 
 
-def stage_plan(model: str) -> List[BrokerStage]:
-    """The stock stage plan for *model* (e.g. ``"distributed"``,
-    ``"centralized"``, ``"fault-tolerant"``)."""
+def stage_plan(model: str, *extras: BrokerStage) -> List[BrokerStage]:
+    """A fresh stage list: the *model* base plan composed with *extras*.
+
+    *model* picks one of three bases:
+
+    * ``"distributed"`` — admission happens at the broker (§III,
+      Figure 2);
+    * ``"centralized"`` — the same without :class:`AdmissionStage`: the
+      front end admits from the brokers' streamed load reports (§IV,
+      Figure 4; see :meth:`ServiceBroker.report_load_to
+      <repro.core.broker.ServiceBroker.report_load_to>`);
+    * ``"fault-tolerant"`` — the distributed plan hardened against
+      backend faults: a :class:`TimeoutBudgetStage` at ingress, and
+      breaker → retry → failover around execution before a second
+      :class:`FidelityFallbackStage` turns what still failed into the
+      §III degraded reply.
+
+    An extra whose name occurs once in the base replaces that stage
+    (this is how callers set the timeout, breaker and retry settings);
+    any other extra goes where its class's :attr:`BrokerStage.anchor`
+    says, extras on one anchor in argument order. An anchor naming no
+    base stage raises :class:`BrokerError`.
+    """
     try:
-        factory = _STAGE_PLANS[model]
+        plan = [stage_class() for stage_class in _BASE_PLANS[model]]
     except KeyError:
         raise BrokerError(
             f"unknown broker model {model!r}; "
-            f"expected one of {sorted(_STAGE_PLANS)}"
+            f"expected one of {sorted(_BASE_PLANS)}"
         ) from None
-    return factory()
+    names = [stage.name for stage in plan]
+    anchored: Dict[Tuple[str, str], List[BrokerStage]] = {}
+    for extra in extras:
+        if names.count(extra.name) == 1:
+            plan[names.index(extra.name)] = extra
+            continue
+        side, anchor = extra.anchor or ("", "")
+        if side not in ("before", "after") or anchor not in names:
+            raise BrokerError(
+                f"unknown anchor {extra.anchor!r} for stage {extra.name!r}: "
+                f"the {model} plan has {names}"
+            )
+        anchored.setdefault((side, anchor), []).append(extra)
+    composed: List[BrokerStage] = []
+    for stage in plan:
+        composed += anchored.pop(("before", stage.name), ())
+        composed.append(stage)
+        composed += anchored.pop(("after", stage.name), ())
+    return composed
+
+
+#: The named plans ``repro pipeline --model`` describes:
+#: ``name -> (base model, extra stage classes)``, extras at defaults.
+NAMED_PLANS: Dict[str, Tuple[str, Tuple[type, ...]]] = {
+    "distributed": ("distributed", ()),
+    "centralized": ("centralized", ()),
+    "fault-tolerant": ("fault-tolerant", ()),
+    "sharded": ("distributed", (ShardRouteStage,)),
+    "cache-tier": ("distributed", (CacheTierStage, QueryCombineStage)),
+}

@@ -65,14 +65,12 @@ from ..core.faulttolerance import RetryPolicy
 from ..core.lifecycle import BrokerSupervisor, RecoveryJournal
 from ..core.peering import ShardPeerGroup
 from ..core.pipeline import (
-    ArrivalStage,
     BackpressureStage,
-    EnqueueStage,
+    CircuitBreakerStage,
+    RetryStage,
+    ShardRouteStage,
     ThrottleStage,
-    distributed_stage_plan,
-    fault_tolerant_stage_plan,
-    overload_protected_stage_plan,
-    sharded_stage_plan,
+    stage_plan,
 )
 from ..core.protocol import ReplyStatus
 from ..core.qos import QoSPolicy
@@ -167,11 +165,10 @@ def run_overload_experiment(
     the remainder — so across runs the premium demand is identical and
     only the background pressure changes.
 
-    With ``bounded=True`` the broker runs
-    :func:`~repro.core.pipeline.overload_protected_stage_plan`:
-    priority queueing plus a *capacity*-bounded queue shedding per
-    *shed_policy*. With ``bounded=False`` it runs the unprotected
-    baseline — the paper's binary forward-or-drop testbed (§III): FCFS
+    With ``bounded=True`` the broker runs the distributed plan with a
+    :class:`~repro.core.pipeline.BackpressureStage`: priority queueing
+    plus a *capacity*-bounded queue shedding per *shed_policy*. With
+    ``bounded=False`` it runs the unprotected baseline — the paper's binary forward-or-drop testbed (§III): FCFS
     service order and an unbounded backlog, so every admitted request
     waits behind the entire queue.
 
@@ -195,10 +192,12 @@ def run_overload_experiment(
 
     qos = QoSPolicy(levels=3, threshold=10_000)  # isolate the queue bound
     if bounded:
-        stages = overload_protected_stage_plan(capacity, shed_policy=shed_policy)
+        stages = stage_plan(
+            "distributed", BackpressureStage(capacity, shed_policy=shed_policy)
+        )
         priority_queueing = True
     else:
-        stages = distributed_stage_plan()
+        stages = stage_plan("distributed")
         priority_queueing = False
     broker = ServiceBroker(
         sim,
@@ -506,19 +505,14 @@ def _hardened_stages(
     follows ``arrival``: before admission, so a refused request never
     touches the ledger or the journal.
     """
-    plan = fault_tolerant_stage_plan(
-        retry=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5),
-        failure_threshold=3,
-        reset_timeout=0.5,
-    )
-    names = [stage.name for stage in plan]
-    plan.insert(
-        names.index(EnqueueStage.name),
+    extras = [
+        CircuitBreakerStage(failure_threshold=3, reset_timeout=0.5),
+        RetryStage(policy=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5)),
         BackpressureStage(capacity, shed_policy=shed_policy),
-    )
+    ]
     if throttle is not None:
-        plan.insert(names.index(ArrivalStage.name) + 1, ThrottleStage(throttle))
-    return plan
+        extras.append(ThrottleStage(throttle))
+    return stage_plan("fault-tolerant", *extras)
 
 
 def run_chaos_experiment(
@@ -944,7 +938,9 @@ def run_shard_chaos_experiment(
                 dispatchers=backend_capacity,
                 metrics=metrics,
                 name=f"shard{shard}r{replica}",
-                stages=sharded_stage_plan(directory, shard=shard),
+                stages=stage_plan(
+                    "distributed", ShardRouteStage(directory, shard=shard)
+                ),
             )
             next_port += 1
             # Supervise first (installs the journal), then join the
@@ -1118,7 +1114,7 @@ def _elastic_pool(
     One *unit* = one broker plus its own dedicated backend web server
     (so backend capacity scales with the pool), running the hardened
     stage plan — with a :class:`~repro.core.pipeline.ThrottleStage`
-    inserted before admission when *throttle* is given. Every unit is
+    after ``arrival`` when *throttle* is given. Every unit is
     supervised (heartbeats + recovery journal), reports load to a
     :class:`~repro.core.centralized.LoadListener`, and joins a single
     :class:`~repro.core.sharding.ShardGroup` so drains exercise the

@@ -53,11 +53,12 @@ from ..core.clustering import (
 from ..core.faulttolerance import RetryPolicy
 from ..core.peering import BrokerPeerGroup, ShardPeerGroup
 from ..core.pipeline import (
-    cache_tier_stage_plan,
-    centralized_stage_plan,
-    distributed_stage_plan,
-    fault_tolerant_stage_plan,
-    sharded_stage_plan,
+    CacheTierStage,
+    CircuitBreakerStage,
+    QueryCombineStage,
+    RetryStage,
+    ShardRouteStage,
+    stage_plan,
 )
 from ..core.protocol import ReplyStatus
 from ..core.qos import QoSPolicy
@@ -510,16 +511,11 @@ def run_qos_experiment(
 
     brokers: List[ServiceBroker] = []
     if mode in ("broker", "centralized"):
+        # The two access models are two stage configurations of the same
+        # broker: the centralized plan has no AdmissionStage (admission
+        # happens at the front end, fed by each broker's load reports).
+        model = "distributed" if mode == "broker" else "centralized"
         for index, backend in enumerate(backends, 1):
-            # The two access models are two stage configurations of the
-            # same broker: the centralized plan has no AdmissionStage
-            # (admission happens at the front end) and ends with a
-            # LoadReportStage feeding the listener.
-            stage_plan = (
-                distributed_stage_plan()
-                if mode == "broker"
-                else centralized_stage_plan()
-            )
             broker = ServiceBroker(
                 sim,
                 web_node,
@@ -536,7 +532,7 @@ def run_qos_experiment(
                 # bounded queue drains FCFS.
                 priority_queueing=False,
                 name=f"broker{index}",
-                stages=stage_plan,
+                stages=stage_plan(model),
             )
             brokers.append(broker)
         routes = {f"svc{i}": b.address for i, b in enumerate(brokers, 1)}
@@ -687,7 +683,7 @@ def run_failure_recovery_experiment(
 ) -> FailureRecoveryResult:
     """Crash a replica on an MTBF schedule; measure what clients see.
 
-    One broker runs :func:`~repro.core.pipeline.fault_tolerant_stage_plan`
+    One broker runs the fault-tolerant :func:`~repro.core.pipeline.stage_plan`
     over *replicas* identical backend web servers (each a bounded CGI of
     *service_time* seconds that honours ``service_time_scale``). Closed-
     loop clients in three QoS classes request cacheable items from a
@@ -748,10 +744,12 @@ def run_failure_recovery_experiment(
         pool_size=backend_capacity,
         dispatchers=backend_capacity * replicas,
         name="ft-broker",
-        stages=fault_tolerant_stage_plan(
-            retry=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5),
-            failure_threshold=3,
-            reset_timeout=0.5,
+        stages=stage_plan(
+            "fault-tolerant",
+            CircuitBreakerStage(failure_threshold=3, reset_timeout=0.5),
+            RetryStage(
+                policy=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5)
+            ),
         ),
     )
     broker_client = BrokerClient(sim, web_node, {"items": broker.address})
@@ -964,8 +962,8 @@ def run_sharded_qos_experiment(
     :class:`~repro.core.sharding.ShardDirectory` seeded with *seed*
     maps request keys to shards; the front end's
     :class:`~repro.core.client.BrokerClient` resolves through it (it
-    addresses a *service*, never a broker), and every broker runs
-    :func:`~repro.core.pipeline.sharded_stage_plan` so a request
+    addresses a *service*, never a broker), and every broker's plan
+    carries a :class:`~repro.core.pipeline.ShardRouteStage` so a request
     landing on the wrong shard is relayed to the owner's leader.
 
     ``mode`` is ``"broker"`` (distributed admission) or
@@ -1124,8 +1122,8 @@ def _build_sharded(
                     priority_queueing=False,
                     metrics=metrics,
                     name=f"broker{index}s{shard}r{replica}",
-                    stages=sharded_stage_plan(
-                        directory, shard=shard, base=base_plan
+                    stages=stage_plan(
+                        base_plan, ShardRouteStage(directory, shard=shard)
                     ),
                 )
                 next_port += 1
@@ -1443,13 +1441,15 @@ def run_cache_tier_experiment(
             window=combine_window,
         )
         if tier:
-            stages = cache_tier_stage_plan(
-                cache_tier,
-                combine_window=combine_window,
-                combine_max_batch=max_batch * brokers,
+            stages = stage_plan(
+                "distributed",
+                CacheTierStage(cache_tier),
+                QueryCombineStage(
+                    window=combine_window, max_batch=max_batch * brokers
+                ),
             )
         else:
-            stages = distributed_stage_plan()
+            stages = stage_plan("distributed")
         broker_list.append(
             ServiceBroker(
                 sim,

@@ -7,15 +7,16 @@ import pytest
 from repro.core import (
     BrokerClient,
     BrokerPeerGroup,
+    CacheTierStage,
     ClusteringConfig,
     DatabaseAdapter,
     InListQueryCombiner,
     QoSPolicy,
+    QueryCombineStage,
     ReplyStatus,
     ServiceBroker,
     SharedCacheTier,
     TransactionTracker,
-    cache_tier_stage_plan,
     stage_plan,
 )
 from repro.db import Database, DatabaseServer
@@ -183,8 +184,10 @@ def make_broker(
     sim, net, web, server, name, port, tier=None,
     cluster_window=0.0, combine_window=0.05, registry=None,
 ):
-    stages = cache_tier_stage_plan(
-        tier, combine_window=combine_window, combine_max_batch=8
+    stages = stage_plan(
+        "distributed",
+        CacheTierStage(tier),
+        QueryCombineStage(window=combine_window, max_batch=8),
     )
     return ServiceBroker(
         sim,
@@ -237,7 +240,7 @@ class TestCacheTierStage:
     def test_degenerate_plan_without_tier_passes_through(self, sim, net):
         web = net.node("web")
         server = DatabaseServer(sim, net.node("dbhost"), make_db_fixture())
-        stages = stage_plan("cache-tier")
+        stages = stage_plan("distributed", CacheTierStage(), QueryCombineStage())
         broker = ServiceBroker(
             sim, web, service="db",
             adapters=[DatabaseAdapter(sim, web, server.address)],

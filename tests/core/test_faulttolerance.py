@@ -16,9 +16,9 @@ from repro.core import (
     RetryPolicy,
     ServiceBroker,
     available_backends,
-    fault_tolerant_stage_plan,
     stage_plan,
 )
+from repro.core.pipeline import CircuitBreakerStage
 from repro.core.cache import ResultCache
 from repro.errors import BrokerError
 from repro.http.server import BackendWebServer
@@ -177,7 +177,7 @@ class TestAvailableBackends:
 # ---------------------------------------------------------------------------
 
 
-def make_ft_broker(sim, net, replicas=2, deadlines=None, **plan_kwargs):
+def make_ft_broker(sim, net, replicas=2, deadlines=None, reset_timeout=1.0):
     """A fault-tolerant broker over *replicas* instant web backends."""
     web_node = net.node("webhost")
     backends = []
@@ -203,7 +203,9 @@ def make_ft_broker(sim, net, replicas=2, deadlines=None, **plan_kwargs):
         cache=ResultCache(capacity=64, ttl=0.5, clock=lambda: sim.now),
         pool_size=2,
         name="ft",
-        stages=fault_tolerant_stage_plan(**plan_kwargs),
+        stages=stage_plan(
+            "fault-tolerant", CircuitBreakerStage(reset_timeout=reset_timeout)
+        ),
     )
     client = BrokerClient(sim, web_node, {"items": broker.address})
     return broker, client, backends

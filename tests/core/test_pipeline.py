@@ -7,6 +7,7 @@ import pytest
 from repro.core import (
     BrokerClient,
     BrokerStage,
+    CircuitBreakerStage,
     DatabaseAdapter,
     QoSPolicy,
     ReplyStatus,
@@ -14,8 +15,6 @@ from repro.core import (
     ServiceBroker,
     StageOutcome,
     StagePipeline,
-    centralized_stage_plan,
-    distributed_stage_plan,
     stage_plan,
 )
 from repro.db import Database, DatabaseServer
@@ -28,7 +27,7 @@ DISTRIBUTED_ORDER = [
 ]
 CENTRALIZED_ORDER = [
     "validate", "arrival", "cache-lookup", "fidelity", "enqueue",
-    "cluster", "execute", "cache-fill", "reply", "load-report",
+    "cluster", "execute", "cache-fill", "reply",
 ]
 
 
@@ -62,7 +61,8 @@ class TestStageOrdering:
         assert broker.describe_pipeline() == DISTRIBUTED_ORDER
 
     def test_centralized_plan_order(self):
-        assert [s.name for s in centralized_stage_plan()] == CENTRALIZED_ORDER
+        # No load-report step: the reporter is a broker process, not a stage.
+        assert [s.name for s in stage_plan("centralized")] == CENTRALIZED_ORDER
 
     def test_stage_plan_factory_matches_model(self):
         assert [s.name for s in stage_plan("distributed")] == DISTRIBUTED_ORDER
@@ -81,7 +81,7 @@ class TestStageOrdering:
 
     def test_stages_bind_to_exactly_one_broker(self, sim, net, db_backend):
         node = net.node("webhost")
-        plan = distributed_stage_plan()
+        plan = stage_plan("distributed")
 
         def build(port, stages):
             return ServiceBroker(
@@ -202,6 +202,7 @@ class NoOpStage(BrokerStage):
     """A do-nothing ingress stage used to prove third-party insertion."""
 
     name = "no-op"
+    anchor = ("before", "admission")
 
     def __init__(self) -> None:
         super().__init__()
@@ -216,6 +217,7 @@ class TaggingBatchStage(BrokerStage):
     """A custom dispatch stage annotating every context it sees."""
 
     name = "tagging"
+    anchor = ("after", "execute")
 
     def on_batch(self, batch):
         for ctx in batch.contexts:
@@ -223,13 +225,26 @@ class TaggingBatchStage(BrokerStage):
         return StageOutcome.CONTINUE
 
 
+class PauseStage(BrokerStage):
+    """A custom dispatch stage that waits: ``on_batch`` is a generator."""
+
+    name = "pause"
+    anchor = ("after", "cluster")
+    delay = 0.25
+
+    def on_batch(self, batch):
+        yield self.delay
+        return StageOutcome.CONTINUE
+
+
 class TestCustomStageInjection:
     def test_noop_stage_inserted_without_touching_core(
         self, sim, net, db_backend
     ):
-        broker, client = make_broker(sim, net, db_backend)
         probe = NoOpStage()
-        broker.pipeline.insert_before("admission", probe)
+        broker, client = make_broker(
+            sim, net, db_backend, stages=stage_plan("distributed", probe)
+        )
         assert broker.describe_pipeline() == (
             DISTRIBUTED_ORDER[:3] + ["no-op"] + DISTRIBUTED_ORDER[3:]
         )
@@ -250,8 +265,10 @@ class TestCustomStageInjection:
     def test_custom_dispatch_stage_annotates_context(
         self, sim, net, db_backend
     ):
-        broker, client = make_broker(sim, net, db_backend)
-        broker.pipeline.insert_after("execute", TaggingBatchStage())
+        broker, client = make_broker(
+            sim, net, db_backend,
+            stages=stage_plan("distributed", TaggingBatchStage()),
+        )
 
         def run():
             return (
@@ -265,15 +282,64 @@ class TestCustomStageInjection:
         assert reply.context.annotations["tagged"] is True
         assert "tagging" in reply.context.stage_names()
 
-    def test_insert_before_unknown_stage_is_an_error(
+    def test_generator_stage_advances_simulated_time(
         self, sim, net, db_backend
     ):
+        broker, client = make_broker(
+            sim, net, db_backend, stages=stage_plan("distributed", PauseStage())
+        )
+        assert broker.describe_pipeline() == (
+            DISTRIBUTED_ORDER[:7] + ["pause"] + DISTRIBUTED_ORDER[7:]
+        )
+
+        def run():
+            return (
+                yield from client.call(
+                    "db", "query", "SELECT v FROM kv WHERE k = 6"
+                )
+            )
+
+        reply = sim.run(sim.process(run()))
+        assert reply.status is ReplyStatus.OK
+        assert reply.context.duration_of("pause") == PauseStage.delay
+
+    def test_extras_on_one_anchor_keep_argument_order(self):
+        first, second = NoOpStage(), NoOpStage()
+        third, fourth = TaggingBatchStage(), TaggingBatchStage()
+        plan = stage_plan("distributed", third, first, fourth, second)
+        assert [stage.name for stage in plan] == (
+            DISTRIBUTED_ORDER[:3] + ["no-op", "no-op"]
+            + DISTRIBUTED_ORDER[3:8] + ["tagging", "tagging"]
+            + DISTRIBUTED_ORDER[8:]
+        )
+        assert plan[3] is first and plan[4] is second
+        assert plan[10] is third and plan[11] is fourth
+
+    def test_extra_named_like_a_base_stage_replaces_it(self):
+        breaker = CircuitBreakerStage(failure_threshold=9)
+        plan = stage_plan("fault-tolerant", breaker)
+        names = [stage.name for stage in plan]
+        assert names == [stage.name for stage in stage_plan("fault-tolerant")]
+        assert plan[names.index("breaker")] is breaker
+
+    def test_unknown_anchor_is_an_error(self):
+        class GhostStage(NoOpStage):
+            anchor = ("before", "ghost")
+
+        with pytest.raises(BrokerError, match="'ghost'"):
+            stage_plan("distributed", GhostStage())
+        # An anchor must name a stage of the chosen base: the
+        # centralized plan has no admission gate.
+        with pytest.raises(BrokerError, match="'admission'"):
+            stage_plan("centralized", NoOpStage())
+
+    def test_pipeline_is_fixed_once_built(self, sim, net, db_backend):
         broker, _ = make_broker(sim, net, db_backend)
-        with pytest.raises(BrokerError, match="no stage named"):
-            broker.pipeline.insert_before("ghost", NoOpStage())
+        assert isinstance(broker.pipeline.stages, tuple)
 
     def test_custom_plan_via_constructor(self, sim, net, db_backend):
-        plan = distributed_stage_plan()
+        # A plan is a plain list: a caller may hand-build one.
+        plan = stage_plan("distributed")
         plan.insert(3, NoOpStage())
         broker, client = make_broker(sim, net, db_backend, stages=plan)
         assert "no-op" in broker.describe_pipeline()
@@ -293,6 +359,24 @@ class TestCustomStageInjection:
         pipeline = StagePipeline(broker, [stage])
         assert stage.broker is broker
         assert len(pipeline) == 1 and list(pipeline) == [stage]
+
+
+def test_stock_stages_that_wait_are_generator_functions():
+    """The dispatch loop drives ``on_batch`` as a generator only when
+    the pipeline recorded it as a generator function; a stock stage that
+    yields must therefore be one."""
+    import inspect
+
+    from repro.core import pipeline
+
+    waiting = {
+        stage_class.name
+        for stage_class in vars(pipeline).values()
+        if isinstance(stage_class, type)
+        and issubclass(stage_class, BrokerStage)
+        and inspect.isgeneratorfunction(stage_class.on_batch)
+    }
+    assert waiting == {"cluster", "query-combine", "execute", "retry", "failover"}
 
 
 class TestModelEquivalence:

@@ -25,7 +25,8 @@ from repro.core import (
     ShardDirectory,
     ShardGroup,
     ShardPeerGroup,
-    sharded_stage_plan,
+    ShardRouteStage,
+    stage_plan,
 )
 from repro.core.centralized import LoadListener, ShardLoadReport
 from repro.core.peering import JournalSync, RouteAdvert
@@ -368,7 +369,9 @@ def build_sharded_service(sim, net, shards=2, replicas=2, service="items"):
                 qos=QoSPolicy(levels=3, threshold=100),
                 pool_size=2,
                 name=f"s{shard}r{replica}",
-                stages=sharded_stage_plan(directory, shard=shard),
+                stages=stage_plan(
+                    "distributed", ShardRouteStage(directory, shard=shard)
+                ),
             )
             port += 1
             group.add(broker)
@@ -522,7 +525,9 @@ class TestShardRouteStage:
             return out, broker
 
         base, _ = run_one(None)
-        degenerate, broker = run_one(sharded_stage_plan())
+        degenerate, broker = run_one(
+            stage_plan("distributed", ShardRouteStage())
+        )
         assert degenerate == base
         assert broker.metrics.counter("broker.shard.local") == 10
         assert broker.metrics.counter("broker.shard.forwarded") == 0

@@ -1,0 +1,28 @@
+"""The four stage-plan ``--describe`` outputs, byte for byte.
+
+``repro pipeline --describe`` and the ``faults``/``shard``/``cache``
+describes print stage plans through one helper; the copies in
+``cli_describe/`` pin what they print. Regenerate one only for a
+deliberate change of output::
+
+    PYTHONPATH=src python -m repro pipeline --describe \\
+        > tests/integration/cli_describe/pipeline.txt
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from repro.cli import main
+
+PINNED = Path(__file__).with_name("cli_describe")
+
+
+@pytest.mark.parametrize("command", ["pipeline", "faults", "shard", "cache"])
+def test_describe_is_byte_identical(command, capsys):
+    assert main([command, "--describe"]) == 0
+    assert capsys.readouterr().out == (PINNED / f"{command}.txt").read_text(
+        encoding="utf-8"
+    )

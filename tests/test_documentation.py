@@ -97,6 +97,17 @@ def _read_doc(name: str) -> str:
     return (REPO_ROOT / name).read_text(encoding="utf-8")
 
 
+def _named_plan_stages() -> set:
+    """Every stage name of the plans ``repro pipeline --describe`` prints."""
+    from repro.core.pipeline import NAMED_PLANS, stage_plan
+
+    return {
+        stage.name
+        for base, extras in NAMED_PLANS.values()
+        for stage in stage_plan(base, *(extra() for extra in extras))
+    }
+
+
 def _source_corpus() -> str:
     return "\n".join(
         path.read_text(encoding="utf-8")
@@ -159,36 +170,12 @@ class TestDocsReferenceCode:
         assert not rejected, f"docs show invocations the CLI rejects: {rejected}"
 
     def test_every_pipeline_stage_is_documented(self):
-        from repro.core.pipeline import stage_plan
-
         design = _read_doc("DESIGN.md")
-        missing = set()
-        for model in (
-            "distributed",
-            "centralized",
-            "fault-tolerant",
-            "sharded",
-            "cache-tier",
-        ):
-            for stage in stage_plan(model):
-                if stage.name not in design:
-                    missing.add(stage.name)
+        missing = {name for name in _named_plan_stages() if name not in design}
         assert not missing, f"DESIGN.md never mentions stages: {missing}"
 
     def test_readme_architecture_diagram_uses_real_stage_names(self):
-        from repro.core.pipeline import stage_plan
-
-        known = {
-            stage.name
-            for model in (
-                "distributed",
-                "centralized",
-                "fault-tolerant",
-                "sharded",
-                "cache-tier",
-            )
-            for stage in stage_plan(model)
-        }
+        known = _named_plan_stages()
         readme = _read_doc("README.md")
         diagram = readme.split("## Architecture")[1].split("```")[1]
         # Every arrow-joined token inside the ServiceBroker box must be a
