@@ -37,8 +37,7 @@ def build_database() -> Database:
     table = database.create_table(
         "products", [("id", int), ("name", str), ("price", float)]
     )
-    for i in range(10_000):
-        table.insert((i, f"product-{i}", float(5 + i % 95)))
+    table.load((i, f"product-{i}", float(5 + i % 95)) for i in range(10_000))
     table.create_index("id", "hash")
     return database
 

@@ -604,6 +604,15 @@ def _plan_lines(model: str) -> List[str]:
     ]
 
 
+def _plan_call(model: str) -> str:
+    """The ``stage_plan(...)`` call that builds the named plan *model*."""
+    from .core.pipeline import NAMED_PLANS
+
+    base, extras = NAMED_PLANS[model]
+    arguments = [repr(base), *(f"{extra.__name__}()" for extra in extras)]
+    return f"stage_plan({', '.join(arguments)})"
+
+
 def run_pipeline(args) -> str:
     """Render the stage order of the requested broker model(s)."""
     from .core.pipeline import NAMED_PLANS
@@ -626,7 +635,7 @@ def _describe_faults() -> str:
         summary = (cls.__doc__ or "").strip().splitlines()[0]
         lines.append(f"  {cls.kind:<14} {summary}")
     lines.append("")
-    lines.append("Fault-tolerant broker pipeline (stage_plan('fault-tolerant')):")
+    lines.append(f"Fault-tolerant broker pipeline ({_plan_call('fault-tolerant')}):")
     lines += _plan_lines("fault-tolerant")
     policy = RetryPolicy()
     lines += [
@@ -689,7 +698,7 @@ def _describe_shard() -> str:
     from .core.sharding import ShardDirectory, ShardGroup
     from .metrics import MetricsRegistry
 
-    lines = ["Sharded broker pipeline (stage_plan('sharded')):"]
+    lines = [f"Sharded broker pipeline ({_plan_call('sharded')}):"]
     lines += _plan_lines("sharded")
     lines += [
         "",
@@ -1071,7 +1080,7 @@ def _finish_verdict_report(args, result, lines: List[str]) -> str:
 
 
 def _describe_cache() -> str:
-    lines = ["Cache-tier broker pipeline (stage_plan('cache-tier')):"]
+    lines = [f"Cache-tier broker pipeline ({_plan_call('cache-tier')}):"]
     lines += _plan_lines("cache-tier")
     lines += [
         "",

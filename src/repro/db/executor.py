@@ -260,10 +260,7 @@ def execute_select(table: Table, stmt: SelectStatement) -> ResultSet:
 
 
 def execute_insert(table: Table, stmt: InsertStatement) -> ResultSet:
-    values = dict(zip(stmt.columns, stmt.values))
-    for column in stmt.columns:
-        table.schema.index_of(column)  # validate names before writing
-    table.insert(values)
+    table.insert(dict(zip(stmt.columns, stmt.values)))
     return ResultSet(
         columns=(),
         rows=(),

@@ -37,6 +37,22 @@ class HashIndex:
         if pos == len(ids) or ids[pos] != row_id:
             ids.insert(pos, row_id)
 
+    def bulk_load(self, pairs: Iterable[Tuple[Any, int]]) -> None:
+        """Replace contents with *pairs*, given in ascending row id order.
+
+        Ascending ids make each posting an ``append``: the lists come
+        out exactly as per-pair :meth:`insert` calls would leave them.
+        """
+        postings: Dict[Any, List[int]] = {}
+        get = postings.get
+        for value, row_id in pairs:
+            ids = get(value)
+            if ids is None:
+                postings[value] = [row_id]
+            else:
+                ids.append(row_id)
+        self._map = postings
+
     def remove(self, value: Any, row_id: int) -> None:
         """Drop the (value, row id) pair if present."""
         ids = self._map.get(value)
@@ -65,8 +81,8 @@ class SortedIndex:
     """Sorted (value, row id) pairs; O(log n) range lookup.
 
     Inserts keep the list sorted via ``bisect.insort`` — O(n) per insert,
-    which is fine for bulk-load-then-query workloads; tables built row by
-    row should create the index after loading.
+    which is fine for bulk-load-then-query workloads: fill the table with
+    one ``Table.load`` first, then create the index (one sort).
     """
 
     kind = "sorted"

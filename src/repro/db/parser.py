@@ -271,7 +271,10 @@ class _Parser:
         self.expect("punct", "(")
         columns = [self.ident()]
         while self.accept("punct", ","):
-            columns.append(self.ident())
+            column = self.ident()
+            if column in columns:
+                raise SqlSyntaxError(f"INSERT names column {column!r} twice")
+            columns.append(column)
         self.expect("punct", ")")
         self.expect("keyword", "VALUES")
         self.expect("punct", "(")

@@ -9,7 +9,7 @@ schedules, product catalogs) require.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Tuple, Type, Union
+from typing import Any, Dict, List, Mapping, Sequence, Tuple, Type, Union
 
 from ..errors import QueryError, UnknownColumnError
 
@@ -60,6 +60,9 @@ class Schema:
         if len(set(names)) != len(names):
             raise QueryError(f"duplicate column names: {names!r}")
         self.columns: Tuple[Column, ...] = tuple(columns)
+        #: Each column's type, in order: a row whose values have exactly
+        #: these classes needs no coercion (see ``Table.load``).
+        self.types: Tuple[SqlType, ...] = tuple(c.type for c in columns)
         self._index: Dict[str, int] = {c.name: i for i, c in enumerate(columns)}
 
     @property
@@ -85,8 +88,22 @@ class Schema:
         """The :class:`Column` called *name*."""
         return self.columns[self.index_of(name)]
 
-    def coerce_row(self, values: Sequence[Any]) -> Tuple[Any, ...]:
-        """Validate a full row of values against the schema."""
+    def coerce_row(
+        self, values: Union[Sequence[Any], Mapping[str, Any]]
+    ) -> Tuple[Any, ...]:
+        """Validate a full row of values against the schema.
+
+        *values* is a sequence in schema order, or a mapping of column
+        name to value where a missing column is ``None`` and an unknown
+        name raises :class:`UnknownColumnError`.
+        """
+        if isinstance(values, Mapping):
+            unknown = [name for name in values if name not in self._index]
+            if unknown:
+                raise UnknownColumnError(
+                    f"unknown column {unknown[0]!r}; have {self.column_names!r}"
+                )
+            values = [values.get(name) for name in self._index]
         if len(values) != len(self.columns):
             raise QueryError(
                 f"expected {len(self.columns)} values, got {len(values)}"

@@ -3,13 +3,17 @@
 Rows are tuples held in a slotted list; deletion tombstones the slot so
 row ids stay stable (indexes reference row ids). All mutations keep
 every index consistent and report the changed row to the table's
-observers (see :meth:`Table.subscribe`).
+observers (see :meth:`Table.subscribe`). Rows are written one way,
+:meth:`Table.load`; :meth:`Table.insert` is a one-row load.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
+from operator import itemgetter
 from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+    Tuple, Union,
 )
 
 from ..errors import QueryError
@@ -23,6 +27,9 @@ Row = Tuple[Any, ...]
 #: Called after each row change with ``(old row, new row)``: an insert
 #: has no old row, a delete no new one.
 RowObserver = Callable[[Optional[Row], Optional[Row]], None]
+
+#: What a caller writes: values in schema order, or column name -> value.
+RowValues = Union[Sequence[Any], Mapping[str, Any]]
 
 
 class Table:
@@ -48,26 +55,61 @@ class Table:
 
     # -- mutation --------------------------------------------------------
 
-    def insert(self, values: Union[Sequence[Any], Mapping[str, Any]]) -> int:
-        """Insert one row; returns its row id.
+    def load(self, rows: Iterable[RowValues]) -> int:
+        """Validate every row in *rows*, then store them in order.
 
-        *values* is either a sequence in schema order or a mapping of
-        column name to value (missing columns become ``None``).
+        Returns the number of rows stored. Each row is a sequence in
+        schema order or a mapping of column name to value (missing
+        columns become ``None``; an unknown name raises
+        :class:`~repro.errors.UnknownColumnError`). A tuple whose
+        values' classes are exactly the column types is stored as
+        given; any other row goes through
+        :meth:`~repro.db.schema.Schema.coerce_row`, which lets ``None``
+        through and widens an int bound for a float column. One bad row
+        raises :class:`~repro.errors.QueryError` before any row is
+        stored, so the table, its indexes and its observers are
+        untouched.
+
+        Stored rows get the row ids, index postings and observer calls
+        successive :meth:`insert` calls would give them, one row at a
+        time. A table with no index and no observer yet — the bulk-load
+        case — skips that per-row pass; create its indexes afterwards.
         """
-        if isinstance(values, Mapping):
-            row = self.schema.coerce_row(
-                [values.get(c.name) for c in self.schema.columns]
-            )
-        else:
-            row = self.schema.coerce_row(values)
-        row_id = len(self._rows)
-        self._rows.append(row)
-        self._live += 1
-        for column, index in self.indexes.items():
-            index.insert(row[self.schema.index_of(column)], row_id)
-        for observer in self._observers:
-            observer(None, row)
-        return row_id
+        schema = self.schema
+        types = schema.types
+        stored = self._rows
+        append = stored.append
+        start = len(stored)
+        try:
+            for values in rows:
+                # type(True) is bool, so a bool never passes for an int.
+                if values.__class__ is tuple and tuple(map(type, values)) == types:
+                    append(values)
+                else:
+                    append(schema.coerce_row(values))
+        except BaseException:
+            del stored[start:]
+            raise
+        loaded = len(stored) - start
+        if not (self.indexes or self._observers):
+            self._live += loaded
+            return loaded
+        staged = stored[start:]
+        del stored[start:]
+        for row in staged:
+            row_id = len(stored)
+            append(row)
+            self._live += 1
+            for column, index in self.indexes.items():
+                index.insert(row[schema.index_of(column)], row_id)
+            for observer in self._observers:
+                observer(None, row)
+        return loaded
+
+    def insert(self, values: RowValues) -> int:
+        """Insert one row (a one-row :meth:`load`); returns its row id."""
+        self.load((values,))
+        return len(self._rows) - 1
 
     def delete(self, row_id: int) -> None:
         """Tombstone the row with *row_id*."""
@@ -132,20 +174,21 @@ class Table:
 
     def create_index(self, column: str, kind: str = "hash") -> None:
         """Build a secondary index over *column* (``"hash"`` or ``"sorted"``)."""
-        self.schema.index_of(column)  # validates the column exists
+        position = self.schema.index_of(column)  # validates the column exists
         if column in self.indexes:
             raise QueryError(f"index on {self.name}.{column} already exists")
         if kind == "hash":
             index: Union[HashIndex, SortedIndex] = HashIndex(column)
-            for row_id, row in self.scan():
-                index.insert(self.value(row, column), row_id)
         elif kind == "sorted":
             index = SortedIndex(column)
-            index.bulk_load(
-                (self.value(row, column), row_id) for row_id, row in self.scan()
-            )
         else:
             raise QueryError(f"unknown index kind: {kind!r}")
+        rows = self._rows
+        # (value, row id) of each live row, row ids ascending. A row is a
+        # non-empty tuple, so only a tombstone (None) is falsy.
+        index.bulk_load(
+            zip(map(itemgetter(position), filter(None, rows)), compress(count(), rows))
+        )
         self.indexes[column] = index
 
     def __repr__(self) -> str:

@@ -112,6 +112,20 @@ class ClusteringResult:
     errors: int
 
 
+def _records_database(table_rows: int, groups: int):
+    """FIG-7's database: ``records(id, grp, payload)``, loaded in one
+    pass, then hash-indexed on ``grp``."""
+    from ..db.engine import Database
+
+    database = Database("records-db")
+    table = database.create_table(
+        "records", [("id", int), ("grp", int), ("payload", str)]
+    )
+    table.load((i, i % groups, f"record-{i}") for i in range(table_rows))
+    table.create_index("grp", "hash")
+    return database
+
+
 def run_clustering_experiment(
     degree: int,
     n_requests: int = 40,
@@ -144,16 +158,9 @@ def run_clustering_experiment(
 
     # Database: 42,000 records in `groups` groups, hash-indexed.
     from ..db.client import DatabaseClient
-    from ..db.engine import Database
     from ..db.server import DatabaseServer
 
-    database = Database("records-db")
-    table = database.create_table(
-        "records", [("id", int), ("grp", int), ("payload", str)]
-    )
-    for i in range(table_rows):
-        table.insert((i, i % groups, f"record-{i}"))
-    table.create_index("grp", "hash")
+    database = _records_database(table_rows, groups)
     db_server = DatabaseServer(sim, db_node, database, max_workers=16)
 
     # Backend web server: capacity-5 Apache running the lookup script.
@@ -1350,6 +1357,21 @@ class CacheTierResult:
         return self.from_cache / self.ok if self.ok else 0.0
 
 
+def _catalog_database(table_rows: int, groups: int):
+    """The cache testbed's database: ``records(id, grp, val)``, loaded in
+    one pass, then hash-indexed on ``grp`` and ``id``."""
+    from ..db.engine import Database
+
+    database = Database("catalog")
+    table = database.create_table(
+        "records", [("id", int), ("grp", int), ("val", int)]
+    )
+    table.load((i, i % groups, (i * 7) % 1000) for i in range(table_rows))
+    table.create_index("grp", "hash")
+    table.create_index("id", "hash")
+    return database
+
+
 def run_cache_tier_experiment(
     n_clients: int = 600,
     brokers: int = 4,
@@ -1399,18 +1421,10 @@ def run_cache_tier_experiment(
     db_node = net.node("dbhost")
 
     # Backend: one database server, the shared bottleneck.
-    from ..db.engine import Database
     from ..db.server import DatabaseServer
     from ..db.views import ViewCatalog
 
-    database = Database("catalog")
-    table = database.create_table(
-        "records", [("id", int), ("grp", int), ("val", int)]
-    )
-    for i in range(table_rows):
-        table.insert((i, i % groups, (i * 7) % 1000))
-    table.create_index("grp", "hash")
-    table.create_index("id", "hash")
+    database = _catalog_database(table_rows, groups)
     db_metrics = MetricsRegistry()
     db_server = DatabaseServer(
         sim, db_node, database, max_workers=16, metrics=db_metrics

@@ -8,7 +8,9 @@ from repro.db import Database
 from repro.db.index import HashIndex, SortedIndex
 from repro.db.planner import plan_access
 from repro.db.parser import parse
-from repro.errors import QueryError, UnknownColumnError, UnknownTableError
+from repro.errors import (
+    QueryError, SqlSyntaxError, UnknownColumnError, UnknownTableError,
+)
 
 
 @pytest.fixture
@@ -37,6 +39,13 @@ class TestTable:
         table = db.table("movies")
         row_id = table.insert({"id": 6, "title": "Solaris"})
         assert table.get(row_id) == (6, "Solaris", None, None)
+
+    def test_insert_mapping_with_unknown_column_raises(self, db):
+        # The misspelt key used to be dropped silently.
+        table = db.table("movies")
+        with pytest.raises(UnknownColumnError, match="titel"):
+            table.insert({"id": 6, "titel": "Solaris"})
+        assert table.row_count == 5
 
     def test_type_enforcement(self, db):
         with pytest.raises(QueryError):
@@ -201,6 +210,18 @@ class TestExecutor:
     def test_insert_via_sql(self, db):
         db.execute("INSERT INTO movies (id, title, year, rating) VALUES (9, 'Ran', 1985, 8.2)")
         assert db.execute("SELECT COUNT(*) FROM movies").scalar() == 6
+
+    def test_insert_naming_a_column_twice_is_a_syntax_error(self, db):
+        # It used to store the last value (2, None); sqlite3 keeps the
+        # first. Neither is worth matching: the statement is refused.
+        with pytest.raises(SqlSyntaxError, match="'id' twice"):
+            db.execute("INSERT INTO movies (id, id) VALUES (1, 2)")
+        assert db.execute("SELECT COUNT(*) FROM movies").scalar() == 5
+
+    def test_insert_via_sql_with_unknown_column_writes_nothing(self, db):
+        with pytest.raises(UnknownColumnError):
+            db.execute("INSERT INTO movies (id, director) VALUES (9, 'Mann')")
+        assert db.execute("SELECT COUNT(*) FROM movies").scalar() == 5
 
     def test_update_via_sql(self, db):
         result = db.execute("UPDATE movies SET rating = 9.0 WHERE year < 1990")
