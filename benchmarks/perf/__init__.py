@@ -1,17 +1,8 @@
-"""Hot-path performance suite (micro + macro) and its baseline.
+"""Two wall-clock ratio gates outside the standing e2e benchmark.
 
-The benchmark implementations live in :mod:`repro.bench` so the
-``repro bench`` CLI works from an installed package; this directory
-holds the committed baseline (``baseline.json``) and the pytest
-wrapper that gates regressions in CI.
+``test_perf_regression.py`` holds the telemetry scrape-share gate and
+the forked-partitions floor; every other host-cost number comes from
+``benchmarks/e2e/run.py``. Run with::
 
-Run directly::
-
-    python -m repro bench            # full suite (~20 s)
-    python -m repro bench --quick    # CI smoke (~3 s)
-    python -m repro bench --profile  # + cProfile top-25 of the macro run
-
-or through pytest::
-
-    pytest benchmarks/perf -s
+    PYTHONPATH=src python -m pytest benchmarks/perf -q -s
 """

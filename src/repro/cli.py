@@ -13,7 +13,6 @@ Usage::
     python -m repro shard  --describe
     python -m repro shard  [--shards 1,2,4,8] [--replicas N] [--clients N]
                            [--mode broker|centralized] [--duration S]
-    python -m repro bench  [--quick] [--profile] [--out PATH] [--baseline PATH]
     python -m repro obs    --describe
     python -m repro obs    [--scenario qos|fig7|faults] [--trace-sample N]
                            [--slowest K] [--export FILE] [--jsonl FILE] [--quick]
@@ -39,7 +38,9 @@ Usage::
 
 Each subcommand regenerates one of the paper's evaluation artifacts and
 prints it as an aligned text table. For the benchmark-grade runs with
-shape assertions, use ``pytest benchmarks/ --benchmark-only -s``.
+shape assertions, use ``pytest benchmarks/ --benchmark-only -s``. The
+host cost of a run, end to end and per layer, is measured by the
+standing benchmark, ``python benchmarks/e2e/run.py [--compare A B]``.
 """
 
 from __future__ import annotations
@@ -196,52 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument(
         "--duration", type=float, default=60.0,
         help="virtual seconds per point (default 60)",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="hot-path performance benchmarks with baseline regression check",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="shrunken suite (~3s) for CI smoke runs",
-    )
-    bench.add_argument(
-        "--profile", action="store_true",
-        help="also run the macro scenario under cProfile; full stats go "
-        "to --profile-out, the report shows a short summary",
-    )
-    bench.add_argument(
-        "--profile-out", default="BENCH_profile.pstats",
-        help="file for the --profile pstats dump "
-        "(default BENCH_profile.pstats)",
-    )
-    bench.add_argument(
-        "--suite", default="default",
-        choices=[
-            "default", "kernel", "pipeline", "macro", "parallel",
-            "telemetry", "autoscale", "all",
-        ],
-        help="which benchmarks to run (default: kernel+pipeline+macro; "
-        "'parallel' sweeps the sharded testbed over worker counts; "
-        "'telemetry' measures scraper overhead on the macro scenario; "
-        "'autoscale' times the elastic-pool experiment end to end)",
-    )
-    bench.add_argument(
-        "--out", default=None,
-        help="write results JSON here (default BENCH_pipeline.json, or "
-        "BENCH_parallel.json for --suite parallel; pass an empty string "
-        "to skip)",
-    )
-    bench.add_argument(
-        "--baseline", default=None,
-        help="baseline JSON to compare against "
-        "(default: benchmarks/perf/baseline.json when present)",
-    )
-    bench.add_argument(
-        "--max-regression", type=float, default=0.30,
-        help="allowed fractional throughput drop before failing "
-        "(default 0.30)",
     )
 
     obs = sub.add_parser(
@@ -1209,21 +1164,6 @@ def run_cache(args) -> str:
     return report
 
 
-def run_bench(args) -> str:
-    """Run the performance suite; see :mod:`repro.bench`."""
-    from .bench import run_bench_command
-
-    return run_bench_command(
-        quick=args.quick,
-        profile=args.profile,
-        out=args.out,
-        baseline_path=args.baseline,
-        max_regression=args.max_regression,
-        suite=args.suite,
-        profile_out=args.profile_out,
-    )
-
-
 def run_obs(args) -> str:
     """Run the tracing toolkit; see :mod:`repro.obs.inspect`."""
     from .obs import describe_obs, run_obs_command
@@ -1277,7 +1217,6 @@ _COMMANDS = {
     "pipeline": run_pipeline,
     "faults": run_faults,
     "shard": run_shard,
-    "bench": run_bench,
     "obs": run_obs,
     "chaos": run_chaos,
     "cache": run_cache,
@@ -1288,15 +1227,9 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    from .bench import BenchRegression
-
     args = build_parser().parse_args(argv)
     try:
         print(_COMMANDS[args.command](args))
-    except BenchRegression as regression:
-        print(regression.report)
-        print(f"FAILED: {regression}", file=sys.stderr)
-        return 1
     except ChaosInvariantFailure as failure:
         print(failure.report)
         print(f"FAILED: {failure}", file=sys.stderr)

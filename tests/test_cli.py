@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -30,29 +32,20 @@ class TestParser:
         args = build_parser().parse_args(["fig7", "--seed", "9"])
         assert args.seed == 9
 
-    def test_bench_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.command == "bench"
-        assert not args.quick
-        assert not args.profile
-        assert args.out is None  # auto-named per suite
-        assert args.suite == "default"
-        assert args.profile_out == "BENCH_profile.pstats"
-        assert args.baseline is None
-        assert args.max_regression == 0.30
-
-    def test_bench_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--profile", "--out", "x.json",
-             "--baseline", "b.json", "--max-regression", "0.5",
-             "--suite", "parallel", "--profile-out", "p.pstats"]
-        )
-        assert args.quick and args.profile
-        assert args.out == "x.json"
-        assert args.baseline == "b.json"
-        assert args.max_regression == 0.5
-        assert args.suite == "parallel"
-        assert args.profile_out == "p.pstats"
+    def test_subcommands_are_exactly_the_experiments(self):
+        # Performance is measured by benchmarks/e2e/run.py, not a subcommand.
+        (sub,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(sub.choices) == {
+            "fig7", "fig9", "fig10", "table1", "drops", "pipeline",
+            "faults", "shard", "obs", "chaos", "cache", "telemetry",
+            "autoscale",
+        }
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
 
     def test_obs_defaults(self):
         args = build_parser().parse_args(["obs"])
@@ -393,10 +386,6 @@ class TestTelemetryCommand:
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_bench_accepts_telemetry_suite(self):
-        args = build_parser().parse_args(["bench", "--suite", "telemetry"])
-        assert args.suite == "telemetry"
-
 
 class TestAutoscaleCommand:
     def test_autoscale_defaults(self):
@@ -488,7 +477,3 @@ class TestAutoscaleCommand:
             ]) == 0
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
-
-    def test_bench_accepts_autoscale_suite(self):
-        args = build_parser().parse_args(["bench", "--suite", "autoscale"])
-        assert args.suite == "autoscale"

@@ -70,7 +70,7 @@ def test_an_http_only_run_loads_no_other_service_and_no_process_pool():
         seen,
         "multiprocessing", "repro.sim.parallel", "repro.workload.chaos",
         "repro.ldapdir", "repro.mail", "repro.fileserver", "repro.analysis",
-        "repro.obs.export", "repro.obs.dashboard", "repro.cli", "repro.bench",
+        "repro.obs.export", "repro.obs.dashboard", "repro.cli",
     )
     assert unwanted == []
     assert len(loaded(seen, "repro")) <= 60, loaded(seen, "repro")
