@@ -72,17 +72,6 @@ class ServiceAdapter:
         """Tear the connection down; a ``yield from`` generator."""
         raise NotImplementedError
 
-    def trace_execute(self, operation: str) -> None:
-        """Emit an ``adapter.execute`` trace record for *operation*.
-
-        Subclasses call this at the top of ``execute``; a no-op unless a
-        tracer is attached, keeping the hot path to one attribute check.
-        """
-        if self.sim.tracer is not None:
-            self.sim.trace(
-                "adapter", "execute", adapter=self.name, operation=operation
-            )
-
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
 
@@ -109,7 +98,6 @@ class DatabaseAdapter(ServiceAdapter):
         return connection
 
     def execute(self, connection: DatabaseConnection, operation: str, payload: Any):
-        self.trace_execute(operation)
         if operation != "query":
             raise ProtocolError(f"database adapter: unknown operation {operation!r}")
         result = yield from connection.query(payload)
@@ -142,7 +130,6 @@ class HttpAdapter(ServiceAdapter):
         return connection
 
     def execute(self, connection: HttpConnection, operation: str, payload: Any):
-        self.trace_execute(operation)
         if operation == "get":
             path, params = payload
             response = yield from connection.get(path, dict(params or {}))
@@ -186,7 +173,6 @@ class DirectoryAdapter(ServiceAdapter):
         return connection
 
     def execute(self, connection: DirectoryConnection, operation: str, payload: Any):
-        self.trace_execute(operation)
         if operation == "search":
             base, scope, filter_expr = payload
             result = yield from connection.search(base, scope, filter_expr)
@@ -222,7 +208,6 @@ class MailAdapter(ServiceAdapter):
         return connection
 
     def execute(self, connection: MailConnection, operation: str, payload: Any):
-        self.trace_execute(operation)
         if operation == "send":
             sender, recipient, subject, body = payload
             message_id = yield from connection.send(sender, recipient, subject, body)
@@ -264,7 +249,6 @@ class FileAdapter(ServiceAdapter):
         return connection
 
     def execute(self, connection: Any, operation: str, payload: Any):
-        self.trace_execute(operation)
         if operation == "read":
             result = yield from connection.read(payload)
             return result

@@ -333,9 +333,6 @@ class BrokerPool:
         if self.group is not None:
             self.group.add(broker)
         self.metrics.increment("autoscaler.provisioned")
-        self.sim.trace(
-            "autoscale", "provision", broker=broker.name, size=self.size
-        )
         if self.on_provision is not None:
             self.on_provision(broker)
         return broker
@@ -369,7 +366,6 @@ class BrokerPool:
         self.draining[name] = broker
         self.scale_in_events += 1
         self.metrics.increment("autoscaler.drain.begin")
-        self.sim.trace("autoscale", "drain-begin", broker=name, size=self.size)
         return self.sim.process(
             self._drain(broker), name=f"{self.name}:drain:{name}"
         )
@@ -447,9 +443,6 @@ class BrokerPool:
         if moved:
             self.handoffs += moved
             self.metrics.increment("autoscaler.drain.handoff", moved)
-            self.sim.trace(
-                "autoscale", "drain-handoff", broker=victim.name, moved=moved
-            )
         return moved
 
     def _drain(self, broker: Any):
@@ -494,7 +487,6 @@ class BrokerPool:
         self.retired.append(broker)
         self.drains_completed += 1
         self.metrics.increment("autoscaler.drained")
-        sim.trace("autoscale", "drained", broker=broker.name, size=self.size)
 
 
 class Autoscaler:
@@ -584,17 +576,9 @@ class Autoscaler:
             if decision.action == "out":
                 pool.scale_to(decision.desired)
                 self.last_scale_at = now
-                self.sim.trace(
-                    "autoscale", "scale-out",
-                    size=decision.desired, signal=signal,
-                )
             elif decision.action == "in":
                 pool.scale_to(decision.desired)
                 self.last_scale_at = now
-                self.sim.trace(
-                    "autoscale", "scale-in",
-                    size=decision.desired, signal=signal,
-                )
             else:
                 metrics.increment("autoscaler.holds")
                 if decision.reason.endswith("cooldown"):

@@ -385,11 +385,6 @@ class ServiceBroker:
             return
         self.alive = False
         self.metrics.increment("broker.crashes")
-        self.sim.trace(
-            "lifecycle", "crash",
-            broker=self.name, queued=len(self.queue),
-            outstanding=self.outstanding,
-        )
         for process in self._processes:
             if process.is_alive:
                 # The event the process was blocked on survives the kill
@@ -436,7 +431,6 @@ class ServiceBroker:
             self._start_heartbeat()
         if self._load_report is not None:
             self._start_load_report()
-        self.sim.trace("lifecycle", "restart", broker=self.name)
         if self.journal is not None:
             self.journal.recover(self)
 
@@ -456,11 +450,6 @@ class ServiceBroker:
             return
         self.draining = True
         self.metrics.increment("broker.drain.begin")
-        self.sim.trace(
-            "lifecycle", "drain-begin",
-            broker=self.name, queued=len(self.queue),
-            outstanding=self.outstanding,
-        )
 
     def decommission(self) -> None:
         """Terminate a drained broker for good.
@@ -477,11 +466,6 @@ class ServiceBroker:
         self.alive = False
         self.retired = True
         self.metrics.increment("broker.drained")
-        self.sim.trace(
-            "lifecycle", "decommission",
-            broker=self.name, queued=len(self.queue),
-            outstanding=self.outstanding,
-        )
         for process in self._processes:
             if process.is_alive:
                 target = process._target

@@ -164,11 +164,6 @@ class LoadListener:
         if previous is not None:
             self.leader_failovers += 1
             self.metrics.increment("centralized.leader_failover")
-            self.sim.trace(
-                "centralized", "leader-failover",
-                service=report.service, shard=report.shard,
-                leader=report.broker, previous=previous,
-            )
 
     def deregister(self, broker_name: str) -> None:
         """Purge every trace of *broker_name* from the routing tables.
@@ -202,7 +197,6 @@ class LoadListener:
             if worst is not None:
                 self.table[service] = worst
         self.metrics.increment("listener.deregistered")
-        self.sim.trace("centralized", "deregister", broker=broker_name)
 
     def load_of(self, service: str) -> Optional[LoadReport]:
         """The most recently applied report for *service*, if any."""
@@ -323,26 +317,17 @@ class CentralizedController:
                 continue
             if staleness > stalest:
                 stalest = staleness
-        sim = self.listener.sim
         if self.mode == "centralized":
             if stalest > self.staleness_threshold:
                 self.mode = "degraded"
                 self.transitions += 1
                 self.metrics.increment("centralized.degraded_transitions")
                 self.metrics.observe("centralized.mode", 1.0)
-                sim.trace(
-                    "centralized", "degrade",
-                    staleness=stalest, threshold=self.staleness_threshold,
-                )
         elif stalest <= self.recover_staleness:
             self.mode = "centralized"
             self.transitions += 1
             self.metrics.increment("centralized.recovered_transitions")
             self.metrics.observe("centralized.mode", 0.0)
-            sim.trace(
-                "centralized", "recover",
-                staleness=stalest, threshold=self.recover_staleness,
-            )
         return self.mode
 
     def admit(self, request: HttpRequest) -> Tuple[bool, str]:

@@ -184,9 +184,6 @@ class CircuitBreaker:
         self.metrics.increment(
             f"broker.breaker.{state.value.replace('-', '_')}"
         )
-        self.sim.trace(
-            "fault", "breaker", backend=self.name, state=state.value
-        )
 
     def __repr__(self) -> str:
         return (

@@ -164,10 +164,6 @@ class RecoveryJournal:
                     context=request.context,
                 )
                 broker.send_reply(request, reply)
-        sim.trace(
-            "lifecycle", "recover",
-            broker=broker.name, policy=self.policy, requests=len(requests),
-        )
 
 
 class _Watch:
@@ -272,7 +268,6 @@ class BrokerSupervisor:
             return
         watch.released = True
         self.metrics.increment("lifecycle.released")
-        self.sim.trace("lifecycle", "released", broker=name)
 
     def _listen(self):
         recv = self.socket.recv
@@ -293,7 +288,6 @@ class BrokerSupervisor:
                 self.metrics.observe(
                     "lifecycle.downtime", self.sim.now - watch.down_since
                 )
-                self.sim.trace("lifecycle", "up", broker=beat.broker)
                 for listener in self._listeners:
                     listener(watch.broker, True)
 
@@ -312,7 +306,6 @@ class BrokerSupervisor:
                 self.metrics.observe(
                     "lifecycle.detection_time", sim.now - watch.last_heard
                 )
-                sim.trace("lifecycle", "down", broker=watch.broker.name)
                 for listener in self._listeners:
                     listener(watch.broker, False)
                 self._fail_fast(watch)
@@ -336,8 +329,3 @@ class BrokerSupervisor:
                 context=request.context,
             )
             self.socket.sendto(reply, request.reply_to)
-        if requests:
-            self.sim.trace(
-                "lifecycle", "fail-fast",
-                broker=watch.broker.name, requests=len(requests),
-            )

@@ -22,9 +22,10 @@ stages, each of which names its own anchor (``ShardRouteStage.anchor ==
 The context records a per-stage timeline (enter/exit timestamps and the
 stage's decision) and the pipeline mirrors it into the broker's
 :class:`~repro.metrics.MetricsRegistry` (``broker.stage.<name>.time``
-samples, ``broker.stage.<name>.<decision>`` counters) and the
-simulation tracer (category ``"pipeline"``), so every layer gets
-uniform instrumentation for free.
+samples, ``broker.stage.<name>.<decision>`` counters); with a trace
+collector attached, the stages also note request events on the context
+(``broker.arrival``, ``pipeline.complete``, ...), which become span
+events on the request's trace.
 """
 
 from __future__ import annotations
@@ -266,6 +267,19 @@ class RequestContext:
     def annotate(self, key: str, value: Any) -> None:
         """Attach free-form metadata to the request (visible end to end)."""
         self.annotations[key] = value
+
+    def add_event(self, time: float, name: str, **fields: Any) -> None:
+        """Note a point event for the request's trace.
+
+        Kept under the ``"obs.events"`` annotation, which
+        :func:`~repro.obs.spans.trace_from_context` turns into span
+        events on the request's root span. Callers guard with
+        ``sim.obs is not None``, so untraced runs keep nothing.
+        """
+        events = self.annotations.get("obs.events")
+        if events is None:
+            events = self.annotations["obs.events"] = []
+        events.append((time, name, fields))
 
     # -- inspection ------------------------------------------------------
 
@@ -591,9 +605,9 @@ class ArrivalStage(BrokerStage):
             advanced_to = broker.transactions.observe(request)
             if advanced_to is not None and broker.peer_group is not None:
                 broker.peer_group.publish(broker, request.txn_id, advanced_to)
-        if broker.sim.tracer is not None:
-            broker.sim.trace(
-                "broker", "arrival",
+        if broker.sim.obs is not None:
+            ctx.add_event(
+                broker.sim.now, "broker.arrival",
                 broker=broker.name, request_id=request.request_id, qos=level,
                 operation=request.operation,
             )
@@ -662,9 +676,9 @@ class CacheLookupStage(BrokerStage):
             ctx.set_decision("miss")
             return StageOutcome.CONTINUE
         broker.metrics.increment("broker.cache_replies")
-        if broker.sim.tracer is not None:
-            broker.sim.trace(
-                "broker", "cache-hit",
+        if broker.sim.obs is not None:
+            ctx.add_event(
+                broker.sim.now, "broker.cache-hit",
                 broker=broker.name, request_id=request.request_id,
             )
         ctx.set_decision("hit")
@@ -720,9 +734,9 @@ class CacheTierStage(BrokerStage):
             ctx.annotate("cachetier", "miss")
             return StageOutcome.CONTINUE
         self._replies.inc()
-        if broker.sim.tracer is not None:
-            broker.sim.trace(
-                "broker", "cachetier-hit",
+        if broker.sim.obs is not None:
+            ctx.add_event(
+                broker.sim.now, "broker.cachetier-hit",
                 broker=broker.name, request_id=request.request_id,
             )
         ctx.set_decision("hit")
@@ -794,9 +808,9 @@ class ThrottleStage(BrokerStage):
         metrics.increment("broker.throttle.rejected")
         metrics.increment(f"broker.throttle.rejected.qos{level}")
         metrics.increment(f"broker.throttle.rejected.{tenant}")
-        if broker.sim.tracer is not None:
-            broker.sim.trace(
-                "broker", "throttle",
+        if broker.sim.obs is not None:
+            ctx.add_event(
+                broker.sim.now, "broker.throttle",
                 broker=broker.name, request_id=request.request_id,
                 qos=level, tenant=tenant,
             )
@@ -837,9 +851,9 @@ class AdmissionStage(BrokerStage):
         level = ctx.qos_level
         broker.metrics.increment("broker.drops")
         broker.metrics.increment(f"broker.drops.qos{level}")
-        if broker.sim.tracer is not None:
-            broker.sim.trace(
-                "broker", "drop",
+        if broker.sim.obs is not None:
+            ctx.add_event(
+                broker.sim.now, "broker.drop",
                 broker=broker.name, request_id=ctx.request.request_id, qos=level,
                 reason=decision.reason, outstanding=broker.outstanding,
             )
@@ -911,10 +925,6 @@ class FidelityFallbackStage(BrokerStage):
                 item.context.set_decision(reply.status.value)
             broker.send_reply(item.request, reply)
             broker.admission.request_finished()
-        broker.sim.trace(
-            "fault", "degrade",
-            broker=broker.name, fault=batch.fault, batch=len(batch.items),
-        )
         return StageOutcome.DONE
 
 
@@ -984,9 +994,9 @@ class EnqueueStage(BrokerStage):
         if reply.status is ReplyStatus.DEGRADED:
             broker.metrics.increment("broker.degraded_replies")
         broker.record_shed(ctx.qos_level, broker.queue.shed_policy)
-        if broker.sim.tracer is not None:
-            broker.sim.trace(
-                "backpressure", "shed",
+        if broker.sim.obs is not None:
+            ctx.add_event(
+                broker.sim.now, "backpressure.shed",
                 broker=broker.name, request_id=ctx.request.request_id,
                 qos=ctx.qos_level, reason=reason,
             )
@@ -1067,24 +1077,19 @@ class BackpressureStage(BrokerStage):
         depth = self.broker.queue._waiting
         if self.engaged:
             if depth <= self._low:
-                self._transition(False, depth)
+                self._transition(False)
         elif depth >= self._high:
-            self._transition(True, depth)
+            self._transition(True)
         ctx.set_decision("throttling" if self.engaged else "pass")
         return StageOutcome.CONTINUE
 
-    def _transition(self, engaged: bool, depth: int) -> None:
+    def _transition(self, engaged: bool) -> None:
         self.engaged = engaged
         broker = self.broker
         if engaged:
             self._engaged_counter.inc()
         else:
             self._released_counter.inc()
-        broker.sim.trace(
-            "backpressure", "engage" if engaged else "release",
-            broker=broker.name, depth=depth,
-            high=self._high, low=self._low,
-        )
         for listener in self._listeners:
             listener(engaged, broker.name)
 
@@ -1113,9 +1118,9 @@ class BackpressureStage(BrokerStage):
         broker.admission.request_finished()
         level = broker.qos.clamp(item.request.qos_level)
         broker.record_shed(level, policy)
-        if broker.sim.tracer is not None:
-            broker.sim.trace(
-                "backpressure", "shed",
+        if broker.sim.obs is not None and item.context is not None:
+            item.context.add_event(
+                broker.sim.now, "backpressure.shed",
                 broker=broker.name, request_id=item.request.request_id,
                 qos=level, reason=reason,
             )
@@ -1279,12 +1284,6 @@ class QueryCombineStage(BrokerStage):
         if claimed:
             self._batches.inc()
             self._remote_items.inc(claimed)
-            if broker.sim.tracer is not None:
-                broker.sim.trace(
-                    "broker", "cross-combine",
-                    broker=broker.name, key=key, remote=claimed,
-                    batch=len(batch.items),
-                )
         if len(batch.items) > 1:
             batch.operation, batch.payload = config.combiner.combine(
                 batch.requests
@@ -1308,9 +1307,11 @@ def execute_batch_on(
     stages know a retry elsewhere could still succeed.
     """
     batch.backend = backend
-    if broker.sim.tracer is not None:
-        broker.sim.trace(
-            "broker", "dispatch",
+    # The batch's events land on its first request's trace.
+    traced = batch.items[0].context if broker.sim.obs is not None else None
+    if traced is not None:
+        traced.add_event(
+            broker.sim.now, "broker.dispatch",
             broker=broker.name, backend=backend.name, batch=len(batch.items),
             operation=batch.operation,
             request_id=batch.items[0].request.request_id,
@@ -1361,9 +1362,9 @@ def execute_batch_on(
         broker.metrics.increment("broker.backend_errors")
         if fault is not None:
             broker.metrics.increment("broker.fault.unreachable")
-        if broker.sim.tracer is not None:
-            broker.sim.trace(
-                "broker", "backend-error",
+        if traced is not None:
+            traced.add_event(
+                broker.sim.now, "broker.backend-error",
                 broker=broker.name, backend=backend.name, error=failure,
                 request_id=batch.items[0].request.request_id,
             )
@@ -1939,9 +1940,9 @@ class StagePipeline:
             broker.send_reply(ctx.request, ctx.reply)
         anchor = ctx.received_at if ctx.received_at is not None else ctx.created_at
         self._pipeline_time.add(ctx.completed_at - anchor)
-        if sim.tracer is not None:
-            sim.trace(
-                "pipeline", "complete",
+        if sim.obs is not None:
+            ctx.add_event(
+                sim.now, "pipeline.complete",
                 broker=broker.name,
                 request_id=ctx.request.request_id if ctx.request else None,
                 status=ctx.reply.status.value if ctx.reply is not None else None,

@@ -102,10 +102,6 @@ class FrontendWebServer:
         else:
             self._throttled_by.discard(source)
             self.metrics.increment("frontend.throttle.released")
-        self.sim.trace(
-            "frontend", "throttle",
-            source=source, engaged=engaged, active=len(self._throttled_by),
-        )
 
     @property
     def throttled(self) -> bool:
@@ -175,10 +171,6 @@ class FrontendWebServer:
                     self.metrics.increment(
                         f"frontend.throttle.rejected.{tenant}"
                     )
-                    self.sim.trace(
-                        "frontend", "tenant-throttled",
-                        path=request.path, qos=qos, tenant=tenant,
-                    )
                     ctx.record_stage(
                         "frontend-tenant-throttle", now, now, "throttled"
                     )
@@ -201,10 +193,6 @@ class FrontendWebServer:
                 now = self.sim.now
                 self.metrics.increment("frontend.throttled")
                 self.metrics.increment(f"frontend.throttled.qos{qos}")
-                self.sim.trace(
-                    "frontend", "throttled", path=request.path, qos=qos,
-                    sources=len(self._throttled_by),
-                )
                 ctx.record_stage("frontend-throttle", now, now, "throttled")
                 ctx.completed_at = now
                 obs = self.sim.obs
@@ -227,10 +215,6 @@ class FrontendWebServer:
                 if not accepted:
                     self.metrics.increment("frontend.rejected")
                     self.metrics.increment(f"frontend.rejected.qos{qos}")
-                    self.sim.trace(
-                        "frontend", "rejected",
-                        path=request.path, qos=qos, reason=reason,
-                    )
                     ctx.completed_at = self.sim.now
                     obs = self.sim.obs
                     if obs is not None:

@@ -33,16 +33,12 @@ recorded.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .histogram import LatencyHistogram
 from .stats import Moments
 
-__all__ = ["MetricsRegistry", "Counter", "DEFAULT_EVENT_CAPACITY"]
-
-#: Default ring-buffer length for :meth:`MetricsRegistry.record_event`.
-DEFAULT_EVENT_CAPACITY = 4096
+__all__ = ["MetricsRegistry", "Counter"]
 
 
 class Counter:
@@ -74,31 +70,20 @@ class MetricsRegistry:
       sample *name*.
     * ``handle(name)`` / ``sample_handle(name)`` — pre-resolved hot-path
       handles (no per-call string hashing).
-    * ``record_event(name, time)`` — keeps a bounded ring buffer of raw
-      time-stamped events (for time-series inspection); call
-      :meth:`retain_events` to opt a name into unbounded retention.
     """
 
     __slots__ = (
         "_counters",
         "_samples",
         "_histograms",
-        "_events",
-        "_event_capacity",
-        "_retained",
         "_counter_index",
         "_sample_index",
     )
 
-    def __init__(self, event_capacity: int = DEFAULT_EVENT_CAPACITY) -> None:
-        if event_capacity < 1:
-            raise ValueError(f"event_capacity must be >= 1: {event_capacity!r}")
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._samples: Dict[str, Moments] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
-        self._events: Dict[str, Union[Deque[float], List[float]]] = {}
-        self._event_capacity = event_capacity
-        self._retained: Set[str] = set()
         # Sorted-name indexes for prefix queries; None marks them stale
         # (rebuilt lazily on the next prefix lookup).
         self._counter_index: Optional[List[str]] = None
@@ -232,39 +217,6 @@ class MetricsRegistry:
             for name in sorted(self._histograms)
             if name.startswith(prefix)
         }
-
-    # -- raw events ----------------------------------------------------
-
-    def retain_events(self, *names: str) -> None:
-        """Opt *names* into unbounded event retention.
-
-        By default :meth:`record_event` keeps only the most recent
-        ``event_capacity`` timestamps per name (a ring buffer), so
-        long experiments cannot grow without bound. Reports and tests
-        that need the full time series opt in per name — existing ring
-        contents are preserved on conversion.
-        """
-        for name in names:
-            self._retained.add(name)
-            existing = self._events.get(name)
-            if isinstance(existing, deque):
-                self._events[name] = list(existing)
-
-    def record_event(self, name: str, time: float) -> None:
-        """Append a raw timestamped event under *name* (ring-buffered)."""
-        series = self._events.get(name)
-        if series is None:
-            if name in self._retained:
-                series = []
-            else:
-                series = deque(maxlen=self._event_capacity)
-            self._events[name] = series
-        series.append(time)
-
-    def events(self, name: str) -> List[float]:
-        """The timestamps recorded under *name* (oldest retained first)."""
-        series = self._events.get(name)
-        return list(series) if series is not None else []
 
     # -- misc ----------------------------------------------------------
 

@@ -357,16 +357,11 @@ class FaultInjector:
         self._apply(fault)
         self._open[index] = self.sim.now
         self.metrics.increment("faults.injected")
-        self.sim.trace(
-            "fault", "inject", kind=fault.kind, key=fault.key(),
-            until=self.sim.now + fault.duration,
-        )
         yield fault.duration
         self._revert(fault)
         started = self._open.pop(index)
         self._windows.setdefault(fault.key(), []).append((started, self.sim.now))
         self.metrics.increment("faults.healed")
-        self.sim.trace("fault", "heal", kind=fault.kind, key=fault.key())
 
     # -- applying / reverting -------------------------------------------
 

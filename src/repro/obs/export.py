@@ -5,7 +5,7 @@ Machine-readable views of collected traces and telemetry:
 * :func:`to_chrome_trace` / :func:`write_chrome_trace` — the Chrome
   Trace Event Format ("JSON Object Format": a ``traceEvents`` list of
   complete ``"X"`` events with microsecond ``ts``/``dur``, plus
-  instant ``"i"`` events for folded span events and ``"M"`` metadata
+  instant ``"i"`` events for span events and ``"M"`` metadata
   naming each request's lane). The file loads directly in
   ``chrome://tracing`` and in Perfetto.
 * :func:`to_jsonl` / :func:`write_jsonl` — one JSON object per span,
@@ -70,8 +70,8 @@ def to_chrome_trace(traces: Iterable[Trace]) -> Dict[str, Any]:
     """Build a Chrome ``trace_event`` document from *traces*.
 
     Each trace gets its own thread lane (``tid``) named after the
-    request; spans become complete ``"X"`` events and folded span
-    events become instant ``"i"`` events.
+    request; spans become complete ``"X"`` events and span events
+    become instant ``"i"`` events.
     """
     events: List[Dict[str, Any]] = [
         {

@@ -1,7 +1,8 @@
 """The ``repro obs`` inspection toolkit.
 
 Runs an existing scenario with tracing enabled and reports where the
-time went: collection summary, per-stage / per-QoS / per-backend
+time went: collection summary (traces, spans and the request events
+the broker pipeline noted on them), per-stage / per-QoS / per-backend
 latency histograms, the K slowest request waterfalls with per-hop
 attribution, and optional Chrome-trace / JSONL exports. See DESIGN.md
 §10 for the span model and the overhead contract.
@@ -111,8 +112,8 @@ def run_obs_command(
     """The ``repro obs`` implementation; returns the printed report.
 
     Runs *scenario* with a :class:`~repro.obs.spans.TraceCollector`
-    attached (sampling every *trace_sample*-th root request), folds the
-    legacy tracer's records into span events, and renders the report.
+    attached (sampling every *trace_sample*-th root request) and renders
+    the report.
     """
     if quick:
         clients = min(clients, 12)
@@ -120,14 +121,16 @@ def run_obs_command(
         degree = min(degree, 4)
     collector = TraceCollector(sample=trace_sample)
     label = _run_scenario(scenario, collector, clients, duration, degree, seed)
-    folded = collector.fold_events()
+    events = sum(
+        len(span.events) for trace in collector.traces for span in trace.spans()
+    )
 
     lines: List[str] = [
         f"obs report — scenario {label}, seed {seed}, "
         f"sample 1/{trace_sample}",
         f"  traces: {len(collector)} retained of {collector.roots_seen} "
         f"root requests ({collector.span_count()} spans, "
-        f"{folded} tracer events folded"
+        f"{events} span events"
         + (f", {collector.dropped} dropped at limit" if collector.dropped else "")
         + ")",
     ]

@@ -8,12 +8,16 @@ turns that timeline — at the moment a request *finishes* — into a tree
 of :class:`Span` objects: client wait, network transit, per-stage
 ingress and dispatch work, queue residency, backend service time, and
 reply propagation, with retry/failover attribution carried as span
-attributes.
+attributes. The request events the broker pipeline noted on the
+context (arrival, cache hits, drops, sheds, dispatch, completion)
+become span events (:class:`SpanEvent`) on the request's root span:
+the context is the one place a request's events are recorded.
 
 The overhead contract (see DESIGN.md §10):
 
 * **Disabled** (the default): the only cost on any hot path is one
-  attribute check — ``sim.obs is None`` — at the few completion hooks.
+  attribute check — ``sim.obs is None`` — at the few completion hooks
+  and request-event sites.
   Nothing is allocated, recorded, or branched beyond that, so PR 3's
   throughput and the byte-identical seeded outputs are preserved.
 * **Enabled**: trace building is purely observational. It never creates
@@ -31,7 +35,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from ..metrics import MetricsRegistry
-from ..sim.trace import Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.pipeline import RequestContext
@@ -53,10 +56,12 @@ _EPS = 1e-9
 class SpanEvent:
     """A timestamped point event attached to a span.
 
-    Folded from the legacy free-text tracer (see
-    :meth:`TraceCollector.fold_events`): each
-    :class:`~repro.sim.trace.TraceRecord` carrying a ``request_id``
-    field becomes one event on that request's span.
+    The broker pipeline notes request events (``broker.arrival``,
+    ``broker.dispatch``, ``pipeline.complete``, ...) on the request's
+    context while a collector is attached (see
+    :meth:`~repro.core.pipeline.RequestContext.add_event`);
+    :func:`trace_from_context` puts them on the request's root span in
+    emission order.
     """
 
     __slots__ = ("time", "name", "fields")
@@ -78,7 +83,8 @@ class Span:
     Spans nest: ``children`` are fully contained sub-intervals (a
     dispatch stage inside the broker span, a broker call inside a
     front-end application span). ``attrs`` carries attribution (stage
-    decision, request id); ``events`` the folded tracer records.
+    decision, request id); ``events`` the request events noted on the
+    context.
     """
 
     __slots__ = (
@@ -343,8 +349,9 @@ def trace_from_context(ctx: "RequestContext", trace_id: int = 0) -> Trace:
     derives spans (network transit, broker residency, per-stage work,
     queue wait, reply propagation), nests them by interval containment,
     attaches the traces of nested broker calls (stored by the collector
-    under the ``"obs.children"`` annotation), and computes the
-    telescoping waterfall hops.
+    under the ``"obs.children"`` annotation) and the request events
+    (noted under ``"obs.events"``), and computes the telescoping
+    waterfall hops.
     """
     records = ctx.stages
     client_record = None
@@ -445,9 +452,12 @@ def trace_from_context(ctx: "RequestContext", trace_id: int = 0) -> Trace:
 
     annotations: Dict[str, Any] = {}
     child_traces: List[Trace] = []
+    events: List[SpanEvent] = []
     for key, value in ctx.annotations.items():
         if key == "obs.children":
             child_traces = value
+        elif key == "obs.events":
+            events = [SpanEvent(*event) for event in value]
         else:
             annotations[key] = value
     for record in records:
@@ -479,6 +489,7 @@ def trace_from_context(ctx: "RequestContext", trace_id: int = 0) -> Trace:
     if request_id is not None:
         root_attrs["request_id"] = request_id
     root = Span("request", "request", lo, hi, attrs=root_attrs)
+    root.events = events
 
     # Nest by interval containment: sorted by (start, -duration), a
     # stack of enclosing spans assigns each span the tightest parent.
@@ -516,7 +527,7 @@ def trace_from_context(ctx: "RequestContext", trace_id: int = 0) -> Trace:
 
 
 class TraceCollector:
-    """Collects finished request traces, histograms, and span events.
+    """Collects finished request traces and latency histograms.
 
     Attach to a simulation with :meth:`attach`; the instrumented
     completion points (broker client replies, front-end responses) then
@@ -537,7 +548,6 @@ class TraceCollector:
         sample: int = 1,
         limit: int = 10_000,
         metrics: Optional[MetricsRegistry] = None,
-        capture_events: bool = True,
     ) -> None:
         if sample < 1:
             raise ValueError(f"sample must be >= 1: {sample!r}")
@@ -546,9 +556,6 @@ class TraceCollector:
         self.sample = sample
         self.limit = limit
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Legacy free-text tracer folded into spans after the run; the
-        #: one observability surface (see :meth:`fold_events`).
-        self.tracer: Optional[Tracer] = Tracer() if capture_events else None
         self.traces: List[Trace] = []
         self.roots_seen = 0
         self.dropped = 0
@@ -557,14 +564,10 @@ class TraceCollector:
     def attach(self, sim: "Simulation") -> "TraceCollector":
         """Enable tracing on *sim* and return self.
 
-        Sets ``sim.obs`` (the one-attribute-check hook the hot paths
-        test) and, when event capture is on and the simulation has no
-        tracer yet, installs the collector's tracer as ``sim.tracer``
-        so category records can be folded into spans after the run.
+        Sets ``sim.obs``, the one-attribute-check hook the hot paths
+        test before finishing a trace or noting a request event.
         """
         sim.obs = self
-        if self.tracer is not None and sim.tracer is None:
-            sim.tracer = self.tracer
         return self
 
     def finish(
@@ -634,41 +637,6 @@ class TraceCollector:
     def span_count(self) -> int:
         """Total spans across all retained traces."""
         return sum(len(trace.spans()) for trace in self.traces)
-
-    def fold_events(self, tracer: Optional[Tracer] = None) -> int:
-        """Fold free-text tracer records into span events.
-
-        Every :class:`~repro.sim.trace.TraceRecord` whose fields carry
-        a ``request_id`` matching a retained trace becomes a
-        :class:`SpanEvent` on that request's span (category and message
-        join as the event name). Returns the number of events folded.
-        """
-        source = tracer if tracer is not None else self.tracer
-        if source is None:
-            return 0
-        index: Dict[Any, Span] = {}
-        for trace in self.traces:
-            for span in trace.root.walk():
-                request_id = span.attrs.get("request_id")
-                if request_id is not None:
-                    index[request_id] = span
-        folded = 0
-        for record in source.records:
-            request_id = record.fields.get("request_id")
-            if request_id is None:
-                continue
-            span = index.get(request_id)
-            if span is None:
-                continue
-            span.events.append(
-                SpanEvent(
-                    record.time,
-                    f"{record.category}.{record.message}",
-                    dict(record.fields),
-                )
-            )
-            folded += 1
-        return folded
 
     def __len__(self) -> int:
         return len(self.traces)

@@ -135,8 +135,8 @@ def render_trace(trace: Trace, width: int = 40, events: bool = False) -> str:
     """The full terminal view of one trace.
 
     Waterfall, critical path, and the attribution sentence; pass
-    ``events=True`` to also list folded span events (from the legacy
-    tracer) in time order.
+    ``events=True`` to also list the span events (the request events
+    the broker pipeline noted) in time order.
     """
     lines = [render_waterfall(trace, width=width)]
     path = critical_path(trace)

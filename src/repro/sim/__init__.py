@@ -23,8 +23,6 @@ _EXPORTS = {
     "StorePut": "resources",
     "StoreGet": "resources",
     "HostCpu": "cpu",
-    "Tracer": "trace",
-    "TraceRecord": "trace",
     "RngRegistry": "rng",
     "derive_rng": "rng",
     "URGENT": "core",

@@ -512,30 +512,24 @@ class Simulation:
         "_rngs",
         "seed",
         "_active_process",
-        "tracer",
         "obs",
     )
 
-    def __init__(self, seed: int = 0, tracer: Optional[Any] = None) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
         self._heap: List[Any] = []
         self._counter = count()
         self._rngs = RngRegistry(seed)
         self.seed = seed
         self._active_process: Optional[Process] = None
-        #: Optional :class:`repro.sim.trace.Tracer`; see :meth:`trace`.
-        self.tracer = tracer
-        #: Optional :class:`repro.obs.spans.TraceCollector`; instrumented
-        #: completion points (broker client, front end) call
-        #: ``obs.finish(ctx)`` when this is set. ``None`` (the default)
-        #: keeps tracing disabled at the cost of one attribute check —
-        #: the obs layer's overhead contract (DESIGN.md §10).
+        #: Optional :class:`repro.obs.spans.TraceCollector`, the one
+        #: observer hook: instrumented completion points (broker client,
+        #: front end) call ``obs.finish(ctx)`` and the broker pipeline
+        #: notes request events on the context when this is set.
+        #: ``None`` (the default) keeps tracing disabled at the cost of
+        #: one attribute check — the obs layer's overhead contract
+        #: (DESIGN.md §10).
         self.obs: Optional[Any] = None
-
-    def trace(self, category: str, message: str, **fields: Any) -> None:
-        """Emit a trace record if a tracer is attached (else a no-op)."""
-        if self.tracer is not None:
-            self.tracer.log(self._now, category, message, **fields)
 
     @property
     def now(self) -> float:

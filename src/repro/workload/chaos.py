@@ -746,7 +746,6 @@ def run_chaos_experiment(
             yield spike_at - sim.now
             count += 1
             end = min(spike_at + spike_duration, duration)
-            sim.trace("chaos", "spike", at=sim.now, until=end, rate=spike_rate)
             OpenLoopGenerator(
                 sim,
                 name=f"chaos.spike{count}",
@@ -985,10 +984,6 @@ def run_shard_chaos_experiment(
             if victim is None:
                 continue
             kills["count"] += 1
-            sim.trace(
-                "chaos", "leader-kill",
-                shard=group.index, broker=victim.name, kill=kills["count"],
-            )
             victim.crash()
             sim.process(resurrect(victim), name=f"resurrect:{victim.name}")
 
@@ -1724,10 +1719,6 @@ def run_scale_chaos_experiment(
                 ):
                     sniped.add(name)
                     kills["count"] += 1
-                    sim.trace(
-                        "chaos", "drain-snipe",
-                        broker=name, kill=kills["count"],
-                    )
                     broker.crash()
                     sim.process(resurrect(broker), name=f"resurrect:{name}")
 

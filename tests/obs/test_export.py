@@ -26,7 +26,6 @@ from .test_spans import run_broker_scenario
 def collector(sim, net):
     collector = TraceCollector()
     run_broker_scenario(sim, net, collector)
-    collector.fold_events()
     return collector
 
 

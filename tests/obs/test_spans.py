@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import types
+
 import pytest
 
 from repro.core import (
@@ -14,6 +17,32 @@ from repro.core import (
 from repro.http import BackendWebServer
 from repro.obs import Span, TraceCollector
 from repro.workload import run_clustering_experiment, run_qos_experiment
+
+
+def reachable(root, skip=()):
+    """Count objects reachable from *root* via ``gc.get_referents``.
+
+    Objects reachable from *skip* are left out, and so are numbers
+    (a histogram count past 256 is a new ``int`` object, not new
+    state) and the shared code objects: types, modules and functions.
+    """
+    opaque = (type, types.ModuleType, types.FunctionType, int, float)
+    seen = set()
+
+    def walk(start):
+        count = 0
+        stack = list(start)
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, opaque):
+                continue
+            seen.add(id(obj))
+            count += 1
+            stack.extend(gc.get_referents(obj))
+        return count
+
+    walk(skip)
+    return walk([root])
 
 
 def run_broker_scenario(sim, net, collector, n_requests=8, service_time=0.05):
@@ -128,24 +157,101 @@ class TestCollector:
         durations = [trace.duration for trace in ranked]
         assert durations == sorted(durations, reverse=True)
 
-    def test_fold_events_attaches_tracer_records(self, sim, net):
+    def test_request_events_land_on_the_root_span(self, sim, net):
         collector = TraceCollector()
         run_broker_scenario(sim, net, collector)
-        folded = collector.fold_events()
-        assert folded > 0
-        names = {
-            event.name
-            for trace in collector.traces
-            for span in trace.spans()
-            for event in span.events
-        }
-        assert "broker.arrival" in names
+        for trace in collector.traces:
+            names = [event.name for event in trace.root.events]
+            assert names[0] == "broker.arrival"
+            assert names[-1] == "pipeline.complete"
+            times = [event.time for event in trace.root.events]
+            assert times == sorted(times)
+            arrival = trace.root.events[0]
+            assert arrival.fields["request_id"] == trace.request_id
+            # Stamped with the simulated time the broker received it.
+            broker = next(s for s in trace.spans() if s.category == "broker")
+            assert arrival.time == broker.start
+            # Events are consumed, never leaked as trace annotations.
+            assert "obs.events" not in trace.annotations
+            for span in trace.spans()[1:]:
+                assert span.events == []
+
+    def test_state_is_bounded_by_retained_traces_not_requests(self):
+        """The collector ``repro telemetry --scenario qos`` attaches.
+
+        Four times the simulated time (and requests) must not grow what
+        the collector holds beyond its retained traces: it keeps
+        histograms with fixed buckets and at most ``limit`` traces,
+        never a per-request event log.
+        """
+        held, roots = [], []
+        for duration in (20.0, 80.0):
+            collector = TraceCollector(sample=1000, limit=64)
+            run_qos_experiment(
+                12, mode="broker", duration=duration, seed=2026, obs=collector
+            )
+            held.append(reachable(collector, skip=[collector.traces]))
+            roots.append(collector.roots_seen)
+        assert roots[1] >= 4 * roots[0]
+        # A histogram first fed late may add a few objects; a
+        # per-request event log would add thousands.
+        assert held[1] - held[0] < 100, held
 
     def test_validation(self):
         with pytest.raises(ValueError):
             TraceCollector(sample=0)
         with pytest.raises(ValueError):
             TraceCollector(limit=0)
+
+
+def overload_broker(sim, net):
+    """One single-threaded broker with admission threshold 2, five calls."""
+    node = net.node("web")
+    server = BackendWebServer(sim, net.node("origin"), max_clients=1)
+
+    def slow_cgi(server, request):
+        yield server.sim.timeout(0.5)
+        return "ok"
+
+    server.add_cgi("/s", slow_cgi)
+    broker = ServiceBroker(
+        sim,
+        node,
+        service="web",
+        adapters=[HttpAdapter(sim, node, server.address)],
+        qos=QoSPolicy(levels=1, threshold=2),
+        pool_size=1,
+    )
+    client = BrokerClient(sim, node, {"web": broker.address})
+    contexts = []
+
+    def one(i):
+        reply = yield from client.call(
+            "web", "get", ("/s", {"i": i}), cacheable=False
+        )
+        contexts.append(reply.context)
+
+    for i in range(5):
+        sim.process(one(i))
+    sim.run()
+    return contexts
+
+
+class TestRequestEvents:
+    def test_broker_notes_arrival_dispatch_drop(self, sim, net):
+        collector = TraceCollector().attach(sim)
+        overload_broker(sim, net)
+        names = [
+            event.name for trace in collector.traces for event in trace.root.events
+        ]
+        assert names.count("broker.arrival") == 5
+        assert names.count("pipeline.complete") == 5
+        assert {"broker.dispatch", "broker.drop"} <= set(names)
+
+    def test_no_events_without_collector(self, sim, net):
+        contexts = overload_broker(sim, net)
+        assert len(contexts) == 5
+        assert all("obs.events" not in ctx.annotations for ctx in contexts)
 
 
 class TestParentChildTraces:
