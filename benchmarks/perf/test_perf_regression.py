@@ -21,7 +21,6 @@ import pytest
 from repro.obs import TelemetryScraper, TraceCollector
 from repro.sim.parallel import available_workers
 from repro.workload.scenarios import (
-    QOS_SERVICE_TIMES,
     _run_sharded_parallel,
     run_qos_experiment,
 )
@@ -104,13 +103,6 @@ def test_forked_partitions_do_not_lose_to_in_process():
         replicas=1,
         mode="broker",
         duration=120.0,
-        service_times=QOS_SERVICE_TIMES,
-        threshold=20,
-        backend_capacity=5,
-        levels=3,
-        think_time=0.1,
-        key_pool=4096,
-        fractions=None,
         seed=SEED,
     )
     walls, pages = {}, {}

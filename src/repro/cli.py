@@ -858,9 +858,9 @@ def _run_shard_chaos(args, duration: float) -> str:
 
 
 def _describe_autoscale() -> str:
-    from .core.autoscale import AutoscalerPolicy
+    from .workload.chaos import AUTOSCALE_POLICY as policy
+    from .workload.chaos import SCALE_CHAOS_POLICY as soak
 
-    policy = AutoscalerPolicy(target=3.0)
     lines = [
         "Elastic autoscaling (repro.core.autoscale + run_autoscale_experiment):",
         "",
@@ -869,10 +869,10 @@ def _describe_autoscale() -> str:
         "falling back to live broker gauges) and target-tracks it:",
         f"  desired = ceil(size * signal / target), hysteresis band ±{policy.hysteresis:g},",
         f"  step-limited to ±{policy.max_step} units, clamped to "
-        f"[{policy.min_size}, {policy.max_size}] by default,",
+        f"[{policy.min_size}, {policy.max_size}],",
         f"  cooldowns {policy.scale_out_cooldown:g}s out / "
-        f"{policy.scale_in_cooldown:g}s in; an active SLO fast-burn",
-        "  alert vetoes scale-in (never scale-out).",
+        f"{policy.scale_in_cooldown:g}s in ({soak.scale_in_cooldown:g}s in with --soak);",
+        "  an active SLO fast-burn alert vetoes scale-in (never scale-out).",
         "",
         "Graceful drain (scale-in, newest unit first):",
         "  1. leave the consistent-hash ring — no new work routes here",
@@ -1227,13 +1227,18 @@ _COMMANDS = {
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         print(_COMMANDS[args.command](args))
     except ChaosInvariantFailure as failure:
         print(failure.report)
         print(f"FAILED: {failure}", file=sys.stderr)
         return 1
+    except ValueError as error:
+        # A flag value the experiment rejects is a usage error: exit 2 in
+        # argparse's one-line form, never 1 ("an invariant failed").
+        parser.exit(2, f"{parser.prog} {args.command}: error: {error}\n")
     return 0
 
 

@@ -48,7 +48,7 @@ function each (:func:`_no_lost_request`, :func:`_post_crash_consistency`,
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.adapters import HttpAdapter
@@ -104,6 +104,88 @@ __all__ = [
     "run_scale_chaos_experiment",
 ]
 
+# Calibration. An entry point takes a parameter only when some caller
+# sets it; every other value of a testbed is one of these constants,
+# written once where several testbeds share it.
+
+#: Every testbed's backend CGI time (seconds) and item key pool.
+_SERVICE_TIME = 0.1
+_KEY_POOL = 512
+#: A reply slower than this (seconds) counts against the soaks' SLOs.
+_FAST_THRESHOLD = 0.5
+#: A hardened broker's queue bound and shed policy.
+_CAPACITY = 48
+_SHED_POLICY = "drop-lowest"
+#: Tries per request where a client retries (shard chaos, elastic pool).
+_MAX_TRIES = 3
+
+#: Overload: class 1's fixed Poisson rate and the backend's capacity.
+_OVERLOAD_PREMIUM_RATE = 8.0
+_OVERLOAD_BACKEND_CAPACITY = 4
+
+#: The supervised soaks (chaos, shard chaos): closed-loop clients, their
+#: think time, and each backend's capacity.
+_SOAK_CLIENTS = 10
+_SOAK_THINK_TIME = 0.05
+_SOAK_BACKEND_CAPACITY = 5
+
+#: Chaos soak: per-attempt timeout, class-3 load spikes (every, for,
+#: rate), the repair time of the two blip crashes, and the cache TTL.
+_CHAOS_ATTEMPT_TIMEOUT = 1.0
+_SPIKE_EVERY = 90.0
+_SPIKE_DURATION = 8.0
+_SPIKE_RATE = 100.0
+_BLIP_MTTR = 0.08
+_CHAOS_CACHE_TTL = 0.5
+
+#: Shard chaos: per-attempt timeout and each replica's load-report interval.
+_SHARD_ATTEMPT_TIMEOUT = 0.75
+_SHARD_REPORT_INTERVAL = 0.1
+
+#: The elastic pool (autoscale headline and scale-chaos soak): each
+#: unit's backend capacity, the drain grace, per-attempt timeout, and
+#: the autoscaler's evaluation interval.
+_POOL_BACKEND_CAPACITY = 4
+_POOL_DRAIN_GRACE = 2.0
+_POOL_ATTEMPT_TIMEOUT = 2.0
+_CONTROL_INTERVAL = 1.0
+
+#: The headline's control loop; ``run_autoscale_experiment`` sets the target.
+AUTOSCALE_POLICY = AutoscalerPolicy(
+    target=3.0, hysteresis=0.3, scale_out_cooldown=2.0, scale_in_cooldown=10.0,
+    max_step=2, min_size=1, max_size=6,
+)
+#: The scale-chaos soak's: the same loop scaling in sooner, so every
+#: wave ends in drains.
+SCALE_CHAOS_POLICY = replace(AUTOSCALE_POLICY, target=2.5, scale_in_cooldown=6.0)
+
+#: Autoscale headline: the diurnal base rate, the starting pool size,
+#: the telemetry scrape interval, the tenant throttle (rate, burst) and
+#: the burst tenant's trickle, bucket and crowd multiplier, then the
+#: verdicts' premium p99 SLO, efficiency factor and unit headroom.
+_DIURNAL_BASE_RATE = 8.0
+_AUTOSCALE_INITIAL_SIZE = 2
+_SCRAPE_INTERVAL = 0.5
+_THROTTLE_RATE = 200.0
+_THROTTLE_BURST = 400.0
+_BURST_RATE = 2.0
+_BURST_ALLOWANCE = (4.0, 8.0)
+_BURST_MULTIPLIER = 20.0
+_PREMIUM_P99_SLO = 1.0
+_EFFICIENCY_FACTOR = 1.5
+_HEADROOM = 0.75
+
+#: Scale-chaos soak: the square wave's low rate and high multiplier, the
+#: starting pool size, the sniper's repair time, cadence (every Nth
+#: drain) and poll interval, and the availability floor.
+_WAVE_BASE_RATE = 6.0
+_WAVE_HIGH_MULTIPLIER = 10.0
+_SCALE_CHAOS_INITIAL_SIZE = 1
+_SNIPER_MTTR = 1.0
+_SNIPE_EVERY = 2
+_SNIPER_POLL = 0.25
+_SCALE_CHAOS_AVAILABILITY_FLOOR = 0.97
+
 
 # ---------------------------------------------------------------------------
 # Overload / backpressure ablation
@@ -149,19 +231,16 @@ def run_overload_experiment(
     saturation: float = 2.5,
     bounded: bool = True,
     capacity: int = 40,
-    shed_policy: str = "drop-lowest",
-    premium_rate: float = 8.0,
+    shed_policy: str = _SHED_POLICY,
     duration: float = 30.0,
     drain: float = 90.0,
-    service_time: float = 0.1,
-    backend_capacity: int = 4,
     seed: int = 0,
 ) -> OverloadResult:
     """Offer ``saturation × μ`` Poisson traffic to one broker.
 
-    The backend serves ``μ = backend_capacity / service_time`` requests
-    per second. Class 1 (premium) is offered at the fixed
-    *premium_rate* regardless of *saturation*; classes 2 and 3 split
+    The backend serves ``μ = 40`` requests per second (capacity 4, 0.1 s
+    each). Class 1 (premium) is offered at a fixed 8 requests per second
+    regardless of *saturation*; classes 2 and 3 split
     the remainder — so across runs the premium demand is identical and
     only the background pressure changes.
 
@@ -179,16 +258,14 @@ def run_overload_experiment(
     """
     if saturation <= 0:
         raise ValueError(f"saturation must be > 0: {saturation!r}")
-    if premium_rate <= 0:
-        raise ValueError(f"premium_rate must be > 0: {premium_rate!r}")
     sim = Simulation(seed=seed)
     net = Network(sim, default_link=Link.lan())
     web_node = net.node("web")
     backend_node = net.node("backend1")
     server = BackendWebServer(
-        sim, backend_node, max_clients=backend_capacity, name="backend1"
+        sim, backend_node, max_clients=_OVERLOAD_BACKEND_CAPACITY, name="backend1"
     )
-    server.add_cgi("/item", item_cgi(service_time))
+    server.add_cgi("/item", item_cgi(_SERVICE_TIME))
 
     qos = QoSPolicy(levels=3, threshold=10_000)  # isolate the queue bound
     if bounded:
@@ -205,17 +282,17 @@ def run_overload_experiment(
         service="items",
         adapters=[HttpAdapter(sim, web_node, server.address, name=server.name)],
         qos=qos,
-        pool_size=backend_capacity,
+        pool_size=_OVERLOAD_BACKEND_CAPACITY,
         priority_queueing=priority_queueing,
         name="overload-broker",
         stages=stages,
     )
     broker_client = BrokerClient(sim, web_node, {"items": broker.address})
 
-    mu = backend_capacity / service_time
+    mu = _OVERLOAD_BACKEND_CAPACITY / _SERVICE_TIME
     total = saturation * mu
-    background = max(total - premium_rate, 0.0) / 2.0
-    offered = {1: premium_rate, 2: background, 3: background}
+    background = max(total - _OVERLOAD_PREMIUM_RATE, 0.0) / 2.0
+    offered = {1: _OVERLOAD_PREMIUM_RATE, 2: background, 3: background}
 
     outcomes = {level: OutcomeTally() for level in offered}
     latency = {level: SummaryStats() for level in offered}
@@ -496,6 +573,20 @@ class ChaosResult(_Verdicts):
         return (self.ok + self.degraded) / self.requests
 
 
+def _breaker_and_retry() -> list:
+    """The fault-tolerant plan's configured extras, fresh per broker.
+
+    A breaker opening after three consecutive failures for 0.5 s, and
+    the default :class:`~repro.core.faulttolerance.RetryPolicy`. The
+    failure-recovery testbed runs exactly these; the hardened plan adds
+    backpressure.
+    """
+    return [
+        CircuitBreakerStage(failure_threshold=3, reset_timeout=0.5),
+        RetryStage(policy=RetryPolicy()),
+    ]
+
+
 def _hardened_stages(
     capacity: int, shed_policy: str, throttle: Optional[TenantThrottle] = None
 ) -> list:
@@ -505,11 +596,7 @@ def _hardened_stages(
     follows ``arrival``: before admission, so a refused request never
     touches the ledger or the journal.
     """
-    extras = [
-        CircuitBreakerStage(failure_threshold=3, reset_timeout=0.5),
-        RetryStage(policy=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5)),
-        BackpressureStage(capacity, shed_policy=shed_policy),
-    ]
+    extras = [*_breaker_and_retry(), BackpressureStage(capacity, shed_policy=shed_policy)]
     if throttle is not None:
         extras.append(ThrottleStage(throttle))
     return stage_plan("fault-tolerant", *extras)
@@ -519,22 +606,10 @@ def run_chaos_experiment(
     duration: float = 300.0,
     mtbf: float = 25.0,
     mttr: float = 2.0,
-    capacity: int = 48,
-    shed_policy: str = "drop-lowest",
+    capacity: int = _CAPACITY,
+    shed_policy: str = _SHED_POLICY,
     recovery_policy: str = "replay",
-    n_clients: int = 10,
-    think_time: float = 0.05,
-    attempt_timeout: float = 1.0,
-    spike_every: float = 90.0,
-    spike_duration: float = 8.0,
-    spike_rate: float = 100.0,
-    blip_mttr: float = 0.08,
-    key_pool: int = 512,
-    cache_ttl: float = 0.5,
-    service_time: float = 0.1,
-    backend_capacity: int = 5,
     availability_floor: float = 0.99,
-    fast_threshold: float = 0.5,
     seed: int = 0,
     telemetry=None,
 ) -> ChaosResult:
@@ -554,18 +629,18 @@ def run_chaos_experiment(
       fixed *mttr*, independent schedules per broker (broker B fails
       at ~1.8× A's MTBF so double-failures stay rare but possible);
     * crash *blips* — two extra crashes of broker B healing in
-      *blip_mttr* seconds, faster than heartbeat detection, so the
+      0.08 seconds, faster than heartbeat detection, so the
       journal's **replay** recovery path runs (slow crashes are always
       consumed by the supervisor's fail-fast first);
     * link flaps — short :class:`~repro.net.faults.LinkDown` windows
       between the web host and the second backend;
-    * load spikes — open-loop class-3 bursts of *spike_rate*/s for
-      *spike_duration* seconds every *spike_every* seconds.
+    * load spikes — open-loop class-3 bursts of 100 requests/s for
+      8 seconds every 90 seconds.
 
-    The steady workload is *n_clients* closed-loop clients cycling
-    through the three QoS classes over a *key_pool* of cacheable items;
-    each request tries one broker (alternating per client) and fails
-    over to the replica on timeout or a DROPPED reply.
+    The steady workload is ten closed-loop clients cycling through the
+    three QoS classes over 512 cacheable items; each request tries one
+    broker (alternating per client) and fails over to the replica on a
+    1 s timeout or a DROPPED reply.
 
     After a generous drain the run is scored against four invariants
     (see :class:`InvariantCheck` entries on the result): every request
@@ -574,8 +649,6 @@ def run_chaos_experiment(
     queue bound never exceeded; steady-workload availability at or
     above *availability_floor*.
     """
-    if n_clients < 1:
-        raise ValueError(f"n_clients must be >= 1: {n_clients!r}")
     sim = Simulation(seed=seed)
     metrics = MetricsRegistry()
     net = Network(sim, default_link=Link.lan())
@@ -585,9 +658,9 @@ def run_chaos_experiment(
     for index in range(1, 3):
         node = net.node(f"backend{index}")
         server = BackendWebServer(
-            sim, node, max_clients=backend_capacity, name=f"backend{index}"
+            sim, node, max_clients=_SOAK_BACKEND_CAPACITY, name=f"backend{index}"
         )
-        server.add_cgi("/item", item_cgi(service_time))
+        server.add_cgi("/item", item_cgi(_SERVICE_TIME))
         backends.append(server)
 
     qos = _soak_qos()
@@ -604,10 +677,10 @@ def run_chaos_experiment(
             port=7000 + index,
             qos=qos,
             cache=ResultCache(
-                capacity=4 * key_pool, ttl=cache_ttl, clock=lambda: sim.now
+                capacity=4 * _KEY_POOL, ttl=_CHAOS_CACHE_TTL, clock=lambda: sim.now
             ),
-            pool_size=backend_capacity,
-            dispatchers=backend_capacity * len(backends),
+            pool_size=_SOAK_BACKEND_CAPACITY,
+            dispatchers=_SOAK_BACKEND_CAPACITY * len(backends),
             metrics=metrics,
             name=f"chaos-{suffix}",
             stages=_hardened_stages(capacity, shed_policy),
@@ -639,18 +712,11 @@ def run_chaos_experiment(
         rng=sim.rng("chaos.crash.b"),
     ):
         plan.add(fault)
-    if blip_mttr > 0:
-        # Instant-restart crashes: the broker is back before the
-        # supervisor's miss timeout, so restart() itself replays the
-        # journaled work instead of the supervisor failing it fast.
-        for fraction in (0.35, 0.75):
-            plan.add(
-                BrokerCrash(
-                    target="chaos-b",
-                    at=duration * fraction,
-                    duration=blip_mttr,
-                )
-            )
+    # Instant-restart crashes: the broker is back before the supervisor's
+    # miss timeout, so restart() itself replays the journaled work
+    # instead of the supervisor failing it fast.
+    for fraction in (0.35, 0.75):
+        plan.add(BrokerCrash(target="chaos-b", at=duration * fraction, duration=_BLIP_MTTR))
     link_faults = 0
     flap_at = duration * 0.2
     while flap_at < duration:
@@ -667,15 +733,15 @@ def run_chaos_experiment(
     # telemetry scraper reads these for the chaos SLOs ("workload.done"
     # counts every terminal outcome including spike traffic, which the
     # availability-floor invariant deliberately excludes).
-    steady = OutcomeTally(metrics, fast_threshold)
-    spikes = OutcomeTally(metrics, fast_threshold)
+    steady = OutcomeTally(metrics, _FAST_THRESHOLD)
+    spikes = OutcomeTally(metrics, _FAST_THRESHOLD)
     latency = SummaryStats()
     failovers = 0
 
     # Steady closed-loop workload with one-hop failover.
     key_rng = sim.rng("chaos.keys")
     stagger_rng = sim.rng("chaos.stagger")
-    for index in range(n_clients):
+    for index in range(_SOAK_CLIENTS):
         net.node(f"client{index}")  # a distinct host per client
         level = (index % qos.levels) + 1
         order = (
@@ -687,7 +753,7 @@ def run_chaos_experiment(
         def one_request(_client, _iteration, _level=level, _order=order):
             nonlocal failovers
             issued = sim.now
-            item = key_rng.randrange(key_pool)
+            item = key_rng.randrange(_KEY_POOL)
             status = "error"
             failed_over = False
             for attempt, service in enumerate(_order):
@@ -697,7 +763,7 @@ def run_chaos_experiment(
                         "get",
                         ("/item", {"id": item}),
                         qos_level=_level,
-                        timeout=attempt_timeout,
+                        timeout=_CHAOS_ATTEMPT_TIMEOUT,
                     )
                 except BrokerTimeout:
                     status = "timeout"
@@ -715,7 +781,7 @@ def run_chaos_experiment(
             sim,
             name=f"chaos{index}",
             request_factory=one_request,
-            think_time=think_time,
+            think_time=_SOAK_THINK_TIME,
             start_delay=stagger_rng.uniform(0.0, 1.0),
         ).start(until=duration)
 
@@ -725,14 +791,14 @@ def run_chaos_experiment(
     def spike_request(_generator, index):
         issued = sim.now
         service = services[index % len(services)]
-        item = spike_rng.randrange(key_pool)
+        item = spike_rng.randrange(_KEY_POOL)
         try:
             reply = yield from broker_client.call(
                 service,
                 "get",
                 ("/item", {"id": item}),
                 qos_level=qos.levels,
-                timeout=attempt_timeout,
+                timeout=_CHAOS_ATTEMPT_TIMEOUT,
             )
         except BrokerTimeout:
             spikes.add("timeout")
@@ -740,23 +806,22 @@ def run_chaos_experiment(
         spikes.add(reply.status.value, elapsed=sim.now - issued)
 
     def spike_driver():
-        spike_at = spike_every / 2.0
+        spike_at = _SPIKE_EVERY / 2.0
         count = 0
         while spike_at < duration:
             yield spike_at - sim.now
             count += 1
-            end = min(spike_at + spike_duration, duration)
+            end = min(spike_at + _SPIKE_DURATION, duration)
             OpenLoopGenerator(
                 sim,
                 name=f"chaos.spike{count}",
                 request_factory=spike_request,
-                rate=spike_rate,
+                rate=_SPIKE_RATE,
                 rng_stream=f"chaos.spike{count}",
             ).start(until=end)
-            spike_at += spike_every
+            spike_at += _SPIKE_EVERY
 
-    if spike_rate > 0 and spike_every > 0:
-        sim.process(spike_driver(), name="chaos:spikes")
+    sim.process(spike_driver(), name="chaos:spikes")
 
     if telemetry is not None:
         # Purely observational (no RNG, no messages): the soak below is
@@ -846,14 +911,6 @@ def run_shard_chaos_experiment(
     replicas: int = 2,
     leader_kill_every: float = 25.0,
     mttr: float = 2.0,
-    n_clients: int = 10,
-    think_time: float = 0.05,
-    attempt_timeout: float = 0.75,
-    max_tries: int = 3,
-    key_pool: int = 512,
-    service_time: float = 0.1,
-    backend_capacity: int = 5,
-    report_interval: float = 0.1,
     availability_floor: float = 0.99,
     seed: int = 0,
 ) -> ShardChaosResult:
@@ -878,9 +935,9 @@ def run_shard_chaos_experiment(
     next replica, so the returning broker re-takes the shard (a
     takeover election) and the cycle repeats on another shard.
 
-    Clients resolve through the :class:`~repro.core.sharding.ShardDirectory`
-    (service addressing) and retry up to *max_tries* times on a
-    timeout or a DROPPED reply; each retry re-resolves the leader, so
+    Ten clients resolve through the
+    :class:`~repro.core.sharding.ShardDirectory` (service addressing)
+    and try up to three times on a 0.75 s timeout or a DROPPED reply; each retry re-resolves the leader, so
     surviving an assassination is exactly one retry against the fresh
     replica. Verdicts: no-lost-request, post-crash-consistency,
     availability-floor (as the plain soak) plus leadership-convergence
@@ -891,8 +948,6 @@ def run_shard_chaos_experiment(
         raise ValueError(
             f"shards and replicas must be >= 1: {shards!r}x{replicas!r}"
         )
-    if n_clients < 1:
-        raise ValueError(f"n_clients must be >= 1: {n_clients!r}")
     sim = Simulation(seed=seed)
     metrics = MetricsRegistry()
     net = Network(sim, default_link=Link.lan())
@@ -917,10 +972,10 @@ def run_shard_chaos_experiment(
         backend = BackendWebServer(
             sim,
             net.node(backend_name),
-            max_clients=backend_capacity,
+            max_clients=_SOAK_BACKEND_CAPACITY,
             name=backend_name,
         )
-        backend.add_cgi("/item", item_cgi(service_time))
+        backend.add_cgi("/item", item_cgi(_SERVICE_TIME))
         group = ShardGroup("items", shard, metrics=metrics)
         peer = ShardPeerGroup(group)
         for replica in range(replicas):
@@ -933,8 +988,8 @@ def run_shard_chaos_experiment(
                     HttpAdapter(sim, web_node, backend.address, name=backend_name)
                 ],
                 qos=qos,
-                pool_size=backend_capacity,
-                dispatchers=backend_capacity,
+                pool_size=_SOAK_BACKEND_CAPACITY,
+                dispatchers=_SOAK_BACKEND_CAPACITY,
                 metrics=metrics,
                 name=f"shard{shard}r{replica}",
                 stages=stage_plan(
@@ -951,7 +1006,7 @@ def run_shard_chaos_experiment(
             )
             peer.join(broker)
             group.add(broker)
-            broker.report_load_to(listener.address, interval=report_interval)
+            broker.report_load_to(listener.address, interval=_SHARD_REPORT_INTERVAL)
         supervisor.add_listener(group.on_supervisor_event)
         groups.append(group)
         peers.append(peer)
@@ -995,17 +1050,17 @@ def run_shard_chaos_experiment(
     retries = 0
     key_rng = sim.rng("chaos.shard.keys")
     stagger_rng = sim.rng("chaos.shard.stagger")
-    for index in range(n_clients):
+    for index in range(_SOAK_CLIENTS):
         net.node(f"client{index}")
         level = (index % qos.levels) + 1
 
         def one_request(_client, _iteration, _level=level):
             nonlocal retries
             issued = sim.now
-            item = key_rng.randrange(key_pool)
+            item = key_rng.randrange(_KEY_POOL)
             status = "error"
             retried = False
-            for attempt in range(max_tries):
+            for attempt in range(_MAX_TRIES):
                 try:
                     reply = yield from broker_client.call(
                         "items",
@@ -1014,17 +1069,17 @@ def run_shard_chaos_experiment(
                         qos_level=_level,
                         cacheable=False,
                         cache_key=f"item{item}",
-                        timeout=attempt_timeout,
+                        timeout=_SHARD_ATTEMPT_TIMEOUT,
                     )
                 except BrokerTimeout:
                     status = "timeout"
-                    retried = attempt + 1 < max_tries
+                    retried = attempt + 1 < _MAX_TRIES
                     continue
                 status = reply.status.value
                 if reply.status in (ReplyStatus.OK, ReplyStatus.DEGRADED):
                     retried = attempt > 0
                     break
-                retried = attempt + 1 < max_tries
+                retried = attempt + 1 < _MAX_TRIES
             outcomes.add(status)
             latency.add(sim.now - issued)
             retries += retried
@@ -1033,7 +1088,7 @@ def run_shard_chaos_experiment(
             sim,
             name=f"shardchaos{index}",
             request_factory=one_request,
-            think_time=think_time,
+            think_time=_SOAK_THINK_TIME,
             start_delay=stagger_rng.uniform(0.0, 1.0),
         ).start(until=duration)
 
@@ -1174,17 +1229,14 @@ def _pool_requests(
     pool: BrokerPool,
     broker_client: BrokerClient,
     key_rng,
-    key_pool: int,
-    max_tries: int,
-    attempt_timeout: float,
     record,
 ):
     """Request factories over the elastic pool: route by key, retry.
 
     ``make(level, tenant)`` returns an open-loop request factory for one
-    QoS class. Each request draws an item from *key_pool*, routes it
-    through the pool's ring, and retries a timeout or a refusal on the
-    freshly routed unit up to *max_tries* times — except a throttle
+    QoS class. Each request draws one of 512 items, routes it through
+    the pool's ring, and retries a timeout or a refusal on the freshly
+    routed unit, three tries in all — except a throttle
     refusal, which a retry would only meet again. The request carries
     the *tenant* tag when one is given. Every request ends in
     ``record(level, tenant, status, error, elapsed)``.
@@ -1193,11 +1245,11 @@ def _pool_requests(
     def make(level: int, tenant: Optional[str] = None):
         def one_request(_generator, _index):
             issued = sim.now
-            item = key_rng.randrange(key_pool)
+            item = key_rng.randrange(_KEY_POOL)
             params = {"id": item} if tenant is None else {"id": item, "tenant": tenant}
             status = "error"
             error = ""
-            for _attempt in range(max_tries):
+            for _attempt in range(_MAX_TRIES):
                 try:
                     broker = pool.route(f"item{item}")
                 except BrokerError:
@@ -1211,7 +1263,7 @@ def _pool_requests(
                         ("/item", params),
                         qos_level=level,
                         cacheable=False,
-                        timeout=attempt_timeout,
+                        timeout=_POOL_ATTEMPT_TIMEOUT,
                     )
                 except BrokerTimeout:
                     status = "timeout"
@@ -1305,65 +1357,38 @@ class AutoscaleResult(_Verdicts):
 
 def run_autoscale_experiment(
     duration: float = 240.0,
-    base_rate: float = 8.0,
     swing: float = 10.0,
     period: float = 120.0,
-    target: float = 3.0,
-    hysteresis: float = 0.3,
-    scale_out_cooldown: float = 2.0,
-    scale_in_cooldown: float = 10.0,
-    max_step: int = 2,
-    min_size: int = 1,
-    max_size: int = 6,
-    initial_size: int = 2,
-    interval: float = 1.0,
-    scrape_interval: float = 0.5,
-    capacity: int = 48,
-    shed_policy: str = "drop-lowest",
-    service_time: float = 0.1,
-    backend_capacity: int = 4,
-    drain_grace: float = 2.0,
-    throttle_rate: float = 200.0,
-    throttle_burst: float = 400.0,
-    burst_rate: float = 2.0,
-    burst_allowance: Tuple[float, float] = (4.0, 8.0),
-    burst_multiplier: float = 20.0,
-    attempt_timeout: float = 2.0,
-    max_tries: int = 3,
-    key_pool: int = 512,
-    fast_threshold: float = 0.5,
-    premium_p99_slo: float = 1.0,
-    efficiency_factor: float = 1.5,
-    headroom: float = 0.75,
+    target: float = AUTOSCALE_POLICY.target,
     seed: int = 0,
 ) -> AutoscaleResult:
     """The elastic-pool headline: a 10× diurnal swing, autoscaled.
 
     Load is a :class:`~repro.workload.clients.DiurnalLoadGenerator`
-    sweeping ``base_rate .. base_rate*swing`` once per *period*, mixed
-    across three QoS classes (class 1 = tenant ``premium``), plus a
-    :class:`~repro.workload.clients.FlashCrowdGenerator` for tenant
-    ``burst`` whose crowds multiply its trickle by *burst_multiplier* —
-    and whose token bucket (*burst_allowance*) is sized so the crowd is
-    *refused*, not absorbed.
+    sweeping ``8 .. 8*swing`` requests per second once per *period*,
+    mixed across three QoS classes (class 1 = tenant ``premium``), plus
+    a :class:`~repro.workload.clients.FlashCrowdGenerator` for tenant
+    ``burst`` whose crowds multiply its trickle by 20 — and whose token
+    bucket is sized so the crowd is *refused*, not absorbed.
 
     The pool is an elastic set of broker+backend units behind an
-    :class:`~repro.core.autoscale.Autoscaler` reading per-broker load
+    :class:`~repro.core.autoscale.Autoscaler` (:data:`AUTOSCALE_POLICY`
+    at *target*) reading per-broker load
     series from a :class:`~repro.obs.telemetry.TelemetryScraper` and
     honouring :class:`~repro.obs.slo.SloEngine` burn alerts
     (:func:`~repro.obs.slo.autoscale_slos` — throttle refusals do not
     burn). Scale-in runs the graceful drain protocol end to end.
 
-    Verdicts: premium p99 within *premium_p99_slo*; time-mean pool size
-    within ``efficiency_factor ×`` the steady-state unit count (the
-    units needed for the *time-average* offered rate at *headroom*
-    utilisation — static provisioning would need the peak count
-    instead); the burst tenant throttled while premium never is; the
+    Verdicts: premium p99 within 1 s; time-mean pool size within 1.5×
+    the steady-state unit count (the units needed for the *time-average*
+    offered rate at 75 % utilisation — static provisioning would need
+    the peak count instead); the burst tenant throttled while premium never is; the
     pool actually tracked the swing; and no request lost across every
     drain.
     """
     if swing <= 1.0:
         raise ValueError(f"swing must be > 1: {swing!r}")
+    base_rate = _DIURNAL_BASE_RATE
     peak_rate = base_rate * swing
     sim = Simulation(seed=seed)
     metrics = MetricsRegistry()
@@ -1371,25 +1396,25 @@ def run_autoscale_experiment(
     web_node = net.node("web")
 
     throttle = TenantThrottle(
-        throttle_rate, throttle_burst, overrides={"burst": burst_allowance}
+        _THROTTLE_RATE, _THROTTLE_BURST, overrides={"burst": _BURST_ALLOWANCE}
     )
     pool, supervisor, listener, group, watches = _elastic_pool(
         sim,
         net,
         metrics,
-        capacity=capacity,
-        shed_policy=shed_policy,
-        service_time=service_time,
-        backend_capacity=backend_capacity,
+        capacity=_CAPACITY,
+        shed_policy=_SHED_POLICY,
+        service_time=_SERVICE_TIME,
+        backend_capacity=_POOL_BACKEND_CAPACITY,
         throttle=throttle,
-        drain_grace=drain_grace,
+        drain_grace=_POOL_DRAIN_GRACE,
         seed=seed,
     )
 
     from ..obs.slo import SloEngine, autoscale_slos
     from ..obs.telemetry import TelemetryScraper
 
-    scraper = TelemetryScraper(interval=scrape_interval).attach(sim)
+    scraper = TelemetryScraper(interval=_SCRAPE_INTERVAL).attach(sim)
     scraper.watch_registry(metrics, prefix="workload.")
     scraper.watch_registry(metrics, prefix="autoscaler.")
     engine = SloEngine(autoscale_slos())
@@ -1402,20 +1427,12 @@ def run_autoscale_experiment(
         scraper.watch_broker(broker)
 
     pool.on_provision = on_provision
-    pool.scale_to(max(min_size, initial_size))
+    pool.scale_to(_AUTOSCALE_INITIAL_SIZE)
 
-    policy = AutoscalerPolicy(
-        target=target,
-        hysteresis=hysteresis,
-        scale_out_cooldown=scale_out_cooldown,
-        scale_in_cooldown=scale_in_cooldown,
-        max_step=max_step,
-        min_size=min_size,
-        max_size=max_size,
-    )
+    policy = replace(AUTOSCALE_POLICY, target=target)
     autoscaler = Autoscaler(
         sim, pool, policy, scraper=scraper, engine=engine,
-        interval=interval, metrics=metrics,
+        interval=_CONTROL_INTERVAL, metrics=metrics,
     )
     for gauge_name, fn in autoscaler.gauges().items():
         scraper.add_gauge(gauge_name, fn)
@@ -1423,7 +1440,7 @@ def run_autoscale_experiment(
     autoscaler.start(until=duration)
 
     # -- workload ----------------------------------------------------------
-    outcomes = OutcomeTally(metrics, fast_threshold)
+    outcomes = OutcomeTally(metrics, _FAST_THRESHOLD)
     latency: Dict[int, SummaryStats] = {}
     tenants: Dict[str, Dict[str, int]] = {}
 
@@ -1440,8 +1457,7 @@ def run_autoscale_experiment(
             latency.setdefault(level, SummaryStats()).add(elapsed)
 
     make_factory = _pool_requests(
-        sim, pool, broker_client, sim.rng("autoscale.keys"),
-        key_pool, max_tries, attempt_timeout, record,
+        sim, pool, broker_client, sim.rng("autoscale.keys"), record
     )
 
     # The diurnal curve carries all three QoS classes; a third of its
@@ -1458,26 +1474,26 @@ def run_autoscale_experiment(
             rng_stream=f"autoscale.diurnal.qos{level}",
         ).start(until=duration)
     crowds = [
-        (period / 3.0 + cycle * period, period / 12.0, burst_multiplier)
+        (period / 3.0 + cycle * period, period / 12.0, _BURST_MULTIPLIER)
         for cycle in range(int(duration / period) + 1)
     ]
     FlashCrowdGenerator(
         sim,
         name="burst",
         request_factory=make_factory(3, "burst"),
-        base_rate=burst_rate,
+        base_rate=_BURST_RATE,
         crowds=crowds,
         rng_stream="autoscale.burst",
     ).start(until=duration)
 
     sim.run(until=duration)
     # Overtime: in-flight replies land, started drains complete.
-    sim.run(until=duration + drain_grace * 3 + 30.0)
+    sim.run(until=duration + _POOL_DRAIN_GRACE * 3 + 30.0)
 
     # -- result ------------------------------------------------------------
-    unit_rate = backend_capacity / service_time
-    mean_rate = (base_rate + peak_rate) / 2.0 + burst_rate
-    steady_size = max(min_size, math.ceil(mean_rate / (unit_rate * headroom)))
+    unit_rate = _POOL_BACKEND_CAPACITY / _SERVICE_TIME
+    mean_rate = (base_rate + peak_rate) / 2.0 + _BURST_RATE
+    steady_size = max(policy.min_size, math.ceil(mean_rate / (unit_rate * _HEADROOM)))
     sizes = [size for _t, size, _signal, _action in autoscaler.history]
     result = AutoscaleResult(
         duration=duration,
@@ -1506,15 +1522,15 @@ def run_autoscale_experiment(
 
     # -- invariants --------------------------------------------------------
     premium = result.premium_p99()
-    bound = efficiency_factor * steady_size
+    bound = _EFFICIENCY_FACTOR * steady_size
     burst_throttled = result.tenants.get("burst", {}).get("throttled", 0)
     premium_throttled = result.tenants.get("premium", {}).get("throttled", 0)
     result.invariants = [
         InvariantCheck(
             name="premium-p99",
-            passed=not math.isnan(premium) and premium <= premium_p99_slo,
+            passed=not math.isnan(premium) and premium <= _PREMIUM_P99_SLO,
             detail=(
-                f"premium p99 {premium:.3f}s (SLO {premium_p99_slo:.3f}s; "
+                f"premium p99 {premium:.3f}s (SLO {_PREMIUM_P99_SLO:.3f}s; "
                 f"{result.latency.get(1).count if 1 in result.latency else 0} "
                 f"answered premium replies)"
             ),
@@ -1524,9 +1540,9 @@ def run_autoscale_experiment(
             passed=bool(sizes) and result.mean_size <= bound,
             detail=(
                 f"mean size {result.mean_size:.2f} <= {bound:.2f} "
-                f"({efficiency_factor}x steady {steady_size}; "
+                f"({_EFFICIENCY_FACTOR}x steady {steady_size}; "
                 f"peak {result.peak_size}, static peak provisioning needs "
-                f"{math.ceil(peak_rate / (unit_rate * headroom))})"
+                f"{math.ceil(peak_rate / (unit_rate * _HEADROOM))})"
             ),
         ),
         InvariantCheck(
@@ -1603,43 +1619,21 @@ class ScaleChaosResult(_Verdicts):
 def run_scale_chaos_experiment(
     duration: float = 264.0,
     wave_period: float = 24.0,
-    base_rate: float = 6.0,
-    high_multiplier: float = 10.0,
-    target: float = 2.5,
-    hysteresis: float = 0.3,
-    scale_out_cooldown: float = 2.0,
-    scale_in_cooldown: float = 6.0,
-    max_step: int = 2,
-    min_size: int = 1,
-    max_size: int = 6,
-    initial_size: int = 1,
-    interval: float = 1.0,
-    capacity: int = 48,
-    shed_policy: str = "drop-lowest",
-    service_time: float = 0.1,
-    backend_capacity: int = 4,
-    drain_grace: float = 2.0,
-    mttr: float = 1.0,
-    snipe_every: int = 2,
-    sniper_poll: float = 0.25,
-    attempt_timeout: float = 2.0,
-    max_tries: int = 3,
-    key_pool: int = 512,
-    fast_threshold: float = 0.5,
+    target: float = SCALE_CHAOS_POLICY.target,
     min_scale_ins: int = 20,
     min_mid_drain_kills: int = 3,
-    availability_floor: float = 0.97,
     seed: int = 0,
 ) -> ScaleChaosResult:
     """The scale-chaos soak: crash brokers *while* they drain.
 
-    A square-wave load (high for the first half of every *wave_period*,
-    ``base_rate`` for the second) forces the autoscaled pool through a
-    scale-out/scale-in cycle per wave — dozens of graceful drains per
-    run. A *drain sniper* process watches :attr:`BrokerPool.draining
+    A square-wave load (60 requests/s for the first half of every
+    *wave_period*, 6 for the second) forces the autoscaled pool
+    (:data:`SCALE_CHAOS_POLICY` at *target*) through a scale-out/scale-in
+    cycle per wave — dozens of graceful drains per run. A *drain sniper*
+    process watches :attr:`BrokerPool.draining
     <repro.core.autoscale.BrokerPool.draining>` and crashes every
-    *snipe_every*-th draining broker mid-protocol; the resurrection
-    (after *mttr*) restarts it still in draining state (the flag
+    second draining broker mid-protocol; the resurrection (after 1 s)
+    restarts it still in draining state (the flag
     survives the restart), the supervisor fail-fasts its journal
     meanwhile, and the drain coordinator resumes with a fresh grace
     window. The headline verdict: across ``>= min_scale_ins`` drains
@@ -1661,12 +1655,12 @@ def run_scale_chaos_experiment(
         sim,
         net,
         metrics,
-        capacity=capacity,
-        shed_policy=shed_policy,
-        service_time=service_time,
-        backend_capacity=backend_capacity,
+        capacity=_CAPACITY,
+        shed_policy=_SHED_POLICY,
+        service_time=_SERVICE_TIME,
+        backend_capacity=_POOL_BACKEND_CAPACITY,
         throttle=None,
-        drain_grace=drain_grace,
+        drain_grace=_POOL_DRAIN_GRACE,
         base_port=7400,
         prefix="soak",
         seed=seed,
@@ -1676,22 +1670,14 @@ def run_scale_chaos_experiment(
     pool.on_provision = lambda broker: broker_client.add_route(
         broker.service, broker.address
     )
-    pool.scale_to(max(min_size, initial_size))
+    pool.scale_to(_SCALE_CHAOS_INITIAL_SIZE)
 
-    policy = AutoscalerPolicy(
-        target=target,
-        hysteresis=hysteresis,
-        scale_out_cooldown=scale_out_cooldown,
-        scale_in_cooldown=scale_in_cooldown,
-        max_step=max_step,
-        min_size=min_size,
-        max_size=max_size,
-    )
+    policy = replace(SCALE_CHAOS_POLICY, target=target)
     # Live broker readings (no scraper): the soak stresses the drain
     # protocol, not the telemetry path the headline experiment covers.
     autoscaler = Autoscaler(
         sim, pool, policy, scraper=None, engine=None,
-        interval=interval, metrics=metrics,
+        interval=_CONTROL_INTERVAL, metrics=metrics,
     )
     autoscaler.start(until=duration)
 
@@ -1701,12 +1687,12 @@ def run_scale_chaos_experiment(
     ordinals: Dict[str, int] = {}
 
     def resurrect(victim: ServiceBroker):
-        yield mttr
+        yield _SNIPER_MTTR
         victim.restart()  # no-op when already alive or retired
 
     def drain_sniper():
         while True:
-            yield sniper_poll
+            yield _SNIPER_POLL
             if sim.now >= duration:
                 return
             for name, broker in list(pool.draining.items()):
@@ -1715,7 +1701,7 @@ def run_scale_chaos_experiment(
                 if (
                     broker.alive
                     and name not in sniped
-                    and ordinals[name] % snipe_every == 0
+                    and ordinals[name] % _SNIPE_EVERY == 0
                 ):
                     sniped.add(name)
                     kills["count"] += 1
@@ -1725,7 +1711,7 @@ def run_scale_chaos_experiment(
     sim.process(drain_sniper(), name="chaos:drain-sniper")
 
     # -- workload ----------------------------------------------------------
-    outcomes = OutcomeTally(metrics, fast_threshold)
+    outcomes = OutcomeTally(metrics, _FAST_THRESHOLD)
     latency = SummaryStats()
 
     def record(_level, _tenant, status, error, elapsed):
@@ -1733,8 +1719,7 @@ def run_scale_chaos_experiment(
             latency.add(elapsed)
 
     make_factory = _pool_requests(
-        sim, pool, broker_client, sim.rng("scalechaos.keys"),
-        key_pool, max_tries, attempt_timeout, record,
+        sim, pool, broker_client, sim.rng("scalechaos.keys"), record
     )
     cycles = int(duration / wave_period) + 1
     for level in (1, 2, 3):
@@ -1742,9 +1727,9 @@ def run_scale_chaos_experiment(
             sim,
             name=f"wave.qos{level}",
             request_factory=make_factory(level),
-            base_rate=base_rate / 3.0,
+            base_rate=_WAVE_BASE_RATE / 3.0,
             crowds=[
-                (cycle * wave_period, wave_period / 2.0, high_multiplier)
+                (cycle * wave_period, wave_period / 2.0, _WAVE_HIGH_MULTIPLIER)
                 for cycle in range(cycles)
             ],
             rng_stream=f"scalechaos.wave.qos{level}",
@@ -1752,7 +1737,7 @@ def run_scale_chaos_experiment(
 
     sim.run(until=duration)
     # Overtime: resurrect the last corpse, finish the last drains.
-    sim.run(until=duration + mttr + drain_grace * 3 + 30.0)
+    sim.run(until=duration + _SNIPER_MTTR + _POOL_DRAIN_GRACE * 3 + 30.0)
 
     # -- result ------------------------------------------------------------
     sizes = [size for _t, size, _signal, _action in autoscaler.history]
@@ -1760,9 +1745,9 @@ def run_scale_chaos_experiment(
         duration=duration,
         seed=seed,
         wave_period=wave_period,
-        base_rate=base_rate,
-        high_rate=base_rate * high_multiplier,
-        mttr=mttr,
+        base_rate=_WAVE_BASE_RATE,
+        high_rate=_WAVE_BASE_RATE * _WAVE_HIGH_MULTIPLIER,
+        mttr=_SNIPER_MTTR,
         latency=latency,
         scale_outs=pool.scale_out_events,
         scale_ins=pool.scale_in_events,
@@ -1808,14 +1793,14 @@ def run_scale_chaos_experiment(
         InvariantCheck(
             name="pool-bounds",
             passed=bool(sizes)
-            and min_size <= result.min_size
-            and result.peak_size <= max_size,
+            and policy.min_size <= result.min_size
+            and result.peak_size <= policy.max_size,
             detail=(
                 f"observed sizes [{result.min_size}, {result.peak_size}] "
-                f"within [{min_size}, {max_size}]"
+                f"within [{policy.min_size}, {policy.max_size}]"
             ),
         ),
         _post_crash_consistency(result, pool.active),
-        _availability_floor(result, availability_floor),
+        _availability_floor(result, _SCALE_CHAOS_AVAILABILITY_FLOOR),
     ]
     return result

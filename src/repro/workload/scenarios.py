@@ -50,13 +50,10 @@ from ..core.clustering import (
     InListQueryCombiner,
     RepeatWorkloadCombiner,
 )
-from ..core.faulttolerance import RetryPolicy
 from ..core.peering import BrokerPeerGroup, ShardPeerGroup
 from ..core.pipeline import (
     CacheTierStage,
-    CircuitBreakerStage,
     QueryCombineStage,
-    RetryStage,
     ShardRouteStage,
     stage_plan,
 )
@@ -94,6 +91,57 @@ __all__ = [
 #: Bounded CGI processing times (seconds) at backends 1, 2, 3 (paper §V.B).
 QOS_SERVICE_TIMES: Tuple[float, ...] = (1.0, 2.0, 3.0)
 
+# Calibration. An entry point takes a parameter only when some caller
+# sets it; every other value of a testbed is one of these constants.
+
+#: §V.B: per-broker admission threshold, backend capacity (Apache
+#: ``max_clients``), QoS classes and a client's per-iteration think time.
+_QOS_THRESHOLD = 20
+_QOS_BACKEND_CAPACITY = 5
+_QOS_LEVELS = 3
+_QOS_THINK_TIME = 0.1
+#: Per-class admission fractions of the threshold, calibrated so the
+#: paper's "no drops below 20 clients" band holds: closed-loop analysis
+#: puts broker 3's outstanding count near 10 at 20 clients, so the
+#: lowest class needs a limit of ~2/3 x threshold. See EXPERIMENTS.md.
+_QOS_FRACTIONS = {1: 1.0, 2: 5.0 / 6.0, 3: 2.0 / 3.0}
+
+#: Figure 7: the backend's capacity, the records table and its groups,
+#: the CGI script's per-invocation cost (2003-era process spawn + script
+#: start-up) and the broker's clustering window.
+_FIG7_BACKEND_CAPACITY = 5
+_FIG7_TABLE_ROWS = 42_000
+_FIG7_GROUPS = 1_000
+_FIG7_CGI_OVERHEAD = 0.030
+_FIG7_WINDOW = 0.02
+
+#: Failure recovery: closed-loop clients, the replicas' CGI time and
+#: capacity, client think time, the class-1 deadline (classes 2 and 3
+#: get 1.5x and 2x), the result cache's TTL and the item key pool.
+_FT_CLIENTS = 8
+_FT_SERVICE_TIME = 0.1
+_FT_BACKEND_CAPACITY = 5
+_FT_THINK_TIME = 0.1
+_FT_DEADLINE = 2.0
+_FT_CACHE_TTL = 1.0
+_FT_KEY_POOL = 32
+
+#: Sharded §V.B: the item keys a page draws from.
+_SHARDED_KEY_POOL = 4096
+
+#: Cache tier: the catalog table and its groups, the Zipf skew of the
+#: keys, per-broker and shared cache capacities, the combining window
+#: and batch, the fraction of reads that are aggregates, and think time.
+_CACHE_TABLE_ROWS = 20_000
+_CACHE_GROUPS = 400
+_CACHE_KEY_SKEW = 1.1
+_CACHE_CAPACITY = 256
+_CACHE_TIER_CAPACITY = 8192
+_CACHE_COMBINE_WINDOW = 0.004
+_CACHE_MAX_BATCH = 8
+_CACHE_COUNT_FRACTION = 0.2
+_CACHE_THINK_TIME = 0.05
+
 
 # ---------------------------------------------------------------------------
 # Experiment A — request clustering (Figure 7)
@@ -129,20 +177,15 @@ def _records_database(table_rows: int, groups: int):
 def run_clustering_experiment(
     degree: int,
     n_requests: int = 40,
-    backend_capacity: int = 5,
-    table_rows: int = 42_000,
-    groups: int = 1_000,
-    cgi_overhead: float = 0.030,
-    window: float = 0.02,
     seed: int = 0,
     obs=None,
 ) -> ClusteringResult:
     """Run the Figure-7 testbed at one *degree* of clustering.
 
-    *cgi_overhead* is the per-invocation cost of the backend CGI script
-    (2003-era process spawn + script startup); the per-repeat cost is a
-    real indexed query against the 42,000-row table over a per-access
-    database connection, exactly the workload structure of the paper.
+    Each backend CGI invocation costs a fixed 30 ms (2003-era process
+    spawn + script startup); the per-repeat cost is a real indexed query
+    against the 42,000-row table over a per-access database connection,
+    exactly the workload structure of the paper.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1: {degree!r}")
@@ -160,19 +203,19 @@ def run_clustering_experiment(
     from ..db.client import DatabaseClient
     from ..db.server import DatabaseServer
 
-    database = _records_database(table_rows, groups)
+    database = _records_database(_FIG7_TABLE_ROWS, _FIG7_GROUPS)
     db_server = DatabaseServer(sim, db_node, database, max_workers=16)
 
     # Backend web server: capacity-5 Apache running the lookup script.
     from ..http.server import BackendWebServer
 
     backend = BackendWebServer(
-        sim, backend_node, max_clients=backend_capacity, name="backend"
+        sim, backend_node, max_clients=_FIG7_BACKEND_CAPACITY, name="backend"
     )
 
     def lookup_cgi(server, request):
         """The paper's backend script: repeat the workload `repeat` times."""
-        yield cgi_overhead
+        yield _FIG7_CGI_OVERHEAD
         repeat = int(request.param("repeat", 1))
         grp = int(request.param("grp", 0))
         total = 0
@@ -195,7 +238,7 @@ def run_clustering_experiment(
         clustering = ClusteringConfig(
             combiner=RepeatWorkloadCombiner(),
             max_batch=degree,
-            window=window,
+            window=_FIG7_WINDOW,
         )
     broker = ServiceBroker(
         sim,
@@ -236,7 +279,7 @@ def run_clustering_experiment(
             client_node,
             frontend.address,
             "/app",
-            {"grp": rng.randrange(groups)},
+            {"grp": rng.randrange(_FIG7_GROUPS)},
         )
         if not response.ok:
             raise RuntimeError(f"request failed: {response.status}")
@@ -275,17 +318,9 @@ def _bounded_backend(sim, net, name: str, service_time: float, capacity: int):
     return backend
 
 
-def _qos_policy(
-    levels: int, threshold: int, fractions: Optional[Dict[int, float]]
-) -> QoSPolicy:
-    """The testbed's admission policy; calibrated when none is given."""
-    if fractions is None and levels == 3:
-        # Calibrated so the paper's "no drops below 20 clients" band
-        # holds: closed-loop analysis puts broker 3's outstanding count
-        # near 10 at 20 clients, so the lowest class needs a limit of
-        # ~2/3 x threshold. See EXPERIMENTS.md.
-        fractions = {1: 1.0, 2: 5.0 / 6.0, 3: 2.0 / 3.0}
-    return QoSPolicy(levels=levels, threshold=threshold, fractions=fractions)
+def _qos_policy(threshold: int) -> QoSPolicy:
+    """The testbed's calibrated three-class admission policy."""
+    return QoSPolicy(levels=_QOS_LEVELS, threshold=threshold, fractions=_QOS_FRACTIONS)
 
 
 def _centralized_admission(
@@ -330,7 +365,6 @@ def _start_class_clients(
     frontend,
     prefix: str,
     n_clients: int,
-    levels: int,
     duration: float,
     service_times: Tuple[float, ...],
     think_time: float,
@@ -343,11 +377,11 @@ def _start_class_clients(
     to shard ``index % shards``; only those of *own_shards* are started
     (and draw a start delay), which by default is all of them.
     """
-    per_class = n_clients // levels
-    extra = n_clients - per_class * levels
+    per_class = n_clients // _QOS_LEVELS
+    extra = n_clients - per_class * _QOS_LEVELS
     clients_by_class: Dict[int, List[ClosedLoopClient]] = {}
     stagger_rng = sim.rng("qos.stagger")
-    for level in range(1, levels + 1):
+    for level in range(1, _QOS_LEVELS + 1):
         workstation = net.node(f"workstation{level}")
         count_for_class = per_class + (1 if level <= extra else 0)
         class_clients: List[ClosedLoopClient] = []
@@ -470,11 +504,9 @@ def run_qos_experiment(
     mode: str = "broker",
     duration: float = 300.0,
     service_times: Tuple[float, ...] = QOS_SERVICE_TIMES,
-    threshold: int = 20,
-    backend_capacity: int = 5,
-    levels: int = 3,
-    think_time: float = 0.1,
-    fractions: Optional[Dict[int, float]] = None,
+    threshold: int = _QOS_THRESHOLD,
+    backend_capacity: int = _QOS_BACKEND_CAPACITY,
+    think_time: float = _QOS_THINK_TIME,
     seed: int = 0,
     obs=None,
     telemetry=None,
@@ -500,8 +532,8 @@ def run_qos_experiment(
         raise ValueError(
             f"mode must be 'broker', 'centralized', or 'api': {mode!r}"
         )
-    if n_clients < levels:
-        raise ValueError(f"need at least {levels} clients, got {n_clients}")
+    if n_clients < _QOS_LEVELS:
+        raise ValueError(f"need at least {_QOS_LEVELS} clients, got {n_clients}")
     sim = Simulation(seed=seed)
     if obs is not None:
         obs.attach(sim)
@@ -514,7 +546,7 @@ def run_qos_experiment(
         for index, service_time in enumerate(service_times, 1)
     ]
     frontend = FrontendWebServer(sim, web_node, name="frontend")
-    qos_policy = _qos_policy(levels, threshold, fractions)
+    qos_policy = _qos_policy(threshold)
 
     brokers: List[ServiceBroker] = []
     if mode in ("broker", "centralized"):
@@ -589,8 +621,7 @@ def run_qos_experiment(
 
     frontend.register_app(WebApplication(path="/page", handler=page_app))
     clients_by_class = _start_class_clients(
-        sim, net, frontend, "qos", n_clients, levels, duration, service_times,
-        think_time,
+        sim, net, frontend, "qos", n_clients, duration, service_times, think_time
     )
     if telemetry is not None:
         # Broker registries reuse names across brokers; a label keeps
@@ -606,7 +637,7 @@ def run_qos_experiment(
     _collect_classes(result, clients_by_class, frontend)
     for broker in brokers:
         result.drop_ratios[broker.name] = {
-            level: broker.drop_ratio(level) for level in range(1, levels + 1)
+            level: broker.drop_ratio(level) for level in range(1, _QOS_LEVELS + 1)
         }
     return result
 
@@ -676,14 +707,7 @@ def run_failure_recovery_experiment(
     mtbf: float = 30.0,
     mttr: float = 5.0,
     replicas: int = 2,
-    n_clients: int = 8,
     duration: float = 120.0,
-    service_time: float = 0.1,
-    think_time: float = 0.1,
-    deadline: float = 2.0,
-    cache_ttl: float = 1.0,
-    key_pool: int = 32,
-    backend_capacity: int = 5,
     first_crash_at: Optional[float] = None,
     seed: int = 0,
     obs=None,
@@ -691,11 +715,11 @@ def run_failure_recovery_experiment(
     """Crash a replica on an MTBF schedule; measure what clients see.
 
     One broker runs the fault-tolerant :func:`~repro.core.pipeline.stage_plan`
-    over *replicas* identical backend web servers (each a bounded CGI of
-    *service_time* seconds that honours ``service_time_scale``). Closed-
-    loop clients in three QoS classes request cacheable items from a
-    pool of *key_pool* keys, so the result cache holds recent — possibly
-    stale — answers for every key. A
+    over *replicas* identical backend web servers (each a bounded 0.1 s
+    CGI that honours ``service_time_scale``). Eight closed-loop clients
+    in three QoS classes request cacheable items from a pool of 32 keys,
+    so the result cache holds recent — possibly stale — answers for
+    every key. A
     :class:`~repro.net.faults.FaultInjector` replays
     :meth:`FaultPlan.crash_restart_cycle
     <repro.net.faults.FaultPlan.crash_restart_cycle>` against the first
@@ -713,8 +737,6 @@ def run_failure_recovery_experiment(
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1: {replicas!r}")
-    if n_clients < 1:
-        raise ValueError(f"n_clients must be >= 1: {n_clients!r}")
     sim = Simulation(seed=seed)
     if obs is not None:
         obs.attach(sim)
@@ -723,16 +745,18 @@ def run_failure_recovery_experiment(
 
     # Replica backend web servers, all serving the same item lookup.
     from ..http.server import BackendWebServer, item_cgi
+    from .chaos import _breaker_and_retry
 
     backends: List[BackendWebServer] = []
     for index in range(1, replicas + 1):
         node = net.node(f"backend{index}")
         server = BackendWebServer(
-            sim, node, max_clients=backend_capacity, name=f"backend{index}"
+            sim, node, max_clients=_FT_BACKEND_CAPACITY, name=f"backend{index}"
         )
-        server.add_cgi("/item", item_cgi(service_time))
+        server.add_cgi("/item", item_cgi(_FT_SERVICE_TIME))
         backends.append(server)
 
+    deadline = _FT_DEADLINE
     qos = QoSPolicy(
         levels=3,
         threshold=10_000,  # no admission drops — this experiment isolates faults
@@ -747,17 +771,13 @@ def run_failure_recovery_experiment(
             for server in backends
         ],
         qos=qos,
-        cache=ResultCache(capacity=4 * key_pool, ttl=cache_ttl, clock=lambda: sim.now),
-        pool_size=backend_capacity,
-        dispatchers=backend_capacity * replicas,
-        name="ft-broker",
-        stages=stage_plan(
-            "fault-tolerant",
-            CircuitBreakerStage(failure_threshold=3, reset_timeout=0.5),
-            RetryStage(
-                policy=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5)
-            ),
+        cache=ResultCache(
+            capacity=4 * _FT_KEY_POOL, ttl=_FT_CACHE_TTL, clock=lambda: sim.now
         ),
+        pool_size=_FT_BACKEND_CAPACITY,
+        dispatchers=_FT_BACKEND_CAPACITY * replicas,
+        name="ft-broker",
+        stages=stage_plan("fault-tolerant", *_breaker_and_retry()),
     )
     broker_client = BrokerClient(sim, web_node, {"items": broker.address})
 
@@ -786,13 +806,13 @@ def run_failure_recovery_experiment(
     key_rng = sim.rng("faults.keys")
     stagger_rng = sim.rng("faults.stagger")
     clients: List[ClosedLoopClient] = []
-    for index in range(n_clients):
+    for index in range(_FT_CLIENTS):
         workstation = net.node(f"client{index}")
         level = (index % qos.levels) + 1
 
         def one_request(_client, _iteration, _node=workstation, _level=level):
             issued = sim.now
-            item = key_rng.randrange(key_pool)
+            item = key_rng.randrange(_FT_KEY_POOL)
             try:
                 reply = yield from broker_client.call(
                     "items",
@@ -810,7 +830,7 @@ def run_failure_recovery_experiment(
             sim,
             name=f"ft{index}",
             request_factory=one_request,
-            think_time=think_time,
+            think_time=_FT_THINK_TIME,
             start_delay=stagger_rng.uniform(0.0, 1.0),
         )
         client.start(until=duration)
@@ -824,7 +844,7 @@ def run_failure_recovery_experiment(
         mtbf=mtbf,
         mttr=mttr,
         replicas=replicas,
-        n_clients=n_clients,
+        n_clients=_FT_CLIENTS,
         duration=duration,
     )
     windows = injector.windows(backends[0].name)
@@ -948,13 +968,6 @@ def run_sharded_qos_experiment(
     replicas: int = 2,
     mode: str = "broker",
     duration: float = 60.0,
-    service_times: Tuple[float, ...] = QOS_SERVICE_TIMES,
-    threshold: int = 20,
-    backend_capacity: int = 5,
-    levels: int = 3,
-    think_time: float = 0.1,
-    key_pool: int = 4096,
-    fractions: Optional[Dict[int, float]] = None,
     seed: int = 0,
     obs=None,
     telemetry=None,
@@ -980,7 +993,7 @@ def run_sharded_qos_experiment(
     count (the paper's listener-saturation weakness is the point of
     this sweep; see EXPERIMENTS.md).
 
-    Each page request draws one item from *key_pool* and reads it from
+    Each page request draws one of 4,096 item keys and reads it from
     all three services, so the request key spreads page traffic across
     shards deterministically. ``shards=1, replicas=1`` is the
     degenerate configuration — one broker per service, every route
@@ -1008,8 +1021,8 @@ def run_sharded_qos_experiment(
         raise ValueError(
             f"shards and replicas must be >= 1: {shards!r}x{replicas!r}"
         )
-    if n_clients < levels:
-        raise ValueError(f"need at least {levels} clients, got {n_clients}")
+    if n_clients < _QOS_LEVELS:
+        raise ValueError(f"need at least {_QOS_LEVELS} clients, got {n_clients}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1: {workers!r}")
     config = dict(
@@ -1018,12 +1031,6 @@ def run_sharded_qos_experiment(
         replicas=replicas,
         mode=mode,
         duration=duration,
-        service_times=service_times,
-        threshold=threshold,
-        backend_capacity=backend_capacity,
-        levels=levels,
-        think_time=think_time,
-        fractions=fractions,
         seed=seed,
     )
     if workers > 1:
@@ -1043,12 +1050,13 @@ def run_sharded_qos_experiment(
                 "parallel execution cannot scrape live telemetry across "
                 "worker processes; use workers=1"
             )
-        return _run_sharded_parallel(workers, key_pool, **config)
+        return _run_sharded_parallel(workers, **config)
     sim = Simulation(seed=seed)
     if obs is not None:
         obs.attach(sim)
     finalize = _build_sharded(
-        sim, range(shards), range(key_pool), obs=obs, telemetry=telemetry, **config
+        sim, range(shards), range(_SHARDED_KEY_POOL), obs=obs, telemetry=telemetry,
+        **config,
     )
     sim.run(until=duration)
     sim.run(until=duration + _SHARDED_DRAIN)
@@ -1065,12 +1073,6 @@ def _build_sharded(
     replicas: int,
     mode: str,
     duration: float,
-    service_times: Tuple[float, ...],
-    threshold: int,
-    backend_capacity: int,
-    levels: int,
-    think_time: float,
-    fractions: Optional[Dict[int, float]],
     seed: int,
     obs=None,
     telemetry=None,
@@ -1084,23 +1086,23 @@ def _build_sharded(
     so key placement is that of the whole topology, and a key owned by
     a shard outside the slice fails loudly in
     :meth:`~repro.core.sharding.ShardDirectory.group` instead of
-    silently rehashing. With every shard and ``range(key_pool)`` this
-    is the serial experiment. Returns ``finalize() -> ShardedQosResult``
+    silently rehashing. With every shard and every key this is the
+    serial experiment. Returns ``finalize() -> ShardedQosResult``
     for the slice, to call once *sim* has run.
     """
     metrics = MetricsRegistry()
     net = Network(sim, default_link=Link.lan())
     web_node = net.node("web")
-    stages = len(service_times)
+    stages = len(QOS_SERVICE_TIMES)
     frontend = FrontendWebServer(sim, web_node, name="frontend")
-    qos_policy = _qos_policy(levels, threshold, fractions)
+    qos_policy = _qos_policy(_QOS_THRESHOLD)
 
     directory = ShardDirectory(metrics=metrics)
     base_plan = "distributed" if mode == "broker" else "centralized"
     all_brokers: List[ServiceBroker] = []
     groups: List[ShardGroup] = []
     next_port = 7101
-    for index, service_time in enumerate(service_times, 1):
+    for index, service_time in enumerate(QOS_SERVICE_TIMES, 1):
         service = f"svc{index}"
         service_brokers: List[ServiceBroker] = []
         service_groups: List[ShardGroup] = []
@@ -1108,7 +1110,7 @@ def _build_sharded(
         for shard in own_shards:
             backend_name = f"backend{index}s{shard}"
             backend = _bounded_backend(
-                sim, net, backend_name, service_time, backend_capacity
+                sim, net, backend_name, service_time, _QOS_BACKEND_CAPACITY
             )
             group = ShardGroup(service, shard, metrics=metrics)
             peer = ShardPeerGroup(group)
@@ -1124,8 +1126,8 @@ def _build_sharded(
                         )
                     ],
                     qos=qos_policy,
-                    pool_size=backend_capacity,
-                    dispatchers=backend_capacity,
+                    pool_size=_QOS_BACKEND_CAPACITY,
+                    dispatchers=_QOS_BACKEND_CAPACITY,
                     priority_queueing=False,
                     metrics=metrics,
                     name=f"broker{index}s{shard}r{replica}",
@@ -1185,8 +1187,8 @@ def _build_sharded(
 
     frontend.register_app(WebApplication(path="/page", handler=page_app))
     clients_by_class = _start_class_clients(
-        sim, net, frontend, "shard-qos", n_clients, levels, duration, service_times,
-        think_time, shards, own_shards,
+        sim, net, frontend, "shard-qos", n_clients, duration, QOS_SERVICE_TIMES,
+        _QOS_THINK_TIME, shards, own_shards,
     )
     if telemetry is not None:
         # All brokers share one registry here, so no label is needed.
@@ -1236,7 +1238,7 @@ def _slice_seed(seed: int, shard: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _run_sharded_parallel(workers: int, key_pool: int, **config) -> ShardedQosResult:
+def _run_sharded_parallel(workers: int, **config) -> ShardedQosResult:
     """The sharded testbed as one independent partition per shard.
 
     Every service's ring is built with the same seed over node names
@@ -1254,7 +1256,7 @@ def _run_sharded_parallel(workers: int, key_pool: int, **config) -> ShardedQosRe
     # Partition the key population exactly as every slice's directory
     # will: same seed, same node names, same vnode count.
     ring = HashRing(seed=seed, nodes=[str(i) for i in range(shards)])
-    owned = ring.partition([f"item{k}" for k in range(key_pool)])
+    owned = ring.partition([f"item{k}" for k in range(_SHARDED_KEY_POOL)])
 
     def builder(shard: int):
         items = [int(key[4:]) for key in owned[str(shard)]]
@@ -1378,19 +1380,9 @@ def run_cache_tier_experiment(
     duration: float = 30.0,
     tier: bool = True,
     views: bool = True,
-    table_rows: int = 20_000,
-    groups: int = 400,
-    key_skew: float = 1.1,
-    cache_capacity: int = 256,
     cache_ttl: float = 2.0,
-    tier_capacity: int = 8192,
-    combine_window: float = 0.004,
-    max_batch: int = 8,
     write_fraction: float = 0.02,
-    count_fraction: float = 0.2,
-    think_time: float = 0.05,
     seed: int = 0,
-    obs=None,
 ) -> CacheTierResult:
     """Measure the cross-request optimization tier at 10x the §V.B scale.
 
@@ -1413,8 +1405,6 @@ def run_cache_tier_experiment(
     if brokers < 1:
         raise ValueError(f"brokers must be >= 1: {brokers!r}")
     sim = Simulation(seed=seed)
-    if obs is not None:
-        obs.attach(sim)
     net = Network(sim, default_link=Link.lan())
     client_node = net.node("client")
     web_node = net.node("web")
@@ -1424,7 +1414,7 @@ def run_cache_tier_experiment(
     from ..db.server import DatabaseServer
     from ..db.views import ViewCatalog
 
-    database = _catalog_database(table_rows, groups)
+    database = _catalog_database(_CACHE_TABLE_ROWS, _CACHE_GROUPS)
     db_metrics = MetricsRegistry()
     db_server = DatabaseServer(
         sim, db_node, database, max_workers=16, metrics=db_metrics
@@ -1442,7 +1432,7 @@ def run_cache_tier_experiment(
     registry = MetricsRegistry()
     cache_tier = (
         SharedCacheTier(
-            sim, capacity=tier_capacity, ttl=cache_ttl, metrics=registry
+            sim, capacity=_CACHE_TIER_CAPACITY, ttl=cache_ttl, metrics=registry
         )
         if tier
         else None
@@ -1451,15 +1441,15 @@ def run_cache_tier_experiment(
     for b in range(brokers):
         clustering = ClusteringConfig(
             combiner=InListQueryCombiner(),
-            max_batch=max_batch,
-            window=combine_window,
+            max_batch=_CACHE_MAX_BATCH,
+            window=_CACHE_COMBINE_WINDOW,
         )
         if tier:
             stages = stage_plan(
                 "distributed",
                 CacheTierStage(cache_tier),
                 QueryCombineStage(
-                    window=combine_window, max_batch=max_batch * brokers
+                    window=_CACHE_COMBINE_WINDOW, max_batch=_CACHE_MAX_BATCH * brokers
                 ),
             )
         else:
@@ -1477,7 +1467,7 @@ def run_cache_tier_experiment(
                 port=7301 + b,
                 qos=QoSPolicy(levels=1, threshold=10_000),  # no drops here
                 cache=ResultCache(
-                    capacity=cache_capacity,
+                    capacity=_CACHE_CAPACITY,
                     ttl=cache_ttl,
                     clock=lambda: sim.now,
                 ),
@@ -1506,7 +1496,7 @@ def run_cache_tier_experiment(
     def _count_sql(grp: int) -> str:
         return f"SELECT COUNT(*) FROM records WHERE grp = {grp}"
 
-    sampler = zipf_sampler(sim.rng("cache.keys"), groups, skew=key_skew)
+    sampler = zipf_sampler(sim.rng("cache.keys"), _CACHE_GROUPS, skew=_CACHE_KEY_SKEW)
     op_rng = sim.rng("cache.ops")
     stagger_rng = sim.rng("cache.stagger")
     counts = {"requests": 0, "ok": 0, "from_cache": 0, "errors": 0,
@@ -1516,29 +1506,29 @@ def run_cache_tier_experiment(
     def client_loop(index: int):
         broker = broker_list[index % brokers]
         broker_client = broker_clients[index % brokers]
-        yield stagger_rng.uniform(0.0, think_time + 0.5)
+        yield stagger_rng.uniform(0.0, _CACHE_THINK_TIME + 0.5)
         while True:
             grp = sampler()
             roll = op_rng.random()
             if roll < write_fraction:
                 counts["writes"] += 1
-                row = (sampler() * 37) % table_rows
+                row = (sampler() * 37) % _CACHE_TABLE_ROWS
                 update = (
                     f"UPDATE records SET val = {int(roll * 1000)} "
                     f"WHERE id = {row}"
                 )
                 stale_keys = (
-                    f"db:query:{_select_sql(row % groups)!r}",
-                    f"db:query:{_count_sql(row % groups)!r}",
+                    f"db:query:{_select_sql(row % _CACHE_GROUPS)!r}",
+                    f"db:query:{_count_sql(row % _CACHE_GROUPS)!r}",
                 )
                 if cache_tier is not None and cache_tier.write_behind(
                     broker, "query", update, keys=stale_keys
                 ):
                     counts["wb_accepted"] += 1
-                    yield think_time
+                    yield _CACHE_THINK_TIME
                     continue
                 sql, cacheable = update, False
-            elif roll < write_fraction + count_fraction:
+            elif roll < write_fraction + _CACHE_COUNT_FRACTION:
                 sql, cacheable = _count_sql(grp), True
             else:
                 sql, cacheable = _select_sql(grp), True
@@ -1558,7 +1548,7 @@ def run_cache_tier_experiment(
                         counts["from_cache"] += 1
                 else:
                     counts["errors"] += 1
-            yield think_time
+            yield _CACHE_THINK_TIME
 
     for index in range(n_clients):
         sim.process(client_loop(index), name=f"cache-client:{index}")

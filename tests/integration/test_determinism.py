@@ -36,7 +36,6 @@ from repro.workload.chaos import (
     run_shard_chaos_experiment,
 )
 from repro.workload.scenarios import (
-    QOS_SERVICE_TIMES,
     _run_sharded_parallel,
     run_cache_tier_experiment,
     run_clustering_experiment,
@@ -282,18 +281,7 @@ def test_partitioned_results_are_worker_count_invariant():
     in the worker count or scheduling; see DESIGN.md §14.2.
     """
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    inline = _run_sharded_parallel(
-        workers=1,
-        key_pool=4096,
-        mode="broker",
-        service_times=QOS_SERVICE_TIMES,
-        threshold=20,
-        backend_capacity=5,
-        levels=3,
-        think_time=0.1,
-        fractions=None,
-        **PARTITIONED,
-    )
+    inline = _run_sharded_parallel(workers=1, mode="broker", **PARTITIONED)
     assert sharded_section(inline) == golden["sharded_partitioned"]
     for workers in (2, 3):
         forked = run_sharded_qos_experiment(workers=workers, **PARTITIONED)

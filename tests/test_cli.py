@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -477,3 +481,29 @@ class TestAutoscaleCommand:
             ]) == 0
         capsys.readouterr()
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+#: Flag values an experiment rejects: each is a usage error (exit 2).
+BAD_FLAG_VALUES = [
+    ["cache", "--quick", "--brokers", "0"],
+    ["chaos", "--quick", "--shards", "2", "--replicas", "0"],
+    ["autoscale", "--quick", "--swing", "1"],
+    ["telemetry", "--quick", "--interval", "0"],
+    ["fig9", "--clients", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_FLAG_VALUES, ids=lambda argv: argv[0])
+def test_bad_flag_value_exits_2_without_traceback(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith(f"repro {argv[0]}: error: ")
+    assert done.stderr.count("\n") == 1
