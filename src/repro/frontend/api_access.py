@@ -21,11 +21,11 @@ and kept on the instance, so no call after the first pays for it.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from ..http.client import HttpClient
 from ..http.messages import HttpRequest
-from ..metrics import MetricsRegistry
+from ..metrics import Counter, MetricsRegistry, Moments
 from ..net.address import Address
 from ..net.network import Node
 from ..sim.core import Simulation
@@ -45,11 +45,23 @@ class ApiBackendGateway:
         self.sim = sim
         self.node = node
         self.metrics = metrics or MetricsRegistry()
+        # Per access kind: its calls counter, the shared connections
+        # counter and its time sample, resolved at the kind's first call.
+        self._handles: Dict[str, Tuple[Counter, Counter, Moments]] = {}
 
     def _account(self, kind: str, started: float) -> None:
-        self.metrics.increment(f"api.{kind}.calls")
-        self.metrics.increment("api.connections")
-        self.metrics.observe(f"api.{kind}.time", self.sim.now - started)
+        handles = self._handles.get(kind)
+        if handles is None:
+            metrics = self.metrics
+            handles = self._handles[kind] = (
+                metrics.handle(f"api.{kind}.calls"),
+                metrics.handle("api.connections"),
+                metrics.sample_handle(f"api.{kind}.time"),
+            )
+        calls, connections, time = handles
+        calls.value += 1.0
+        connections.value += 1.0
+        time.add(self.sim.now - started)
 
     # -- database ------------------------------------------------------
 
@@ -75,7 +87,8 @@ class ApiBackendGateway:
     def http_get(self, address: Address, path: str, params: Optional[dict] = None):
         """One-shot HTTP GET with its own connection."""
         started = self.sim.now
-        response = yield from HttpClient.get(self.sim, self.node, address, path, params)
+        request = HttpRequest(method="GET", path=path, params=params or {})
+        response = yield from HttpClient.fetch(self.sim, self.node, address, request)
         self._account("http", started)
         return response
 

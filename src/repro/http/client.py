@@ -70,12 +70,21 @@ class HttpClient:
 
     @staticmethod
     def fetch(sim: Simulation, node: Node, address: Address, request: HttpRequest):
-        """One-shot exchange with per-request connection setup/teardown."""
-        connection = yield from HttpClient.open(sim, node, address)
+        """One-shot exchange with per-request connection setup/teardown.
+
+        Drives the stream itself — the exchange :meth:`open` plus
+        :meth:`HttpConnection.request` would make, without their two
+        generator frames per message.
+        """
+        stream = yield from node.connect_stream(address)
         try:
-            response = yield from connection.request(request)
+            stream.send(request)
+            envelope = yield stream.recv()
+            response = envelope.payload
+            if not isinstance(response, HttpResponse):
+                raise ProtocolError(f"expected HttpResponse, got {response!r}")
         finally:
-            connection.close()
+            stream.close()
         return response
 
     @staticmethod

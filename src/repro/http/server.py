@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Union
 
 from ..errors import ConnectionClosed, HttpError
-from ..metrics import MetricsRegistry
+from ..metrics import Counter, MetricsRegistry
 from ..net.network import Node
 from ..net.transport import StreamConnection
 from ..sim.core import Simulation
@@ -69,6 +69,11 @@ class BackendWebServer:
         # Insertion-ordered (dict, not set) so crash() severs sessions
         # deterministically.
         self._sessions: Dict[StreamConnection, None] = {}
+        # Hot counters as registry handles, each created at its first
+        # use so the registry holds exactly the names it has counted.
+        self._connections: Optional[Counter] = None
+        self._requests: Optional[Counter] = None
+        self._cgi_requests: Optional[Counter] = None
         sim.process(self._accept_loop(), name=f"http:{self.name}")
 
     # -- resource registration ------------------------------------------
@@ -101,39 +106,42 @@ class BackendWebServer:
                 connection = yield self.listener.accept()
             except ConnectionClosed:
                 return
-            self.metrics.increment("http.connections")
+            counter = self._connections
+            if counter is None:
+                counter = self._connections = self.metrics.handle("http.connections")
+            counter.value += 1.0
             self.sim.process(self._session(connection))
 
     def _session(self, connection: StreamConnection):
         self._sessions[connection] = None
         try:
-            yield from self._serve_session(connection)
+            while True:
+                try:
+                    envelope = yield connection.recv()
+                except ConnectionClosed:
+                    return
+                request = envelope.payload
+                if not isinstance(request, HttpRequest):
+                    connection.send(HttpResponse.error(400, "not an HttpRequest"))
+                    continue
+                worker = self.workers.request()
+                yield worker
+                counter = self._requests
+                if counter is None:
+                    counter = self._requests = self.metrics.handle("http.requests")
+                counter.value += 1.0
+                try:
+                    if request.method == "MGET":
+                        response = yield from self._serve_mget(request)
+                    else:
+                        response = yield from self._serve_one(request)
+                finally:
+                    self.workers.release(worker)
+                if connection.closed:
+                    return
+                connection.send(response)
         finally:
             self._sessions.pop(connection, None)
-
-    def _serve_session(self, connection: StreamConnection):
-        while True:
-            try:
-                envelope = yield connection.recv()
-            except ConnectionClosed:
-                return
-            request = envelope.payload
-            if not isinstance(request, HttpRequest):
-                connection.send(HttpResponse.error(400, "not an HttpRequest"))
-                continue
-            worker = self.workers.request()
-            yield worker
-            self.metrics.increment("http.requests")
-            try:
-                if request.method == "MGET":
-                    response = yield from self._serve_mget(request)
-                else:
-                    response = yield from self._serve_one(request)
-            finally:
-                self.workers.release(worker)
-            if connection.closed:
-                return
-            connection.send(response)
 
     def _serve_mget(self, request: HttpRequest):
         """Serve each path of an MGET batch sequentially in one slot."""
@@ -153,7 +161,10 @@ class BackendWebServer:
     def _serve_one(self, request: HttpRequest):
         handler = self._cgi.get(request.path)
         if handler is not None:
-            self.metrics.increment("http.cgi_requests")
+            counter = self._cgi_requests
+            if counter is None:
+                counter = self._cgi_requests = self.metrics.handle("http.cgi_requests")
+            counter.value += 1.0
             try:
                 outcome = handler(self, request)
                 if hasattr(outcome, "send"):  # a generator: run it inline

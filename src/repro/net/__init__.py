@@ -9,6 +9,7 @@ _EXPORTS = {
     "estimate_size": "message",
     "Network": "network",
     "Node": "network",
+    "Route": "network",
     "DatagramSocket": "transport",
     "StreamConnection": "transport",
     "StreamListener": "transport",

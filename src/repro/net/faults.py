@@ -209,8 +209,12 @@ class FaultPlan:
 
     A plan is just a sequence of fault dataclasses ordered however the
     caller likes; the :class:`FaultInjector` runs each window as its own
-    process, so overlap is allowed. An empty plan injects nothing and
-    perturbs nothing — seed runs stay byte-identical.
+    process, so overlap is allowed: a pair stays partitioned while any
+    of its :class:`LinkDown` windows is open, and of overlapping
+    :class:`LinkDegrade` (each degrading the configured link) or
+    :class:`SlowBackend` windows the newest open one is in force. An
+    empty plan injects nothing and perturbs nothing — seed runs stay
+    byte-identical.
     """
 
     def __init__(self, faults: Sequence[object] = ()) -> None:
@@ -335,7 +339,9 @@ class FaultInjector:
         self.metrics = metrics or MetricsRegistry()
         self._windows: Dict[str, List[Tuple[float, float]]] = {}
         self._open: Dict[int, float] = {}
-        self._saved_scale: Dict[int, float] = {}
+        # Per slow-backend target: its scale before the first open
+        # window, and the open windows as (index, factor), newest last.
+        self._slow: Dict[str, Tuple[float, List[Tuple[int, float]]]] = {}
         self._started = False
 
     def start(self) -> List[Process]:
@@ -354,11 +360,11 @@ class FaultInjector:
     def _drive(self, index: int, fault: object):
         if fault.at > 0:
             yield fault.at
-        self._apply(fault)
+        self._apply(index, fault)
         self._open[index] = self.sim.now
         self.metrics.increment("faults.injected")
         yield fault.duration
-        self._revert(fault)
+        self._revert(index, fault)
         started = self._open.pop(index)
         self._windows.setdefault(fault.key(), []).append((started, self.sim.now))
         self.metrics.increment("faults.healed")
@@ -382,36 +388,49 @@ class FaultInjector:
             )
         return self.network
 
-    def _apply(self, fault: object) -> None:
+    def _apply(self, index: int, fault: object) -> None:
         if isinstance(fault, (BackendCrash, BrokerCrash)):
             self._target(fault.target).crash()
         elif isinstance(fault, LinkDown):
             self._require_network(fault).sever_link(fault.a, fault.b)
         elif isinstance(fault, LinkDegrade):
             network = self._require_network(fault)
-            base = network.link_between(fault.a, fault.b)
+            base = network.configured_link(fault.a, fault.b)
             network.override_link(fault.a, fault.b, base.degraded(
                 extra_latency=fault.extra_latency,
                 loss=fault.loss,
                 bandwidth_factor=fault.bandwidth_factor,
-            ))
+            ), window=index)
         elif isinstance(fault, SlowBackend):
             target = self._target(fault.target)
-            self._saved_scale[id(fault)] = target.service_time_scale
+            _, open_factors = self._slow.setdefault(
+                fault.target, (target.service_time_scale, [])
+            )
+            open_factors.append((index, fault.factor))
             target.service_time_scale = fault.factor
         else:
             raise SimError(f"unknown fault type {type(fault).__name__!r}")
 
-    def _revert(self, fault: object) -> None:
+    def _revert(self, index: int, fault: object) -> None:
         if isinstance(fault, (BackendCrash, BrokerCrash)):
             self._target(fault.target).restart()
         elif isinstance(fault, LinkDown):
             self._require_network(fault).restore_link(fault.a, fault.b)
         elif isinstance(fault, LinkDegrade):
-            self._require_network(fault).clear_override(fault.a, fault.b)
+            self._require_network(fault).clear_override(
+                fault.a, fault.b, window=index
+            )
         elif isinstance(fault, SlowBackend):
-            target = self._target(fault.target)
-            target.service_time_scale = self._saved_scale.pop(id(fault))
+            # The newest still-open window's factor is in force; the
+            # original scale comes back when the last one closes.
+            original, open_factors = self._slow[fault.target]
+            open_factors.remove((index, fault.factor))
+            if open_factors:
+                scale = open_factors[-1][1]
+            else:
+                scale = original
+                del self._slow[fault.target]
+            self._target(fault.target).service_time_scale = scale
 
     # -- outage-window inspection ---------------------------------------
 

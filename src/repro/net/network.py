@@ -14,7 +14,16 @@ new connects raise :class:`NoRouteError`, datagrams vanish — and
 :meth:`Network.override_link` swaps in a degraded link (extra latency,
 loss, less bandwidth) until cleared. Both are exact inverses of their
 restore operations, so a healed network behaves like one that never
-failed (apart from the connections lost in between).
+failed (apart from the connections lost in between). Fault windows
+may overlap: a pair stays severed until its last open
+:class:`~repro.net.faults.LinkDown` ends, and of several open overrides
+the newest is in force.
+
+Every message looks up its path in a per-direction :class:`Route`
+(link in force, RNG substream, severed flag), built once per host pair
+and refreshed in place by :meth:`Network.connect` and the fault
+methods, so a stream that holds its route always reads the current
+state.
 """
 
 from __future__ import annotations
@@ -36,10 +45,31 @@ from .link import Link
 from .message import HEADER_BYTES, Envelope
 from .transport import DatagramSocket, StreamConnection, StreamListener
 
-__all__ = ["Network", "Node"]
+__all__ = ["Network", "Node", "Route"]
 
 #: First ephemeral port handed out by :meth:`Node.ephemeral_port`.
 EPHEMERAL_BASE = 49152
+
+
+class Route:
+    """The resolved a→b direction of a host pair: what each message reads.
+
+    ``link`` is the link in force (a fault override, the configured
+    link, the default link or the loopback), ``rng`` the direction's
+    jitter/loss substream, and ``severed`` whether the pair is
+    partitioned. :meth:`Network.route` hands out one object per
+    direction and updates it in place whenever any of the three changes.
+    """
+
+    __slots__ = ("link", "rng", "severed")
+
+    def __init__(self, link: Link, rng: random.Random, severed: bool) -> None:
+        self.link = link
+        self.rng = rng
+        self.severed = severed
+
+    def __repr__(self) -> str:
+        return f"<Route {self.link!r}{' severed' if self.severed else ''}>"
 
 
 class Node:
@@ -103,22 +133,39 @@ class Node:
         network = self.network
         name = self.name
         host = destination.host
-        link = network.link_between(name, host)
-        rng = network.link_rng(name, host)
-        round_trip = link.delay(HEADER_BYTES, rng) + link.delay(HEADER_BYTES, rng)
-        yield round_trip
+        routes = network._routes
+        route = routes.get((name, host)) or network.route(name, host)
+        # Two `Link.delay(HEADER_BYTES, rng)` calls inlined, drawing the
+        # RNG exactly as they do: one uniform each, only with jitter.
+        link = route.link
+        rng = route.rng
+        jitter = link.jitter
+        bandwidth = link.bandwidth
+        there = link.latency
+        if jitter:
+            there += rng.uniform(0.0, jitter)
+        if bandwidth is not None:
+            there += HEADER_BYTES / bandwidth
+        back = link.latency
+        if jitter:
+            back += rng.uniform(0.0, jitter)
+        if bandwidth is not None:
+            back += HEADER_BYTES / bandwidth
+        yield there + back
 
-        if network.link_severed(name, host):
+        if route.severed:
             raise NoRouteError(f"link {name!r}<->{host!r} is down")
         target = network.resolve(destination)
         if not isinstance(target, StreamListener) or target.closed:
             raise ConnectionRefused(f"nothing listening at {destination}")
 
-        local_port = self.ephemeral_port()
-        client = StreamConnection(network, self, local_port, destination)
-        server_node = network.nodes[host]
+        local = Address(name, self.ephemeral_port())
+        client = StreamConnection(network, local, destination, route)
         server = StreamConnection(
-            network, server_node, destination.port, Address(name, local_port)
+            network,
+            destination,
+            local,
+            routes.get((host, name)) or network.route(host, name),
         )
         client.peer = server
         server.peer = client
@@ -126,7 +173,7 @@ class Node:
             raise ConnectionRefused(f"backlog full at {destination}")
         network._register_stream(client)
         network._register_stream(server)
-        network._connections.inc()
+        network._connections.value += 1.0
         return client
 
     def __repr__(self) -> str:
@@ -151,11 +198,13 @@ class Network:
         self.sim = sim
         self.nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
-        self.default_link = default_link
+        self._default_link = default_link
         self.metrics = MetricsRegistry()
         self._loopback = Link.loopback()
-        self._severed: set = set()
-        self._link_overrides: Dict[FrozenSet[str], Link] = {}
+        # Open LinkDown windows per pair, and per pair the open override
+        # windows as (window, link) entries, newest last (in force).
+        self._severed: Dict[FrozenSet[str], int] = {}
+        self._link_overrides: Dict[FrozenSet[str], List[Tuple[object, Link]]] = {}
         # Established streams, registered at connect time so sever_link
         # can kill the ones crossing a partitioned pair. Weak refs in
         # insertion order (NOT a WeakSet: its iteration order is
@@ -163,13 +212,25 @@ class Network:
         # pruned amortizedly once the dead refs pile up.
         self._streams: List["weakref.ref"] = []
         self._stream_prune_at = 4096
-        # Hot-path handles and caches: traffic counters and per-direction
-        # link RNGs (one f-string + registry lookup per pair, not per
-        # message).
+        # Hot-path handles and caches: traffic counters, per-direction
+        # link RNGs and routes (one f-string + registry lookup per pair,
+        # not per message).
         self._messages = self.metrics.handle("net.messages")
         self._bytes = self.metrics.handle("net.bytes")
         self._connections = self.metrics.handle("net.connections")
         self._link_rngs: Dict[Tuple[str, str], random.Random] = {}
+        self._routes: Dict[Tuple[str, str], Route] = {}
+
+    @property
+    def default_link(self) -> Optional[Link]:
+        """The link of every node pair without an explicit one, if any."""
+        return self._default_link
+
+    @default_link.setter
+    def default_link(self, link: Optional[Link]) -> None:
+        self._default_link = link
+        for (a, b), route in self._routes.items():
+            route.link = self.link_between(a, b)
 
     def node(self, name: str) -> Node:
         """Create and register a node named *name*."""
@@ -188,25 +249,35 @@ class Network:
                 raise NetworkError(f"unknown node {name!r}")
         self._links[(name_a, name_b)] = link
         self._links[(name_b, name_a)] = link
+        self._refresh(name_a, name_b)
+
+    def configured_link(self, a: str, b: str) -> Link:
+        """The link joining hosts *a* and *b*, ignoring fault overrides.
+
+        The explicit link from :meth:`connect`, else the default link;
+        the loopback when a == b. Raises :class:`NoRouteError` when
+        there is neither.
+        """
+        if a == b:
+            return self._loopback
+        link = self._links.get((a, b))
+        if link is not None:
+            return link
+        if self._default_link is not None:
+            return self._default_link
+        raise NoRouteError(f"no link between {a!r} and {b!r}")
 
     def link_between(self, a: str, b: str) -> Link:
         """The link joining hosts *a* and *b* (loopback when a == b).
 
-        A fault-window override installed with :meth:`override_link`
-        takes precedence over the configured link.
+        The newest open fault-window override installed with
+        :meth:`override_link` takes precedence over the configured link.
         """
-        if a == b:
-            return self._loopback
         if self._link_overrides:
-            override = self._link_overrides.get(frozenset((a, b)))
-            if override is not None:
-                return override
-        link = self._links.get((a, b))
-        if link is not None:
-            return link
-        if self.default_link is not None:
-            return self.default_link
-        raise NoRouteError(f"no link between {a!r} and {b!r}")
+            overrides = self._link_overrides.get(frozenset((a, b)))
+            if overrides:
+                return overrides[-1][1]
+        return self.configured_link(a, b)
 
     def link_rng(self, a: str, b: str) -> random.Random:
         """The RNG substream used for jitter/loss on the a→b direction.
@@ -220,6 +291,30 @@ class Network:
             self._link_rngs[(a, b)] = rng
         return rng
 
+    def route(self, a: str, b: str) -> Route:
+        """The a→b :class:`Route`, built on first use and then cached.
+
+        The same object is returned for the network's lifetime: link
+        changes and fault windows update it in place, so holders (an
+        established stream) never go stale. Raises
+        :class:`NoRouteError` when the pair has no link.
+        """
+        route = self._routes.get((a, b))
+        if route is None:
+            route = Route(
+                self.link_between(a, b), self.link_rng(a, b), self.link_severed(a, b)
+            )
+            self._routes[(a, b)] = route
+        return route
+
+    def _refresh(self, a: str, b: str) -> None:
+        """Bring both directions' cached routes up to date (pair changed)."""
+        for key in ((a, b), (b, a)):
+            route = self._routes.get(key)
+            if route is not None:
+                route.link = self.link_between(*key)
+                route.severed = self.link_severed(*key)
+
     # -- link faults ---------------------------------------------------
 
     def link_severed(self, a: str, b: str) -> bool:
@@ -227,19 +322,24 @@ class Network:
         return bool(self._severed) and frozenset((a, b)) in self._severed
 
     def sever_link(self, a: str, b: str) -> None:
-        """Partition hosts *a* and *b* (no-op if already severed).
+        """Partition hosts *a* and *b*, for one more open window.
 
         Established streams crossing the pair are killed on both
         endpoints — like a TCP reset, not an orderly FIN: pending
         receives fail with :class:`~repro.errors.ConnectionClosed`
         immediately, nothing crosses the dead link. New stream connects
         raise :class:`NoRouteError` and datagrams are silently lost
-        until :meth:`restore_link`.
+        until every :meth:`sever_link` has had its :meth:`restore_link`.
+        The loopback cannot be severed (:class:`NetworkError`).
         """
+        if a == b:
+            raise NetworkError(f"cannot sever the loopback of {a!r}")
         pair = frozenset((a, b))
-        if pair in self._severed:
-            return
-        self._severed.add(pair)
+        opened = self._severed.get(pair, 0)
+        self._severed[pair] = opened + 1
+        if opened:
+            return  # already partitioned: nothing left to kill
+        self._refresh(a, b)
         live: List["weakref.ref"] = []
         for ref in self._streams:
             stream = ref()
@@ -255,16 +355,50 @@ class Network:
         self.metrics.increment("net.links.severed")
 
     def restore_link(self, a: str, b: str) -> None:
-        """Heal the partition between *a* and *b* (no-op if not severed)."""
-        self._severed.discard(frozenset((a, b)))
+        """Close one partition window of *a*/*b* (no-op if not severed).
 
-    def override_link(self, a: str, b: str, link: Link) -> None:
-        """Replace the *a*/*b* link with *link* until :meth:`clear_override`."""
-        self._link_overrides[frozenset((a, b))] = link
+        The pair heals when its last open window closes.
+        """
+        pair = frozenset((a, b))
+        opened = self._severed.get(pair)
+        if opened is None:
+            return
+        if opened > 1:
+            self._severed[pair] = opened - 1
+            return
+        del self._severed[pair]
+        self._refresh(a, b)
 
-    def clear_override(self, a: str, b: str) -> None:
-        """Remove a fault-window link override (no-op if none installed)."""
-        self._link_overrides.pop(frozenset((a, b)), None)
+    def override_link(self, a: str, b: str, link: Link, window: object = None) -> None:
+        """Put *link* in force for *a*/*b* until :meth:`clear_override`.
+
+        *window* names the fault window the override belongs to:
+        overlapping windows stack, the newest in force, and each is
+        cleared by its own name. Installing under an open window's name
+        replaces that entry. The loopback cannot be overridden
+        (:class:`NetworkError`), nor a pair without a link
+        (:class:`NoRouteError`).
+        """
+        if a == b:
+            raise NetworkError(f"cannot override the loopback of {a!r}")
+        self.configured_link(a, b)
+        overrides = self._link_overrides.setdefault(frozenset((a, b)), [])
+        overrides[:] = [entry for entry in overrides if entry[0] != window]
+        overrides.append((window, link))
+        self._refresh(a, b)
+
+    def clear_override(self, a: str, b: str, window: object = None) -> None:
+        """Remove *window*'s override of *a*/*b* (no-op if none installed)."""
+        pair = frozenset((a, b))
+        overrides = self._link_overrides.get(pair, [])
+        kept = [entry for entry in overrides if entry[0] != window]
+        if len(kept) == len(overrides):
+            return
+        if kept:
+            self._link_overrides[pair] = kept
+        else:
+            del self._link_overrides[pair]
+        self._refresh(a, b)
 
     def _register_stream(self, connection: StreamConnection) -> None:
         """Track an established stream for fault-time teardown."""
@@ -282,13 +416,8 @@ class Network:
             raise NoRouteError(f"unknown host {address.host!r}")
         return node._bound.get(address.port)
 
-    def account(self, size: int) -> None:
-        """Record one message of *size* bytes in the traffic counters."""
-        self._messages.value += 1.0
-        self._bytes.value += size
-
     def _deliver_datagram(self, event: Event) -> None:
-        envelope: Envelope = event.value
+        envelope: Envelope = event._value
         try:
             target = self.resolve(envelope.destination)
         except NoRouteError:

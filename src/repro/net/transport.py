@@ -19,7 +19,8 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Deque, Optional
+from heapq import heappush
+from typing import TYPE_CHECKING, Any, Callable, Deque, Optional
 
 from ..errors import ConnectionClosed, NetworkError
 from ..sim.core import _PENDING, Event, Simulation
@@ -27,7 +28,7 @@ from .address import Address
 from .message import HEADER_BYTES, Envelope, estimate_size
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .network import Network, Node
+    from .network import Network, Node, Route
 
 __all__ = ["StreamConnection", "StreamListener", "DatagramSocket"]
 
@@ -57,8 +58,34 @@ class _InboxGet(Event):
         self._waiter = None
 
 
+class _Delivery(Event):
+    """A message in flight: created triggered, dispatched on arrival."""
+
+    __slots__ = ()
+
+    def __init__(
+        self, sim: Simulation, callback: Callable[[Event], None], envelope: Envelope
+    ) -> None:
+        # ``Event.__init__`` inlined, with the outcome ``succeed`` would
+        # set: one of these is allocated per message sent. The sender
+        # pushes it on the heap itself, with the entry
+        # ``succeed(envelope, delay)`` would push (same time expression,
+        # one sequence number).
+        self.sim = sim
+        self.callbacks = [callback]
+        self._value = envelope
+        self._ok = True
+        self.defused = False
+        self._waiter = None
+
+
 class _Inbox:
-    """Receive buffer delivering items to waiting events in FIFO order."""
+    """Receive buffer delivering items to waiting events in FIFO order.
+
+    A receive is completed as ``Event.succeed(item)`` would complete it
+    — the same outcome and the same ``(now, next sequence number)`` heap
+    entry — without its two calls: one happens per message received.
+    """
 
     __slots__ = ("sim", "items", "_getters", "closed")
 
@@ -70,14 +97,21 @@ class _Inbox:
 
     def put(self, item: Any) -> None:
         if self._getters:
-            self._getters.popleft().succeed(item)
+            getter = self._getters.popleft()
+            getter._ok = True
+            getter._value = item
+            sim = self.sim
+            heappush(sim._heap, (sim._now, next(sim._counter), getter))
         else:
             self.items.append(item)
 
     def get(self) -> _InboxGet:
-        event = _InboxGet(self.sim)
+        sim = self.sim
+        event = _InboxGet(sim)
         if self.items:
-            event.succeed(self.items.popleft())
+            event._ok = True
+            event._value = self.items.popleft()
+            heappush(sim._heap, (sim._now, next(sim._counter), event))
         elif self.closed:
             event.fail(ConnectionClosed("connection closed by peer"))
         else:
@@ -105,19 +139,22 @@ class StreamConnection:
     __slots__ = (
         "_network", "sim", "local_address", "remote_address", "peer",
         "_inbox", "_next_arrival", "local_closed", "bytes_sent",
-        "messages_sent", "__weakref__",
+        "messages_sent", "_route", "__weakref__",
     )
 
     def __init__(
         self,
         network: "Network",
-        local_node: "Node",
-        local_port: int,
+        local_address: Address,
         remote_address: Address,
+        route: "Route",
     ) -> None:
         self._network = network
+        #: The local→remote :class:`~repro.net.network.Route`, resolved
+        #: once; the network keeps it current through fault windows.
+        self._route = route
         self.sim = network.sim
-        self.local_address = Address(local_node.name, local_port)
+        self.local_address = local_address
         self.remote_address = remote_address
         self.peer: Optional["StreamConnection"] = None
         self._inbox = _Inbox(self.sim)
@@ -137,29 +174,24 @@ class StreamConnection:
             raise ConnectionClosed("send() on a locally closed connection")
         if self.peer is None:
             raise NetworkError("connection has no peer (not established)")
-        return self._transmit(payload, size)
-
-    def _transmit(self, payload: Any, size: Optional[int]) -> Event:
-        assert self.peer is not None
         network = self._network
-        local_host = self.local_address.host
-        remote_host = self.remote_address.host
+        route = self._route
         size = HEADER_BYTES + (estimate_size(payload) if size is None else size)
-        if network.link_severed(local_host, remote_host):
+        if route.severed:
             # Partitioned mid-conversation: the bytes never arrive.
             network.metrics.increment("net.stream.lost")
             return Event(self.sim).succeed(None)
-        link = network.link_between(local_host, remote_host)
-        rng = network.link_rng(local_host, remote_host)
+        link = route.link
         # `Link.delay` inlined (this is the busiest call site); the RNG
         # must be consumed exactly as there: one uniform iff jitter.
         delay = link.latency
         if link.jitter:
-            delay += rng.uniform(0.0, link.jitter)
+            delay += route.rng.uniform(0.0, link.jitter)
         bandwidth = link.bandwidth
         if bandwidth is not None:
             delay += size / bandwidth
-        now = self.sim._now
+        sim = self.sim
+        now = sim._now
         # FIFO: a message never arrives before its predecessor.
         arrival = now + delay
         if arrival < self._next_arrival:
@@ -167,7 +199,8 @@ class StreamConnection:
         self._next_arrival = arrival
         self.bytes_sent += size
         self.messages_sent += 1
-        network.account(size)
+        network._messages.value += 1.0  # one message of `size` bytes
+        network._bytes.value += size
         envelope = Envelope(
             payload=payload,
             source=self.local_address,
@@ -175,13 +208,12 @@ class StreamConnection:
             size=size,
             sent_at=now,
         )
-        delivery = Event(self.sim)
-        delivery.callbacks.append(self.peer._deliver)
-        delivery.succeed(envelope, delay=arrival - now)
+        delivery = _Delivery(sim, self.peer._deliver, envelope)
+        heappush(sim._heap, (now + (arrival - now), next(sim._counter), delivery))
         return delivery
 
     def _deliver(self, event: Event) -> None:
-        envelope = event.value
+        envelope = event._value
         if self.local_closed:
             return  # receiver already gone; bytes fall on the floor
         if envelope.payload is _CLOSE:
@@ -198,7 +230,7 @@ class StreamConnection:
         if self.local_closed:
             return
         if self.peer is not None and not self._inbox.closed:
-            self._transmit(_CLOSE, 0)
+            self.send(_CLOSE, 0)
         self.local_closed = True
         # A closed end never transmits again; dropping the peer breaks
         # the client<->server cycle (in-flight deliveries hold the peer).
@@ -251,7 +283,7 @@ class StreamListener:
     def accept(self) -> Event:
         """Event succeeding with the next established :class:`StreamConnection`."""
         event = self._pending.get()
-        if event.triggered and event.ok:
+        if event._ok:
             # Served from the backlog queue; a getter that instead gets
             # paired later never occupied the backlog (see _offer).
             self._pending_count -= 1
@@ -304,17 +336,19 @@ class DatagramSocket:
         if self.closed:
             raise NetworkError("sendto() on a closed socket")
         network = self._network
-        local_host = self.address.host
         size = HEADER_BYTES + (estimate_size(payload) if size is None else size)
-        if network.link_severed(local_host, destination.host):
+        key = (self.address.host, destination.host)
+        route = network._routes.get(key) or network.route(*key)
+        if route.severed:
             self.datagrams_sent += 1
             self.datagrams_dropped += 1
             network.metrics.increment("net.datagrams.lost")
             return
-        link = network.link_between(local_host, destination.host)
-        rng = network.link_rng(local_host, destination.host)
+        link = route.link
+        rng = route.rng
         self.datagrams_sent += 1
-        network.account(size)
+        network._messages.value += 1.0  # one message of `size` bytes
+        network._bytes.value += size
         # `Link.drops` inlined: sample the RNG only when lossy, exactly
         # as the method does.
         loss = link.loss
@@ -322,12 +356,13 @@ class DatagramSocket:
             self.datagrams_dropped += 1
             network.metrics.increment("net.datagrams.lost")
             return
+        sim = self.sim
         envelope = Envelope(
             payload=payload,
             source=self.address,
             destination=destination,
             size=size,
-            sent_at=self.sim._now,
+            sent_at=sim._now,
         )
         # `Link.delay` inlined, consuming the RNG identically.
         delay = link.latency
@@ -336,9 +371,8 @@ class DatagramSocket:
         bandwidth = link.bandwidth
         if bandwidth is not None:
             delay += size / bandwidth
-        delivery = Event(self.sim)
-        delivery.callbacks.append(network._deliver_datagram)
-        delivery.succeed(envelope, delay=delay)
+        delivery = _Delivery(sim, network._deliver_datagram, envelope)
+        heappush(sim._heap, (sim._now + delay, next(sim._counter), delivery))
 
     def _deliver(self, envelope: Envelope) -> None:
         if not self.closed:
