@@ -48,8 +48,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from .core.pipeline import NAMED_PLANS, stage_plan
 from .metrics import render_table
 from . import workload
 
@@ -69,395 +71,28 @@ DEFAULT_DEGREES = "1,2,4,5,8,10,16,20,30,40"
 DEFAULT_CLIENTS = "10,20,30,40,50,60"
 
 
-def _int_list(text: str) -> List[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints: {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one value")
-    return values
+def _comma_list(cast: Callable[[str], Any], kind: str) -> Callable[[str], list]:
+    """An argparse ``type`` that parses comma-separated *cast* values."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [cast(part) for part in text.split(",") if part.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind}: {text!r}"
+            ) from exc
+        if not values:
+            raise argparse.ArgumentTypeError("expected at least one value")
+        return values
+
+    return parse
 
 
-def _float_list(text: str) -> List[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats: {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one value")
-    return values
+_int_list = _comma_list(int, "ints")
+_float_list = _comma_list(float, "floats")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser for the ``repro`` CLI."""
-    from .core.pipeline import NAMED_PLANS
-
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate the evaluation artifacts of Chen & Mohapatra, "
-        "'Using Service Brokers for Accessing Backend Servers for Web "
-        "Applications' (ICDCS 2003).",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=2026, help="master RNG seed")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    fig7 = sub.add_parser(
-        "fig7", parents=[common], help="Figure 7: request clustering sweep"
-    )
-    fig7.add_argument(
-        "--degrees", type=_int_list, default=_int_list(DEFAULT_DEGREES),
-        help=f"degrees of clustering (default {DEFAULT_DEGREES})",
-    )
-
-    for name, help_text in (
-        ("fig9", "Figure 9: API vs broker processing time"),
-        ("fig10", "Figure 10: per-QoS-class processing time"),
-        ("table1", "Table I: completions per QoS class"),
-        ("drops", "Tables II-IV: drop ratios at each broker"),
-    ):
-        cmd = sub.add_parser(name, parents=[common], help=help_text)
-        cmd.add_argument(
-            "--clients", type=_int_list, default=_int_list(DEFAULT_CLIENTS),
-            help=f"client counts (default {DEFAULT_CLIENTS})",
-        )
-        cmd.add_argument(
-            "--duration", type=float, default=120.0,
-            help="virtual seconds per point (default 120)",
-        )
-
-    pipeline = sub.add_parser(
-        "pipeline", help="describe the broker's stage pipeline"
-    )
-    pipeline.add_argument(
-        "--describe", action="store_true",
-        help="print the stage order of the selected model(s)",
-    )
-    pipeline.add_argument(
-        "--model",
-        choices=(*NAMED_PLANS, "all"),
-        default="all",
-        help="which stage plan to describe (default: all)",
-    )
-
-    faults = sub.add_parser(
-        "faults", parents=[common],
-        help="failure recovery: fault injection, retries, breakers, failover",
-    )
-    faults.add_argument(
-        "--describe", action="store_true",
-        help="print the fault types, the fault-tolerant stage plan, and "
-        "the retry/breaker policies without running anything",
-    )
-    faults.add_argument(
-        "--mtbf", type=_float_list, default=[40.0, 20.0, 10.0],
-        help="mean time between failures, seconds (default 40,20,10)",
-    )
-    faults.add_argument(
-        "--mttr", type=float, default=5.0,
-        help="repair time per crash, seconds (default 5)",
-    )
-    faults.add_argument(
-        "--replicas", type=int, default=2,
-        help="replica backends behind the broker (default 2)",
-    )
-    faults.add_argument(
-        "--duration", type=float, default=120.0,
-        help="virtual seconds per point (default 120)",
-    )
-
-    shard = sub.add_parser(
-        "shard", parents=[common],
-        help="shard-aware broker tier: consistent-hash routing, replica "
-        "groups, leader election",
-    )
-    shard.add_argument(
-        "--describe", action="store_true",
-        help="print the sharded stage plan and a sample shard directory "
-        "without running anything",
-    )
-    shard.add_argument(
-        "--shards", type=_int_list, default=_int_list("1,2,4,8"),
-        help="shard counts to sweep (default 1,2,4,8)",
-    )
-    shard.add_argument(
-        "--replicas", type=int, default=2,
-        help="replica brokers per shard group (default 2)",
-    )
-    shard.add_argument(
-        "--clients", type=int, default=40,
-        help="closed-loop clients per point (default 40)",
-    )
-    shard.add_argument(
-        "--mode", choices=("broker", "centralized"), default="centralized",
-        help="base broker model under the shard router "
-        "(default centralized, which exercises the load listener)",
-    )
-    shard.add_argument(
-        "--duration", type=float, default=60.0,
-        help="virtual seconds per point (default 60)",
-    )
-
-    obs = sub.add_parser(
-        "obs", parents=[common],
-        help="end-to-end request tracing: waterfalls, histograms, exports",
-    )
-    obs.add_argument(
-        "--describe", action="store_true",
-        help="print the span model, overhead contract, and exporter "
-        "formats without running anything",
-    )
-    obs.add_argument(
-        "--scenario", choices=("qos", "fig7", "faults"), default="qos",
-        help="which testbed to trace (default: qos, the §V.B macro)",
-    )
-    obs.add_argument(
-        "--clients", type=int, default=60,
-        help="client count for the qos scenario (default 60)",
-    )
-    obs.add_argument(
-        "--duration", type=float, default=120.0,
-        help="virtual seconds for qos/faults scenarios (default 120)",
-    )
-    obs.add_argument(
-        "--degree", type=int, default=8,
-        help="degree of clustering for the fig7 scenario (default 8)",
-    )
-    obs.add_argument(
-        "--trace-sample", dest="trace_sample", type=int, default=1,
-        help="keep every Nth root request's trace (default 1 = all)",
-    )
-    obs.add_argument(
-        "--slowest", type=int, default=5,
-        help="how many slowest-request waterfalls to print (default 5)",
-    )
-    obs.add_argument(
-        "--export", default=None,
-        help="write a Chrome trace_event JSON file (chrome://tracing)",
-    )
-    obs.add_argument(
-        "--jsonl", default=None,
-        help="write one JSON object per span to this file",
-    )
-    obs.add_argument(
-        "--quick", action="store_true",
-        help="shrunken run (~seconds) for CI smoke tests",
-    )
-
-    chaos = sub.add_parser(
-        "chaos", parents=[common],
-        help="chaos soak: broker crashes, link flaps, load spikes, "
-        "invariant checks",
-    )
-    chaos.add_argument(
-        "--describe", action="store_true",
-        help="print the chaos schedule, topology, and invariants "
-        "without running anything",
-    )
-    chaos.add_argument(
-        "--quick", action="store_true",
-        help="90-second soak (~1s wall) for CI smoke runs",
-    )
-    chaos.add_argument(
-        "--duration", type=float, default=300.0,
-        help="virtual seconds of chaos (default 300)",
-    )
-    chaos.add_argument(
-        "--capacity", type=int, default=48,
-        help="bounded broker queue capacity (default 48)",
-    )
-    chaos.add_argument(
-        "--policy", choices=("reject-new", "drop-oldest", "drop-lowest"),
-        default="drop-lowest",
-        help="queue shedding policy (default drop-lowest)",
-    )
-    chaos.add_argument(
-        "--mtbf", type=float, default=25.0,
-        help="broker A mean time between failures, seconds (default 25; "
-        "broker B fails at 1.8x this)",
-    )
-    chaos.add_argument(
-        "--mttr", type=float, default=2.0,
-        help="broker repair time per crash, seconds (default 2)",
-    )
-    chaos.add_argument(
-        "--recovery", choices=("replay", "shed"), default="replay",
-        help="journal recovery policy on restart (default replay)",
-    )
-    chaos.add_argument(
-        "--availability-floor", dest="availability_floor",
-        type=float, default=0.99,
-        help="minimum answered fraction of the steady workload "
-        "(default 0.99)",
-    )
-    chaos.add_argument(
-        "--summary-out", dest="summary_out", default=None,
-        help="write the run summary and invariant verdicts as JSON here",
-    )
-    chaos.add_argument(
-        "--shards", type=int, default=0,
-        help="run the shard-leader-kill soak over N shard groups instead "
-        "of the classic two-broker soak (default 0 = classic)",
-    )
-    chaos.add_argument(
-        "--replicas", type=int, default=2,
-        help="replica brokers per shard group in shard mode (default 2)",
-    )
-    chaos.add_argument(
-        "--leader-kill-every", dest="leader_kill_every", type=float,
-        default=25.0,
-        help="in shard mode, crash a rotating shard leader this often, "
-        "seconds (default 25)",
-    )
-
-    cache = sub.add_parser(
-        "cache", parents=[common],
-        help="cross-request optimization tier: shared cache, cross-broker "
-        "query combining, materialized views",
-    )
-    cache.add_argument(
-        "--describe", action="store_true",
-        help="print the cache-tier stage plan, the write-behind contract, "
-        "and the metric families without running anything",
-    )
-    cache.add_argument(
-        "--clients", type=int, default=600,
-        help="closed-loop clients (default 600, 10x the paper's "
-        "section V.B maximum)",
-    )
-    cache.add_argument(
-        "--brokers", type=int, default=4,
-        help="brokers sharing the tier (default 4)",
-    )
-    cache.add_argument(
-        "--duration", type=float, default=30.0,
-        help="virtual seconds per mode (default 30)",
-    )
-    cache.add_argument(
-        "--ttl", type=float, default=2.0,
-        help="cache entry time-to-live, both layers (default 2)",
-    )
-    cache.add_argument(
-        "--no-views", dest="no_views", action="store_true",
-        help="disable the materialized view in the tier-enabled run",
-    )
-    cache.add_argument(
-        "--quick", action="store_true",
-        help="shrunken run (60 clients, 5s) for CI smoke tests",
-    )
-    cache.add_argument(
-        "--summary-out", dest="summary_out", default=None,
-        help="write both runs' counters and the reduction factor as JSON",
-    )
-
-    telemetry = sub.add_parser(
-        "telemetry", parents=[common],
-        help="in-flight time-series telemetry, SLO burn-rate alerts, and "
-        "the live operator dashboard",
-    )
-    telemetry.add_argument(
-        "--describe", action="store_true",
-        help="print the scrape model, SLO engine, and exporter formats "
-        "without running anything",
-    )
-    telemetry.add_argument(
-        "--scenario", choices=("qos", "chaos", "shard"), default="qos",
-        help="which testbed to scrape (default: qos, the §V.B macro)",
-    )
-    telemetry.add_argument(
-        "--clients", type=int, default=60,
-        help="client count for qos/shard scenarios (default 60)",
-    )
-    telemetry.add_argument(
-        "--duration", type=float, default=120.0,
-        help="virtual seconds to run and scrape (default 120)",
-    )
-    telemetry.add_argument(
-        "--interval", type=float, default=1.0,
-        help="scrape interval in virtual seconds (default 1.0)",
-    )
-    telemetry.add_argument(
-        "--shards", type=int, default=4,
-        help="shard groups for the shard scenario (default 4)",
-    )
-    telemetry.add_argument(
-        "--replicas", type=int, default=2,
-        help="replica brokers per shard group (default 2)",
-    )
-    telemetry.add_argument(
-        "--slo", action="store_true",
-        help="print the SLO table and the burn-rate alert timeline",
-    )
-    telemetry.add_argument(
-        "--dashboard", action="store_true",
-        help="render the terminal sparkline dashboard after the run",
-    )
-    telemetry.add_argument(
-        "--export", default=None,
-        help="write per-scrape telemetry JSONL here (a Prometheus text "
-        "snapshot lands next to it with a .prom suffix)",
-    )
-    telemetry.add_argument(
-        "--quick", action="store_true",
-        help="shrunken run (12 clients, 30s) for CI smoke tests",
-    )
-
-    autoscale = sub.add_parser(
-        "autoscale", parents=[common],
-        help="elastic broker pool: target-tracking autoscaler, graceful "
-        "drain, per-tenant throttling, and the scale-chaos soak",
-    )
-    autoscale.add_argument(
-        "--describe", action="store_true",
-        help="print the control loop, drain protocol, and invariants "
-        "without running anything",
-    )
-    autoscale.add_argument(
-        "--soak", action="store_true",
-        help="run the scale-chaos soak (square-wave load plus a drain "
-        "sniper crashing brokers mid-drain) instead of the diurnal "
-        "headline experiment",
-    )
-    autoscale.add_argument(
-        "--quick", action="store_true",
-        help="shrunken run for CI smoke tests (headline: 120s; "
-        "soak: 120s with proportionally lower event floors)",
-    )
-    autoscale.add_argument(
-        "--duration", type=float, default=None,
-        help="virtual seconds to run (default 240 headline, 264 soak)",
-    )
-    autoscale.add_argument(
-        "--period", type=float, default=120.0,
-        help="diurnal period in virtual seconds, headline only "
-        "(default 120)",
-    )
-    autoscale.add_argument(
-        "--swing", type=float, default=10.0,
-        help="peak-to-base arrival-rate ratio for the diurnal wave, "
-        "headline only (default 10)",
-    )
-    autoscale.add_argument(
-        "--target", type=float, default=None,
-        help="target outstanding requests per broker for the "
-        "target-tracking policy (default 3.0 headline, 2.5 soak)",
-    )
-    autoscale.add_argument(
-        "--wave-period", dest="wave_period", type=float, default=24.0,
-        help="square-wave period in virtual seconds, soak only "
-        "(default 24)",
-    )
-    autoscale.add_argument(
-        "--min-scale-ins", dest="min_scale_ins", type=int, default=None,
-        help="soak invariant floor on completed scale-in events "
-        "(default 20, or 8 with --quick)",
-    )
-    autoscale.add_argument(
-        "--summary-out", dest="summary_out", default=None,
-        help="write the experiment summary and invariant verdicts as JSON",
-    )
-    return parser
+_QOS_LEVELS = (1, 2, 3)
 
 
 def _qos_sweep(args, mode: str):
@@ -497,12 +132,7 @@ def run_fig9(args) -> str:
 def run_fig10(args) -> str:
     broker = _qos_sweep(args, "broker")
     rows = [
-        {
-            "clients": n,
-            "qos1_s": r.mean_response_of(1),
-            "qos2_s": r.mean_response_of(2),
-            "qos3_s": r.mean_response_of(3),
-        }
+        {"clients": n, **{f"qos{q}_s": r.mean_response_of(q) for q in _QOS_LEVELS}}
         for n, r in zip(args.clients, broker)
     ]
     return render_table(rows, title="Figure 10 — processing time per QoS class")
@@ -511,12 +141,7 @@ def run_fig10(args) -> str:
 def run_table1(args) -> str:
     broker = _qos_sweep(args, "broker")
     rows = [
-        {
-            "clients": n,
-            "qos1": r.completions[1],
-            "qos2": r.completions[2],
-            "qos3": r.completions[3],
-        }
+        {"clients": n, **{f"qos{q}": r.completions[q] for q in _QOS_LEVELS}}
         for n, r in zip(args.clients, broker)
     ]
     return render_table(rows, title="Table I — completed requests per QoS class")
@@ -528,12 +153,7 @@ def run_drops(args) -> str:
     broker_names = sorted(broker[0].drop_ratios)
     for table, name in zip(("II", "III", "IV"), broker_names):
         rows = [
-            {
-                "clients": n,
-                "qos1": r.drop_ratios[name][1],
-                "qos2": r.drop_ratios[name][2],
-                "qos3": r.drop_ratios[name][3],
-            }
+            {"clients": n, **{f"qos{q}": r.drop_ratios[name][q] for q in _QOS_LEVELS}}
             for n, r in zip(args.clients, broker)
         ]
         sections.append(
@@ -547,8 +167,6 @@ def _plan_lines(model: str) -> List[str]:
 
     The name column is as wide as the plan's longest stage name.
     """
-    from .core.pipeline import NAMED_PLANS, stage_plan
-
     base, extras = NAMED_PLANS[model]
     stages = stage_plan(base, *(extra() for extra in extras))
     width = max(len(stage.name) for stage in stages)
@@ -561,8 +179,6 @@ def _plan_lines(model: str) -> List[str]:
 
 def _plan_call(model: str) -> str:
     """The ``stage_plan(...)`` call that builds the named plan *model*."""
-    from .core.pipeline import NAMED_PLANS
-
     base, extras = NAMED_PLANS[model]
     arguments = [repr(base), *(f"{extra.__name__}()" for extra in extras)]
     return f"stage_plan({', '.join(arguments)})"
@@ -570,8 +186,6 @@ def _plan_call(model: str) -> str:
 
 def run_pipeline(args) -> str:
     """Render the stage order of the requested broker model(s)."""
-    from .core.pipeline import NAMED_PLANS
-
     models = tuple(NAMED_PLANS) if args.model == "all" else (args.model,)
     sections = []
     for model in models:
@@ -672,7 +286,12 @@ def _describe_shard() -> str:
     for shard in range(4):
         group = ShardGroup("items", shard, metrics)
         for replica in range(2):
-            group.add(_FakeReplica(f"items-s{shard}r{replica}", ("web", 7100 + shard * 2 + replica)))
+            # Just enough broker surface for ShardGroup and describe().
+            group.add(SimpleNamespace(
+                name=f"items-s{shard}r{replica}",
+                address=("web", 7100 + shard * 2 + replica),
+                alive=True,
+            ))
         groups.append(group)
     directory = ShardDirectory(metrics)
     directory.register("items", groups, seed=2026)
@@ -685,15 +304,6 @@ def _describe_shard() -> str:
         "the unsharded broker.",
     ]
     return "\n".join(lines)
-
-
-class _FakeReplica:
-    """Just enough broker surface for ShardGroup/describe demos."""
-
-    def __init__(self, name, address) -> None:
-        self.name = name
-        self.address = address
-        self.alive = True
 
 
 def run_shard(args) -> str:
@@ -1013,6 +623,14 @@ def _run_scale_chaos(args) -> str:
     return _finish_verdict_report(args, result, lines)
 
 
+def _write_summary(path: str, payload: Dict[str, Any]) -> str:
+    """Write the ``--summary-out`` JSON file; returns the report's closing line."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return f"\n\nsummary written to {path}"
+
+
 def _finish_verdict_report(args, result, lines: List[str]) -> str:
     """Shared invariant/summary tail of the chaos and autoscale reports."""
     failed = []
@@ -1025,10 +643,7 @@ def _finish_verdict_report(args, result, lines: List[str]) -> str:
     if args.summary_out:
         payload = result.to_summary()
         payload["invariants_hold"] = result.all_invariants_hold
-        with open(args.summary_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        report += f"\n\nsummary written to {args.summary_out}"
+        report += _write_summary(args.summary_out, payload)
     if failed:
         raise ChaosInvariantFailure(report, failed)
     return report
@@ -1073,6 +688,15 @@ def _describe_cache() -> str:
         "db.view.invalidations count view serves and dirty-markings.",
     ]
     return "\n".join(lines)
+
+
+#: The counters of each ``repro cache`` run that ``--summary-out`` writes.
+_CACHE_SUMMARY_FIELDS = (
+    "requests", "ok", "errors", "timeouts", "backend_queries", "from_cache",
+    "local_hits", "tier_hits", "tier_hit_ratio", "view_hits", "combine_batches",
+    "combine_remote_items", "combine_yields", "write_behind_accepted",
+    "write_behind_flushed", "write_behind_overflow",
+)
 
 
 def run_cache(args) -> str:
@@ -1135,32 +759,14 @@ def run_cache(args) -> str:
             "reduction": reduction,
             "modes": {
                 name: {
-                    "requests": r.requests,
-                    "ok": r.ok,
-                    "errors": r.errors,
-                    "timeouts": r.timeouts,
-                    "backend_queries": r.backend_queries,
-                    "from_cache": r.from_cache,
-                    "local_hits": r.local_hits,
-                    "tier_hits": r.tier_hits,
-                    "tier_hit_ratio": r.tier_hit_ratio,
-                    "view_hits": r.view_hits,
-                    "combine_batches": r.combine_batches,
-                    "combine_remote_items": r.combine_remote_items,
-                    "combine_yields": r.combine_yields,
-                    "write_behind_accepted": r.write_behind_accepted,
-                    "write_behind_flushed": r.write_behind_flushed,
-                    "write_behind_overflow": r.write_behind_overflow,
+                    **{field: getattr(r, field) for field in _CACHE_SUMMARY_FIELDS},
                     "mean_latency": r.latency.mean,
                     "p99_latency": r.latency.p99,
                 }
                 for name, r in (("local-caches", base), ("shared-tier", tier))
             },
         }
-        with open(args.summary_out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        report += f"\n\nsummary written to {args.summary_out}"
+        report += _write_summary(args.summary_out, payload)
     return report
 
 
@@ -1208,29 +814,245 @@ def run_telemetry(args) -> str:
     return "\n".join(lines)
 
 
-_COMMANDS = {
-    "fig7": run_fig7,
-    "fig9": run_fig9,
-    "fig10": run_fig10,
-    "table1": run_table1,
-    "drops": run_drops,
-    "pipeline": run_pipeline,
-    "faults": run_faults,
-    "shard": run_shard,
-    "obs": run_obs,
-    "chaos": run_chaos,
-    "cache": run_cache,
-    "telemetry": run_telemetry,
-    "autoscale": run_autoscale,
-}
+#: One flag: its name and the keyword options of ``add_argument``.
+Flag = Tuple[str, Dict[str, Any]]
+
+
+class Command(NamedTuple):
+    """One subcommand: its name, help line, runner and flags, in order."""
+
+    name: str
+    help: str
+    run: Callable[[argparse.Namespace], str]
+    flags: Tuple[Flag, ...]
+    seed: bool = True  # takes the shared --seed flag
+
+
+def _switch(name: str, help: str) -> Flag:
+    return (name, dict(action="store_true", help=help))
+
+
+def _describe(what: str) -> Flag:
+    return _switch("--describe", f"print {what} without running anything")
+
+
+_QOS_SWEEP_FLAGS: Tuple[Flag, ...] = (
+    ("--clients", dict(type=_int_list, default=DEFAULT_CLIENTS,
+                       help=f"client counts (default {DEFAULT_CLIENTS})")),
+    ("--duration", dict(type=float, default=120.0,
+                        help="virtual seconds per point (default 120)")),
+)
+
+#: Every subcommand, in ``--help`` order; a flag's position in its row is
+#: its position in the subcommand's usage line and help.
+COMMANDS: Tuple[Command, ...] = (
+    Command("fig7", "Figure 7: request clustering sweep", run_fig7, (
+        ("--degrees", dict(type=_int_list, default=DEFAULT_DEGREES,
+                           help=f"degrees of clustering (default {DEFAULT_DEGREES})")),
+    )),
+    Command("fig9", "Figure 9: API vs broker processing time", run_fig9, _QOS_SWEEP_FLAGS),
+    Command("fig10", "Figure 10: per-QoS-class processing time", run_fig10, _QOS_SWEEP_FLAGS),
+    Command("table1", "Table I: completions per QoS class", run_table1, _QOS_SWEEP_FLAGS),
+    Command("drops", "Tables II-IV: drop ratios at each broker", run_drops, _QOS_SWEEP_FLAGS),
+    Command("pipeline", "describe the broker's stage pipeline", run_pipeline, (
+        _switch("--describe", "print the stage order of the selected model(s)"),
+        ("--model", dict(choices=(*NAMED_PLANS, "all"), default="all",
+                         help="which stage plan to describe (default: all)")),
+    ), seed=False),
+    Command(
+        "faults", "failure recovery: fault injection, retries, breakers, failover",
+        run_faults, (
+            _describe("the fault types, the fault-tolerant stage plan, and the "
+                      "retry/breaker policies"),
+            ("--mtbf", dict(type=_float_list, default="40,20,10",
+                            help="mean time between failures, seconds (default 40,20,10)")),
+            ("--mttr", dict(type=float, default=5.0,
+                            help="repair time per crash, seconds (default 5)")),
+            ("--replicas", dict(type=int, default=2,
+                                help="replica backends behind the broker (default 2)")),
+            ("--duration", dict(type=float, default=120.0,
+                                help="virtual seconds per point (default 120)")),
+        ),
+    ),
+    Command(
+        "shard", "shard-aware broker tier: consistent-hash routing, replica groups, "
+        "leader election",
+        run_shard, (
+            _describe("the sharded stage plan and a sample shard directory"),
+            ("--shards", dict(type=_int_list, default="1,2,4,8",
+                              help="shard counts to sweep (default 1,2,4,8)")),
+            ("--replicas", dict(type=int, default=2,
+                                help="replica brokers per shard group (default 2)")),
+            ("--clients", dict(type=int, default=40,
+                               help="closed-loop clients per point (default 40)")),
+            ("--mode", dict(choices=("broker", "centralized"), default="centralized",
+                            help="base broker model under the shard router "
+                            "(default centralized, which exercises the load listener)")),
+            ("--duration", dict(type=float, default=60.0,
+                                help="virtual seconds per point (default 60)")),
+        ),
+    ),
+    Command(
+        "obs", "end-to-end request tracing: waterfalls, histograms, exports", run_obs, (
+            _describe("the span model, overhead contract, and exporter formats"),
+            ("--scenario", dict(choices=("qos", "fig7", "faults"), default="qos",
+                                help="which testbed to trace (default: qos, the §V.B macro)")),
+            ("--clients", dict(type=int, default=60,
+                               help="client count for the qos scenario (default 60)")),
+            ("--duration", dict(type=float, default=120.0,
+                                help="virtual seconds for qos/faults scenarios (default 120)")),
+            ("--degree", dict(type=int, default=8,
+                              help="degree of clustering for the fig7 scenario (default 8)")),
+            ("--trace-sample", dict(type=int, default=1,
+                                    help="keep every Nth root request's trace "
+                                    "(default 1 = all)")),
+            ("--slowest", dict(type=int, default=5,
+                               help="how many slowest-request waterfalls to print (default 5)")),
+            ("--export", dict(help="write a Chrome trace_event JSON file (chrome://tracing)")),
+            ("--jsonl", dict(help="write one JSON object per span to this file")),
+            _switch("--quick", "shrunken run (~seconds) for CI smoke tests"),
+        ),
+    ),
+    Command(
+        "chaos", "chaos soak: broker crashes, link flaps, load spikes, invariant checks",
+        run_chaos, (
+            _describe("the chaos schedule, topology, and invariants"),
+            _switch("--quick", "90-second soak (~1s wall) for CI smoke runs"),
+            ("--duration", dict(type=float, default=300.0,
+                                help="virtual seconds of chaos (default 300)")),
+            ("--capacity", dict(type=int, default=48,
+                                help="bounded broker queue capacity (default 48)")),
+            ("--policy", dict(choices=("reject-new", "drop-oldest", "drop-lowest"),
+                              default="drop-lowest",
+                              help="queue shedding policy (default drop-lowest)")),
+            ("--mtbf", dict(type=float, default=25.0,
+                            help="broker A mean time between failures, seconds "
+                            "(default 25; broker B fails at 1.8x this)")),
+            ("--mttr", dict(type=float, default=2.0,
+                            help="broker repair time per crash, seconds (default 2)")),
+            ("--recovery", dict(choices=("replay", "shed"), default="replay",
+                                help="journal recovery policy on restart (default replay)")),
+            ("--availability-floor", dict(type=float, default=0.99,
+                                          help="minimum answered fraction of the steady "
+                                          "workload (default 0.99)")),
+            ("--summary-out", dict(help="write the run summary and invariant verdicts "
+                                   "as JSON here")),
+            ("--shards", dict(type=int, default=0,
+                              help="run the shard-leader-kill soak over N shard groups "
+                              "instead of the classic two-broker soak (default 0 = classic)")),
+            ("--replicas", dict(type=int, default=2,
+                                help="replica brokers per shard group in shard mode "
+                                "(default 2)")),
+            ("--leader-kill-every", dict(type=float, default=25.0,
+                                         help="in shard mode, crash a rotating shard leader "
+                                         "this often, seconds (default 25)")),
+        ),
+    ),
+    Command(
+        "cache", "cross-request optimization tier: shared cache, cross-broker query "
+        "combining, materialized views",
+        run_cache, (
+            _describe("the cache-tier stage plan, the write-behind contract, and the "
+                      "metric families"),
+            ("--clients", dict(type=int, default=600,
+                               help="closed-loop clients (default 600, 10x the paper's "
+                               "section V.B maximum)")),
+            ("--brokers", dict(type=int, default=4,
+                               help="brokers sharing the tier (default 4)")),
+            ("--duration", dict(type=float, default=30.0,
+                                help="virtual seconds per mode (default 30)")),
+            ("--ttl", dict(type=float, default=2.0,
+                           help="cache entry time-to-live, both layers (default 2)")),
+            _switch("--no-views", "disable the materialized view in the tier-enabled run"),
+            _switch("--quick", "shrunken run (60 clients, 5s) for CI smoke tests"),
+            ("--summary-out", dict(help="write both runs' counters and the reduction "
+                                   "factor as JSON")),
+        ),
+    ),
+    Command(
+        "telemetry", "in-flight time-series telemetry, SLO burn-rate alerts, and the "
+        "live operator dashboard",
+        run_telemetry, (
+            _describe("the scrape model, SLO engine, and exporter formats"),
+            ("--scenario", dict(choices=("qos", "chaos", "shard"), default="qos",
+                                help="which testbed to scrape (default: qos, the §V.B macro)")),
+            ("--clients", dict(type=int, default=60,
+                               help="client count for qos/shard scenarios (default 60)")),
+            ("--duration", dict(type=float, default=120.0,
+                                help="virtual seconds to run and scrape (default 120)")),
+            ("--interval", dict(type=float, default=1.0,
+                                help="scrape interval in virtual seconds (default 1.0)")),
+            ("--shards", dict(type=int, default=4,
+                              help="shard groups for the shard scenario (default 4)")),
+            ("--replicas", dict(type=int, default=2,
+                                help="replica brokers per shard group (default 2)")),
+            _switch("--slo", "print the SLO table and the burn-rate alert timeline"),
+            _switch("--dashboard", "render the terminal sparkline dashboard after the run"),
+            ("--export", dict(help="write per-scrape telemetry JSONL here (a Prometheus "
+                              "text snapshot lands next to it with a .prom suffix)")),
+            _switch("--quick", "shrunken run (12 clients, 30s) for CI smoke tests"),
+        ),
+    ),
+    Command(
+        "autoscale", "elastic broker pool: target-tracking autoscaler, graceful drain, "
+        "per-tenant throttling, and the scale-chaos soak",
+        run_autoscale, (
+            _describe("the control loop, drain protocol, and invariants"),
+            _switch("--soak", "run the scale-chaos soak (square-wave load plus a drain "
+                    "sniper crashing brokers mid-drain) instead of the diurnal "
+                    "headline experiment"),
+            _switch("--quick", "shrunken run for CI smoke tests (headline: 120s; "
+                    "soak: 120s with proportionally lower event floors)"),
+            ("--duration", dict(type=float,
+                                help="virtual seconds to run (default 240 headline, 264 soak)")),
+            ("--period", dict(type=float, default=120.0,
+                              help="diurnal period in virtual seconds, headline only "
+                              "(default 120)")),
+            ("--swing", dict(type=float, default=10.0,
+                             help="peak-to-base arrival-rate ratio for the diurnal wave, "
+                             "headline only (default 10)")),
+            ("--target", dict(type=float,
+                              help="target outstanding requests per broker for the "
+                              "target-tracking policy (default 3.0 headline, 2.5 soak)")),
+            ("--wave-period", dict(type=float, default=24.0,
+                                   help="square-wave period in virtual seconds, soak only "
+                                   "(default 24)")),
+            ("--min-scale-ins", dict(type=int,
+                                     help="soak invariant floor on completed scale-in events "
+                                     "(default 20, or 8 with --quick)")),
+            ("--summary-out", dict(help="write the experiment summary and invariant "
+                                   "verdicts as JSON")),
+        ),
+    ),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser for the ``repro`` CLI: one subparser per :data:`COMMANDS` row."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Regenerate the evaluation artifacts of Chen & Mohapatra, "
+        "'Using Service Brokers for Accessing Backend Servers for Web "
+        "Applications' (ICDCS 2003).",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=2026, help="master RNG seed")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in COMMANDS:
+        parents = [common] if command.seed else []
+        cmd = sub.add_parser(command.name, parents=parents, help=command.help)
+        for name, options in command.flags:
+            cmd.add_argument(name, **options)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = next(command for command in COMMANDS if command.name == args.command)
     try:
-        print(_COMMANDS[args.command](args))
+        print(command.run(args))
     except ChaosInvariantFailure as failure:
         print(failure.report)
         print(f"FAILED: {failure}", file=sys.stderr)

@@ -14,7 +14,7 @@ mechanisms here:
   after ``reset_timeout`` it turns HALF_OPEN and admits a bounded
   number of live probe requests — a success closes it, a failure
   re-opens it. State transitions are mirrored into metrics
-  (``broker.breaker.state`` samples plus ``broker.breaker.opened`` /
+  (``broker.breaker.state`` samples plus ``broker.breaker.open`` /
   ``.closed`` / ``.half_open`` counters).
 * :class:`RetryPolicy` — capped exponential backoff with jitter for
   re-attempting a failed backend call, drawn from a named RNG

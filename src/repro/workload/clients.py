@@ -24,6 +24,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional
 
 from ..metrics import MetricsRegistry, SummaryStats
@@ -441,15 +442,8 @@ def zipf_sampler(rng, n: int, skew: float = 1.0) -> Callable[[], int]:
         cumulative.append(acc)
 
     def sample() -> int:
-        u = rng.random()
-        # Binary search the CDF.
-        low, high = 0, n - 1
-        while low < high:
-            mid = (low + high) // 2
-            if cumulative[mid] < u:
-                low = mid + 1
-            else:
-                high = mid
-        return low
+        # The first rank whose CDF reaches the draw; the last rank catches
+        # a draw above a CDF that rounding left short of 1.0.
+        return bisect_left(cumulative, rng.random(), 0, n - 1)
 
     return sample

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.protocol import ReplyStatus
 from repro.metrics import MetricsRegistry
@@ -139,6 +141,43 @@ class TestZipfSampler:
         sim = Simulation(seed=3)
         with pytest.raises(ValueError):
             zipf_sampler(sim.rng("z4"), n=0)
+
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        skew=st.floats(min_value=0.0, max_value=3.0),
+        u=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=1.0, max_value=2.0),
+        ),
+    )
+    @example(n=1, skew=1.0, u=0.0)
+    @example(n=7, skew=1.0, u=0.0)
+    @example(n=7, skew=1.0, u=1.5)
+    @example(n=2, skew=0.0, u=0.5)  # u equal to a CDF entry: that rank
+    def test_rank_matches_a_linear_scan_of_the_cdf(self, n, skew, u):
+        # The same single draw must pick the smallest rank whose
+        # cumulative weight reaches u, the last rank when none does.
+        weights = [1.0 / (rank + 1) ** skew for rank in range(n)]
+        total = math.fsum(weights)
+        cumulative, acc = [], 0.0
+        for weight in weights:
+            acc += weight / total
+            cumulative.append(acc)
+        expected = next(
+            (rank for rank in range(n - 1) if cumulative[rank] >= u), n - 1
+        )
+
+        class StubRng:
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                return u
+
+        rng = StubRng()
+        assert zipf_sampler(rng, n, skew)() == expected
+        assert rng.draws == 1
 
 
 class TestOutcomeTally:
