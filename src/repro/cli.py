@@ -224,7 +224,8 @@ def _describe_faults() -> str:
         "broker.fault.failover_recovered, broker.fault.replies, "
         "broker.retry.attempts, broker.retry.backoff, "
         "broker.retry.recovered, broker.retry.exhausted, "
-        "broker.breaker.state, broker.degraded_replies.",
+        "broker.breaker.state, broker.breaker.open, broker.breaker.closed, "
+        "broker.breaker.half_open, broker.degraded_replies.",
     ]
     return "\n".join(lines)
 

@@ -29,11 +29,11 @@ and seeded outputs of unsharded experiments are byte-identical.
 from __future__ import annotations
 
 import bisect
-import hashlib
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import BrokerError
 from ..metrics import MetricsRegistry
+from ..sim.rng import hash64
 from .loadbalance import ReplicaHealth
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,10 +45,7 @@ __all__ = ["HashRing", "ShardGroup", "ShardDirectory"]
 
 def _point(seed: int, token: str) -> int:
     """Hash *token* onto the 64-bit ring, mixed with *seed*."""
-    digest = hashlib.blake2b(
-        f"{seed}:{token}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
+    return hash64(f"{seed}:{token}")
 
 
 class HashRing:

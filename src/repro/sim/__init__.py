@@ -25,6 +25,7 @@ _EXPORTS = {
     "HostCpu": "cpu",
     "RngRegistry": "rng",
     "derive_rng": "rng",
+    "hash64": "rng",
     "URGENT": "core",
     "NORMAL": "core",
     "run_partitions": "parallel",

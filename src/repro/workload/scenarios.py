@@ -35,7 +35,6 @@ the paper's tables/series.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -72,6 +71,7 @@ from ..net.faults import FaultInjector, FaultPlan
 from ..net.link import Link
 from ..net.network import Network
 from ..sim.core import Simulation
+from ..sim.rng import hash64
 from .clients import ClosedLoopClient, OutcomeTally, zipf_sampler
 
 __all__ = [
@@ -1232,10 +1232,7 @@ def _slice_seed(seed: int, shard: int) -> int:
     worker count or worker assignment — so partitioned results are
     identical for every ``workers >= 2``.
     """
-    digest = hashlib.blake2b(
-        f"{seed}:slice{shard}".encode(), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big")
+    return hash64(f"{seed}:slice{shard}")
 
 
 def _run_sharded_parallel(workers: int, **config) -> ShardedQosResult:

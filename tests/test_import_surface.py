@@ -5,6 +5,11 @@ resolved on first attribute access, see ``repro._lazy``), and a module
 imports another service's client only where one is constructed. These
 tests run fresh interpreters, because the question is what a *run*
 loads, and this process has long since imported everything.
+
+No run loads ``hashlib``: its ``_hashlib`` maps OpenSSL's ``libcrypto``
+(about 3.3 MiB resident) to hash a few hundred short strings, which
+``repro.sim.rng`` hashes with the interpreter's built-in SHA-256 and
+BLAKE2b modules instead.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGES = ["repro"] + [
     info.name for info in pkgutil.iter_modules(repro.__path__, "repro.") if info.ispkg
 ]
+
+#: Modules that map OpenSSL into the process.
+OPENSSL = ("hashlib", "_hashlib", "ssl")
 
 #: The standing benchmark's workloads (``benchmarks/e2e/workloads.py``).
 WORKLOADS = ("qos_broker", "qos_api", "cache_read", "cache_write", "fleet_autoscale")
@@ -70,7 +78,7 @@ def test_an_http_only_run_loads_no_other_service_and_no_process_pool():
         seen,
         "multiprocessing", "repro.sim.parallel", "repro.workload.chaos",
         "repro.ldapdir", "repro.mail", "repro.fileserver", "repro.analysis",
-        "repro.obs.export", "repro.obs.dashboard", "repro.cli",
+        "repro.obs.export", "repro.obs.dashboard", "repro.cli", *OPENSSL,
     )
     assert unwanted == []
     assert len(loaded(seen, "repro")) <= 60, loaded(seen, "repro")
@@ -91,6 +99,7 @@ def test_the_timed_run_imports_nothing(workload):
     )
     assert seen["ran"] == seen["built"]
     assert loaded(seen["built"], "multiprocessing") == []
+    assert loaded(seen["built"], *OPENSSL) == []
     if workload == "fleet_autoscale":
         assert loaded(seen["built"], "repro.ldapdir", "repro.mail", "repro.fileserver") == []
 
