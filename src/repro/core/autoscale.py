@@ -26,7 +26,10 @@ queue/ledger, hands any still-queued orphans to a live peer (balancing
 its own admission ledger and recovery journal per orphan), leaves its
 shard group (electing a successor leader), is purged from the load
 listener, is released from supervision, and only then terminates
-(:meth:`~repro.core.broker.ServiceBroker.decommission`). A crash
+(:meth:`~repro.core.broker.ServiceBroker.decommission`). The pool then
+keeps only the unit's name and residue and lets the unit go: its
+``on_retire`` hook is where every other collaborator that registered
+the unit forgets it. A crash
 mid-drain aborts the quiesce wait until the supervisor fail-fasts the
 journal and the resurrection restarts the broker — then the drain
 resumes. The scale-chaos soak in :mod:`repro.workload.chaos` verifies
@@ -253,16 +256,19 @@ class BrokerPool:
     with the pool. The pool owns unit membership: provisioning adds the
     unit to the routing ring (and shard group, when given), scale-in
     runs the graceful drain protocol described in the module docstring,
-    and :attr:`every` keeps every unit ever provisioned — including
-    retired ones — so chaos invariants can audit the full population.
+    and :attr:`every` names every unit ever provisioned, so chaos
+    invariants can audit the full population (:meth:`residue`). A
+    retired unit leaves only its name and its residue snapshot
+    (:attr:`retired`); the unit itself is not kept.
 
     Parameters
     ----------
     factory:
         ``factory(pool, index) -> ServiceBroker``. Builds and wires one
         unit (node, backend, supervisor watch, load reporting); the
-        pool handles ring/group membership and the ``on_provision``
-        hook (used by experiments to attach telemetry and routes).
+        pool handles ring/group membership and the ``on_provision`` /
+        ``on_retire`` hooks (used by experiments to attach telemetry
+        and routes, and to release them and the unit's backend).
     supervisor, group, listener:
         Optional lifecycle collaborators; each enables the matching
         drain hand-off step (release, leadership hand-off, listener
@@ -298,12 +304,16 @@ class BrokerPool:
         self.brokers: Dict[str, Any] = {}
         #: Units mid-drain (off the ring, not yet decommissioned).
         self.draining: Dict[str, Any] = {}
-        #: Decommissioned units, in drain-completion order.
-        self.retired: List[Any] = []
-        #: Every unit ever provisioned (chaos invariants audit this).
-        self.every: List[Any] = []
+        #: Residue of each decommissioned unit, read at its decommission
+        #: (:meth:`ServiceBroker.residue`), by name in completion order.
+        self.retired: Dict[str, Dict[str, int]] = {}
+        #: The name of every unit ever provisioned, in provisioning order.
+        self.every: List[str] = []
         #: Called with each new broker right after it joins the ring.
         self.on_provision: Optional[Callable[[Any], None]] = None
+        #: Called with each broker right after its decommission; must
+        #: schedule nothing and draw nothing (it only forgets the unit).
+        self.on_retire: Optional[Callable[[Any], None]] = None
         self._next_index = 0
         self.scale_out_events = 0
         self.scale_in_events = 0
@@ -328,7 +338,7 @@ class BrokerPool:
         self._next_index += 1
         broker = self.factory(self, index)
         self.brokers[broker.name] = broker
-        self.every.append(broker)
+        self.every.append(broker.name)
         self.ring.add(broker.name)
         if self.group is not None:
             self.group.add(broker)
@@ -369,6 +379,20 @@ class BrokerPool:
         return self.sim.process(
             self._drain(broker), name=f"{self.name}:drain:{name}"
         )
+
+    def residue(self) -> Dict[str, Dict[str, int]]:
+        """Residue of every unit ever provisioned, in provisioning order.
+
+        A retired unit reports its snapshot from decommission; an active
+        or draining one is read now (see
+        :meth:`~repro.core.broker.ServiceBroker.residue`).
+        """
+        retired = self.retired
+        live = {**self.brokers, **self.draining}
+        return {
+            name: retired[name] if name in retired else live[name].residue()
+            for name in self.every
+        }
 
     # -- routing -----------------------------------------------------------
 
@@ -484,9 +508,11 @@ class BrokerPool:
             self.supervisor.release(broker.name)
         broker.decommission()
         del self.draining[broker.name]
-        self.retired.append(broker)
+        self.retired[broker.name] = broker.residue()
         self.drains_completed += 1
         self.metrics.increment("autoscaler.drained")
+        if self.on_retire is not None:
+            self.on_retire(broker)
 
 
 class Autoscaler:

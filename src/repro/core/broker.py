@@ -478,6 +478,16 @@ class ServiceBroker:
         self._processes = []
         self.socket.close()
 
+    def residue(self) -> "dict[str, int]":
+        """What a finished drain must leave at zero: backlog, held
+        admissions and journaled requests (chaos invariants audit it)."""
+        journal = self.journal
+        return {
+            "queue_depth": len(self.queue),
+            "outstanding": self.admission.outstanding,
+            "journal_pending": journal.pending_count if journal else 0,
+        }
+
     def start_heartbeat(self, address: Address, interval: float = 0.05) -> None:
         """Emit liveness heartbeats to *address* every *interval* seconds.
 

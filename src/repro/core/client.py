@@ -88,6 +88,14 @@ class BrokerClient:
         """Register (or replace) the broker address for *service*."""
         self.routes[service] = address
 
+    def remove_route(self, service: str) -> None:
+        """Forget the broker address for *service* (no-op if unknown).
+
+        A call already sent keeps its address; a new call to *service*
+        raises :class:`~repro.errors.UnknownServiceError`.
+        """
+        self.routes.pop(service, None)
+
     def use_directory(self, directory) -> None:
         """Resolve shard-routed services through *directory*.
 

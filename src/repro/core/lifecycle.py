@@ -258,13 +258,15 @@ class BrokerSupervisor:
     def release(self, name: str) -> None:
         """Stop supervising broker *name* (graceful decommission).
 
-        Marks the watch released so the monitor exits instead of
-        declaring the post-drain heartbeat silence a death — call this
-        *before* :meth:`~repro.core.broker.ServiceBroker.decommission`.
+        Forgets the watch, and with it the broker: the monitor exits at
+        its next tick instead of declaring the post-drain heartbeat
+        silence a death, and a heartbeat still in flight is ignored like
+        one from an unknown broker. Call this *before*
+        :meth:`~repro.core.broker.ServiceBroker.decommission`.
         Idempotent; unknown names are ignored.
         """
-        watch = self._watches.get(name)
-        if watch is None or watch.released:
+        watch = self._watches.pop(name, None)
+        if watch is None:
             return
         watch.released = True
         self.metrics.increment("lifecycle.released")

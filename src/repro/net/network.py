@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import random
 import weakref
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..errors import (
     AddressInUse,
@@ -220,6 +220,8 @@ class Network:
         self._connections = self.metrics.handle("net.connections")
         self._link_rngs: Dict[Tuple[str, str], random.Random] = {}
         self._routes: Dict[Tuple[str, str], Route] = {}
+        # Hosts taken out for good (remove_node): no route to them again.
+        self._removed: Set[str] = set()
 
     @property
     def default_link(self) -> Optional[Link]:
@@ -234,11 +236,37 @@ class Network:
 
     def node(self, name: str) -> Node:
         """Create and register a node named *name*."""
-        if name in self.nodes:
-            raise NetworkError(f"node {name!r} already exists")
+        if name in self.nodes or name in self._removed:
+            raise NetworkError(f"node {name!r} already exists or was removed")
         node = Node(self, name)
         self.nodes[name] = node
         return node
+
+    def remove_node(self, name: str) -> None:
+        """Take host *name* out of the network for good.
+
+        Drops the node and every explicit link, cached :class:`Route`,
+        fault override and open partition that names it, and releases
+        the jitter/loss substreams of its directions
+        (:meth:`~repro.sim.core.Simulation.forget_rng`), so the name
+        cannot come back with a restarted sequence. Nothing is closed,
+        drawn or scheduled: whatever is bound on the host just becomes
+        unreachable. A later send or connect to the host raises
+        :class:`NoRouteError`, and the name cannot be a node again. An
+        elastic pool removes a retired unit's backend this way.
+        """
+        if self.nodes.pop(name, None) is None:
+            raise NetworkError(f"unknown node {name!r}")
+        self._removed.add(name)
+        for table in (self._links, self._routes):
+            for key in [key for key in table if name in key]:
+                del table[key]
+        for pairs in (self._severed, self._link_overrides):
+            for pair in [pair for pair in pairs if name in pair]:
+                del pairs[pair]
+        for a, b in [key for key in self._link_rngs if name in key]:
+            del self._link_rngs[(a, b)]
+            self.sim.forget_rng(f"net.link.{a}->{b}")
 
     def connect(self, a: Union[Node, str], b: Union[Node, str], link: Link) -> None:
         """Join nodes *a* and *b* with *link* (bidirectional)."""
@@ -297,10 +325,14 @@ class Network:
         The same object is returned for the network's lifetime: link
         changes and fault windows update it in place, so holders (an
         established stream) never go stale. Raises
-        :class:`NoRouteError` when the pair has no link.
+        :class:`NoRouteError` when the pair has no link or either host
+        was removed (:meth:`remove_node`).
         """
         route = self._routes.get((a, b))
         if route is None:
+            removed = self._removed
+            if removed and (a in removed or b in removed):
+                raise NoRouteError(f"host {b if b in removed else a!r} was removed")
             route = Route(
                 self.link_between(a, b), self.link_rng(a, b), self.link_severed(a, b)
             )

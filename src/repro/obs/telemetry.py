@@ -489,6 +489,20 @@ class TelemetryScraper:
                 self.add_gauge(name, fn)
         return self
 
+    def unwatch_broker(self, broker: Any) -> "TelemetryScraper":
+        """Stop sampling *broker* and drop its series (it left for good).
+
+        Undoes :meth:`watch_broker`: the gauge and counter readers go,
+        and so do their :class:`TimeSeries`, so a retired broker is no
+        longer reachable from the scraper. Records already taken keep
+        their readings.
+        """
+        for name in broker.load_gauges():
+            self._gauges.pop(name, None)
+            self._counter_fns.pop(name, None)
+            self.series.pop(name, None)
+        return self
+
     def watch_listener(
         self, listener: Any, prefix: str = "shard.load."
     ) -> "TelemetryScraper":

@@ -573,6 +573,10 @@ class Simulation:
         """A deterministic ``random.Random`` for the named substream."""
         return self._rngs.stream(stream)
 
+    def forget_rng(self, stream: str) -> None:
+        """Release the named substream for good (:meth:`RngRegistry.forget`)."""
+        self._rngs.forget(stream)
+
     # ------------------------------------------------------------------
     # Scheduling and execution
     # ------------------------------------------------------------------

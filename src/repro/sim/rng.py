@@ -24,7 +24,7 @@ modules are absent.
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, Set
 
 try:  # Python 3.12+
     from _sha2 import sha256 as _sha256
@@ -57,20 +57,37 @@ class RngRegistry:
     """Caches one :class:`random.Random` per stream name.
 
     Repeated calls with the same name return the *same* generator object,
-    so a component keeps consuming its own sequence across calls.
+    so a component keeps consuming its own sequence across calls. A
+    component that is gone for good lets its streams go with
+    :meth:`forget`; a forgotten name is never derived again, since a
+    second generator under it would silently restart the sequence.
     """
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
         self._streams: Dict[str, random.Random] = {}
+        self._forgotten: Set[str] = set()
 
     def stream(self, name: str) -> random.Random:
-        """Return the generator for *name*, creating it on first use."""
+        """Return the generator for *name*, creating it on first use.
+
+        Raises :class:`LookupError` for a forgotten name.
+        """
         rng = self._streams.get(name)
         if rng is None:
+            if name in self._forgotten:
+                raise LookupError(f"RNG stream {name!r} was forgotten")
             rng = derive_rng(self.seed, name)
             self._streams[name] = rng
         return rng
+
+    def forget(self, name: str) -> None:
+        """Drop the generator for *name* for good (see the class docstring).
+
+        Draws nothing, so every other stream is unaffected.
+        """
+        self._streams.pop(name, None)
+        self._forgotten.add(name)
 
     def __len__(self) -> int:
         return len(self._streams)

@@ -445,15 +445,7 @@ def _counters_of(result_class, metrics: MetricsRegistry) -> Dict[str, int]:
 
 def _residue(brokers: Iterable[ServiceBroker]) -> Dict[str, Dict[str, int]]:
     """End-of-run residue per broker: backlog, held admissions, journal."""
-    residue = {}
-    for broker in brokers:
-        journal = broker.journal
-        residue[broker.name] = {
-            "queue_depth": len(broker.queue),
-            "outstanding": broker.admission.outstanding,
-            "journal_pending": journal.pending_count if journal else 0,
-        }
-    return residue
+    return {broker.name: broker.residue() for broker in brokers}
 
 
 def _no_lost_request(result, scope: str = "") -> InvariantCheck:
@@ -1170,6 +1162,11 @@ def _elastic_pool(
     :class:`~repro.core.sharding.ShardGroup` so drains exercise the
     full hand-off protocol (leadership, listener purge, supervision
     release). Returns ``(pool, supervisor, listener, group, watches)``.
+
+    The pool's ``on_retire`` releases what the factory registered for a
+    retired unit: its watch, its backend's node (with the node's routes
+    and link streams) and its retry stream. An experiment that registers
+    more (client routes, telemetry) wraps that hook.
     """
     from ..core.centralized import LoadListener
 
@@ -1211,6 +1208,12 @@ def _elastic_pool(
         broker.report_load_to(listener.address, interval=report_interval)
         return broker
 
+    def release(broker: ServiceBroker) -> None:
+        del watches[broker.name]
+        for backend in broker.backends:
+            net.remove_node(backend.adapter.address.host)
+        sim.forget_rng(f"{broker.name}.retry")
+
     pool = BrokerPool(
         sim,
         factory,
@@ -1221,6 +1224,7 @@ def _elastic_pool(
         drain_grace=drain_grace,
         metrics=metrics,
     )
+    pool.on_retire = release
     return pool, supervisor, listener, group, watches
 
 
@@ -1426,7 +1430,15 @@ def run_autoscale_experiment(
         broker_client.add_route(broker.service, broker.address)
         scraper.watch_broker(broker)
 
+    release_unit = pool.on_retire
+
+    def on_retire(broker: ServiceBroker) -> None:
+        release_unit(broker)
+        broker_client.remove_route(broker.service)
+        scraper.unwatch_broker(broker)
+
     pool.on_provision = on_provision
+    pool.on_retire = on_retire
     pool.scale_to(_AUTOSCALE_INITIAL_SIZE)
 
     policy = replace(AUTOSCALE_POLICY, target=target)
@@ -1515,7 +1527,7 @@ def run_autoscale_experiment(
         min_size=min(sizes, default=0),
         alerts=len(engine.alerts),
         timeline=list(autoscaler.history),
-        residue=_residue(pool.every),
+        residue=pool.residue(),
         **outcomes.fields(),
         **_counters_of(AutoscaleResult, metrics),
     )
@@ -1670,6 +1682,13 @@ def run_scale_chaos_experiment(
     pool.on_provision = lambda broker: broker_client.add_route(
         broker.service, broker.address
     )
+    release_unit = pool.on_retire
+
+    def on_retire(broker: ServiceBroker) -> None:
+        release_unit(broker)
+        broker_client.remove_route(broker.service)
+
+    pool.on_retire = on_retire
     pool.scale_to(_SCALE_CHAOS_INITIAL_SIZE)
 
     policy = replace(SCALE_CHAOS_POLICY, target=target)
@@ -1756,7 +1775,7 @@ def run_scale_chaos_experiment(
         mid_drain_kills=kills["count"],
         peak_size=max(sizes, default=0),
         min_size=min(sizes, default=0),
-        residue=_residue(pool.every),
+        residue=pool.residue(),
         **outcomes.fields(),
         **_counters_of(ScaleChaosResult, metrics),
     )

@@ -11,6 +11,9 @@ reach because their drains quiesce before the grace deadline.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +26,9 @@ from repro.core.autoscale import (
     TokenBucket,
     decide_scale,
 )
+from repro.http.server import BackendWebServer
 from repro.metrics import MetricsRegistry
+from repro.obs.telemetry import TelemetryScraper
 from repro.workload.chaos import _elastic_pool
 
 
@@ -217,6 +222,13 @@ def _pool_fixture(sim, net, **kwargs):
     pool.on_provision = lambda broker: client.add_route(
         broker.service, broker.address
     )
+    release_unit = pool.on_retire
+
+    def on_retire(broker):
+        release_unit(broker)
+        client.remove_route(broker.service)
+
+    pool.on_retire = on_retire
     return pool, supervisor, listener, group, client
 
 
@@ -224,7 +236,7 @@ class TestDrainProtocol:
     def test_quiesced_drain_retires_and_purges_everywhere(self, sim, net):
         pool, supervisor, listener, group, client = _pool_fixture(sim, net)
         pool.scale_to(2)
-        victim = pool.every[-1]
+        victim = pool.active[-1]
 
         def run():
             reply = yield from client.call(
@@ -239,7 +251,7 @@ class TestDrainProtocol:
         sim.run(sim.process(run()))
         assert victim.retired and not victim.alive
         assert pool.drains_completed == 1
-        assert victim in pool.retired and not pool.draining
+        assert victim.name in pool.retired and not pool.draining
         # Shard group handed leadership off and forgot the member.
         assert victim.name not in [m.name for m in group.members]
         assert group.leader is not None and group.leader.name != victim.name
@@ -259,7 +271,7 @@ class TestDrainProtocol:
             sim, net, drain_grace=0.0
         )
         pool.scale_to(2)
-        victim = pool.every[0]
+        victim = pool.active[0]
         statuses = []
 
         def call_one(i):
@@ -290,7 +302,7 @@ class TestDrainProtocol:
             sim, net, drain_grace=0.0
         )
         pool.scale_to(1)
-        victim = pool.every[0]
+        victim = pool.active[0]
         statuses = []
 
         def call_one(i):
@@ -319,7 +331,7 @@ class TestDrainProtocol:
             sim, net, service_time=1.0
         )
         pool.scale_to(2)
-        victim = pool.every[-1]
+        victim = pool.active[-1]
         outcome = {}
 
         def run():
@@ -351,7 +363,7 @@ class TestDrainProtocol:
     def test_retired_broker_refuses_restart(self, sim, net):
         pool, _sup, _lis, _grp, _client = _pool_fixture(sim, net)
         pool.scale_to(1)
-        victim = pool.every[0]
+        victim = pool.active[0]
 
         def run():
             pool.drain(victim.name)
@@ -365,7 +377,7 @@ class TestDrainProtocol:
     def test_draining_flag_survives_crash_and_restart(self, sim, net):
         pool, _sup, _lis, _grp, client = _pool_fixture(sim, net)
         pool.scale_to(2)
-        victim = pool.every[-1]
+        victim = pool.active[-1]
 
         def run():
             for i in range(4):
@@ -390,6 +402,95 @@ class TestDrainProtocol:
         assert pool.metrics.counter("autoscaler.drain.interrupted") >= 1
 
 
+class TestRetiredUnitIsReleased:
+    """A drained unit leaves a record behind, not itself (DESIGN.md §16.2)."""
+
+    def test_retired_units_are_unreachable_and_named_nowhere(
+        self, sim, net, no_collector
+    ):
+        pool, supervisor, _lis, _grp, client = _pool_fixture(sim, net)
+        scraper = TelemetryScraper(interval=0.5).attach(sim)
+        provision, retire = pool.on_provision, pool.on_retire
+
+        def on_provision(broker):
+            provision(broker)
+            scraper.watch_broker(broker)
+
+        def on_retire(broker):
+            retire(broker)
+            scraper.unwatch_broker(broker)
+
+        pool.on_provision, pool.on_retire = on_provision, on_retire
+        pool.scale_to(4)
+        scraper.start(until=30.0)
+
+        def call_each():
+            for broker in pool.active:
+                reply = yield from client.call(
+                    broker.service, "get", ("/item", {"id": 1}),
+                    cacheable=False, timeout=5.0,
+                )
+                assert reply.status is ReplyStatus.OK
+
+        sim.run(sim.process(call_each()))
+        kept, retiring = pool.active[:2], pool.active[2:]  # drains go newest first
+        hosts = {b.name: b.backends[0].adapter.address.host for b in pool.active}
+        services = {b.name: b.service for b in pool.active}
+        servers = {
+            server.name: server for server in gc.get_objects()
+            if isinstance(server, BackendWebServer) and server.sim is sim
+        }
+        refs = [weakref.ref(b) for b in retiring]
+        refs += [weakref.ref(servers[hosts[b.name]]) for b in retiring]
+        assert all(("web", hosts[b.name]) in net._routes for b in retiring)
+        names = [b.name for b in retiring]
+        del retiring, servers
+
+        pool.scale_to(2)
+        while pool.drains_completed < 2:
+            sim.run(until=sim.now + 0.05)
+        # The release scheduled nothing and drew nothing, and collecting
+        # what it let go neither schedules nor draws.
+        scheduled = sim.scheduled
+        states = {name: rng.getstate() for name, rng in sim._rngs._streams.items()}
+        assert gc.collect() > 0
+        assert sim.scheduled == scheduled
+        assert {
+            name: rng.getstate() for name, rng in sim._rngs._streams.items()
+        } == states
+        assert [ref() for ref in refs] == [None] * 4
+
+        # The pool's record still reports each unit's residue.
+        clean = {"queue_depth": 0, "outstanding": 0, "journal_pending": 0}
+        assert pool.retired == {name: clean for name in names}
+        assert pool.every == ["t0", "t1", "t2", "t3"]
+        assert pool.residue() == {name: clean for name in pool.every}
+
+        # No collaborator names a retired unit; each still names the kept.
+        scraped = [*scraper._gauges, *scraper._counter_fns, *scraper.series]
+        streams = list(sim._rngs._streams)
+        for broker in kept:
+            assert broker.name in supervisor._watches
+            assert [key for key in scraped if broker.name in key.split(".")]
+            assert services[broker.name] in client.routes
+            assert hosts[broker.name] in net.nodes
+            assert f"{broker.name}.retry" in streams
+        for name in names:
+            host = hosts[name]
+            assert name not in supervisor._watches
+            assert not [key for key in scraped if name in key.split(".")]
+            assert services[name] not in client.routes
+            assert host not in net.nodes
+            for table in (net._links, net._routes, net._link_rngs):
+                assert not [key for key in table if host in key]
+            assert not [
+                stream for stream in streams
+                if stream.startswith(f"{name}.") or host in stream
+            ]
+            with pytest.raises(LookupError):
+                sim.rng(f"{name}.retry")
+
+
 class TestThrottleStage:
     def test_broker_refuses_over_budget_tenant_before_admission(self, sim, net):
         throttle = TenantThrottle(
@@ -399,7 +500,7 @@ class TestThrottleStage:
             sim, net, throttle=throttle, service_time=0.01,
         )
         pool.scale_to(1)
-        broker = pool.every[0]
+        broker = pool.active[0]
         replies = []
 
         def call_one(i, tenant):

@@ -10,7 +10,8 @@ delay to the last bit, the same loss draw, the same lost counters, and
 the same RNG state afterwards.
 
 Also here: the overlap rules for link and slow-backend fault windows,
-and the unseverable loopback.
+the unseverable loopback, and :meth:`Network.remove_node`, after which
+nothing names the host and nothing reaches it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import random
 
 import pytest
 
-from repro.errors import NetworkError
+from repro.errors import NetworkError, NoRouteError
 from repro.net import Address, Link, Network
 from repro.net.faults import FaultInjector, FaultPlan, LinkDegrade, LinkDown, SlowBackend
 from repro.net.message import HEADER_BYTES
@@ -216,3 +217,62 @@ def test_loopback_cannot_be_severed_or_overridden():
     with pytest.raises(NetworkError):
         net.override_link("a", "a", OTHER)
     assert not net.link_severed("a", "a")
+
+
+class TestRemoveNode:
+    def _used_network(self):
+        """a, b, c with traffic both ways on a–b, an override and a partition."""
+        sim, net = _network()
+        net.node("c")
+        net.connect("a", "b", OTHER)
+        net.override_link("a", "b", BASE, window="degrade")
+        net.nodes["b"].datagram_socket(90)
+        net.nodes["c"].datagram_socket(90)
+        socket = net.nodes["a"].datagram_socket(91)
+        for host in ("b", "c"):
+            for _ in range(4):
+                socket.sendto("x", Address(host, 90), size=SIZE)
+        net.route("b", "a")
+        net.sever_link("a", "b")
+        sim.run()
+        return sim, net, socket
+
+    def test_nothing_names_the_host_afterwards(self):
+        sim, net, _socket = self._used_network()
+        assert ("a", "b") in net._routes and ("b", "a") in net._routes
+        net.remove_node("b")
+        assert "b" not in net.nodes
+        for table in (net._links, net._routes, net._link_rngs):
+            assert not [key for key in table if "b" in key]
+        for pairs in (net._severed, net._link_overrides):
+            assert not [pair for pair in pairs if "b" in pair]
+        for name in ("net.link.a->b", "net.link.b->a"):
+            with pytest.raises(LookupError):
+                sim.rng(name)
+        with pytest.raises(NetworkError):
+            net.remove_node("b")
+        with pytest.raises(NetworkError):
+            net.node("b")
+
+    def test_the_other_hosts_routes_are_untouched(self):
+        sim, net, _socket = self._used_network()
+        route = net.route("a", "c")
+        state = net.link_rng("a", "c").getstate()
+        net.remove_node("b")
+        assert net.route("a", "c") is route
+        assert route.link is net.link_between("a", "c")
+        assert net.link_rng("a", "c").getstate() == state
+
+    def test_sends_and_connects_to_the_host_raise_no_route(self):
+        sim, net, socket = self._used_network()
+        net.remove_node("b")
+        scheduled = sim.scheduled
+        with pytest.raises(NoRouteError):
+            socket.sendto("x", Address("b", 90), size=SIZE)
+
+        def connect():
+            yield from net.nodes["a"].connect_stream(Address("b", 80))
+
+        with pytest.raises(NoRouteError):
+            sim.run(sim.process(connect()))
+        assert sim.scheduled == scheduled

@@ -6,7 +6,9 @@ where those are absent. These tests hold both paths to ``hashlib`` as
 the independent reference, over generated seeds and names, and pin a
 few values computed before the built-in modules were used, so a change
 of hash (not only of implementation) shows as a failure here before it
-shows as a moved golden.
+shows as a moved golden. The last two tests hold
+:meth:`RngRegistry.forget`: a forgotten stream is never derived again,
+and forgetting it moves no other stream.
 """
 
 from __future__ import annotations
@@ -16,12 +18,13 @@ import importlib.util
 import random
 import sys
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.sharding import HashRing
 from repro.sim import rng
-from repro.sim.rng import derive_rng, hash64
+from repro.sim.rng import RngRegistry, derive_rng, hash64
 from repro.workload.scenarios import _slice_seed
 
 #: Seeds from negative through above 2**64; names include "" and non-ASCII.
@@ -82,3 +85,26 @@ def test_placements_and_seeds_are_the_values_hashlib_gave():
     assert hash64("7:item:1") == 518868759769716228
     assert _slice_seed(2026, 3) == 8160122024831598163
     assert derive_rng(2026, "link.wan").random() == 0.8188618671930685
+
+
+def test_a_forgotten_stream_is_never_derived_again():
+    registry = RngRegistry(2026)
+    draws(registry.stream("unit.retry"))
+    registry.forget("unit.retry")
+    assert "unit.retry" not in registry
+    with pytest.raises(LookupError):
+        registry.stream("unit.retry")
+    registry.forget("never.used")
+    with pytest.raises(LookupError):
+        registry.stream("never.used")
+
+
+def test_forgetting_one_stream_leaves_the_others_draws_alone():
+    def run(forget: bool) -> list:
+        registry = RngRegistry(7)
+        out = [draws(registry.stream(name)) for name in ("a", "b", "c")]
+        if forget:
+            registry.forget("b")
+        return out + [draws(registry.stream(name)) for name in ("a", "c", "d")]
+
+    assert run(forget=True) == run(forget=False)
