@@ -57,6 +57,11 @@ __all__ = [
     "BrokerPool",
 ]
 
+#: Virtual nodes per unit on the pool's routing ring.
+POOL_VNODES = 32
+#: Seconds between a draining unit's quiesce checks.
+DRAIN_POLL = 0.05
+
 
 class TokenBucket:
     """A classic token bucket: *rate* tokens/second, capped at *burst*.
@@ -140,9 +145,9 @@ class TenantThrottle:
             bucket = self.buckets[tenant] = TokenBucket(rate, burst)
         return bucket
 
-    def allow(self, tenant: str, now: float, cost: float = 1.0) -> bool:
-        """Whether *tenant* may spend *cost* tokens at *now*."""
-        return self.bucket(tenant).allow(now, cost)
+    def allow(self, tenant: str, now: float) -> bool:
+        """Whether *tenant* may spend one token at *now*."""
+        return self.bucket(tenant).allow(now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -284,11 +289,8 @@ class BrokerPool:
         group: Any = None,
         listener: Any = None,
         seed: int = 0,
-        vnodes: int = 32,
         drain_grace: float = 5.0,
-        drain_poll: float = 0.05,
         metrics: Optional[MetricsRegistry] = None,
-        name: str = "pool",
     ) -> None:
         self.sim = sim
         self.factory = factory
@@ -296,10 +298,8 @@ class BrokerPool:
         self.group = group
         self.listener = listener
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.name = name
         self.drain_grace = float(drain_grace)
-        self.drain_poll = float(drain_poll)
-        self.ring = HashRing(seed=seed, vnodes=vnodes)
+        self.ring = HashRing(seed=seed, vnodes=POOL_VNODES)
         #: Active units by broker name (insertion-ordered; drains LIFO).
         self.brokers: Dict[str, Any] = {}
         #: Units mid-drain (off the ring, not yet decommissioned).
@@ -377,7 +377,7 @@ class BrokerPool:
         self.scale_in_events += 1
         self.metrics.increment("autoscaler.drain.begin")
         return self.sim.process(
-            self._drain(broker), name=f"{self.name}:drain:{name}"
+            self._drain(broker), name=f"pool:drain:{name}"
         )
 
     def residue(self) -> Dict[str, Dict[str, int]]:
@@ -484,7 +484,7 @@ class BrokerPool:
                 # with a fresh grace window.
                 self.metrics.increment("autoscaler.drain.interrupted")
                 while not broker.alive:
-                    yield self.drain_poll
+                    yield DRAIN_POLL
                 deadline = sim.now + self.drain_grace
                 handed_off = False
                 continue
@@ -499,7 +499,7 @@ class BrokerPool:
             if not handed_off and sim.now >= deadline:
                 self._handoff(broker)
                 handed_off = True
-            yield self.drain_poll
+            yield DRAIN_POLL
         if self.group is not None:
             self.group.leave(broker.name)
         if self.listener is not None:
@@ -518,9 +518,9 @@ class BrokerPool:
 class Autoscaler:
     """Closed-loop controller driving a :class:`BrokerPool`.
 
-    Every *interval* it computes the pool's load signal — by default
-    the mean in-flight-plus-queued requests per active broker, read
-    from the scraper's ``broker.load.<name>`` gauge series (live broker
+    Every *interval* it computes the pool's load signal — the mean
+    in-flight-plus-queued requests per active broker, read from the
+    scraper's ``broker.load.<name>`` gauge series (live broker
     readings fill in for units provisioned since the last scrape) —
     feeds :func:`decide_scale`, and applies the decision. An active SLO
     burn alert vetoes scale-in. Decisions are counted under
@@ -536,9 +536,7 @@ class Autoscaler:
         scraper: Any = None,
         engine: Any = None,
         interval: float = 1.0,
-        signal: Optional[Callable[[], float]] = None,
         metrics: Optional[MetricsRegistry] = None,
-        name: str = "autoscaler",
     ) -> None:
         self.sim = sim
         self.pool = pool
@@ -547,16 +545,12 @@ class Autoscaler:
         self.engine = engine
         self.interval = float(interval)
         self.metrics = metrics if metrics is not None else pool.metrics
-        self.name = name
-        self._signal = signal
         self.last_scale_at = float("-inf")
         #: ``(time, size, signal, action)`` per evaluation.
         self.history: List[Tuple[float, int, float, str]] = []
 
     def signal_value(self) -> float:
         """The pool's current load signal (see class docstring)."""
-        if self._signal is not None:
-            return self._signal()
         brokers = self.pool.active
         if not brokers:
             return 0.0
@@ -576,7 +570,7 @@ class Autoscaler:
 
     def start(self, until: Optional[float] = None) -> Any:
         """Spawn the control-loop process; returns it."""
-        return self.sim.process(self._run(until), name=self.name)
+        return self.sim.process(self._run(until), name="autoscaler")
 
     def _run(self, until: Optional[float]):
         pool = self.pool

@@ -109,7 +109,6 @@ class ServiceBroker:
         pool_size: int = 2,
         dispatchers: Optional[int] = None,
         transactions: Optional[TransactionTracker] = None,
-        fidelity: Optional[FidelityPolicy] = None,
         rate_window: float = 1.0,
         priority_queueing: bool = True,
         metrics: Optional[MetricsRegistry] = None,
@@ -131,7 +130,7 @@ class ServiceBroker:
             cache.bind_metrics(self.metrics)
         self.clustering = clustering
         self.transactions = transactions
-        self.fidelity = fidelity or FidelityPolicy()
+        self.fidelity = FidelityPolicy()
         self.balancer = balancer or LeastOutstandingBalancer()
         self.backends: List[BackendState] = [
             BackendState(

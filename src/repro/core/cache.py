@@ -19,7 +19,7 @@ the sibling ``broker.cachetier.*`` prefix — see
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Tuple
 
 __all__ = ["ResultCache", "CacheEntry", "CacheStats"]
@@ -35,7 +35,7 @@ class CacheEntry:
     value: Any
     stored_at: float
     expires_at: float
-    hits: int = 0
+    hits: int = field(default=0, init=False)
 
     def fresh(self, now: float) -> bool:
         """True while the entry has not passed its expiry."""
@@ -44,13 +44,13 @@ class CacheEntry:
 
 @dataclass(slots=True)
 class CacheStats:
-    """Hit/miss accounting."""
+    """Hit/miss accounting, from zero."""
 
-    hits: int = 0
-    misses: int = 0
-    stale_hits: int = 0
-    evictions: int = 0
-    puts: int = 0
+    hits: int = field(default=0, init=False)
+    misses: int = field(default=0, init=False)
+    stale_hits: int = field(default=0, init=False)
+    evictions: int = field(default=0, init=False)
+    puts: int = field(default=0, init=False)
 
     @property
     def hit_ratio(self) -> float:
@@ -69,9 +69,6 @@ class ResultCache:
         Default seconds before an entry goes stale.
     clock:
         Callable returning the current time (pass ``lambda: sim.now``).
-    metrics:
-        Optional registry; when given, statistics are also mirrored to
-        ``broker.cache.*`` counters (see :meth:`bind_metrics`).
     """
 
     def __init__(
@@ -79,7 +76,6 @@ class ResultCache:
         capacity: int = 256,
         ttl: float = 60.0,
         clock: Optional[Callable[[], float]] = None,
-        metrics: Optional[Any] = None,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1: {capacity!r}")
@@ -91,8 +87,6 @@ class ResultCache:
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self.stats = CacheStats()
         self._handles: Optional[dict] = None
-        if metrics is not None:
-            self.bind_metrics(metrics)
 
     def bind_metrics(self, metrics: Any, prefix: str = "broker.cache") -> None:
         """Mirror statistics onto registry counters under *prefix*.

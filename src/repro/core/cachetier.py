@@ -58,6 +58,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["SharedCacheTier", "PendingWrite"]
 
+#: Queued writes the flusher drains per wakeup.
+FLUSH_BATCH = 8
+
 
 class PendingWrite:
     """One queued write-behind operation.
@@ -109,9 +112,9 @@ class SharedCacheTier:
     flush_queue_depth:
         Bound on the write-behind queue; a write arriving when the
         queue is full is refused (the caller write-throughs instead).
-    flush_interval, flush_batch:
+    flush_interval:
         The flusher wakes every ``flush_interval`` simulated seconds
-        and drains up to ``flush_batch`` queued writes per wakeup.
+        and drains up to :data:`FLUSH_BATCH` queued writes per wakeup.
     """
 
     def __init__(
@@ -122,7 +125,6 @@ class SharedCacheTier:
         metrics: Optional[MetricsRegistry] = None,
         flush_queue_depth: int = 64,
         flush_interval: float = 0.05,
-        flush_batch: int = 8,
     ) -> None:
         if flush_queue_depth < 1:
             raise ValueError(
@@ -139,7 +141,6 @@ class SharedCacheTier:
         self._store.bind_metrics(self.metrics, prefix="broker.cachetier")
         self.flush_queue_depth = flush_queue_depth
         self.flush_interval = flush_interval
-        self.flush_batch = flush_batch
         self._flush_queue: "deque[PendingWrite]" = deque()
         self._flusher_running = False
         self._txn_keys: Dict[str, List[str]] = {}
@@ -283,7 +284,7 @@ class SharedCacheTier:
         while True:
             yield self.flush_interval
             drained = 0
-            while self._flush_queue and drained < self.flush_batch:
+            while self._flush_queue and drained < FLUSH_BATCH:
                 yield from self._flush_one(self._flush_queue.popleft())
                 drained += 1
             if not self._flush_queue:

@@ -202,12 +202,6 @@ class LoadListener:
         """The most recently applied report for *service*, if any."""
         return self.table.get(service)
 
-    def shard_load_of(
-        self, service: str, shard: int
-    ) -> Optional["ShardLoadReport"]:
-        """The most recently applied report for one shard, if any."""
-        return self.shards.get((service, shard))
-
     def leader_of(self, service: str, shard: int) -> Optional[str]:
         """The broker currently reporting as (*service*, *shard*) leader."""
         return self.shard_leaders.get((service, shard))
@@ -260,9 +254,9 @@ class CentralizedController:
     :class:`~repro.core.pipeline.AdmissionStage` (distributed-mode
     behaviour) rather than deciding from a load table it knows is
     stale. It recovers to centralized mode once staleness falls back
-    below *recover_staleness* (default: half the threshold —
-    hysteresis against flapping). Both transitions emit metrics and
-    trace spans. With the default ``staleness_threshold=None`` the
+    below :attr:`recover_staleness`, half the threshold (hysteresis
+    against flapping). Both transitions emit metrics and trace spans.
+    With the default ``staleness_threshold=None`` the
     state machine is disabled and behaviour is byte-identical.
     """
 
@@ -271,21 +265,17 @@ class CentralizedController:
         listener: LoadListener,
         profiles: ResourceProfileRegistry,
         qos: Optional[QoSPolicy] = None,
-        metrics: Optional[MetricsRegistry] = None,
         staleness_threshold: Optional[float] = None,
-        recover_staleness: Optional[float] = None,
     ) -> None:
         self.listener = listener
         self.profiles = profiles
         self.qos = qos or QoSPolicy()
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.staleness_threshold = staleness_threshold
-        if recover_staleness is not None:
-            self.recover_staleness = recover_staleness
-        elif staleness_threshold is not None:
-            self.recover_staleness = staleness_threshold / 2.0
-        else:
-            self.recover_staleness = None
+        #: Half the threshold: hysteresis against flapping.
+        self.recover_staleness = (
+            None if staleness_threshold is None else staleness_threshold / 2.0
+        )
         #: ``"centralized"`` or ``"degraded"`` (distributed fallback).
         self.mode = "centralized"
         #: Mode flips so far (degrade + recover).

@@ -58,14 +58,13 @@ class BrokerClient:
         routes: Mapping[str, Address],
         default_timeout: Optional[float] = None,
         retries: int = 0,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.node = node
         self.routes: Dict[str, Address] = dict(routes)
         self.default_timeout = default_timeout
         self.retries = retries
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.socket = node.datagram_socket()
         self._ids = count(1)
         self._pending: Dict[int, Event] = {}
@@ -267,7 +266,7 @@ class BrokerClient:
             f"no reply from {service!r} broker after {attempts} attempt(s)"
         )
 
-    def call_parallel(self, specs: Sequence[CallSpec], timeout: Optional[float] = None):
+    def call_parallel(self, specs: Sequence[CallSpec]):
         """Issue several calls concurrently; ``yield from`` this.
 
         The paper's *multitasking*: "requests that consist of
@@ -277,7 +276,7 @@ class BrokerClient:
         """
         processes = [
             self.sim.process(
-                self.call(service, operation, payload, qos_level, timeout=timeout),
+                self.call(service, operation, payload, qos_level),
                 name=f"parallel:{service}",
             )
             for service, operation, payload, qos_level in specs

@@ -11,7 +11,7 @@ system is busy without waiting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, ClassVar, Optional
 
 from .cache import ResultCache
 from .protocol import BrokerReply, BrokerRequest, ReplyStatus
@@ -33,10 +33,10 @@ class FidelityPolicy:
     """
 
     serve_stale: bool = True
-    stale_fidelity: float = 0.5
-    busy_fidelity: float = 0.0
     max_stale_age: float = 300.0
-    busy_message: str = "system busy"
+    stale_fidelity: ClassVar[float] = 0.5
+    busy_fidelity: ClassVar[float] = 0.0
+    busy_message: ClassVar[str] = "system busy"
 
     def degrade(
         self,

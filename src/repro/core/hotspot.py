@@ -22,7 +22,7 @@ needs that service are rejected at the door.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import BrokerError
 from ..http.messages import HttpRequest
@@ -70,7 +70,6 @@ class HotSpotMonitor:
         onset_fraction: float = 0.8,
         clear_fraction: float = 0.5,
         poll_interval: float = 0.05,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not 0.0 < clear_fraction < onset_fraction <= 1.5:
             raise BrokerError(
@@ -84,7 +83,7 @@ class HotSpotMonitor:
         self.onset = onset_fraction * broker.qos.threshold
         self.clear = clear_fraction * broker.qos.threshold
         self.poll_interval = poll_interval
-        self.metrics = metrics or broker.metrics
+        self.metrics = broker.metrics
         self.hot = False
         self._subscribers: List[Address] = []
         self.sim.process(self._watch(), name=f"hotspot:{broker.name}")
@@ -143,11 +142,10 @@ class HotSpotGate:
         sim: Simulation,
         node: Node,
         profiles: ResourceProfileRegistry,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.profiles = profiles
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.socket = node.datagram_socket()
         self.address = self.socket.address
         self.hot_services: Dict[str, HotSpotNotice] = {}

@@ -232,16 +232,10 @@ class ShardPeerGroup(BrokerPeerGroup):
       falling back to directory truth.
     """
 
-    def __init__(
-        self,
-        group: "ShardGroup",
-        roster: Optional[Sequence["ServiceBroker"]] = None,
-    ) -> None:
+    def __init__(self, group: "ShardGroup") -> None:
         super().__init__()
         self.group = group
-        self._roster: Optional[List["ServiceBroker"]] = (
-            list(roster) if roster is not None else None
-        )
+        self._roster: Optional[List["ServiceBroker"]] = None
         group.on_leader_change = self._leader_changed
 
     @property

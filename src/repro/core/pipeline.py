@@ -216,14 +216,9 @@ class RequestContext:
     # -- lifecycle -------------------------------------------------------
 
     @classmethod
-    def originate(
-        cls,
-        now: float,
-        origin: str = "",
-        request: Optional[BrokerRequest] = None,
-    ) -> "RequestContext":
+    def originate(cls, now: float, origin: str = "") -> "RequestContext":
         """Create a fresh context at the point a request enters the system."""
-        return cls(request=request, created_at=now, origin=origin)
+        return cls(created_at=now, origin=origin)
 
     @classmethod
     def adopt(
@@ -297,11 +292,6 @@ class RequestContext:
         """Total simulated time spent in all records of *stage*."""
         return sum(r.duration for r in self.stages if r.stage == stage)
 
-    def time_left(self, now: float) -> Optional[float]:
-        """Seconds until the deadline, or ``None`` when unbounded."""
-        if self.deadline is None:
-            return None
-        return self.deadline - now
 
     @property
     def rejected(self) -> bool:
@@ -790,17 +780,16 @@ class ThrottleStage(BrokerStage):
     name = "throttle"
     anchor = ("after", "arrival")
 
-    def __init__(self, throttle, tenant_of=None) -> None:
+    def __init__(self, throttle) -> None:
         super().__init__()
         #: The shared :class:`~repro.core.autoscale.TenantThrottle`.
         self.throttle = throttle
-        self.tenant_of = tenant_of if tenant_of is not None else _request_tenant
 
     def on_request(self, ctx: RequestContext) -> StageOutcome:
         """Refuse the request when its tenant's bucket is empty."""
         broker = self.broker
         request = ctx.request
-        tenant = self.tenant_of(request)
+        tenant = _request_tenant(request)
         if self.throttle.allow(tenant, broker.sim._now):
             return StageOutcome.CONTINUE
         level = ctx.qos_level
@@ -1491,14 +1480,10 @@ class RetryStage(BrokerStage):
 
     name = "retry"
 
-    def __init__(
-        self,
-        policy: Optional[RetryPolicy] = None,
-        execute: Optional[ExecuteStage] = None,
-    ) -> None:
+    def __init__(self, policy: Optional[RetryPolicy] = None) -> None:
         super().__init__()
         self.policy = policy or RetryPolicy()
-        self.execute = execute or ExecuteStage()
+        self.execute = ExecuteStage()
         self._rng: Optional[Any] = None
 
     def bind(self, broker: "ServiceBroker") -> None:

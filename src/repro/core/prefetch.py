@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
 from ..errors import BrokerError, ReproError
-from ..metrics import MetricsRegistry
 from ..sim.core import Simulation
 from .broker import ServiceBroker
 
 __all__ = ["PrefetchRule", "Prefetcher"]
+
+#: Seconds a rule waits before re-checking a busy broker.
+BACKOFF = 0.05
 
 
 @dataclass(frozen=True)
@@ -45,19 +47,14 @@ class Prefetcher:
         broker: ServiceBroker,
         rules: Sequence[PrefetchRule],
         idle_threshold: int = 0,
-        backoff: float = 0.05,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if broker.cache is None:
             raise BrokerError("prefetching requires the broker to have a cache")
-        if backoff <= 0:
-            raise BrokerError(f"backoff must be positive: {backoff!r}")
         self.broker = broker
         self.sim: Simulation = broker.sim
         self.rules: List[PrefetchRule] = list(rules)
         self.idle_threshold = idle_threshold
-        self.backoff = backoff
-        self.metrics = metrics or broker.metrics
+        self.metrics = broker.metrics
         self._processes = [
             self.sim.process(self._run_rule(rule), name=f"prefetch:{rule.cache_key}")
             for rule in self.rules
@@ -69,8 +66,8 @@ class Prefetcher:
             # Wait for an idle moment; a busy broker postpones prefetch.
             deferred = 0.0
             while self.broker.outstanding > self.idle_threshold:
-                yield self.backoff
-                deferred += self.backoff
+                yield BACKOFF
+                deferred += BACKOFF
                 if deferred >= rule.period:
                     self.metrics.increment("prefetch.skipped_busy")
                     break

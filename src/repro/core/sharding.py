@@ -376,7 +376,6 @@ class ShardDirectory:
         service: str,
         groups: Sequence[ShardGroup],
         seed: int = 0,
-        vnodes: int = 64,
         universe: Optional[Sequence[int]] = None,
     ) -> HashRing:
         """Register *service* with its shard *groups*; returns the ring.
@@ -403,9 +402,7 @@ class ShardDirectory:
                 f"groups {sorted(missing)} not in the ring universe "
                 f"{sorted(universe)} for service {service!r}"
             )
-        ring = HashRing(
-            seed=seed, vnodes=vnodes, nodes=[str(i) for i in universe]
-        )
+        ring = HashRing(seed=seed, nodes=[str(i) for i in universe])
         self._rings[service] = ring
         self._groups[service] = {g.index: g for g in groups}
         return ring

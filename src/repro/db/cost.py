@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .executor import ExecutionStats
 
@@ -31,10 +32,10 @@ class CostModel:
     per_row_returned: float = 2e-5
     """Cost of materializing one result row onto the wire."""
 
-    per_row_sorted: float = 2e-6
+    per_row_sorted: ClassVar[float] = 2e-6
     """Multiplier applied as n·log2(n) for ORDER BY."""
 
-    per_row_written: float = 5e-5
+    per_row_written: ClassVar[float] = 5e-5
     """Cost of one insert/update/delete, including index maintenance."""
 
     def service_time(self, stats: ExecutionStats) -> float:

@@ -31,6 +31,9 @@ __all__ = ["DatabaseServer"]
 #: Default database server port (MySQL's).
 DEFAULT_PORT = 3306
 
+#: Server-side seconds for the authentication handshake.
+AUTH_TIME = 0.002
+
 
 class DatabaseServer:
     """Serves a :class:`Database` over the simulated network.
@@ -47,8 +50,6 @@ class DatabaseServer:
         Number of queries processed concurrently; further queries queue.
     cost_model:
         Converts executed work into virtual service time.
-    auth_time:
-        Server-side processing time for the authentication handshake.
     """
 
     def __init__(
@@ -59,14 +60,12 @@ class DatabaseServer:
         port: int = DEFAULT_PORT,
         max_workers: int = 8,
         cost_model: Optional[CostModel] = None,
-        auth_time: float = 0.002,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.node = node
         self.database = database
         self.cost_model = cost_model or CostModel()
-        self.auth_time = auth_time
         self.metrics = metrics or MetricsRegistry()
         self.workers = Resource(sim, max_workers)
         self.listener = node.listen_stream(port)
@@ -102,7 +101,7 @@ class DatabaseServer:
             connection.send(("error", "expected hello"))
             connection.close()
             return
-        yield self.auth_time
+        yield AUTH_TIME
         connection.send(("welcome", self.database.name))
 
         while True:

@@ -41,6 +41,9 @@ DEFAULT_PORT = 2049
 
 SCHEDULERS = ("fcfs", "elevator")
 
+#: Server-side seconds to mount a session.
+MOUNT_TIME = 0.001
+
 
 class _PendingRead:
     """One read waiting for the disk arm."""
@@ -61,23 +64,17 @@ class FileServer:
         sim: Simulation,
         node: Node,
         filesystem: Optional[FileSystem] = None,
-        disk: Optional[DiskModel] = None,
         port: int = DEFAULT_PORT,
         scheduler: str = "elevator",
-        mount_time: float = 0.001,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if scheduler not in SCHEDULERS:
             raise ServiceError(f"scheduler must be one of {SCHEDULERS}: {scheduler!r}")
         self.sim = sim
         self.node = node
         self.filesystem = filesystem if filesystem is not None else FileSystem()
-        self.disk = disk if disk is not None else DiskModel(
-            total_blocks=self.filesystem.total_blocks
-        )
+        self.disk = DiskModel(total_blocks=self.filesystem.total_blocks)
         self.scheduler = scheduler
-        self.mount_time = mount_time
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.listener = node.listen_stream(port)
         self.address = node.address(port)
         self._pending: List[_PendingRead] = []
@@ -166,7 +163,7 @@ class FileServer:
                 continue
             command = message[0]
             if command == "mount":
-                yield self.mount_time
+                yield MOUNT_TIME
                 mounted = True
                 connection.send(("mounted",))
                 continue

@@ -36,15 +36,10 @@ __all__ = ["ApiBackendGateway"]
 class ApiBackendGateway:
     """Per-request backend access APIs, one connection per operation."""
 
-    def __init__(
-        self,
-        sim: Simulation,
-        node: Node,
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, sim: Simulation, node: Node) -> None:
         self.sim = sim
         self.node = node
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         # Per access kind: its calls counter, the shared connections
         # counter and its time sample, resolved at the kind's first call.
         self._handles: Dict[str, Tuple[Counter, Counter, Moments]] = {}
@@ -84,17 +79,10 @@ class ApiBackendGateway:
 
     # -- web -----------------------------------------------------------
 
-    def http_get(self, address: Address, path: str, params: Optional[dict] = None):
+    def http_get(self, address: Address, path: str):
         """One-shot HTTP GET with its own connection."""
         started = self.sim.now
-        request = HttpRequest(method="GET", path=path, params=params or {})
-        response = yield from HttpClient.fetch(self.sim, self.node, address, request)
-        self._account("http", started)
-        return response
-
-    def http_request(self, address: Address, request: HttpRequest):
-        """One-shot HTTP exchange with its own connection."""
-        started = self.sim.now
+        request = HttpRequest(method="GET", path=path)
         response = yield from HttpClient.fetch(self.sim, self.node, address, request)
         self._account("http", started)
         return response

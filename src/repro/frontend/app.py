@@ -10,7 +10,7 @@ client — which is exactly the axis the paper's experiments compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..http.messages import HttpRequest
@@ -23,6 +23,10 @@ QOS_HEADER = "x-qos"
 #: Header naming the tenant a request bills against (rate limiting).
 TENANT_HEADER = "x-tenant"
 
+#: Seconds of non-backend work (request parsing, HTML rendering) an
+#: application is charged per invocation.
+PARSE_TIME = 0.0005
+
 
 def qos_of(request: HttpRequest, default: int = 1) -> int:
     """The QoS class of *request*, from its ``x-qos`` header."""
@@ -32,30 +36,23 @@ def qos_of(request: HttpRequest, default: int = 1) -> int:
         return default
 
 
-def tenant_of(request: HttpRequest, default: str = "public") -> str:
+def tenant_of(request: HttpRequest) -> str:
     """The tenant of *request*, from its ``x-tenant`` header.
 
     Requests without the header share the ``"public"`` bucket, so
     per-tenant throttling degrades gracefully to a global rate limit
     for untagged traffic.
     """
-    tenant = request.headers.get(TENANT_HEADER, default)
-    return str(tenant) if tenant else default
+    tenant = request.headers.get(TENANT_HEADER)
+    return str(tenant) if tenant else "public"
 
 
 @dataclass(frozen=True)
 class WebApplication:
     """A dynamic application mounted at *path* on the front end.
 
-    ``parse_time`` models the non-backend work of the application
-    (request parsing, HTML rendering) charged per invocation.
+    Each invocation is charged :data:`PARSE_TIME` before its handler runs.
     """
 
     path: str
     handler: Callable
-    name: str = ""
-    parse_time: float = 0.0005
-
-    @property
-    def label(self) -> str:
-        return self.name or self.path

@@ -31,7 +31,7 @@ from ..net.transport import StreamConnection
 from ..sim.core import Simulation
 from ..sim.resources import Resource
 from ..http.messages import HttpRequest, HttpResponse
-from .app import WebApplication, qos_of, tenant_of
+from .app import PARSE_TIME, WebApplication, qos_of, tenant_of
 
 __all__ = ["FrontendWebServer"]
 
@@ -51,7 +51,6 @@ class FrontendWebServer:
         admission: Optional[AdmissionHook] = None,
         throttle_level: Optional[int] = None,
         tenant_throttle=None,
-        metrics: Optional[MetricsRegistry] = None,
         name: str = "",
     ) -> None:
         self.sim = sim
@@ -69,7 +68,7 @@ class FrontendWebServer:
         #: backpressure signal is engaged; ``None`` disables throttling.
         self.throttle_level = throttle_level
         self._throttled_by: set = set()
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.processes = Resource(sim, max_processes)
         self.listener = node.listen_stream(port)
         self.address = node.address(port)
@@ -261,7 +260,7 @@ class FrontendWebServer:
         if app is None:
             self.metrics.increment("frontend.errors")
             return HttpResponse.error(404, f"no application at {request.path!r}")
-        yield app.parse_time
+        yield PARSE_TIME
         try:
             outcome = app.handler(self, request)
             if hasattr(outcome, "send"):

@@ -69,7 +69,9 @@ class HttpResponse:
 
     status: int
     body: str = ""
-    headers: Mapping[str, str] = field(default_factory=dict)
+    #: No response carries a header, but the empty block is still framed
+    #: on the wire.
+    headers: Mapping[str, str] = field(default_factory=dict, init=False)
     parts: Tuple[Tuple[str, "HttpResponse"], ...] = ()
 
     @property

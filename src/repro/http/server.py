@@ -32,6 +32,9 @@ __all__ = ["BackendWebServer", "bounded_cgi", "item_cgi"]
 #: Default HTTP port.
 DEFAULT_PORT = 80
 
+#: Seconds to serve one static document on a healthy server.
+STATIC_SERVICE_TIME = 0.0005
+
 CgiHandler = Callable[["BackendWebServer", HttpRequest], object]
 
 
@@ -44,26 +47,21 @@ class BackendWebServer:
         node: Node,
         port: int = DEFAULT_PORT,
         max_clients: int = 5,
-        backlog: Optional[int] = None,
-        static_service_time: float = 0.0005,
-        metrics: Optional[MetricsRegistry] = None,
         name: str = "",
     ) -> None:
         self.sim = sim
         self.node = node
         self.name = name or node.name
-        self.static_service_time = static_service_time
         #: Service-time multiplier, 1.0 when healthy; a slow-backend
         #: fault window (:class:`~repro.net.faults.SlowBackend`) raises
         #: it. Static serving honours it directly; CGI handlers that
         #: model processing time should multiply their waits by it.
         self.service_time_scale = 1.0
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.workers = Resource(sim, max_clients)
-        self.listener = node.listen_stream(port, backlog=backlog)
+        self.listener = node.listen_stream(port)
         self.address = node.address(port)
         self._port = port
-        self._backlog = backlog
         self._static: Dict[str, str] = {}
         self._cgi: Dict[str, CgiHandler] = {}
         # Insertion-ordered (dict, not set) so crash() severs sessions
@@ -180,7 +178,7 @@ class BackendWebServer:
             return HttpResponse.text(str(outcome))
         body = self._static.get(request.path)
         if body is not None:
-            yield self.static_service_time * self.service_time_scale
+            yield STATIC_SERVICE_TIME * self.service_time_scale
             return HttpResponse.text(body)
         self.metrics.increment("http.errors")
         return HttpResponse.error(404, f"no resource at {request.path!r}")
@@ -209,7 +207,7 @@ class BackendWebServer:
         """
         if not self.listener.closed:
             return
-        self.listener = self.node.listen_stream(self._port, backlog=self._backlog)
+        self.listener = self.node.listen_stream(self._port)
         self.metrics.increment("http.restarts")
         self.sim.process(self._accept_loop(), name=f"http:{self.name}")
 

@@ -11,7 +11,6 @@ _EXPORTS = {
     "parse_dn": "entry",
     "parse_filter": "filters",
     "DirectoryServer": "server",
-    "DirectoryCostModel": "server",
     "DirectoryTree": "tree",
     "SCOPE_BASE": "tree",
     "SCOPE_ONE": "tree",

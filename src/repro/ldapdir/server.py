@@ -12,7 +12,6 @@ Protocol over a stream connection (mirrors the database server's shape):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConnectionClosed, ServiceError
@@ -23,33 +22,21 @@ from ..sim.core import Simulation
 from ..sim.resources import Resource
 from .tree import DirectoryTree
 
-__all__ = ["DirectoryServer", "DirectoryCostModel"]
+__all__ = ["DirectoryServer"]
 
 #: Default LDAP port.
 DEFAULT_PORT = 389
 
+#: Operations served concurrently; further ones queue.
+WORKERS = 8
 
-@dataclass(frozen=True)
-class DirectoryCostModel:
-    """Service-time model for directory operations."""
-
-    base: float = 0.001
-    per_entry_examined: float = 8e-6
-    per_entry_returned: float = 3e-5
-    per_write: float = 1e-4
-    bind_time: float = 0.002
-
-    def search_time(self, examined: int, returned: int) -> float:
-        """Service time for a search touching *examined* entries."""
-        return (
-            self.base
-            + examined * self.per_entry_examined
-            + returned * self.per_entry_returned
-        )
-
-    def write_time(self) -> float:
-        """Service time for one add/modify/delete."""
-        return self.base + self.per_write
+# Service-time model, in seconds: a search costs the base plus its
+# entries examined and returned; a write costs the base plus one write.
+BASE_TIME = 0.001
+PER_ENTRY_EXAMINED = 8e-6
+PER_ENTRY_RETURNED = 3e-5
+WRITE_TIME = BASE_TIME + 1e-4
+BIND_TIME = 0.002
 
 
 class DirectoryServer:
@@ -61,16 +48,12 @@ class DirectoryServer:
         node: Node,
         tree: Optional[DirectoryTree] = None,
         port: int = DEFAULT_PORT,
-        max_workers: int = 8,
-        cost_model: Optional[DirectoryCostModel] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.node = node
         self.tree = tree if tree is not None else DirectoryTree()
-        self.cost_model = cost_model or DirectoryCostModel()
-        self.metrics = metrics or MetricsRegistry()
-        self.workers = Resource(sim, max_workers)
+        self.metrics = MetricsRegistry()
+        self.workers = Resource(sim, WORKERS)
         self.listener = node.listen_stream(port)
         self.address = node.address(port)
         sim.process(self._accept_loop(), name=f"ldap:{node.name}")
@@ -97,7 +80,7 @@ class DirectoryServer:
                 continue
             command = message[0]
             if command == "bind":
-                yield self.cost_model.bind_time
+                yield BIND_TIME
                 bound = True
                 connection.send(("bound",))
                 continue
@@ -118,8 +101,11 @@ class DirectoryServer:
                 if command == "search":
                     _, base, scope, filter_expr = message
                     matches, examined = self.tree.search(base, scope, filter_expr)
-                    service = self.cost_model.search_time(examined, len(matches))
-                    yield service
+                    yield (
+                        BASE_TIME
+                        + examined * PER_ENTRY_EXAMINED
+                        + len(matches) * PER_ENTRY_RETURNED
+                    )
                     self.metrics.increment("ldap.searches")
                     self.metrics.observe("ldap.entries_examined", examined)
                     payload = [(str(e.dn), e.to_dict()) for e in matches]
@@ -127,19 +113,19 @@ class DirectoryServer:
                 elif command == "add":
                     _, dn, attributes = message
                     self.tree.add(dn, attributes)
-                    yield self.cost_model.write_time()
+                    yield WRITE_TIME
                     self.metrics.increment("ldap.writes")
                     reply = ("ok",)
                 elif command == "modify":
                     _, dn, changes = message
                     self.tree.modify(dn, changes)
-                    yield self.cost_model.write_time()
+                    yield WRITE_TIME
                     self.metrics.increment("ldap.writes")
                     reply = ("ok",)
                 elif command == "delete":
                     _, dn = message
                     self.tree.delete(dn)
-                    yield self.cost_model.write_time()
+                    yield WRITE_TIME
                     self.metrics.increment("ldap.writes")
                     reply = ("ok",)
                 else:

@@ -6,7 +6,6 @@ _EXPORTS = {
     "MailClient": "client",
     "MailConnection": "client",
     "MailServer": "server",
-    "MailCostModel": "server",
     "Mailbox": "store",
     "MailMessage": "store",
     "MessageStore": "store",

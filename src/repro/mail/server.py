@@ -13,7 +13,6 @@ Protocol over a stream connection:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import ConnectionClosed, MailboxError
@@ -24,32 +23,20 @@ from ..sim.core import Simulation
 from ..sim.resources import Resource
 from .store import MessageStore
 
-__all__ = ["MailServer", "MailCostModel"]
+__all__ = ["MailServer"]
 
 #: Default mail port (SMTP's).
 DEFAULT_PORT = 25
 
+#: Operations served concurrently; further ones queue.
+WORKERS = 8
 
-@dataclass(frozen=True)
-class MailCostModel:
-    """Service-time model for mail operations."""
-
-    base: float = 0.001
-    per_byte_stored: float = 2e-8
-    per_message_listed: float = 1e-5
-    helo_time: float = 0.001
-
-    def send_time(self, size: int) -> float:
-        """Service time to store a *size*-byte message."""
-        return self.base + size * self.per_byte_stored
-
-    def list_time(self, count: int) -> float:
-        """Service time to list a *count*-message mailbox."""
-        return self.base + count * self.per_message_listed
-
-    def retr_time(self, size: int) -> float:
-        """Service time to retrieve a *size*-byte message."""
-        return self.base + size * self.per_byte_stored
+# Service-time model, in seconds: every operation costs the base; storing
+# or retrieving a message adds its bytes, listing a mailbox its messages.
+BASE_TIME = 0.001
+PER_BYTE_STORED = 2e-8
+PER_MESSAGE_LISTED = 1e-5
+HELO_TIME = 0.001
 
 
 class MailServer:
@@ -61,16 +48,12 @@ class MailServer:
         node: Node,
         store: Optional[MessageStore] = None,
         port: int = DEFAULT_PORT,
-        max_workers: int = 8,
-        cost_model: Optional[MailCostModel] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.node = node
         self.store = store if store is not None else MessageStore()
-        self.cost_model = cost_model or MailCostModel()
-        self.metrics = metrics or MetricsRegistry()
-        self.workers = Resource(sim, max_workers)
+        self.metrics = MetricsRegistry()
+        self.workers = Resource(sim, WORKERS)
         self.listener = node.listen_stream(port)
         self.address = node.address(port)
         sim.process(self._accept_loop(), name=f"mail:{node.name}")
@@ -97,7 +80,7 @@ class MailServer:
                 continue
             command = message[0]
             if command == "helo":
-                yield self.cost_model.helo_time
+                yield HELO_TIME
                 greeted = True
                 connection.send(("hi",))
                 continue
@@ -131,18 +114,18 @@ class MailServer:
         if command == "send":
             _, sender, recipient, subject, body = message
             stored = self.store.deliver(sender, recipient, subject, body, self.sim.now)
-            yield self.cost_model.send_time(stored.size)
+            yield BASE_TIME + stored.size * PER_BYTE_STORED
             self.metrics.increment("mail.delivered")
             return ("ok", stored.message_id)
         if command == "list":
             _, owner = message
             mailbox = self.store.mailbox(owner)
-            yield self.cost_model.list_time(len(mailbox))
+            yield BASE_TIME + len(mailbox) * PER_MESSAGE_LISTED
             return ("ok", mailbox.list_ids())
         if command == "retr":
             _, owner, message_id = message
             stored = self.store.mailbox(owner).get(message_id)
-            yield self.cost_model.retr_time(stored.size)
+            yield BASE_TIME + stored.size * PER_BYTE_STORED
             self.metrics.increment("mail.retrieved")
             return (
                 "ok",
@@ -158,7 +141,7 @@ class MailServer:
         if command == "dele":
             _, owner, message_id = message
             self.store.mailbox(owner).delete(message_id)
-            yield self.cost_model.base
+            yield BASE_TIME
             return ("ok",)
         return ("error", f"unknown command: {command!r}")
 

@@ -24,9 +24,9 @@ run lasts (DESIGN.md §9). Exact percentiles are for the result
 latencies an experiment collects itself, in
 :class:`~repro.metrics.stats.SummaryStats`.
 
-``counters(prefix)`` / ``samples(prefix)`` use a lazily maintained
-sorted-name index, so reporting loops that repeatedly filter by prefix
-cost ``O(log n + matches)`` instead of a scan over every metric ever
+``counters(prefix)`` uses a lazily maintained sorted-name index, so
+reporting loops that repeatedly filter by prefix cost
+``O(log n + matches)`` instead of a scan over every counter ever
 recorded.
 """
 
@@ -50,9 +50,9 @@ class Counter:
 
     __slots__ = ("name", "value")
 
-    def __init__(self, name: str, value: float = 0.0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.value = value
+        self.value = 0.0
 
     def inc(self, by: float = 1.0) -> None:
         """Add *by* to the counter."""
@@ -77,17 +77,15 @@ class MetricsRegistry:
         "_samples",
         "_histograms",
         "_counter_index",
-        "_sample_index",
     )
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._samples: Dict[str, Moments] = {}
         self._histograms: Dict[str, LatencyHistogram] = {}
-        # Sorted-name indexes for prefix queries; None marks them stale
+        # Sorted-name index for prefix queries; None marks it stale
         # (rebuilt lazily on the next prefix lookup).
         self._counter_index: Optional[List[str]] = None
-        self._sample_index: Optional[List[str]] = None
 
     # -- counters ------------------------------------------------------
 
@@ -150,7 +148,6 @@ class MetricsRegistry:
         if stats is None:
             stats = Moments()
             self._samples[name] = stats
-            self._sample_index = None
         return stats
 
     def observe(self, name: str, value: float) -> None:
@@ -159,28 +156,15 @@ class MetricsRegistry:
         if stats is None:
             stats = Moments()
             self._samples[name] = stats
-            self._sample_index = None
         stats.add(value)
 
     def sample(self, name: str) -> Moments:
         """The moments of *name* (empty ones if nothing was observed)."""
         return self._samples.get(name, Moments())
 
-    def samples(self, prefix: str = "") -> Dict[str, Moments]:
-        """All samples whose name starts with *prefix* (indexed lookup)."""
-        samples = self._samples
-        if not prefix:
-            return dict(samples)
-        index = self._sample_index
-        if index is None:
-            index = self._sample_index = sorted(samples)
-        result: Dict[str, Moments] = {}
-        for i in range(bisect_left(index, prefix), len(index)):
-            name = index[i]
-            if not name.startswith(prefix):
-                break
-            result[name] = samples[name]
-        return result
+    def samples(self) -> Dict[str, Moments]:
+        """All samples by name."""
+        return dict(self._samples)
 
     # -- histograms ----------------------------------------------------
 

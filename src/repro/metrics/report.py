@@ -70,36 +70,28 @@ def render_table(
 def render_histograms(
     histograms: Mapping[str, LatencyHistogram],
     title: str = "",
-    scale: float = 1000.0,
-    unit: str = "ms",
 ) -> str:
-    """Render named histograms as one quantile table.
+    """Render named histograms as one quantile table in milliseconds.
 
-    Values are multiplied by *scale* (default: seconds → milliseconds);
-    empty histograms render their quantile cells as ``-``.
+    Empty histograms render their quantile cells as ``-``.
     """
     rows = [
         {
             "name": name,
             "count": hist.count,
-            f"p50_{unit}": hist.p50 * scale,
-            f"p90_{unit}": hist.p90 * scale,
-            f"p99_{unit}": hist.p99 * scale,
-            f"p99.9_{unit}": hist.p999 * scale,
-            f"max_{unit}": hist.maximum * scale,
+            "p50_ms": hist.p50 * 1000.0,
+            "p90_ms": hist.p90 * 1000.0,
+            "p99_ms": hist.p99 * 1000.0,
+            "p99.9_ms": hist.p999 * 1000.0,
+            "max_ms": hist.maximum * 1000.0,
         }
         for name, hist in histograms.items()
     ]
     return render_table(rows, title=title)
 
 
-def render_histogram(
-    hist: LatencyHistogram,
-    width: int = 40,
-    scale: float = 1000.0,
-    unit: str = "ms",
-) -> str:
-    """Render one histogram's non-empty buckets as ASCII bars."""
+def render_histogram(hist: LatencyHistogram) -> str:
+    """Render one histogram's non-empty buckets as 40-column ASCII bars."""
     if hist.count == 0:
         return "(empty histogram)"
     peak = max(count for _, count in hist.buckets())
@@ -107,8 +99,8 @@ def render_histogram(
     for edge, count in hist.buckets():
         if not count:
             continue
-        label = "overflow" if edge == float("inf") else f"<= {edge * scale:g} {unit}"
-        bar = "#" * max(1, round(width * count / peak))
+        label = "overflow" if edge == float("inf") else f"<= {edge * 1000.0:g} ms"
+        bar = "#" * max(1, round(40 * count / peak))
         lines.append(f"{label:>16}  {bar} {count}")
     return "\n".join(lines)
 
@@ -118,8 +110,7 @@ def render_series(
     ys: Iterable[Any],
     x_label: str = "x",
     y_label: str = "y",
-    title: str = "",
 ) -> str:
     """Render a two-column x/y series (one figure curve)."""
     rows = [{x_label: x, y_label: y} for x, y in zip(xs, ys)]
-    return render_table(rows, [x_label, y_label], title=title)
+    return render_table(rows, [x_label, y_label])

@@ -22,8 +22,8 @@ absorb (see ``DESIGN.md`` §5 for the fault-to-stage mapping):
   detection and recovery);
 * :class:`LinkDown` — a network partition between two hosts: streams
   crossing the link are killed, new connects fail, datagrams vanish;
-* :class:`LinkDegrade` — the link stays up but gains latency, loss,
-  and/or loses bandwidth;
+* :class:`LinkDegrade` — the link stays up but gains latency and/or
+  loses bandwidth;
 * :class:`SlowBackend` — the server stays reachable but serves every
   request ``factor`` times slower (overload, GC pauses, a cold cache).
 """
@@ -146,9 +146,8 @@ class LinkDegrade:
     """A lossy/slow window on the link between hosts *a* and *b*.
 
     The base link is replaced with one adding ``extra_latency`` seconds
-    of one-way delay, ``loss`` additional drop probability (datagrams
-    only, as in :class:`~repro.net.link.Link`), and bandwidth scaled by
-    ``bandwidth_factor``.
+    of one-way delay and with bandwidth scaled by ``bandwidth_factor``;
+    it keeps the base link's loss.
     """
 
     kind = "link-degrade"
@@ -158,7 +157,6 @@ class LinkDegrade:
     at: float
     duration: float
     extra_latency: float = 0.0
-    loss: float = 0.0
     bandwidth_factor: float = 1.0
 
     def key(self) -> str:
@@ -169,7 +167,7 @@ class LinkDegrade:
         """One human-readable schedule line."""
         return (
             f"{self.kind}: {self.a}<->{self.b} "
-            f"+{self.extra_latency * 1000:.1f}ms loss+{self.loss:.2%} "
+            f"+{self.extra_latency * 1000:.1f}ms "
             f"bw×{self.bandwidth_factor:g} "
             f"[{self.at:.3f}s, {self.at + self.duration:.3f}s)"
         )
@@ -260,7 +258,6 @@ class FaultPlan:
         mttr: float,
         until: float,
         rng: random.Random,
-        first_at: Optional[float] = None,
     ) -> "FaultPlan":
         """:meth:`crash_restart_cycle`, but the windows kill a *broker*.
 
@@ -268,7 +265,7 @@ class FaultPlan:
         faults — the chaos harness points these at
         :class:`~repro.core.broker.ServiceBroker` targets.
         """
-        plan = cls.crash_restart_cycle(target, mtbf, mttr, until, rng, first_at)
+        plan = cls.crash_restart_cycle(target, mtbf, mttr, until, rng)
         plan.faults = [
             BrokerCrash(target=fault.target, at=fault.at, duration=fault.duration)
             for fault in plan.faults
@@ -398,7 +395,6 @@ class FaultInjector:
             base = network.configured_link(fault.a, fault.b)
             network.override_link(fault.a, fault.b, base.degraded(
                 extra_latency=fault.extra_latency,
-                loss=fault.loss,
                 bandwidth_factor=fault.bandwidth_factor,
             ), window=index)
         elif isinstance(fault, SlowBackend):

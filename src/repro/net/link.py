@@ -63,16 +63,12 @@ class Link:
         return self.loss > 0.0 and rng.random() < self.loss
 
     def degraded(
-        self,
-        extra_latency: float = 0.0,
-        loss: float = 0.0,
-        bandwidth_factor: float = 1.0,
+        self, extra_latency: float = 0.0, bandwidth_factor: float = 1.0
     ) -> "Link":
         """This link during a fault window (see :mod:`repro.net.faults`).
 
-        Adds *extra_latency* seconds of one-way delay and *loss*
-        probability of datagram drop, and scales the bandwidth by
-        *bandwidth_factor*. Loss saturates just below 1.
+        Adds *extra_latency* seconds of one-way delay and scales the
+        bandwidth by *bandwidth_factor*; the loss stays the link's own.
         """
         bandwidth = (
             None if self.bandwidth is None else self.bandwidth * bandwidth_factor
@@ -81,24 +77,18 @@ class Link:
             latency=self.latency + extra_latency,
             jitter=self.jitter,
             bandwidth=bandwidth,
-            loss=min(0.999999, self.loss + loss),
+            loss=self.loss,
         )
 
     @classmethod
-    def lan(cls, latency: float = 0.0002, bandwidth: float = 125e6) -> "Link":
+    def lan(cls) -> "Link":
         """A same-machine-room link: 0.2 ms, 1 Gb/s, lossless."""
-        return cls(latency=latency, jitter=0.0, bandwidth=bandwidth, loss=0.0)
+        return cls(latency=0.0002, jitter=0.0, bandwidth=125e6, loss=0.0)
 
     @classmethod
-    def wan(
-        cls,
-        latency: float = 0.040,
-        jitter: float = 0.010,
-        bandwidth: float = 1.25e6,
-        loss: float = 0.0,
-    ) -> "Link":
-        """A cross-Internet link: 40 ms ± 10 ms, 10 Mb/s."""
-        return cls(latency=latency, jitter=jitter, bandwidth=bandwidth, loss=loss)
+    def wan(cls, latency: float = 0.040, jitter: float = 0.010) -> "Link":
+        """A cross-Internet link: 40 ms ± 10 ms by default, 10 Mb/s, lossless."""
+        return cls(latency=latency, jitter=jitter, bandwidth=1.25e6, loss=0.0)
 
     @classmethod
     def loopback(cls) -> "Link":

@@ -31,8 +31,11 @@ __all__ = [
 #: Eight-level block characters, lowest to highest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
+#: Columns of a dashboard row's sparkline.
+SPARK_WIDTH = 40
 
-def sparkline(values: Sequence[float], width: int = 40) -> str:
+
+def sparkline(values: Sequence[float], width: int = SPARK_WIDTH) -> str:
     """The last *width* values as a unicode sparkline.
 
     A flat series renders at the lowest level; an empty one renders
@@ -253,10 +256,8 @@ def _series_values(
 
 def render_dashboard(
     scraper: Any,
-    panels: Optional[Sequence[Panel]] = None,
     engine: Any = None,
     at: Optional[float] = None,
-    width: int = 40,
 ) -> str:
     """One full dashboard frame as a string.
 
@@ -264,8 +265,6 @@ def render_dashboard(
     the frame as of that instant (limited to what the ring buffers
     still retain).
     """
-    if panels is None:
-        panels = default_panels(scraper)
     last = scraper.records[-1] if scraper.records else None
     now = at if at is not None else (last.t if last is not None else 0.0)
     mode = "replay" if at is not None else "live"
@@ -273,14 +272,14 @@ def render_dashboard(
         f"┌─ telemetry dashboard ─ t={now:g}s ─ {mode} ─ "
         f"{scraper.scrapes} scrapes @ {scraper.interval:g}s ─┐"
     ]
-    for panel in panels:
+    for panel in default_panels(scraper):
         lines.append("")
         lines.append(f"── {panel.title} " + "─" * max(0, 46 - len(panel.title)))
         for label, name in panel.rows:
             values, last_value = _series_values(scraper, name, panel.kind, at)
-            spark = sparkline(values, width)
+            spark = sparkline(values)
             shown = "-" if last_value is None else f"{last_value:g}"
-            lines.append(f"  {label:<22} {spark:<{width}} {shown:>10}")
+            lines.append(f"  {label:<22} {spark:<{SPARK_WIDTH}} {shown:>10}")
     if engine is not None:
         active = engine.active_alerts() if at is None else [
             alert
@@ -308,11 +307,7 @@ def render_dashboard(
 
 
 def live_panel(
-    emit: Callable[[str], None],
-    panels: Optional[Sequence[Panel]] = None,
-    engine: Any = None,
-    every: int = 1,
-    width: int = 40,
+    emit: Callable[[str], None], every: int = 1
 ) -> Callable[[Any, Any], None]:
     """A scraper subscriber that re-renders the dashboard as it runs.
 
@@ -325,6 +320,6 @@ def live_panel(
 
     def on_scrape(scraper: Any, record: Any) -> None:
         if scraper.scrapes % every == 0:
-            emit(render_dashboard(scraper, panels, engine=engine, width=width))
+            emit(render_dashboard(scraper))
 
     return on_scrape

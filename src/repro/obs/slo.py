@@ -15,7 +15,7 @@ evaluates every spec at each scrape boundary of a
   fast detection, the long window suppresses blips. The defaults
   follow the classic fast (5 s / 1 min) + slow (30 s / 6 min) pairing,
   scaled to simulation time.
-* **error budget**: ``1 - burn(budget_window)`` — the fraction of the
+* **error budget**: ``1 - burn(BUDGET_WINDOW)`` — the fraction of the
   rolling budget still unspent (can go negative when the objective is
   being missed outright).
 
@@ -49,6 +49,9 @@ __all__ = [
     "render_alert_timeline",
 ]
 
+#: Window for the rolling error-budget gauge, in simulated seconds.
+BUDGET_WINDOW = 360.0
+
 
 @dataclass(frozen=True)
 class SloSpec:
@@ -74,8 +77,6 @@ class SloSpec:
     #: Burn-rate thresholds; a pair fires when BOTH windows exceed it.
     fast_burn: float = 2.0
     slow_burn: float = 1.0
-    #: Window for the rolling error-budget gauge.
-    budget_window: float = 360.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.objective < 1.0:
@@ -168,7 +169,7 @@ class SloEngine:
             for window in windows:
                 gauges[f"slo.{spec.name}.burn{window:g}s"] = burns[window]
             gauges[f"slo.{spec.name}.budget"] = 1.0 - self._burn(
-                spec, scraper, spec.budget_window, now
+                spec, scraper, BUDGET_WINDOW, now
             )
             for severity, (short, long_), threshold in (
                 ("fast", spec.fast, spec.fast_burn),
@@ -231,15 +232,14 @@ class SloEngine:
 QOS_OBJECTIVES: Dict[int, float] = {1: 0.90, 2: 0.60, 3: 0.30}
 
 
-def qos_slos(levels: Sequence[int] = (1, 2, 3)) -> List[SloSpec]:
+def qos_slos() -> List[SloSpec]:
     """Full-fidelity SLOs per QoS class for the §V.B scenario.
 
     Good = full-fidelity completions; total adds low-fidelity
     fallbacks and (under admission control) front-door rejections.
     """
     specs = []
-    for level in levels:
-        objective = QOS_OBJECTIVES.get(level, 0.5)
+    for level, objective in QOS_OBJECTIVES.items():
         specs.append(
             SloSpec(
                 name=f"qos{level}-fullfid",
@@ -298,9 +298,9 @@ def chaos_slos() -> List[SloSpec]:
     ]
 
 
-def shard_slos(levels: Sequence[int] = (1, 2, 3)) -> List[SloSpec]:
+def shard_slos() -> List[SloSpec]:
     """Sharded-scenario SLOs — same front-door counters as QoS."""
-    return qos_slos(levels)
+    return qos_slos()
 
 
 def autoscale_slos() -> List[SloSpec]:

@@ -547,7 +547,6 @@ class TraceCollector:
         self,
         sample: int = 1,
         limit: int = 10_000,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if sample < 1:
             raise ValueError(f"sample must be >= 1: {sample!r}")
@@ -555,7 +554,7 @@ class TraceCollector:
             raise ValueError(f"limit must be >= 1: {limit!r}")
         self.sample = sample
         self.limit = limit
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.traces: List[Trace] = []
         self.roots_seen = 0
         self.dropped = 0

@@ -55,7 +55,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
 )
 
@@ -76,10 +75,10 @@ __all__ = [
 DEFAULT_CAPACITY = 720
 
 #: Percentiles computed per watched histogram per scrape.
-DEFAULT_PERCENTILES: Tuple[float, ...] = (50.0, 99.0)
+PERCENTILES: Tuple[float, ...] = (50.0, 99.0)
 
 #: Rolling windows (simulated seconds) for windowed percentiles.
-DEFAULT_WINDOWS: Tuple[float, ...] = (5.0, 30.0)
+WINDOWS: Tuple[float, ...] = (5.0, 30.0)
 
 #: The time field of a histogram snapshot — the key window reads bisect
 #: on (records are time-ordered, so the ring is sorted by it).
@@ -400,8 +399,6 @@ class TelemetryScraper:
         self,
         interval: float = 1.0,
         capacity: int = DEFAULT_CAPACITY,
-        percentiles: Sequence[float] = DEFAULT_PERCENTILES,
-        windows: Sequence[float] = DEFAULT_WINDOWS,
     ) -> None:
         if interval <= 0:
             raise ValueError(f"scrape interval must be > 0: {interval!r}")
@@ -409,8 +406,6 @@ class TelemetryScraper:
             raise ValueError(f"capacity must be >= 1: {capacity!r}")
         self.interval = interval
         self.capacity = capacity
-        self.percentiles = tuple(percentiles)
-        self.windows = tuple(windows)
         self.sim: Optional[Any] = None
         self.slo: Optional[Any] = None
         #: All ring buffers, keyed by series name.
@@ -503,9 +498,7 @@ class TelemetryScraper:
             self.series.pop(name, None)
         return self
 
-    def watch_listener(
-        self, listener: Any, prefix: str = "shard.load."
-    ) -> "TelemetryScraper":
+    def watch_listener(self, listener: Any) -> "TelemetryScraper":
         """Sample the centralized listener's leader-only shard table.
 
         Rides the existing :class:`~repro.core.centralized.ShardLoadReport`
@@ -517,7 +510,7 @@ class TelemetryScraper:
         def source() -> Dict[str, float]:
             out: Dict[str, float] = {}
             for (service, shard), report in sorted(listener.shards.items()):
-                base = f"{prefix}{service}.s{shard}"
+                base = f"shard.load.{service}.s{shard}"
                 out[base] = float(report.outstanding)
                 out[base + ".queue_depth"] = float(report.queue_depth)
             return out
@@ -583,9 +576,9 @@ class TelemetryScraper:
                         histogram.edges, self.capacity
                     )
                 track.record(now, histogram)
-                for window in self.windows:
+                for window in WINDOWS:
                     delta = track.windowed(window, at=now)
-                    for q in self.percentiles:
+                    for q in PERCENTILES:
                         key = f"{full}.p{q:g}.{window:g}s"
                         if delta is not None and delta.count > 0:
                             percentiles[key] = delta.percentile(q)
@@ -642,13 +635,14 @@ class TelemetryScraper:
         return total
 
     def windowed_percentile(
-        self, name: str, q: float, window: float, at: Optional[float] = None
+        self, name: str, q: float, window: float
     ) -> Optional[float]:
-        """Percentile of *name*'s observations in ``(at-window, at]``."""
+        """Percentile of *name*'s observations in the *window* seconds up
+        to the newest scrape."""
         track = self._tracks.get(name)
         if track is None:
             return None
-        delta = track.windowed(window, at=at)
+        delta = track.windowed(window)
         if delta is None or delta.count == 0:
             return None
         return delta.percentile(q)

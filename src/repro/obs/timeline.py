@@ -24,13 +24,16 @@ __all__ = [
     "render_trace",
 ]
 
+#: Columns of a waterfall's bar area.
+BAR_WIDTH = 40
+
 
 def _ms(seconds: float) -> str:
     """Milliseconds with enough precision for sub-ms hops."""
     return f"{seconds * 1000:.3f}"
 
 
-def render_waterfall(trace: Trace, width: int = 40) -> str:
+def render_waterfall(trace: Trace) -> str:
     """Render *trace*'s hops as an aligned ASCII waterfall.
 
     Each line shows one hop's name, duration, and a bar positioned at
@@ -54,8 +57,8 @@ def render_waterfall(trace: Trace, width: int = 40) -> str:
     ]
     for hop in trace.hops:
         if total > 0:
-            lead = int(width * (hop.start - trace.start) / total)
-            fill = round(width * hop.duration / total)
+            lead = int(BAR_WIDTH * (hop.start - trace.start) / total)
+            fill = round(BAR_WIDTH * hop.duration / total)
             if hop.duration > 0 and fill == 0:
                 fill = 1
             bar = " " * lead + "#" * fill
@@ -131,14 +134,14 @@ def critical_path(trace: Trace) -> List[Span]:
     return path
 
 
-def render_trace(trace: Trace, width: int = 40, events: bool = False) -> str:
+def render_trace(trace: Trace, events: bool = False) -> str:
     """The full terminal view of one trace.
 
     Waterfall, critical path, and the attribution sentence; pass
     ``events=True`` to also list the span events (the request events
     the broker pipeline noted) in time order.
     """
-    lines = [render_waterfall(trace, width=width)]
+    lines = [render_waterfall(trace)]
     path = critical_path(trace)
     if len(path) > 1:
         chain = " > ".join(span.name for span in path)

@@ -630,11 +630,6 @@ class Simulation:
             # letting errors pass silently.
             raise event._value
 
-    def _step(self) -> None:
-        """Pop and process one event."""
-        when, _key, event = _heappop(self._heap)
-        self._now = when
-        self._dispatch(event)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""

@@ -71,10 +71,10 @@ class HostCpu:
         finally:
             self._core.release(grant)
 
-    def utilization(self, since: float = 0.0) -> float:
-        """Fraction of wall time the core has been busy since *since*."""
-        elapsed = self.sim.now - since
-        return self.busy_time / elapsed if elapsed > 0 else 0.0
+    def utilization(self) -> float:
+        """Fraction of the run so far the core has been busy."""
+        now = self.sim.now
+        return self.busy_time / now if now > 0 else 0.0
 
     def __repr__(self) -> str:
         return (

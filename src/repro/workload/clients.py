@@ -146,14 +146,13 @@ class ClosedLoopClient:
         request_factory: RequestFactory,
         think_time: float = 0.0,
         start_delay: float = 0.0,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.name = name
         self.request_factory = request_factory
         self.think_time = think_time
         self.start_delay = start_delay
-        self.metrics = metrics or MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.response_times = SummaryStats()
         self.completed = 0
         self.errors = 0
@@ -337,7 +336,7 @@ class ModulatedOpenLoopGenerator(OpenLoopGenerator):
 class DiurnalLoadGenerator(ModulatedOpenLoopGenerator):
     """A sinusoidal day/night load curve between *base_rate* and *peak_rate*.
 
-    The rate starts at *base_rate* (phase 0 = midnight), peaks at
+    The rate starts at *base_rate* (midnight), peaks at
     ``period/2``, and returns — one full "day" per *period* simulated
     seconds. ``peak_rate / base_rate`` is the swing the autoscale
     experiment's headline (10×) is measured over.
@@ -351,7 +350,6 @@ class DiurnalLoadGenerator(ModulatedOpenLoopGenerator):
         base_rate: float,
         peak_rate: float,
         period: float,
-        phase: float = 0.0,
         rng_stream: Optional[str] = None,
     ) -> None:
         if base_rate <= 0 or peak_rate < base_rate:
@@ -365,11 +363,10 @@ class DiurnalLoadGenerator(ModulatedOpenLoopGenerator):
         )
         self.base_rate = float(base_rate)
         self.period = float(period)
-        self.phase = float(phase)
 
     def rate_at(self, t: float) -> float:
         """base + (peak-base) * half-cosine wave over one period."""
-        cycle = (t / self.period + self.phase) % 1.0
+        cycle = (t / self.period) % 1.0
         swing = 0.5 * (1.0 - math.cos(2.0 * math.pi * cycle))
         return self.base_rate + (self.peak_rate - self.base_rate) * swing
 
