@@ -8,8 +8,8 @@ The package layers, bottom to top:
 
 * :mod:`repro.sim` — deterministic discrete-event kernel;
 * :mod:`repro.net` — nodes, links, streams, datagrams;
-* :mod:`repro.db`, :mod:`repro.ldapdir`, :mod:`repro.mail`,
-  :mod:`repro.http` — the backend servers;
+* :mod:`repro.db`, :mod:`repro.fileserver`, :mod:`repro.http` — the
+  backend servers;
 * :mod:`repro.frontend` — the front-end web server and the API-based
   baseline access model;
 * :mod:`repro.core` — the paper's contribution: the service broker
@@ -41,16 +41,10 @@ _EXPORTS = {
     "Database": "db",
     "DatabaseServer": "db",
     "DatabaseClient": "db",
-    "DirectoryServer": "ldapdir",
-    "DirectoryClient": "ldapdir",
-    "DirectoryTree": "ldapdir",
-    "MailServer": "mail",
     "FileServer": "fileserver",
     "FileClient": "fileserver",
     "FileSystem": "fileserver",
     "DiskModel": "fileserver",
-    "MailClient": "mail",
-    "MessageStore": "mail",
     "BackendWebServer": "http",
     "HttpClient": "http",
     "HttpRequest": "http",
@@ -98,8 +92,6 @@ _EXPORTS = {
     "HotSpotNotice": "core",
     "DatabaseAdapter": "core",
     "HttpAdapter": "core",
-    "DirectoryAdapter": "core",
-    "MailAdapter": "core",
     "FileAdapter": "core",
     "RoundRobinBalancer": "core",
     "LeastOutstandingBalancer": "core",

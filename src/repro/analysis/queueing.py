@@ -13,9 +13,7 @@ fractions from the closed-loop throughput bound computed here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List
 
 __all__ = [
     "QueueMetrics",

@@ -13,10 +13,11 @@ API behind a uniform interface:
 Connections expose a ``closed`` attribute the pool uses for health
 checks.
 
-Import rule: this module serves every service, so it imports no
-service's client at module level. Each adapter names its backend's
-client in :meth:`ServiceAdapter.client_class`, resolved once when the
-adapter is constructed — a deployment loads only the services it fronts.
+Import rule: this module serves the database, web and file services,
+so it imports no service's client at module level. Each adapter names
+its backend's client in :meth:`ServiceAdapter.client_class`, resolved
+once when the adapter is constructed — a deployment loads only the
+services it fronts.
 """
 
 from __future__ import annotations
@@ -32,15 +33,11 @@ from ..sim.core import Simulation
 if TYPE_CHECKING:
     from ..db.client import DatabaseConnection
     from ..http.client import HttpConnection
-    from ..ldapdir.client import DirectoryConnection
-    from ..mail.client import MailConnection
 
 __all__ = [
     "ServiceAdapter",
     "DatabaseAdapter",
     "HttpAdapter",
-    "DirectoryAdapter",
-    "MailAdapter",
     "FileAdapter",
 ]
 
@@ -148,81 +145,6 @@ class HttpAdapter(ServiceAdapter):
         connection.close()
         return
         yield  # pragma: no cover - makes this a generator
-
-
-class DirectoryAdapter(ServiceAdapter):
-    """Fronts a :class:`repro.ldapdir.DirectoryServer`.
-
-    Operations:
-
-    * ``"search"`` — payload is ``(base, scope, filter)``; returns a
-      :class:`SearchResult`.
-    * ``"modify"`` — payload is ``(dn, changes)``.
-    """
-
-    @staticmethod
-    def client_class() -> type:
-        from ..ldapdir.client import DirectoryClient
-
-        return DirectoryClient
-
-    def connect(self):
-        connection = yield from self.client.connect(
-            self.sim, self.node, self.address, principal=f"broker:{self.name}"
-        )
-        return connection
-
-    def execute(self, connection: DirectoryConnection, operation: str, payload: Any):
-        if operation == "search":
-            base, scope, filter_expr = payload
-            result = yield from connection.search(base, scope, filter_expr)
-            return result
-        if operation == "modify":
-            dn, changes = payload
-            yield from connection.modify(dn, changes)
-            return True
-        raise ProtocolError(f"directory adapter: unknown operation {operation!r}")
-
-    def close(self, connection: DirectoryConnection):
-        yield from connection.unbind()
-
-
-class MailAdapter(ServiceAdapter):
-    """Fronts a :class:`repro.mail.MailServer`.
-
-    Operations: ``"send"`` (payload ``(sender, recipient, subject,
-    body)``), ``"list"`` (payload owner), ``"retr"`` (payload
-    ``(owner, message_id)``).
-    """
-
-    @staticmethod
-    def client_class() -> type:
-        from ..mail.client import MailClient
-
-        return MailClient
-
-    def connect(self):
-        connection = yield from self.client.connect(
-            self.sim, self.node, self.address, name=f"broker:{self.name}"
-        )
-        return connection
-
-    def execute(self, connection: MailConnection, operation: str, payload: Any):
-        if operation == "send":
-            sender, recipient, subject, body = payload
-            message_id = yield from connection.send(sender, recipient, subject, body)
-            return message_id
-        if operation == "list":
-            ids = yield from connection.list(payload)
-            return ids
-        if operation == "retr":
-            owner, message_id = payload
-            message = yield from connection.retrieve(owner, message_id)
-            return message
-        raise ProtocolError(f"mail adapter: unknown operation {operation!r}")
-
-    def close(self, connection: MailConnection):
-        yield from connection.quit()
 
 
 class FileAdapter(ServiceAdapter):

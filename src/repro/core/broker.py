@@ -184,7 +184,7 @@ class ServiceBroker:
         #: Optional :class:`~repro.core.lifecycle.RecoveryJournal`;
         #: installed by :meth:`BrokerSupervisor.watch` (or directly).
         self.journal = None
-        self._heartbeat: Optional[tuple] = None
+        self._heartbeat: Optional[Address] = None
         self._load_report: Optional[tuple] = None
         #: The request path as an ordered, composable stage list.
         self.pipeline = StagePipeline(
@@ -487,15 +487,15 @@ class ServiceBroker:
             "journal_pending": journal.pending_count if journal else 0,
         }
 
-    def start_heartbeat(self, address: Address, interval: float = 0.05) -> None:
-        """Emit liveness heartbeats to *address* every *interval* seconds.
+    def start_heartbeat(self, address: Address) -> None:
+        """Emit liveness heartbeats to *address* every ``HEARTBEAT_INTERVAL`` s.
 
         Normally installed by
         :meth:`~repro.core.lifecycle.BrokerSupervisor.watch`. The
         heartbeat process dies with the broker on :meth:`crash` and is
         revived by :meth:`restart` — silence is the death signal.
         """
-        self._heartbeat = (address, interval)
+        self._heartbeat = address
         self._start_heartbeat()
 
     def _start_heartbeat(self) -> None:
@@ -506,9 +506,9 @@ class ServiceBroker:
         )
 
     def _heartbeat_loop(self):
-        from .lifecycle import Heartbeat  # local import avoids a cycle
+        from .lifecycle import HEARTBEAT_INTERVAL, Heartbeat  # local import avoids a cycle
 
-        address, interval = self._heartbeat
+        address = self._heartbeat
         seq = 0
         while True:
             self.socket.sendto(
@@ -516,7 +516,7 @@ class ServiceBroker:
                 address,
             )
             seq += 1
-            yield interval
+            yield HEARTBEAT_INTERVAL
 
     # -- replies and load reports -----------------------------------------
 

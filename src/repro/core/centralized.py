@@ -28,8 +28,8 @@ the listener counts a ``centralized.leader_failover``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..http.messages import HttpRequest
 from ..frontend.app import qos_of

@@ -23,7 +23,7 @@ paper's cases:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..db.client import QueryResult
 from ..db.parser import parse

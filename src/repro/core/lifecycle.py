@@ -44,6 +44,12 @@ __all__ = [
 #: Default UDP port the supervisor listens for heartbeats on.
 DEFAULT_SUPERVISOR_PORT = 7900
 
+#: Seconds between a supervised broker's heartbeats.
+HEARTBEAT_INTERVAL = 0.05
+
+#: Heartbeat intervals of silence after which a broker is declared down.
+MISS_FACTOR = 3.0
+
 
 @dataclass(frozen=True)
 class Heartbeat:
@@ -170,15 +176,12 @@ class _Watch:
     """Supervision state for one broker."""
 
     __slots__ = (
-        "broker", "interval", "miss_factor", "last_heard",
-        "up", "down_since", "detected", "recoveries", "released",
+        "broker", "last_heard", "up", "down_since", "detected",
+        "recoveries", "released",
     )
 
-    def __init__(self, broker: "ServiceBroker", interval: float,
-                 miss_factor: float, now: float) -> None:
+    def __init__(self, broker: "ServiceBroker", now: float) -> None:
         self.broker = broker
-        self.interval = interval
-        self.miss_factor = miss_factor
         self.last_heard = now
         self.up = True
         self.down_since = 0.0
@@ -192,8 +195,8 @@ class BrokerSupervisor:
 
     One supervisor process per host (typically the front-end node)
     listens for :class:`Heartbeat` datagrams; a per-broker monitor
-    declares the broker *down* after ``interval × miss_factor`` seconds
-    of silence. On detection it answers every journaled in-flight
+    declares the broker *down* after ``HEARTBEAT_INTERVAL × MISS_FACTOR``
+    seconds of silence. On detection it answers every journaled in-flight
     request with a DROPPED ``broker-crash`` reply sent from its own
     socket — the liveness analog of the paper's "system busy" fallback
     — so client retry/failover logic re-routes immediately instead of
@@ -233,8 +236,6 @@ class BrokerSupervisor:
         self,
         broker: "ServiceBroker",
         journal: Optional[RecoveryJournal] = None,
-        interval: float = 0.05,
-        miss_factor: float = 3.0,
     ) -> _Watch:
         """Supervise *broker*: install a journal, heartbeats, a monitor.
 
@@ -245,9 +246,9 @@ class BrokerSupervisor:
             broker.journal = journal
         elif broker.journal is None:
             broker.journal = RecoveryJournal(self.sim, metrics=self.metrics)
-        watch = _Watch(broker, interval, miss_factor, self.sim.now)
+        watch = _Watch(broker, self.sim.now)
         self._watches[broker.name] = watch
-        broker.start_heartbeat(self.address, interval=interval)
+        broker.start_heartbeat(self.address)
         self.sim.process(self._monitor(watch), name=f"supervisor:{broker.name}")
         return watch
 
@@ -295,9 +296,9 @@ class BrokerSupervisor:
 
     def _monitor(self, watch: _Watch):
         sim = self.sim
-        miss_timeout = watch.interval * watch.miss_factor
+        miss_timeout = HEARTBEAT_INTERVAL * MISS_FACTOR
         while not watch.released:
-            yield watch.interval
+            yield HEARTBEAT_INTERVAL
             if watch.released:
                 return
             if watch.up and sim.now - watch.last_heard > miss_timeout:

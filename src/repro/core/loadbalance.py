@@ -20,7 +20,7 @@ streak — lives in :class:`ReplicaHealth`, one instance per replica of
 from __future__ import annotations
 
 from itertools import count
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..errors import BrokerError
 from .adapters import ServiceAdapter

@@ -39,7 +39,7 @@ combining (see :class:`repro.core.pipeline.QueryCombineStage`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
 from ..errors import BrokerError
 from .protocol import BrokerRequest

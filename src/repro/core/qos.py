@@ -15,7 +15,7 @@ reproduces the published drop-ratio ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from ..errors import BrokerError

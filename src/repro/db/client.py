@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
-from ..errors import ConnectionClosed, ProtocolError, QueryError
+from ..errors import ProtocolError, QueryError
 from ..net.address import Address
 from ..net.network import Node
 from ..net.transport import StreamConnection

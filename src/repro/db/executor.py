@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from ..errors import QueryError, UnknownColumnError
-from .index import HashIndex, SortedIndex
+from ..errors import QueryError
+from .index import SortedIndex
 from .planner import AccessPath, plan_access
 from .query import (
     And,

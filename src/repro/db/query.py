@@ -8,8 +8,8 @@ small boolean algebra over column/literal comparisons.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Optional, Tuple, Union
 
 __all__ = [
     "Comparison",

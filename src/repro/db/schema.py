@@ -8,7 +8,7 @@ schedules, product catalogs) require.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Sequence, Tuple, Type, Union
 
 from ..errors import QueryError, UnknownColumnError

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..errors import ConnectionClosed, ProtocolError, QueryError
+from ..errors import ConnectionClosed, QueryError
 from ..metrics import MetricsRegistry
 from ..net.network import Node
 from ..net.transport import StreamConnection

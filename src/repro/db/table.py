@@ -18,7 +18,7 @@ from typing import (
 
 from ..errors import QueryError
 from .index import HashIndex, SortedIndex
-from .schema import Column, Schema
+from .schema import Schema
 
 __all__ = ["Table"]
 

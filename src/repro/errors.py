@@ -113,18 +113,6 @@ class UnknownColumnError(QueryError):
     """A query referenced a column that does not exist."""
 
 
-class FilterSyntaxError(ServiceError):
-    """The LDAP-style filter parser rejected the filter string."""
-
-
-class NoSuchEntryError(ServiceError):
-    """A directory operation referenced a DN that does not exist."""
-
-
-class MailboxError(ServiceError):
-    """A mail operation referenced an unknown mailbox or message."""
-
-
 class HttpError(ServiceError):
     """An HTTP exchange failed at the protocol level."""
 

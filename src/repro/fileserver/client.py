@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence
+from typing import Sequence
 
 from ..errors import ProtocolError, ServiceError
 from ..net.address import Address

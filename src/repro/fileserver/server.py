@@ -23,7 +23,7 @@ paper's §II example of a backend-specific QoS notion:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from ..errors import ConnectionClosed, ServiceError
 from ..metrics import MetricsRegistry

@@ -12,16 +12,16 @@ route table) resolve the serving broker.
 
 All methods are ``yield from`` generators.
 
-The gateway can reach every service, but a run that only makes HTTP
-calls should not load the database, directory and mail packages: each
-of those client APIs is imported the first time this gateway uses it
-and kept on the instance, so no call after the first pays for it.
+The gateway reaches the database and web services, but a run that only
+makes HTTP calls should not load the database package: its client API
+is imported the first time this gateway uses it and kept on the
+instance, so no call after the first pays for it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..http.client import HttpClient
 from ..http.messages import HttpRequest
@@ -86,60 +86,3 @@ class ApiBackendGateway:
         response = yield from HttpClient.fetch(self.sim, self.node, address, request)
         self._account("http", started)
         return response
-
-    # -- directory -----------------------------------------------------
-
-    @cached_property
-    def _directory(self) -> type:
-        from ..ldapdir.client import DirectoryClient
-
-        return DirectoryClient
-
-    def ldap_search(
-        self,
-        address: Address,
-        base: str,
-        scope: str = "sub",  # ldapdir.SCOPE_SUB, spelled out to keep the import lazy
-        filter_expr: Optional[str] = None,
-    ):
-        """Connect, bind, search, unbind."""
-        started = self.sim.now
-        connection = yield from self._directory.connect(self.sim, self.node, address)
-        try:
-            result = yield from connection.search(base, scope, filter_expr)
-        finally:
-            yield from connection.unbind()
-        self._account("ldap", started)
-        return result
-
-    # -- mail ------------------------------------------------------------
-
-    @cached_property
-    def _mail(self) -> type:
-        from ..mail.client import MailClient
-
-        return MailClient
-
-    def mail_send(
-        self, address: Address, sender: str, recipient: str, subject: str, body: str
-    ):
-        """Connect, greet, submit one message, quit."""
-        started = self.sim.now
-        connection = yield from self._mail.connect(self.sim, self.node, address)
-        try:
-            message_id = yield from connection.send(sender, recipient, subject, body)
-        finally:
-            yield from connection.quit()
-        self._account("mail", started)
-        return message_id
-
-    def mail_list(self, address: Address, owner: str):
-        """Connect, greet, list a mailbox, quit."""
-        started = self.sim.now
-        connection = yield from self._mail.connect(self.sim, self.node, address)
-        try:
-            ids = yield from connection.list(owner)
-        finally:
-            yield from connection.quit()
-        self._account("mail", started)
-        return ids

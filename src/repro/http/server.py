@@ -17,7 +17,7 @@ bottleneck). Serves:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
 from ..errors import ConnectionClosed, HttpError
 from ..metrics import Counter, MetricsRegistry

@@ -12,7 +12,7 @@ evaluates every spec at each scrape boundary of a
   SRE terms; here everything is simulated seconds).
 * **multi-window alerts**: a pair fires only when *both* its short and
   long windows exceed the pair's threshold — the short window gives
-  fast detection, the long window suppresses blips. The defaults
+  fast detection, the long window suppresses blips. The windows
   follow the classic fast (5 s / 1 min) + slow (30 s / 6 min) pairing,
   scaled to simulation time.
 * **error budget**: ``1 - burn(BUDGET_WINDOW)`` — the fraction of the
@@ -35,7 +35,7 @@ noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "SloSpec",
@@ -71,9 +71,9 @@ class SloSpec:
     bad: Tuple[str, ...] = ()
     description: str = ""
     #: (short, long) windows in simulated seconds for the fast pair.
-    fast: Tuple[float, float] = (5.0, 60.0)
+    fast: ClassVar[Tuple[float, float]] = (5.0, 60.0)
     #: (short, long) windows for the slow pair.
-    slow: Tuple[float, float] = (30.0, 360.0)
+    slow: ClassVar[Tuple[float, float]] = (30.0, 360.0)
     #: Burn-rate thresholds; a pair fires when BOTH windows exceed it.
     fast_burn: float = 2.0
     slow_burn: float = 1.0

@@ -25,7 +25,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import count
-from typing import Any, Deque, List, Optional, Set, Tuple
+from typing import Any, Deque, List, Set, Tuple
 
 from ..errors import SimError
 from .core import Event, Simulation

@@ -11,7 +11,6 @@ from repro.core import (
     ClusteringConfig,
     DatabaseAdapter,
     HttpAdapter,
-    IdenticalRequestCombiner,
     LatencyAwareBalancer,
     MgetCombiner,
     QoSPolicy,
@@ -21,7 +20,7 @@ from repro.core import (
     TransactionTracker,
 )
 from repro.db import Database, DatabaseServer
-from repro.http import BackendWebServer, HttpResponse
+from repro.http import BackendWebServer
 
 
 @pytest.fixture

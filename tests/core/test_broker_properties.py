@@ -8,8 +8,6 @@ drops, and reply addressing.
 
 from __future__ import annotations
 
-from collections import Counter
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -72,6 +72,17 @@ class TestFileAdapter:
         assert reply.status is ReplyStatus.ERROR
         assert broker.outstanding == 0
 
+    def test_unknown_operation_is_error_reply(self, sim, file_stack):
+        _server, broker, client = file_stack
+
+        def run():
+            reply = yield from client.call("files", "frobnicate", (), cacheable=False)
+            return reply
+
+        reply = sim.run(sim.process(run()))
+        assert reply.status is ReplyStatus.ERROR
+        assert broker.outstanding == 0
+
     def test_concurrent_reads_batched_and_routed(self, sim, file_stack):
         server, broker, client = file_stack
         results = {}

@@ -195,13 +195,13 @@ class TestRecoveryJournal:
 
 
 class TestSupervisor:
-    def setup_supervised(self, sim, net, backend, **watch_kwargs):
+    def setup_supervised(self, sim, net, backend):
         broker, client = make_broker(sim, net, backend)
         supervisor = BrokerSupervisor(
             sim, net.node("mon"), metrics=broker.metrics
         )
         journal = RecoveryJournal(sim, metrics=broker.metrics)
-        watch = supervisor.watch(broker, journal=journal, **watch_kwargs)
+        watch = supervisor.watch(broker, journal=journal)
         return broker, client, supervisor, journal, watch
 
     def test_detects_death_and_fails_fast(self, sim, net, backend):
@@ -226,7 +226,7 @@ class TestSupervisor:
 
         sim.process(driver())
         sim.run(until=2.0)
-        # Detection within interval * miss_factor of the last heartbeat.
+        # Detection within HEARTBEAT_INTERVAL * MISS_FACTOR of the last heartbeat.
         assert not supervisor.is_up(broker.name)
         assert watch.detected == 1
         assert broker.metrics.counter("lifecycle.broker_down") == 1
@@ -288,7 +288,7 @@ class TestSupervisor:
 
     def test_blip_restart_replays_before_detection(self, sim, net, backend):
         broker, client, supervisor, journal, watch = self.setup_supervised(
-            sim, net, backend, interval=0.05, miss_factor=3.0
+            sim, net, backend
         )
         replies = []
 
@@ -304,7 +304,7 @@ class TestSupervisor:
                 sim.process(one(i))
             yield sim.timeout(0.05)
             broker.crash()
-            # Heal faster than interval * miss_factor = 0.15 s: the
+            # Heal faster than HEARTBEAT_INTERVAL * MISS_FACTOR = 0.15 s: the
             # supervisor never notices, restart() replays the journal.
             yield sim.timeout(0.05)
             broker.restart()

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.db import Database
-from repro.db.index import HashIndex, SortedIndex
 from repro.db.planner import plan_access
 from repro.db.parser import parse
 from repro.errors import (

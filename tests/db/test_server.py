@@ -6,7 +6,7 @@ import pytest
 
 from repro.db import CostModel, Database, DatabaseClient, DatabaseServer
 from repro.db.executor import ExecutionStats
-from repro.errors import ProtocolError, QueryError
+from repro.errors import QueryError
 
 
 @pytest.fixture
@@ -94,7 +94,6 @@ class TestDatabaseServer:
 
     def test_bad_handshake_rejected(self, sim, net, served_db):
         server, client_node = served_db
-        from repro.net import Address
 
         def run():
             stream = yield from client_node.connect_stream(server.address)

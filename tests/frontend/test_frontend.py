@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.db import Database, DatabaseServer
 from repro.frontend import (
     ApiBackendGateway,
@@ -13,8 +11,6 @@ from repro.frontend import (
 )
 from repro.frontend.app import QOS_HEADER
 from repro.http import BackendWebServer, HttpClient, HttpRequest, HttpResponse
-from repro.ldapdir import DirectoryServer, DirectoryTree
-from repro.mail import MailServer, MessageStore
 
 
 class TestQosHeader:
@@ -241,35 +237,3 @@ class TestApiBackendGateway:
             return (yield from gateway.http_get(server.address, "/x"))
 
         assert sim.run(sim.process(run())).body == "body"
-
-    def test_ldap_search(self, sim, net):
-        tree = DirectoryTree()
-        tree.add("dc=x", {"objectClass": "domain"})
-        tree.add("cn=a,dc=x", {"objectClass": "person"})
-        server = DirectoryServer(sim, net.node("ldap"), tree)
-        gateway = ApiBackendGateway(sim, net.node("app"))
-
-        def run():
-            return (
-                yield from gateway.ldap_search(server.address, "dc=x", "sub", "(objectClass=person)")
-            )
-
-        assert len(sim.run(sim.process(run()))) == 1
-
-    def test_mail_roundtrip(self, sim, net):
-        store = MessageStore()
-        store.create_mailbox("bob")
-        server = MailServer(sim, net.node("mail"), store)
-        gateway = ApiBackendGateway(sim, net.node("app"))
-
-        def run():
-            message_id = yield from gateway.mail_send(
-                server.address, "alice", "bob", "subj", "body"
-            )
-            ids = yield from gateway.mail_list(server.address, "bob")
-            return message_id, ids
-
-        message_id, ids = sim.run(sim.process(run()))
-        assert ids == [message_id]
-        # Two API operations, two separate connections.
-        assert server.metrics.counter("mail.connections") == 2

@@ -8,8 +8,6 @@ processes (the paper's §II hot-spot cascade).
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core import (
     BrokerClient,
     HttpAdapter,

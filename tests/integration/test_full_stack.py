@@ -7,8 +7,6 @@ errored, or still queued/in-flight) and end-to-end determinism.
 
 from __future__ import annotations
 
-import pytest
-
 from repro import (
     BackendWebServer,
     BrokerClient,

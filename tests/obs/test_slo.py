@@ -35,8 +35,6 @@ def spec(**overrides):
         objective=0.9,
         good=("good",),
         total=("total",),
-        fast=(5.0, 60.0),
-        slow=(30.0, 360.0),
         fast_burn=2.0,
         slow_burn=1.0,
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimError
-from repro.sim import Resource, Simulation, Store
+from repro.sim import Resource, Store
 
 
 class TestResource:

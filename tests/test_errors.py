@@ -26,9 +26,6 @@ class TestHierarchy:
             errors.SqlSyntaxError,
             errors.UnknownTableError,
             errors.UnknownColumnError,
-            errors.FilterSyntaxError,
-            errors.NoSuchEntryError,
-            errors.MailboxError,
             errors.HttpError,
             errors.BrokerError,
             errors.AdmissionRejected,

@@ -77,8 +77,8 @@ def test_an_http_only_run_loads_no_other_service_and_no_process_pool():
     unwanted = loaded(
         seen,
         "multiprocessing", "repro.sim.parallel", "repro.workload.chaos",
-        "repro.ldapdir", "repro.mail", "repro.fileserver", "repro.analysis",
-        "repro.obs.export", "repro.obs.dashboard", "repro.cli", *OPENSSL,
+        "repro.fileserver", "repro.analysis", "repro.obs.export",
+        "repro.obs.dashboard", "repro.cli", *OPENSSL,
     )
     assert unwanted == []
     assert len(loaded(seen, "repro")) <= 60, loaded(seen, "repro")
@@ -101,7 +101,7 @@ def test_the_timed_run_imports_nothing(workload):
     assert loaded(seen["built"], "multiprocessing") == []
     assert loaded(seen["built"], *OPENSSL) == []
     if workload == "fleet_autoscale":
-        assert loaded(seen["built"], "repro.ldapdir", "repro.mail", "repro.fileserver") == []
+        assert loaded(seen["built"], "repro.fileserver") == []
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
@@ -129,10 +129,3 @@ def test_the_surface_behaves_like_a_module():
     with pytest.raises(ImportError):
         exec("from repro.core import nope")
 
-
-def test_the_gateway_default_scope_is_the_directory_constant():
-    from repro.frontend import ApiBackendGateway
-    from repro.ldapdir import SCOPE_SUB
-
-    signature = inspect.signature(ApiBackendGateway.ldap_search)
-    assert signature.parameters["scope"].default == SCOPE_SUB

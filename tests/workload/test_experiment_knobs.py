@@ -56,11 +56,9 @@ ALLOWED = {
     ("run_qos_experiment", "backend_capacity"): _CALIBRATION,
     ("BrokerSupervisor", "port"): _PORT,
     ("DatabaseServer", "port"): _PORT,
-    ("DirectoryServer", "port"): _PORT,
     ("FileServer", "port"): _PORT,
     ("FrontendWebServer", "port"): _PORT,
     ("LoadListener", "port"): _PORT,
-    ("MailServer", "port"): _PORT,
 }
 
 
