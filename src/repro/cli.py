@@ -497,10 +497,10 @@ def _describe_autoscale() -> str:
         "survives restart) and the coordinator resumes with fresh grace.",
         "",
         "Per-tenant throttling: token buckets (rate/burst, overridable per",
-        "tenant) refuse excess as 429 at the front end and as DROPPED/",
-        "throttled at the broker ThrottleStage. A throttle refusal is 'we",
-        "refused', not 'we lost': it is excluded from SLO burn and from",
-        "the availability denominator.",
+        "tenant) refuse excess as DROPPED/throttled at the broker",
+        "ThrottleStage. A throttle refusal is 'we refused', not 'we lost':",
+        "it is excluded from SLO burn and from the availability",
+        "denominator.",
         "",
         "Headline run: three diurnal QoS classes sweep base..base*swing",
         "once per period plus a flash-crowd tenant ('burst') whose bucket",

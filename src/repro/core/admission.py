@@ -48,18 +48,17 @@ _REJECT_INTENSITY = AdmissionDecision(False, AdmissionDecision.INTENSITY_REASON)
 class AdmissionController:
     """Applies the QoS policy's gates to arriving requests."""
 
+    #: Seconds of arrivals the intensity gate's rate estimate covers.
+    rate_window = 1.0
+
     def __init__(
         self,
         sim: Simulation,
         policy: QoSPolicy,
-        rate_window: float = 1.0,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        if rate_window <= 0:
-            raise ValueError(f"rate_window must be positive: {rate_window!r}")
         self.sim = sim
         self.policy = policy
-        self.rate_window = rate_window
         self.metrics = metrics or MetricsRegistry()
         self.outstanding = 0
         # Arrival timestamps inside the current window, kept only for the

@@ -4,9 +4,8 @@ an elastic broker pool with a graceful drain protocol.
 Three cooperating pieces close the control loop ROADMAP item 3 asks for:
 
 - :class:`TokenBucket` / :class:`TenantThrottle` — the pure rate-limit
-  primitive the front end (and the broker-side
-  :class:`~repro.core.pipeline.ThrottleStage`) use to refuse one
-  tenant's flash crowd before it starves the pool.
+  primitive the broker's :class:`~repro.core.pipeline.ThrottleStage`
+  uses to refuse one tenant's flash crowd before it starves the pool.
 - :class:`AutoscalerPolicy` + :func:`decide_scale` — a *pure*
   target-tracking decision function (hysteresis band, asymmetric
   scale-out/scale-in cooldowns, per-decision step limit, hard
@@ -121,9 +120,8 @@ class TenantThrottle:
     Every tenant gets the default ``(rate, burst)`` unless *overrides*
     names it explicitly — so a premium tenant can buy headroom while an
     abusive one is clamped. The class is pure (caller supplies the
-    clock) and emits no metrics; call sites count their own rejections
-    so front-end refusals (``frontend.throttle.rejected``) stay
-    distinguishable from broker-side ones (``broker.throttle.rejected``).
+    clock) and emits no metrics; its call site, the broker's
+    ``ThrottleStage``, counts rejections as ``broker.throttle.rejected``.
     """
 
     def __init__(

@@ -109,7 +109,6 @@ class ServiceBroker:
         pool_size: int = 2,
         dispatchers: Optional[int] = None,
         transactions: Optional[TransactionTracker] = None,
-        rate_window: float = 1.0,
         priority_queueing: bool = True,
         metrics: Optional[MetricsRegistry] = None,
         name: str = "",
@@ -138,9 +137,7 @@ class ServiceBroker:
             )
             for adapter in adapters
         ]
-        self.admission = AdmissionController(
-            sim, self.qos, rate_window=rate_window, metrics=self.metrics
-        )
+        self.admission = AdmissionController(sim, self.qos, metrics=self.metrics)
         # With priority queueing the backlog is served in QoS order; with
         # FCFS (the paper's binary forward-or-drop testbed) admission is
         # the only differentiation mechanism and the bounded queue is

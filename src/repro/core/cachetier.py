@@ -60,6 +60,11 @@ __all__ = ["SharedCacheTier", "PendingWrite"]
 
 #: Queued writes the flusher drains per wakeup.
 FLUSH_BATCH = 8
+#: Bound on the write-behind queue; a write arriving when the queue is
+#: full is refused (the caller write-throughs instead).
+FLUSH_QUEUE_DEPTH = 64
+#: Simulated seconds between flusher wakeups.
+FLUSH_INTERVAL = 0.05
 
 
 class PendingWrite:
@@ -109,12 +114,10 @@ class SharedCacheTier:
     metrics:
         Registry for the ``broker.cachetier.*`` counters; pass the
         deployment's shared registry so one dump shows the whole tier.
-    flush_queue_depth:
-        Bound on the write-behind queue; a write arriving when the
-        queue is full is refused (the caller write-throughs instead).
-    flush_interval:
-        The flusher wakes every ``flush_interval`` simulated seconds
-        and drains up to :data:`FLUSH_BATCH` queued writes per wakeup.
+
+    The write-behind queue holds up to :data:`FLUSH_QUEUE_DEPTH`
+    writes; the flusher wakes every :data:`FLUSH_INTERVAL` simulated
+    seconds and drains up to :data:`FLUSH_BATCH` of them per wakeup.
     """
 
     def __init__(
@@ -123,15 +126,7 @@ class SharedCacheTier:
         capacity: int = 4096,
         ttl: float = 30.0,
         metrics: Optional[MetricsRegistry] = None,
-        flush_queue_depth: int = 64,
-        flush_interval: float = 0.05,
     ) -> None:
-        if flush_queue_depth < 1:
-            raise ValueError(
-                f"flush_queue_depth must be >= 1: {flush_queue_depth!r}"
-            )
-        if flush_interval <= 0:
-            raise ValueError(f"flush_interval must be positive: {flush_interval!r}")
         self.sim = sim
         self.metrics = metrics or MetricsRegistry()
         self.ttl = ttl
@@ -139,8 +134,6 @@ class SharedCacheTier:
             capacity=capacity, ttl=ttl, clock=lambda: sim.now
         )
         self._store.bind_metrics(self.metrics, prefix="broker.cachetier")
-        self.flush_queue_depth = flush_queue_depth
-        self.flush_interval = flush_interval
         self._flush_queue: "deque[PendingWrite]" = deque()
         self._flusher_running = False
         self._txn_keys: Dict[str, List[str]] = {}
@@ -248,7 +241,7 @@ class SharedCacheTier:
             self.invalidate(key)
         if txn_id is not None:
             self._txn_keys.setdefault(txn_id, []).extend(key_tuple)
-        if len(self._flush_queue) >= self.flush_queue_depth:
+        if len(self._flush_queue) >= FLUSH_QUEUE_DEPTH:
             self._h_wb_overflow.inc()
             return False
         self._flush_queue.append(
@@ -282,7 +275,7 @@ class SharedCacheTier:
 
     def _flush_loop(self):
         while True:
-            yield self.flush_interval
+            yield FLUSH_INTERVAL
             drained = 0
             while self._flush_queue and drained < FLUSH_BATCH:
                 yield from self._flush_one(self._flush_queue.popleft())

@@ -170,8 +170,7 @@ class LoadListener:
 
         Called when a broker leaves the pool gracefully (scale-in): its
         service-table entries, per-shard reports, and per-shard leader
-        records go away *immediately* rather than lingering until the
-        staleness threshold trips — a stale entry would keep steering
+        records go away *immediately* — a stale entry would keep steering
         the admit decision by a broker that no longer exists. Service
         aggregates are recomputed from the surviving shard reports.
         """
@@ -201,10 +200,6 @@ class LoadListener:
     def load_of(self, service: str) -> Optional[LoadReport]:
         """The most recently applied report for *service*, if any."""
         return self.table.get(service)
-
-    def leader_of(self, service: str, shard: int) -> Optional[str]:
-        """The broker currently reporting as (*service*, *shard*) leader."""
-        return self.shard_leaders.get((service, shard))
 
     def staleness(self, service: str) -> float:
         """Seconds since the last applied update for *service*."""
@@ -245,19 +240,6 @@ class CentralizedController:
     the last known broker load meets or exceeds that QoS class's
     admission limit. Unknown services (no report yet) are treated
     optimistically, as the real system must.
-
-    The paper notes the listener "can be overwhelmed". With
-    *staleness_threshold* set, the controller runs a two-state
-    freshness machine: when the stalest profiled service's report age
-    exceeds the threshold it flips to **degraded** mode and admits
-    everything — handing the admission decision back to the per-broker
-    :class:`~repro.core.pipeline.AdmissionStage` (distributed-mode
-    behaviour) rather than deciding from a load table it knows is
-    stale. It recovers to centralized mode once staleness falls back
-    below :attr:`recover_staleness`, half the threshold (hysteresis
-    against flapping). Both transitions emit metrics and trace spans.
-    With the default ``staleness_threshold=None`` the
-    state machine is disabled and behaviour is byte-identical.
     """
 
     def __init__(
@@ -265,74 +247,16 @@ class CentralizedController:
         listener: LoadListener,
         profiles: ResourceProfileRegistry,
         qos: Optional[QoSPolicy] = None,
-        staleness_threshold: Optional[float] = None,
     ) -> None:
         self.listener = listener
         self.profiles = profiles
         self.qos = qos or QoSPolicy()
         self.metrics = MetricsRegistry()
-        self.staleness_threshold = staleness_threshold
-        #: Half the threshold: hysteresis against flapping.
-        self.recover_staleness = (
-            None if staleness_threshold is None else staleness_threshold / 2.0
-        )
-        #: ``"centralized"`` or ``"degraded"`` (distributed fallback).
-        self.mode = "centralized"
-        #: Mode flips so far (degrade + recover).
-        self.transitions = 0
-
-    def leader_of(self, service: str, shard: int) -> Optional[str]:
-        """The broker the controller believes leads (*service*, *shard*).
-
-        Tracked from the leadership claims on incoming
-        :class:`ShardLoadReport` datagrams — only shard leaders carry
-        the reporting role, so this follows bully-election outcomes
-        with one report interval of lag.
-        """
-        return self.listener.leader_of(service, shard)
-
-    @property
-    def leader_failovers(self) -> int:
-        """Times the reporting role moved between brokers of a shard."""
-        return self.listener.leader_failovers
-
-    def _update_mode(self, services: Sequence[str]) -> str:
-        """Run the freshness state machine; returns the current mode."""
-        stalest = 0.0
-        for service in services:
-            staleness = self.listener.staleness(service)
-            if staleness == float("inf"):
-                # Never reported: stay optimistic, exactly as admit()
-                # treats a missing report.
-                continue
-            if staleness > stalest:
-                stalest = staleness
-        if self.mode == "centralized":
-            if stalest > self.staleness_threshold:
-                self.mode = "degraded"
-                self.transitions += 1
-                self.metrics.increment("centralized.degraded_transitions")
-                self.metrics.observe("centralized.mode", 1.0)
-        elif stalest <= self.recover_staleness:
-            self.mode = "centralized"
-            self.transitions += 1
-            self.metrics.increment("centralized.recovered_transitions")
-            self.metrics.observe("centralized.mode", 0.0)
-        return self.mode
 
     def admit(self, request: HttpRequest) -> Tuple[bool, str]:
         """The admission decision for one incoming front-end request."""
         level = self.qos.clamp(qos_of(request))
-        services = self.profiles.services_for(request.path)
-        if (
-            self.staleness_threshold is not None
-            and self._update_mode(services) == "degraded"
-        ):
-            # Stale load table: admit at the front door and let each
-            # broker's own admission gate decide (distributed mode).
-            self.metrics.increment("centralized.degraded_admits")
-            return True, ""
-        for service in services:
+        for service in self.profiles.services_for(request.path):
             report = self.listener.load_of(service)
             if report is None:
                 continue

@@ -9,16 +9,15 @@ service over UDP and matches replies to callers by request id.
 With the shard tier the client addresses a *service*, not a broker:
 :meth:`BrokerClient.use_directory` installs a
 :class:`~repro.core.sharding.ShardDirectory`, and calls for services it
-knows resolve per attempt through the consistent-hash ring to the owning
-shard's live leader (re-resolved on retry, so a timeout after a leader
-crash fails over to the freshly elected replica). Services the
+knows resolve per call through the consistent-hash ring to the owning
+shard's live leader. Services the
 directory does not know — and every call when no directory is set —
 use the classic static route table, unchanged.
 
-Because UDP is unreliable, calls support a timeout plus retries; on a
-lossless LAN (the default testbeds) neither ever fires. A call with a
-timeout therefore arms no timer of its own: the client keeps the
-``(expires_at, request_id)`` pairs of its attempts in a small heap and
+Because UDP is unreliable, a call may set a timeout; on a lossless LAN
+(the default testbeds) it never fires. A call with a timeout therefore
+arms no timer of its own: the client keeps the
+``(expires_at, request_id)`` pairs of its calls in a small heap and
 one kernel event, the alarm, scheduled for the earliest live deadline
 (DESIGN.md §9, "deadline alarm").
 """
@@ -56,14 +55,10 @@ class BrokerClient:
         sim: Simulation,
         node: Node,
         routes: Mapping[str, Address],
-        default_timeout: Optional[float] = None,
-        retries: int = 0,
     ) -> None:
         self.sim = sim
         self.node = node
         self.routes: Dict[str, Address] = dict(routes)
-        self.default_timeout = default_timeout
-        self.retries = retries
         self.metrics = MetricsRegistry()
         self.socket = node.datagram_socket()
         self._ids = count(1)
@@ -171,10 +166,9 @@ class BrokerClient:
 
         Returns the :class:`BrokerReply` (which may be DEGRADED, DROPPED
         or ERROR — callers inspect ``reply.status``). Raises
-        :class:`BrokerTimeout` if no reply arrives within *timeout*
-        after ``retries`` resends.
+        :class:`BrokerTimeout` if no reply arrives within *timeout*.
 
-        Every attempt originates a fresh
+        Every call originates a fresh
         :class:`~repro.core.pipeline.RequestContext` here, at the
         front-end side; it rides the request through the net layer and
         the broker's stage pipeline, and comes back on
@@ -184,8 +178,7 @@ class BrokerClient:
         nests this call's trace under the parent request's trace.
         """
         directory = self._directory
-        sharded = directory is not None and directory.knows(service)
-        if sharded:
+        if directory is not None and directory.knows(service):
             # The same key the broker's ShardRouteStage derives, so the
             # client-side resolution and the ring agree on the owner.
             routing_key = (
@@ -193,78 +186,68 @@ class BrokerClient:
                 if cache_key is not None
                 else f"{service}:{operation}:{payload!r}"
             )
-            address = None
+            address = directory.address_for(service, routing_key)
         else:
             address = self.routes.get(service)
             if address is None:
                 raise UnknownServiceError(
                     f"no broker registered for service {service!r}"
                 )
-        deadline = timeout if timeout is not None else self.default_timeout
-        attempts = self.retries + 1
-        for attempt in range(attempts):
-            if sharded:
-                # Re-resolved every attempt: a retry after a leader
-                # crash routes to the freshly elected replica.
-                address = directory.address_for(service, routing_key)
-            request_id = next(self._ids)
-            started = self.sim._now
-            context = RequestContext.originate(
-                now=started, origin=self.node.name
-            )
-            if parent is not None:
-                context.parent = parent
-            request = BrokerRequest(
-                request_id=request_id,
-                service=service,
-                operation=operation,
-                payload=payload,
-                reply_to=self.socket.address,
-                qos_level=qos_level,
-                txn_id=txn_id,
-                txn_step=txn_step,
-                cacheable=cacheable,
-                cache_key=cache_key,
-                sent_at=started,
-                context=context,
-            )
-            context.request = request
-            waiter = Event(self.sim)
-            self._pending[request_id] = waiter
-            self._calls.inc()
-            self.socket.sendto(request, address)
-            if deadline is not None:
-                expires_at = started + deadline
-                heappush(self._deadlines, (expires_at, request_id))
-                if expires_at < self._alarm_at:
-                    self._arm(expires_at)
-            reply = yield waiter
-            if reply is _EXPIRED:
-                self.metrics.increment("client.timeouts")
-                continue
-            now = self.sim._now
-            status = reply.status._value_
-            self._call_time.add(now - started)
-            counter = self._replies_by_status.get(status)
-            if counter is None:
-                counter = self._replies_by_status[status] = self.metrics.handle(
-                    f"client.replies.{status}"
-                )
-            counter.inc()
-            context = reply.context
-            if context is not None:
-                context.record_stage("client", started, now, status)
-                obs = self.sim.obs
-                if obs is not None:
-                    obs.finish(context)
-                # The exchange is over: the context lets go of its two
-                # messages, so all three die with the caller's last
-                # reference (DESIGN.md §9).
-                context.request = context.reply = None
-            return reply
-        raise BrokerTimeout(
-            f"no reply from {service!r} broker after {attempts} attempt(s)"
+        request_id = next(self._ids)
+        started = self.sim._now
+        context = RequestContext.originate(now=started, origin=self.node.name)
+        if parent is not None:
+            context.parent = parent
+        request = BrokerRequest(
+            request_id=request_id,
+            service=service,
+            operation=operation,
+            payload=payload,
+            reply_to=self.socket.address,
+            qos_level=qos_level,
+            txn_id=txn_id,
+            txn_step=txn_step,
+            cacheable=cacheable,
+            cache_key=cache_key,
+            sent_at=started,
+            context=context,
         )
+        context.request = request
+        waiter = Event(self.sim)
+        self._pending[request_id] = waiter
+        self._calls.inc()
+        self.socket.sendto(request, address)
+        if timeout is not None:
+            expires_at = started + timeout
+            heappush(self._deadlines, (expires_at, request_id))
+            if expires_at < self._alarm_at:
+                self._arm(expires_at)
+        reply = yield waiter
+        if reply is _EXPIRED:
+            self.metrics.increment("client.timeouts")
+            raise BrokerTimeout(
+                f"no reply from {service!r} broker within {timeout} s"
+            )
+        now = self.sim._now
+        status = reply.status._value_
+        self._call_time.add(now - started)
+        counter = self._replies_by_status.get(status)
+        if counter is None:
+            counter = self._replies_by_status[status] = self.metrics.handle(
+                f"client.replies.{status}"
+            )
+        counter.inc()
+        context = reply.context
+        if context is not None:
+            context.record_stage("client", started, now, status)
+            obs = self.sim.obs
+            if obs is not None:
+                obs.finish(context)
+            # The exchange is over: the context lets go of its two
+            # messages, so all three die with the caller's last
+            # reference (DESIGN.md §9).
+            context.request = context.reply = None
+        return reply
 
     def call_parallel(self, specs: Sequence[CallSpec]):
         """Issue several calls concurrently; ``yield from`` this.

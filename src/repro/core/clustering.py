@@ -107,8 +107,8 @@ class RepeatWorkloadCombiner(Combiner):
     request in the batch receives the same response body.
     """
 
-    def __init__(self, repeat_param: str = "repeat") -> None:
-        self.repeat_param = repeat_param
+    #: The query parameter carrying the repeat count.
+    repeat_param = "repeat"
 
     def key(self, request: BrokerRequest) -> Optional[str]:
         if request.operation != "get":

@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import ClassVar, List, Optional, Sequence
 
 from ..errors import BrokerError
 from ..metrics import MetricsRegistry
@@ -75,11 +75,12 @@ class CircuitBreaker:
     reset_timeout:
         Seconds an OPEN breaker waits before going HALF_OPEN; also the
         replenish period for half-open probe budget.
-    half_open_probes:
-        Live probes admitted per HALF_OPEN window.
     metrics:
         Registry receiving state samples and transition counters.
     """
+
+    #: Live probes admitted per HALF_OPEN window.
+    half_open_probes = 1
 
     def __init__(
         self,
@@ -87,7 +88,6 @@ class CircuitBreaker:
         name: str = "",
         failure_threshold: int = 3,
         reset_timeout: float = 1.0,
-        half_open_probes: int = 1,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if failure_threshold < 1:
@@ -96,15 +96,10 @@ class CircuitBreaker:
             )
         if reset_timeout <= 0:
             raise BrokerError(f"reset_timeout must be > 0: {reset_timeout!r}")
-        if half_open_probes < 1:
-            raise BrokerError(
-                f"half_open_probes must be >= 1: {half_open_probes!r}"
-            )
         self.sim = sim
         self.name = name
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.half_open_probes = half_open_probes
         self.metrics = metrics or MetricsRegistry()
         self._state = BreakerState.CLOSED
         self._failures = 0
@@ -205,19 +200,15 @@ class RetryPolicy:
 
     max_attempts: int = 3
     base_delay: float = 0.05
-    multiplier: float = 2.0
-    jitter: float = 0.5
-    max_delay: float = 2.0
+    multiplier: ClassVar[float] = 2.0
+    jitter: ClassVar[float] = 0.5
+    max_delay: ClassVar[float] = 2.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise BrokerError(f"max_attempts must be >= 1: {self.max_attempts!r}")
-        if self.base_delay < 0 or self.max_delay < 0:
-            raise BrokerError("retry delays must be >= 0")
-        if self.multiplier < 1.0:
-            raise BrokerError(f"multiplier must be >= 1: {self.multiplier!r}")
-        if self.jitter < 0:
-            raise BrokerError(f"jitter must be >= 0: {self.jitter!r}")
+        if self.base_delay < 0:
+            raise BrokerError(f"base_delay must be >= 0: {self.base_delay!r}")
 
     def backoff(self, attempt: int, rng: random.Random) -> float:
         """The pause before retry number *attempt* (1-based)."""

@@ -10,8 +10,7 @@ system is busy without waiting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Optional
+from typing import TYPE_CHECKING, Optional
 
 from .cache import ResultCache
 from .protocol import BrokerReply, BrokerRequest, ReplyStatus
@@ -22,21 +21,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["FidelityPolicy"]
 
 
-@dataclass(frozen=True)
 class FidelityPolicy:
     """How to answer a request the broker will not forward.
 
-    ``serve_stale`` enables degraded replies from expired cache entries;
-    ``max_stale_age`` bounds how old a stale result may be; stale
-    fidelity decays linearly from ``stale_fidelity`` to
-    ``busy_fidelity`` over that age.
+    A cached result, expired or not, is served as a degraded reply;
+    ``max_stale_age`` bounds how old it may be, and its fidelity decays
+    linearly from ``stale_fidelity`` to ``busy_fidelity`` over that age.
     """
 
-    serve_stale: bool = True
-    max_stale_age: float = 300.0
-    stale_fidelity: ClassVar[float] = 0.5
-    busy_fidelity: ClassVar[float] = 0.0
-    busy_message: ClassVar[str] = "system busy"
+    max_stale_age = 300.0
+    stale_fidelity = 0.5
+    busy_fidelity = 0.0
+    busy_message = "system busy"
 
     def degrade(
         self,
@@ -47,16 +43,15 @@ class FidelityPolicy:
         context: Optional["RequestContext"] = None,
     ) -> BrokerReply:
         """Build the immediate low-fidelity reply for a rejected request."""
-        if self.serve_stale and cache is not None and request.cacheable:
+        if cache is not None and request.cacheable:
             stale = cache.get_stale(request.key())
             if stale is not None:
                 value, age = stale
                 if age <= self.max_stale_age:
-                    span = self.max_stale_age or 1.0
                     fidelity = max(
                         self.busy_fidelity,
                         self.stale_fidelity
-                        * (1.0 - max(age, 0.0) / span),
+                        * (1.0 - max(age, 0.0) / self.max_stale_age),
                     )
                     return BrokerReply(
                         request_id=request.request_id,

@@ -123,10 +123,6 @@ class RecoveryJournal:
         """Requests currently admitted but unanswered."""
         return len(self._pending)
 
-    def pending(self) -> List[BrokerRequest]:
-        """The admitted-but-unanswered requests, in admission order."""
-        return list(self._pending.values())
-
     def take_pending(self) -> List[BrokerRequest]:
         """Drain and return the pending set (consumed exactly once)."""
         requests = list(self._pending.values())

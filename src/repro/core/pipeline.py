@@ -617,17 +617,15 @@ class TimeoutBudgetStage(BrokerStage):
     request is allowed to be processed, the higher fidelity it will
     receive" (§III) — so the fault-tolerant plan makes the allowance
     explicit: the request's QoS class maps to a completion budget
-    (:meth:`QoSPolicy.deadline <repro.core.qos.QoSPolicy.deadline>`,
-    falling back to this stage's ``default_budget``), and retry/failover
-    stop burning time on a dead backend once the budget is spent —
-    the request degrades instead.
+    (:meth:`QoSPolicy.deadline <repro.core.qos.QoSPolicy.deadline>`),
+    and retry/failover stop burning time on a dead backend once the
+    budget is spent — the request degrades instead.
     """
 
     name = "timeout"
 
-    def __init__(self, default_budget: Optional[float] = None) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.default_budget = default_budget
         #: Budget → preformatted decision label (budgets are per-QoS
         #: constants, so this stays tiny).
         self._budget_labels: Dict[float, str] = {}
@@ -635,8 +633,6 @@ class TimeoutBudgetStage(BrokerStage):
     def on_request(self, ctx: RequestContext) -> StageOutcome:
         """Attach the absolute deadline (creation time + budget)."""
         budget = self.broker.qos.deadline(ctx.qos_level)
-        if budget is None:
-            budget = self.default_budget
         if budget is None:
             ctx.set_decision("unbounded")
             return StageOutcome.CONTINUE
@@ -772,9 +768,7 @@ class ThrottleStage(BrokerStage):
     deliberately distinct from admission drops (``broker.drops.*``, we
     chose not to serve) and backpressure sheds (``broker.shed.*``, we
     admitted but could not keep). Not part of any default stage plan;
-    insert it explicitly (the front end carries the first-line tenant
-    throttle — see :class:`~repro.frontend.server.FrontendWebServer` —
-    and this stage protects brokers reachable without that front end).
+    insert it explicitly. It is the one place tenants are throttled.
     """
 
     name = "throttle"
@@ -1003,37 +997,26 @@ class BackpressureStage(BrokerStage):
     :class:`~repro.core.fidelity.FidelityPolicy` — a stale-cache
     DEGRADED reply when one exists, else a "system busy" DROPPED reply.
 
-    The stage also runs a watermark admission throttle: when the
-    backlog crosses ``high_watermark × capacity`` it flips *engaged*
-    and notifies every listener registered via :meth:`add_listener`
-    (typically ``FrontendWebServer.set_throttled``), releasing once the
-    backlog drains below ``low_watermark × capacity``.
+    The stage also tracks watermark hysteresis: when the backlog
+    crosses ``high_watermark × capacity`` it flips *engaged* and counts
+    ``broker.backpressure.engaged``, releasing (and counting
+    ``broker.backpressure.released``) once the backlog drains below
+    ``low_watermark × capacity``.
     """
 
     name = "backpressure"
     anchor = ("before", "enqueue")
+    #: Backlog fractions of *capacity* that engage and release.
+    high_watermark = 0.75
+    low_watermark = 0.5
 
-    def __init__(
-        self,
-        capacity: int,
-        shed_policy: str = "drop-lowest",
-        high_watermark: float = 0.75,
-        low_watermark: float = 0.5,
-    ) -> None:
+    def __init__(self, capacity: int, shed_policy: str = "drop-lowest") -> None:
         super().__init__()
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if not 0.0 < low_watermark <= high_watermark <= 1.0:
-            raise ValueError(
-                "watermarks must satisfy 0 < low <= high <= 1, got "
-                f"low={low_watermark}, high={high_watermark}"
-            )
         self.capacity = capacity
         self.shed_policy = shed_policy
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
         self.engaged = False
-        self._listeners: List[Any] = []
 
     def bind(self, broker: "ServiceBroker") -> None:
         """Bound the broker's queue and pre-resolve the metric handles."""
@@ -1057,10 +1040,6 @@ class BackpressureStage(BrokerStage):
             f"watermarks {self.high_watermark:g}/{self.low_watermark:g}"
         )
 
-    def add_listener(self, listener: Any) -> None:
-        """Register ``listener(engaged, broker_name)`` for transitions."""
-        self._listeners.append(listener)
-
     def on_request(self, ctx: RequestContext) -> StageOutcome:
         """Apply watermark hysteresis; requests always pass through."""
         depth = self.broker.queue._waiting
@@ -1074,13 +1053,10 @@ class BackpressureStage(BrokerStage):
 
     def _transition(self, engaged: bool) -> None:
         self.engaged = engaged
-        broker = self.broker
         if engaged:
             self._engaged_counter.inc()
         else:
             self._released_counter.inc()
-        for listener in self._listeners:
-            listener(engaged, broker.name)
 
     def _shed_victim(self, item: Any, policy: str) -> None:
         """``on_shed`` hook: answer an evicted, already-admitted request."""
@@ -1410,12 +1386,10 @@ class CircuitBreakerStage(BrokerStage):
         self,
         failure_threshold: int = 3,
         reset_timeout: float = 1.0,
-        half_open_probes: int = 1,
     ) -> None:
         super().__init__()
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.half_open_probes = half_open_probes
 
     def bind(self, broker: "ServiceBroker") -> None:
         """Bind and install a breaker on each backend lacking one."""
@@ -1427,7 +1401,6 @@ class CircuitBreakerStage(BrokerStage):
                     name=backend.name,
                     failure_threshold=self.failure_threshold,
                     reset_timeout=self.reset_timeout,
-                    half_open_probes=self.half_open_probes,
                     metrics=broker.metrics,
                 )
 
@@ -1822,13 +1795,6 @@ class StagePipeline:
     def dispatch_stages(self) -> List[BrokerStage]:
         """The stages run by dispatcher processes after dequeue."""
         return list(self._dispatch)
-
-    def stage(self, name: str) -> BrokerStage:
-        """The stage called *name* (raises :class:`BrokerError` if absent)."""
-        for stage in self.stages:
-            if stage.name == name:
-                return stage
-        raise BrokerError(f"no stage named {name!r} in {self.describe()}")
 
     def describe(self) -> List[str]:
         """The configured stage names, in execution order."""

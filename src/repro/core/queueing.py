@@ -91,8 +91,8 @@ class BrokerQueue:
     the backlog after the function's answers change (the paper's
     "reshuffle the queued requests").
 
-    With a *capacity* configured the queue becomes bounded:
-    :meth:`put` either evicts a queued victim (handed to the
+    With a capacity installed by :meth:`configure` the queue becomes
+    bounded: :meth:`put` either evicts a queued victim (handed to the
     ``on_shed`` callback) or returns ``None`` to signal that the
     arrival itself was shed — the caller owes the client an immediate
     low-fidelity "busy" reply.
@@ -102,9 +102,6 @@ class BrokerQueue:
         self,
         sim: Simulation,
         priority_of: Optional[Callable[[BrokerRequest], int]] = None,
-        capacity: Optional[int] = None,
-        shed_policy: str = "reject-new",
-        on_shed: Optional[Callable[[QueuedRequest, str], None]] = None,
     ) -> None:
         self.sim = sim
         self.priority_of = priority_of or (lambda request: request.qos_level)
@@ -121,7 +118,6 @@ class BrokerQueue:
         self.peak_depth = 0
         #: Requests shed by the bound — evictions and rejected arrivals.
         self.shed_count = 0
-        self.configure(capacity, shed_policy, on_shed)
 
     def __len__(self) -> int:
         return self._waiting

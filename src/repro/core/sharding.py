@@ -117,15 +117,15 @@ class HashRing:
             index = 0
         return self._points[index][1]
 
-    def preference(self, key: str, n: Optional[int] = None) -> List[str]:
-        """Return up to *n* distinct nodes in ring order from *key*.
+    def preference(self, key: str) -> List[str]:
+        """Return every node, in ring order from *key*.
 
         The first entry is :meth:`owner`; the rest are the natural
         fallback sequence (the nodes whose points follow on the ring).
         """
         if not self._points:
             raise BrokerError("lookup on an empty ring")
-        want = len(self._nodes) if n is None else min(n, len(self._nodes))
+        want = len(self._nodes)
         start = bisect.bisect_right(self._hashes, _point(self.seed, key))
         found: List[str] = []
         seen = set()
@@ -207,11 +207,6 @@ class ShardGroup:
         return list(self._members)
 
     @property
-    def healths(self) -> List[ReplicaHealth]:
-        """Replica health records, aligned with :attr:`members`."""
-        return [self._health[b.name] for b in self._members]
-
-    @property
     def leader(self) -> Optional["ServiceBroker"]:
         """The current leader (may be stale; :meth:`route` revalidates)."""
         return self._leader
@@ -219,10 +214,6 @@ class ShardGroup:
     def member(self, name: str) -> Optional["ServiceBroker"]:
         """Look up a member broker by name."""
         return self._by_name.get(name)
-
-    def health_of(self, name: str) -> ReplicaHealth:
-        """The shared :class:`ReplicaHealth` for member *name*."""
-        return self._health[name]
 
     def add(self, broker: "ServiceBroker") -> None:
         """Join *broker* as the next (lower-priority) replica."""

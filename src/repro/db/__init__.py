@@ -8,7 +8,7 @@ _EXPORTS = {
     "DatabaseClient": "client",
     "DatabaseConnection": "client",
     "QueryResult": "client",
-    "CostModel": "cost",
+    "service_time": "cost",
     "ExecutionStats": "executor",
     "ResultSet": "executor",
     "HashIndex": "index",

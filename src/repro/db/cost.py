@@ -11,41 +11,29 @@ roughly 0.2 s, in the ballpark of a 2003-era MySQL table traversal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar
 
 from .executor import ExecutionStats
 
-__all__ = ["CostModel"]
+__all__ = ["service_time"]
+
+#: Fixed per-query overhead: parse, plan, buffer management.
+BASE_TIME = 0.002
+#: Cost of touching one row (comparison + buffer access).
+PER_ROW_EXAMINED = 5e-6
+#: Cost of materializing one result row onto the wire.
+PER_ROW_RETURNED = 2e-5
+#: Multiplier applied as n·log2(n) for ORDER BY.
+PER_ROW_SORTED = 2e-6
+#: Cost of one insert/update/delete, including index maintenance.
+PER_ROW_WRITTEN = 5e-5
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Converts :class:`ExecutionStats` into seconds of service time."""
-
-    base: float = 0.002
-    """Fixed per-query overhead: parse, plan, buffer management."""
-
-    per_row_examined: float = 5e-6
-    """Cost of touching one row (comparison + buffer access)."""
-
-    per_row_returned: float = 2e-5
-    """Cost of materializing one result row onto the wire."""
-
-    per_row_sorted: ClassVar[float] = 2e-6
-    """Multiplier applied as n·log2(n) for ORDER BY."""
-
-    per_row_written: ClassVar[float] = 5e-5
-    """Cost of one insert/update/delete, including index maintenance."""
-
-    def service_time(self, stats: ExecutionStats) -> float:
-        """Seconds of backend CPU/IO time for the statement's work."""
-        time = self.base
-        time += stats.rows_examined * self.per_row_examined
-        time += stats.rows_returned * self.per_row_returned
-        time += stats.rows_written * self.per_row_written
-        if stats.sorted_rows > 1:
-            time += self.per_row_sorted * stats.sorted_rows * math.log2(
-                stats.sorted_rows
-            )
-        return time
+def service_time(stats: ExecutionStats) -> float:
+    """Seconds of backend CPU/IO time for the statement's work."""
+    time = BASE_TIME
+    time += stats.rows_examined * PER_ROW_EXAMINED
+    time += stats.rows_returned * PER_ROW_RETURNED
+    time += stats.rows_written * PER_ROW_WRITTEN
+    if stats.sorted_rows > 1:
+        time += PER_ROW_SORTED * stats.sorted_rows * math.log2(stats.sorted_rows)
+    return time

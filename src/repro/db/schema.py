@@ -84,10 +84,6 @@ class Schema:
                 f"unknown column {name!r}; have {self.column_names!r}"
             ) from None
 
-    def column(self, name: str) -> Column:
-        """The :class:`Column` called *name*."""
-        return self.columns[self.index_of(name)]
-
     def coerce_row(
         self, values: Union[Sequence[Any], Mapping[str, Any]]
     ) -> Tuple[Any, ...]:

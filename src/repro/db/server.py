@@ -23,7 +23,7 @@ from ..net.network import Node
 from ..net.transport import StreamConnection
 from ..sim.core import Simulation
 from ..sim.resources import Resource
-from .cost import CostModel
+from .cost import BASE_TIME, service_time
 from .engine import Database
 
 __all__ = ["DatabaseServer"]
@@ -48,8 +48,9 @@ class DatabaseServer:
         Listening port (default 3306).
     max_workers:
         Number of queries processed concurrently; further queries queue.
-    cost_model:
-        Converts executed work into virtual service time.
+
+    Executed work becomes virtual service time through
+    :func:`~repro.db.cost.service_time`.
     """
 
     def __init__(
@@ -59,28 +60,16 @@ class DatabaseServer:
         database: Database,
         port: int = DEFAULT_PORT,
         max_workers: int = 8,
-        cost_model: Optional[CostModel] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.node = node
         self.database = database
-        self.cost_model = cost_model or CostModel()
         self.metrics = metrics or MetricsRegistry()
         self.workers = Resource(sim, max_workers)
         self.listener = node.listen_stream(port)
         self.address = node.address(port)
         self._accept_process = sim.process(self._accept_loop(), name=f"db:{node.name}")
-
-    @property
-    def active_queries(self) -> int:
-        """Queries currently holding a worker."""
-        return self.workers.in_use
-
-    @property
-    def queued_queries(self) -> int:
-        """Queries waiting for a worker."""
-        return self.workers.queued
 
     def _accept_loop(self):
         while True:
@@ -129,14 +118,14 @@ class DatabaseServer:
             try:
                 result = self.database.execute(sql)
             except QueryError as exc:
-                yield self.cost_model.base
+                yield BASE_TIME
                 self.metrics.increment("db.errors")
                 if not connection.closed:
                     connection.send(("error", str(exc)))
                 return
-            service_time = self.cost_model.service_time(result.stats)
-            yield service_time
-            self.metrics.observe("db.service_time", service_time)
+            elapsed = service_time(result.stats)
+            yield elapsed
+            self.metrics.observe("db.service_time", elapsed)
             self.metrics.increment("db.rows_examined", result.stats.rows_examined)
             if not connection.closed:
                 connection.send(
@@ -150,4 +139,4 @@ class DatabaseServer:
         self.listener.close()
 
     def __repr__(self) -> str:
-        return f"<DatabaseServer {self.address} active={self.active_queries}>"
+        return f"<DatabaseServer {self.address} active={self.workers.in_use}>"

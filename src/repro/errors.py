@@ -116,10 +116,9 @@ class UnknownColumnError(QueryError):
 class HttpError(ServiceError):
     """An HTTP exchange failed at the protocol level."""
 
-    def __init__(self, status: int, reason: str = "") -> None:
-        super().__init__(f"HTTP {status}: {reason}" if reason else f"HTTP {status}")
+    def __init__(self, status: int) -> None:
+        super().__init__(f"HTTP {status}")
         self.status = status
-        self.reason = reason
 
 
 # ---------------------------------------------------------------------------

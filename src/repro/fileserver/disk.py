@@ -17,6 +17,7 @@ scheduler (and the broker's batch clustering) exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 __all__ = ["DiskModel"]
 
@@ -31,15 +32,13 @@ class DiskModel:
     """
 
     total_blocks: int = 100_000
-    per_operation: float = 0.004
-    full_seek: float = 0.009
-    per_block_transfer: float = 0.00016
+    per_operation: ClassVar[float] = 0.004
+    full_seek: ClassVar[float] = 0.009
+    per_block_transfer: ClassVar[float] = 0.00016
 
     def __post_init__(self) -> None:
         if self.total_blocks < 1:
             raise ValueError(f"total_blocks must be >= 1: {self.total_blocks!r}")
-        if min(self.per_operation, self.full_seek, self.per_block_transfer) < 0:
-            raise ValueError("disk time constants must be >= 0")
         self.head = 0
         self.seeks = 0
         self.total_seek_distance = 0

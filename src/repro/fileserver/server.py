@@ -84,10 +84,6 @@ class FileServer:
 
     # -- disk arm ---------------------------------------------------------
 
-    @property
-    def queued_reads(self) -> int:
-        return len(self._pending)
-
     def _pick_next(self) -> _PendingRead:
         if self.scheduler == "fcfs":
             return self._pending.pop(0)
@@ -210,5 +206,5 @@ class FileServer:
     def __repr__(self) -> str:
         return (
             f"<FileServer {self.address} scheduler={self.scheduler} "
-            f"queued={self.queued_reads}>"
+            f"queued={len(self._pending)}>"
         )

@@ -15,36 +15,25 @@ from typing import Callable
 
 from ..http.messages import HttpRequest
 
-__all__ = ["WebApplication", "qos_of", "tenant_of"]
+__all__ = ["WebApplication", "qos_of"]
 
 #: Header carrying a request's QoS class (1 = highest priority).
 QOS_HEADER = "x-qos"
-
-#: Header naming the tenant a request bills against (rate limiting).
-TENANT_HEADER = "x-tenant"
 
 #: Seconds of non-backend work (request parsing, HTML rendering) an
 #: application is charged per invocation.
 PARSE_TIME = 0.0005
 
 
-def qos_of(request: HttpRequest, default: int = 1) -> int:
-    """The QoS class of *request*, from its ``x-qos`` header."""
-    try:
-        return int(request.headers.get(QOS_HEADER, default))
-    except (TypeError, ValueError):
-        return default
+def qos_of(request: HttpRequest) -> int:
+    """The QoS class of *request*, from its ``x-qos`` header.
 
-
-def tenant_of(request: HttpRequest) -> str:
-    """The tenant of *request*, from its ``x-tenant`` header.
-
-    Requests without the header share the ``"public"`` bucket, so
-    per-tenant throttling degrades gracefully to a global rate limit
-    for untagged traffic.
+    A missing or malformed header means class 1.
     """
-    tenant = request.headers.get(TENANT_HEADER)
-    return str(tenant) if tenant else "public"
+    try:
+        return int(request.headers.get(QOS_HEADER, 1))
+    except (TypeError, ValueError):
+        return 1
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """The front-end web server.
 
 Apache-prefork-like: every in-flight request occupies one server process
-out of ``max_processes``. When backend accesses stall, processes pile up
+out of :data:`MAX_PROCESSES`. When backend accesses stall, processes pile up
 — the paper's observation that "processes trapped in accessing
 overloaded backend resources essentially exacerbate the overall
 performance".
@@ -31,12 +31,15 @@ from ..net.transport import StreamConnection
 from ..sim.core import Simulation
 from ..sim.resources import Resource
 from ..http.messages import HttpRequest, HttpResponse
-from .app import PARSE_TIME, WebApplication, qos_of, tenant_of
+from .app import PARSE_TIME, WebApplication, qos_of
 
 __all__ = ["FrontendWebServer"]
 
 #: Admission hook signature: request -> (accept, reason).
 AdmissionHook = Callable[[HttpRequest], tuple]
+
+#: Server processes, hence requests in flight at once.
+MAX_PROCESSES = 150
 
 
 class FrontendWebServer:
@@ -47,29 +50,15 @@ class FrontendWebServer:
         sim: Simulation,
         node: Node,
         port: int = 80,
-        max_processes: int = 150,
         admission: Optional[AdmissionHook] = None,
-        throttle_level: Optional[int] = None,
-        tenant_throttle=None,
         name: str = "",
     ) -> None:
         self.sim = sim
         self.node = node
         self.name = name or node.name
         self.admission = admission
-        #: Optional :class:`~repro.core.autoscale.TenantThrottle`: each
-        #: request bills one token against its ``x-tenant`` bucket and
-        #: gets 429 (``frontend.throttle.rejected``) when the bucket is
-        #: empty — "we refused", as opposed to backpressure 503s
-        #: (``frontend.throttled``) and admission 503s
-        #: (``frontend.rejected``).
-        self.tenant_throttle = tenant_throttle
-        #: Requests of this QoS class or worse get 503 while any broker
-        #: backpressure signal is engaged; ``None`` disables throttling.
-        self.throttle_level = throttle_level
-        self._throttled_by: set = set()
         self.metrics = MetricsRegistry()
-        self.processes = Resource(sim, max_processes)
+        self.processes = Resource(sim, MAX_PROCESSES)
         self.listener = node.listen_stream(port)
         self.address = node.address(port)
         self._apps: Dict[str, WebApplication] = {}
@@ -86,34 +75,6 @@ class FrontendWebServer:
     def register_app(self, app: WebApplication) -> None:
         """Mount *app* at its path."""
         self._apps[app.path] = app
-
-    def set_throttled(self, engaged: bool, source: str) -> None:
-        """Backpressure signal from a broker watermark transition.
-
-        Register as a listener on a
-        :class:`~repro.core.pipeline.BackpressureStage`; while any
-        *source* is engaged, requests at ``throttle_level`` or worse
-        are answered 503 before consuming a server process.
-        """
-        if engaged:
-            self._throttled_by.add(source)
-            self.metrics.increment("frontend.throttle.engaged")
-        else:
-            self._throttled_by.discard(source)
-            self.metrics.increment("frontend.throttle.released")
-
-    @property
-    def throttled(self) -> bool:
-        """True while any broker's backpressure signal is engaged."""
-        return bool(self._throttled_by)
-
-    @property
-    def busy_processes(self) -> int:
-        return self.processes.in_use
-
-    @property
-    def queued_requests(self) -> int:
-        return self.processes.queued
 
     def _accept_loop(self):
         while True:
@@ -158,49 +119,6 @@ class FrontendWebServer:
                 paths=request.paths,
                 context=ctx,
             )
-
-            if self.tenant_throttle is not None:
-                now = self.sim.now
-                tenant = tenant_of(request)
-                if not self.tenant_throttle.allow(tenant, now):
-                    self.metrics.increment("frontend.throttle.rejected")
-                    self.metrics.increment(
-                        f"frontend.throttle.rejected.qos{qos}"
-                    )
-                    self.metrics.increment(
-                        f"frontend.throttle.rejected.{tenant}"
-                    )
-                    ctx.record_stage(
-                        "frontend-tenant-throttle", now, now, "throttled"
-                    )
-                    ctx.completed_at = now
-                    obs = self.sim.obs
-                    if obs is not None:
-                        obs.finish(ctx, status="429")
-                    connection.send(
-                        HttpResponse.error(
-                            429, f"tenant {tenant!r} rate limited"
-                        )
-                    )
-                    continue
-
-            if (
-                self._throttled_by
-                and self.throttle_level is not None
-                and qos >= self.throttle_level
-            ):
-                now = self.sim.now
-                self.metrics.increment("frontend.throttled")
-                self.metrics.increment(f"frontend.throttled.qos{qos}")
-                ctx.record_stage("frontend-throttle", now, now, "throttled")
-                ctx.completed_at = now
-                obs = self.sim.obs
-                if obs is not None:
-                    obs.finish(ctx, status="503")
-                connection.send(
-                    HttpResponse.error(503, "throttled: broker backpressure")
-                )
-                continue
 
             if self.admission is not None:
                 admitted_at = self.sim.now
@@ -277,4 +195,4 @@ class FrontendWebServer:
         self.listener.close()
 
     def __repr__(self) -> str:
-        return f"<FrontendWebServer {self.address} busy={self.busy_processes}>"
+        return f"<FrontendWebServer {self.address} busy={self.processes.in_use}>"

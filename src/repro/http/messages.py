@@ -83,9 +83,9 @@ class HttpResponse:
         return 200 <= self.status < 300
 
     @staticmethod
-    def text(body: str, status: int = 200) -> "HttpResponse":
-        """Convenience constructor for a plain-text response."""
-        return HttpResponse(status=status, body=body)
+    def text(body: str) -> "HttpResponse":
+        """Convenience constructor for a plain-text 200 response."""
+        return HttpResponse(status=200, body=body)
 
     @staticmethod
     def error(status: int, message: str = "") -> "HttpResponse":

@@ -169,7 +169,7 @@ class BackendWebServer:
                     outcome = yield from outcome
             except HttpError as exc:
                 self.metrics.increment("http.errors")
-                return HttpResponse.error(exc.status, exc.reason)
+                return HttpResponse.error(exc.status)
             except Exception as exc:  # noqa: BLE001 - CGI bugs become 500s
                 self.metrics.increment("http.errors")
                 return HttpResponse.error(500, f"{type(exc).__name__}: {exc}")

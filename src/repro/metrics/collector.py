@@ -168,20 +168,16 @@ class MetricsRegistry:
 
     # -- histograms ----------------------------------------------------
 
-    def histogram_handle(
-        self, name: str, edges: Optional[List[float]] = None
-    ) -> LatencyHistogram:
+    def histogram_handle(self, name: str) -> LatencyHistogram:
         """The :class:`~repro.metrics.histogram.LatencyHistogram` for
-        *name*, created on first use.
+        *name*, created on first use with the default bucket edges.
 
         Like :meth:`sample_handle`, the histogram object doubles as the
         hot-path handle: keep it and call ``.add(value)`` directly.
-        *edges* only applies on creation; later callers share whatever
-        bucket layout the first caller chose.
         """
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = LatencyHistogram(edges)
+            histogram = LatencyHistogram()
             self._histograms[name] = histogram
         return histogram
 

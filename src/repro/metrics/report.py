@@ -105,12 +105,7 @@ def render_histogram(hist: LatencyHistogram) -> str:
     return "\n".join(lines)
 
 
-def render_series(
-    xs: Iterable[Any],
-    ys: Iterable[Any],
-    x_label: str = "x",
-    y_label: str = "y",
-) -> str:
+def render_series(xs: Iterable[Any], ys: Iterable[Any]) -> str:
     """Render a two-column x/y series (one figure curve)."""
-    rows = [{x_label: x, y_label: y} for x, y in zip(xs, ys)]
-    return render_table(rows, [x_label, y_label])
+    rows = [{"x": x, "y": y} for x, y in zip(xs, ys)]
+    return render_table(rows, ["x", "y"])

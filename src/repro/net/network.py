@@ -96,10 +96,10 @@ class Node:
 
     # -- binding -------------------------------------------------------
 
-    def listen_stream(self, port: int, backlog: Optional[int] = None) -> StreamListener:
+    def listen_stream(self, port: int) -> StreamListener:
         """Bind a stream listener at *port*."""
         self._check_free(port)
-        listener = StreamListener(self, port, backlog=backlog)
+        listener = StreamListener(self, port)
         self._bound[port] = listener
         return listener
 
@@ -169,8 +169,7 @@ class Node:
         )
         client.peer = server
         server.peer = client
-        if not target._offer(server):
-            raise ConnectionRefused(f"backlog full at {destination}")
+        target._offer(server)
         network._register_stream(client)
         network._register_stream(server)
         network._connections.value += 1.0

@@ -266,41 +266,22 @@ class StreamConnection:
 class StreamListener:
     """A bound, listening stream endpoint; ``accept`` yields connections."""
 
-    __slots__ = (
-        "node", "sim", "address", "backlog", "_pending", "_pending_count",
-        "closed",
-    )
+    __slots__ = ("node", "sim", "address", "_pending", "closed")
 
-    def __init__(self, node: "Node", port: int, backlog: Optional[int] = None) -> None:
+    def __init__(self, node: "Node", port: int) -> None:
         self.node = node
         self.sim = node.sim
         self.address = Address(node.name, port)
-        self.backlog = backlog
         self._pending = _Inbox(self.sim)
-        self._pending_count = 0
         self.closed = False
 
     def accept(self) -> Event:
         """Event succeeding with the next established :class:`StreamConnection`."""
-        event = self._pending.get()
-        if event._ok:
-            # Served from the backlog queue; a getter that instead gets
-            # paired later never occupied the backlog (see _offer).
-            self._pending_count -= 1
-        return event
+        return self._pending.get()
 
-    def _offer(self, connection: StreamConnection) -> bool:
-        """Queue an incoming connection; False if the backlog is full."""
-        if self.closed:
-            return False
-        if self.backlog is not None and self._pending_count >= self.backlog:
-            return False
-        self._pending_count += 1
-        waiting = bool(self._pending._getters)
+    def _offer(self, connection: StreamConnection) -> None:
+        """Queue an incoming connection for :meth:`accept`."""
         self._pending.put(connection)
-        if waiting:
-            self._pending_count -= 1
-        return True
 
     def close(self) -> None:
         """Stop listening; pending accepts fail with :class:`ConnectionClosed`."""
@@ -310,7 +291,7 @@ class StreamListener:
             self._pending.close()
 
     def __repr__(self) -> str:
-        return f"<StreamListener {self.address} pending={self._pending_count}>"
+        return f"<StreamListener {self.address} pending={len(self._pending.items)}>"
 
 
 class DatagramSocket:
@@ -331,12 +312,12 @@ class DatagramSocket:
         self.datagrams_sent = 0
         self.datagrams_dropped = 0
 
-    def sendto(self, payload: Any, destination: Address, size: Optional[int] = None) -> None:
+    def sendto(self, payload: Any, destination: Address) -> None:
         """Send one datagram; silently dropped on loss or missing receiver."""
         if self.closed:
             raise NetworkError("sendto() on a closed socket")
         network = self._network
-        size = HEADER_BYTES + (estimate_size(payload) if size is None else size)
+        size = HEADER_BYTES + estimate_size(payload)
         key = (self.address.host, destination.host)
         route = network._routes.get(key) or network.route(*key)
         if route.severed:

@@ -2,14 +2,10 @@
 
 Renders the :class:`~repro.obs.telemetry.TelemetryScraper`'s
 :class:`~repro.obs.telemetry.TimeSeries` as unicode sparklines, grouped
-into panels per stage/QoS/shard. Two modes share one code path:
-
-* **live** — subscribe :func:`live_panel` to the scraper; each scrape
-  re-renders the current frame (useful under ``repro telemetry
-  --dashboard`` while a long soak runs);
-* **replay** — pass ``at=`` to :func:`render_dashboard` to rewind the
-  ring buffers to any retained instant; the frame is a pure function
-  of the buffers, so replayed frames are deterministic and testable.
+into panels per stage/QoS/shard. :func:`render_dashboard` draws the
+newest state; subscribe :func:`live_panel` to the scraper and each
+scrape re-renders the current frame. A frame is a pure function of the
+buffers, so frames are deterministic and testable.
 
 Rendering reads the buffers only — it never touches the simulation, so
 drawing a dashboard (or not) cannot perturb a seeded run.
@@ -35,13 +31,13 @@ SPARK_CHARS = "▁▂▃▄▅▆▇█"
 SPARK_WIDTH = 40
 
 
-def sparkline(values: Sequence[float], width: int = SPARK_WIDTH) -> str:
-    """The last *width* values as a unicode sparkline.
+def sparkline(values: Sequence[float]) -> str:
+    """The last :data:`SPARK_WIDTH` values as a unicode sparkline.
 
     A flat series renders at the lowest level; an empty one renders
     empty. NaNs render as spaces.
     """
-    tail = list(values)[-width:] if width > 0 else []
+    tail = list(values)[-SPARK_WIDTH:]
     if not tail:
         return ""
     finite = [v for v in tail if v == v]
@@ -167,17 +163,15 @@ def default_panels(scraper: Any) -> List[Panel]:
             "value",
             lambda n: n[len("shard.load."):],
         ),
-        # "We refused" (throttle 429s / admission 503s) vs "we lost"
-        # (backpressure sheds, admission drops): one panel so an
-        # operator can tell deliberate refusal from capacity loss.
+        # "We refused" (broker throttle refusals / admission 503s) vs
+        # "we lost" (backpressure sheds, admission drops): one panel so
+        # an operator can tell deliberate refusal from capacity loss.
         _panel_from(
             "refused vs shed vs dropped (req/s)",
             [
                 n
                 for n in names
                 if n in (
-                    "frontend.throttle.rejected",
-                    "frontend.throttled",
                     "frontend.rejected",
                     "broker.throttle.rejected",
                     "broker.shed",
@@ -230,15 +224,13 @@ def default_panels(scraper: Any) -> List[Panel]:
 
 
 def _series_values(
-    scraper: Any, name: str, kind: str, at: Optional[float]
+    scraper: Any, name: str, kind: str
 ) -> Tuple[List[float], Optional[float]]:
-    """(plotted values, last value) for one series up to time *at*."""
+    """(plotted values, last value) for one series."""
     series = scraper.series.get(name)
     if series is None:
         return [], None
     points = series.points()
-    if at is not None:
-        points = [(t, v) for t, v in points if t <= at]
     if not points:
         return [], None
     if kind == "rate":
@@ -254,44 +246,25 @@ def _series_values(
     return values, values[-1]
 
 
-def render_dashboard(
-    scraper: Any,
-    engine: Any = None,
-    at: Optional[float] = None,
-) -> str:
-    """One full dashboard frame as a string.
-
-    ``at=None`` renders the newest state; an explicit ``at`` replays
-    the frame as of that instant (limited to what the ring buffers
-    still retain).
-    """
+def render_dashboard(scraper: Any, engine: Any = None) -> str:
+    """One full dashboard frame of the newest state, as a string."""
     last = scraper.records[-1] if scraper.records else None
-    now = at if at is not None else (last.t if last is not None else 0.0)
-    mode = "replay" if at is not None else "live"
+    now = last.t if last is not None else 0.0
     lines = [
-        f"┌─ telemetry dashboard ─ t={now:g}s ─ {mode} ─ "
+        f"┌─ telemetry dashboard ─ t={now:g}s ─ live ─ "
         f"{scraper.scrapes} scrapes @ {scraper.interval:g}s ─┐"
     ]
     for panel in default_panels(scraper):
         lines.append("")
         lines.append(f"── {panel.title} " + "─" * max(0, 46 - len(panel.title)))
         for label, name in panel.rows:
-            values, last_value = _series_values(scraper, name, panel.kind, at)
+            values, last_value = _series_values(scraper, name, panel.kind)
             spark = sparkline(values)
             shown = "-" if last_value is None else f"{last_value:g}"
             lines.append(f"  {label:<22} {spark:<{SPARK_WIDTH}} {shown:>10}")
     if engine is not None:
-        active = engine.active_alerts() if at is None else [
-            alert
-            for alert in engine.alerts
-            if alert.fired_at <= now
-            and (alert.resolved_at is None or alert.resolved_at > now)
-        ]
-        fired = (
-            len(engine.alerts)
-            if at is None
-            else sum(1 for alert in engine.alerts if alert.fired_at <= now)
-        )
+        active = engine.active_alerts()
+        fired = len(engine.alerts)
         lines.append("")
         lines.append(
             f"── alerts: {fired} fired, {len(active)} active "
@@ -306,20 +279,15 @@ def render_dashboard(
     return "\n".join(lines)
 
 
-def live_panel(
-    emit: Callable[[str], None], every: int = 1
-) -> Callable[[Any, Any], None]:
+def live_panel(emit: Callable[[str], None]) -> Callable[[Any, Any], None]:
     """A scraper subscriber that re-renders the dashboard as it runs.
 
     ``scraper.subscribe(live_panel(print))`` emits a frame every
-    *every* scrapes. Rendering is read-only, so the live view cannot
-    perturb the seeded run.
+    scrape. Rendering is read-only, so the live view cannot perturb
+    the seeded run.
     """
-    if every < 1:
-        raise ValueError(f"every must be >= 1: {every!r}")
 
     def on_scrape(scraper: Any, record: Any) -> None:
-        if scraper.scrapes % every == 0:
-            emit(render_dashboard(scraper))
+        emit(render_dashboard(scraper))
 
     return on_scrape

@@ -34,7 +34,7 @@ noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -112,7 +112,7 @@ class BurnAlert:
     long_window: float
     short_burn: float
     long_burn: float
-    resolved_at: Optional[float] = None
+    resolved_at: Optional[float] = field(default=None, init=False)
 
     @property
     def active(self) -> bool:

@@ -148,17 +148,10 @@ class TimeSeries:
         index = bisect_right(self._times, at)
         return self._values[index - 1] if index else None
 
-    def window(
-        self, since: float, until: Optional[float] = None
-    ) -> List[Tuple[float, float]]:
-        """Retained points with ``since < t <= until``, oldest first.
-
-        *until* defaults to the newest retained point's time.
-        """
-        times = self._times
-        stop = len(times) if until is None else bisect_right(times, until)
-        start = bisect_right(times, since)
-        return list(zip(times[start:stop], self._values[start:stop]))
+    def window(self, since: float) -> List[Tuple[float, float]]:
+        """Retained points with ``t > since``, oldest first."""
+        start = bisect_right(self._times, since)
+        return list(zip(self._times[start:], self._values[start:]))
 
     def delta_over(self, window: float, at: Optional[float] = None) -> float:
         """Increase over ``(at - window, at]`` for a cumulative series.
@@ -185,11 +178,11 @@ class TimeSeries:
             baseline = self._values[0] if self.dropped else 0.0
         return current - baseline
 
-    def rate_over(self, window: float, at: Optional[float] = None) -> float:
-        """Per-second rate over the window (``delta_over / window``)."""
+    def rate_over(self, window: float) -> float:
+        """Per-second rate over the newest window (``delta_over / window``)."""
         if window <= 0:
             raise ValueError(f"window must be > 0: {window!r}")
-        return self.delta_over(window, at) / window
+        return self.delta_over(window) / window
 
     def __repr__(self) -> str:
         return (
@@ -395,23 +388,19 @@ class TelemetryScraper:
     byte-identical with the scraper present or absent.
     """
 
-    def __init__(
-        self,
-        interval: float = 1.0,
-        capacity: int = DEFAULT_CAPACITY,
-    ) -> None:
+    #: Points kept per series, and scrape records kept.
+    capacity = DEFAULT_CAPACITY
+
+    def __init__(self, interval: float = 1.0) -> None:
         if interval <= 0:
             raise ValueError(f"scrape interval must be > 0: {interval!r}")
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1: {capacity!r}")
         self.interval = interval
-        self.capacity = capacity
         self.sim: Optional[Any] = None
         self.slo: Optional[Any] = None
         #: All ring buffers, keyed by series name.
         self.series: Dict[str, TimeSeries] = {}
         #: Bounded per-scrape records (the JSONL export unit).
-        self.records: Deque[ScrapeRecord] = deque(maxlen=capacity)
+        self.records: Deque[ScrapeRecord] = deque(maxlen=self.capacity)
         #: Total scrapes performed.
         self.scrapes = 0
         # (label, registry, prefix) triples enumerated each scrape.

@@ -332,7 +332,6 @@ class Process(Event):
         other yield closes the generator and fails the process.
         """
         sim = self.sim
-        sim._active_process = self
         ok = event._ok
         value = event._value
         if not ok:
@@ -384,7 +383,6 @@ class Process(Event):
             value = target._value
             if not ok:
                 target.defused = True
-        sim._active_process = None
 
     def _finish(self, ok: bool, value: Any) -> None:
         """Terminate: record the outcome, drop the self-cycles, schedule."""
@@ -511,7 +509,6 @@ class Simulation:
         "_counter",
         "_rngs",
         "seed",
-        "_active_process",
         "obs",
     )
 
@@ -521,7 +518,6 @@ class Simulation:
         self._counter = count()
         self._rngs = RngRegistry(seed)
         self.seed = seed
-        self._active_process: Optional[Process] = None
         #: Optional :class:`repro.obs.spans.TraceCollector`, the one
         #: observer hook: instrumented completion points (broker client,
         #: front end) call ``obs.finish(ctx)`` and the broker pipeline
@@ -535,11 +531,6 @@ class Simulation:
     def now(self) -> float:
         """Current virtual time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # ------------------------------------------------------------------
     # Event factories

@@ -150,10 +150,6 @@ class Store:
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def waiting_getters(self) -> int:
-        return sum(1 for g in self._getters if not g.cancelled)
-
     def put(self, item: Any) -> StorePut:
         """Return an event that succeeds once *item* is buffered."""
         event = StorePut(self.sim, item)

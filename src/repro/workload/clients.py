@@ -298,8 +298,8 @@ class ModulatedOpenLoopGenerator(OpenLoopGenerator):
     Samples the non-homogeneous Poisson process *exactly* via
     Lewis-Shedler thinning: candidate arrivals come at the constant
     envelope *peak_rate* and survive with probability
-    ``rate_at(t) / peak_rate``. Subclasses override :meth:`rate_at`
-    (which must never exceed ``peak_rate``).
+    ``rate_at(t) / peak_rate``. Subclasses define ``rate_at(t)``, which
+    must never exceed ``peak_rate``.
     """
 
     def __init__(
@@ -314,10 +314,6 @@ class ModulatedOpenLoopGenerator(OpenLoopGenerator):
             sim, name, request_factory, rate=peak_rate, rng_stream=rng_stream
         )
         self.peak_rate = float(peak_rate)
-
-    def rate_at(self, t: float) -> float:
-        """Instantaneous arrival rate at sim time *t* (<= peak_rate)."""
-        return self.peak_rate
 
     def _run(self, until: Optional[float]):
         while until is None or self.sim.now < until:

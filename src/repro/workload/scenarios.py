@@ -108,12 +108,13 @@ _QOS_FRACTIONS = {1: 1.0, 2: 5.0 / 6.0, 3: 2.0 / 3.0}
 
 #: Figure 7: the backend's capacity, the records table and its groups,
 #: the CGI script's per-invocation cost (2003-era process spawn + script
-#: start-up) and the broker's clustering window.
+#: start-up), the broker's clustering window and the ab-style burst size.
 _FIG7_BACKEND_CAPACITY = 5
 _FIG7_TABLE_ROWS = 42_000
 _FIG7_GROUPS = 1_000
 _FIG7_CGI_OVERHEAD = 0.030
 _FIG7_WINDOW = 0.02
+_FIG7_REQUESTS = 40
 
 #: Failure recovery: closed-loop clients, the replicas' CGI time and
 #: capacity, client think time, the class-1 deadline (classes 2 and 3
@@ -176,7 +177,6 @@ def _records_database(table_rows: int, groups: int):
 
 def run_clustering_experiment(
     degree: int,
-    n_requests: int = 40,
     seed: int = 0,
     obs=None,
 ) -> ClusteringResult:
@@ -270,7 +270,7 @@ def run_clustering_experiment(
     frontend = FrontendWebServer(sim, frontend_node, name="frontend")
     frontend.register_app(WebApplication(path="/app", handler=relay_app))
 
-    # ab-style burst: n_requests simultaneous requests.
+    # ab-style burst: _FIG7_REQUESTS simultaneous requests.
     from .clients import BurstClient
 
     def one_request(_client, _index):
@@ -285,13 +285,13 @@ def run_clustering_experiment(
             raise RuntimeError(f"request failed: {response.status}")
 
     burst = BurstClient(
-        sim, "ab", one_request, total=n_requests, concurrency=n_requests
+        sim, "ab", one_request, total=_FIG7_REQUESTS, concurrency=_FIG7_REQUESTS
     )
     stats = sim.run(burst.run())
 
     return ClusteringResult(
         degree=degree,
-        requests=n_requests,
+        requests=_FIG7_REQUESTS,
         mean_response_time=stats.mean,
         max_response_time=stats.maximum,
         backend_calls=int(backend.metrics.counter("http.requests")),
@@ -952,10 +952,6 @@ class ShardedQosResult:
             return float("nan")
         return stats.percentile(99.0)
 
-    def mean_response_of(self, level: int) -> float:
-        """Mean response time of QoS class *level*."""
-        return self.response_times[level].mean
-
 
 #: Virtual seconds a sharded run continues after its clients stop, so
 #: in-flight pages finish and are counted.
@@ -969,7 +965,6 @@ def run_sharded_qos_experiment(
     mode: str = "broker",
     duration: float = 60.0,
     seed: int = 0,
-    obs=None,
     telemetry=None,
     workers: int = 1,
 ) -> ShardedQosResult:
@@ -1040,11 +1035,6 @@ def run_sharded_qos_experiment(
                 "cannot model the global centralized listener; use "
                 "mode='broker' or workers=1"
             )
-        if obs is not None:
-            raise ValueError(
-                "parallel execution cannot aggregate an obs collector "
-                "across worker processes; use workers=1"
-            )
         if telemetry is not None:
             raise ValueError(
                 "parallel execution cannot scrape live telemetry across "
@@ -1052,11 +1042,8 @@ def run_sharded_qos_experiment(
             )
         return _run_sharded_parallel(workers, **config)
     sim = Simulation(seed=seed)
-    if obs is not None:
-        obs.attach(sim)
     finalize = _build_sharded(
-        sim, range(shards), range(_SHARDED_KEY_POOL), obs=obs, telemetry=telemetry,
-        **config,
+        sim, range(shards), range(_SHARDED_KEY_POOL), telemetry=telemetry, **config
     )
     sim.run(until=duration)
     sim.run(until=duration + _SHARDED_DRAIN)
@@ -1074,7 +1061,6 @@ def _build_sharded(
     mode: str,
     duration: float,
     seed: int,
-    obs=None,
     telemetry=None,
 ):
     """Build the sharded testbed's slice *own_shards* inside *sim*.
@@ -1196,7 +1182,7 @@ def _build_sharded(
         # is already the per-shard leader view.
         shared = [(metrics, "broker.", ""), (metrics, "listener.", "")]
         _watch_testbed(
-            telemetry, sim, frontend, all_brokers, shared, obs, duration, listener
+            telemetry, sim, frontend, all_brokers, shared, None, duration, listener
         )
 
     def finalize() -> ShardedQosResult:
@@ -1337,12 +1323,6 @@ class CacheTierResult:
     write_behind_flushed: int
     write_behind_overflow: int
     latency: SummaryStats
-
-    @property
-    def local_hit_ratio(self) -> float:
-        """Per-broker cache hit ratio (hits over lookups)."""
-        total = self.local_hits + self.local_misses
-        return self.local_hits / total if total else 0.0
 
     @property
     def tier_hit_ratio(self) -> float:

@@ -1,4 +1,4 @@
-"""Backpressure: bounded-queue shedding, watermarks, frontend throttle."""
+"""Backpressure: bounded-queue shedding and watermarks."""
 
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ from repro.core import (
     ServiceBroker,
     stage_plan,
 )
-from repro.frontend import FrontendWebServer, WebApplication
-from repro.frontend.app import QOS_HEADER
-from repro.http import BackendWebServer, HttpClient, HttpRequest
+from repro.http import BackendWebServer
 
 
 @pytest.fixture
@@ -118,13 +116,9 @@ class TestShedAccounting:
 
 
 class TestWatermarks:
-    def test_engage_release_hysteresis_notifies_listeners(
-        self, sim, net, slow_backend
-    ):
+    def test_engage_release_hysteresis(self, sim, net, slow_backend):
         broker, client = make_broker(sim, net, slow_backend, 4, "reject-new")
         stage = backpressure_stage(broker)
-        transitions = []
-        stage.add_listener(lambda engaged, name: transitions.append((engaged, name)))
         statuses = []
         # high = int(4 * 0.75) = 3, low = min(2, high-1) = 2.
         flood(sim, client, 8, qos=2, statuses=statuses)
@@ -141,76 +135,9 @@ class TestWatermarks:
         sim.process(late_probe())
         sim.run()
         assert not stage.engaged
-        assert transitions == [(True, broker.name), (False, broker.name)]
         assert broker.metrics.counter("broker.backpressure.engaged") == 1
         assert broker.metrics.counter("broker.backpressure.released") == 1
 
     def test_watermark_validation(self):
         with pytest.raises(ValueError):
             BackpressureStage(0)
-        with pytest.raises(ValueError):
-            BackpressureStage(10, high_watermark=0.5, low_watermark=0.75)
-        with pytest.raises(ValueError):
-            BackpressureStage(10, high_watermark=1.5)
-
-
-class TestFrontendThrottle:
-    def make_frontend(self, sim, net):
-        frontend = FrontendWebServer(
-            sim, net.node("web"), throttle_level=2
-        )
-
-        def hello(frontend_server, request):
-            yield frontend_server.sim.timeout(0.01)
-            return "hello"
-
-        frontend.register_app(WebApplication(path="/hello", handler=hello))
-        return frontend
-
-    def fetch(self, sim, net, frontend, qos):
-        request = HttpRequest(
-            method="GET", path="/hello", headers={QOS_HEADER: str(qos)}
-        )
-        node = net.node(f"client{len(net.nodes)}")
-
-        def run():
-            return (
-                yield from HttpClient.fetch(sim, node, frontend.address, request)
-            )
-
-        return sim.run(sim.process(run()))
-
-    def test_throttled_classes_get_503(self, sim, net):
-        frontend = self.make_frontend(sim, net)
-        frontend.set_throttled(True, "broker-a")
-        assert frontend.throttled
-        response = self.fetch(sim, net, frontend, qos=3)
-        assert response.status == 503
-        assert "backpressure" in response.body
-        assert frontend.metrics.counter("frontend.throttled") == 1
-        assert frontend.metrics.counter("frontend.throttled.qos3") == 1
-
-    def test_premium_classes_pass_while_throttled(self, sim, net):
-        frontend = self.make_frontend(sim, net)
-        frontend.set_throttled(True, "broker-a")
-        response = self.fetch(sim, net, frontend, qos=1)
-        assert response.status == 200
-        assert frontend.metrics.counter("frontend.throttled") == 0
-
-    def test_throttle_clears_when_all_sources_release(self, sim, net):
-        frontend = self.make_frontend(sim, net)
-        frontend.set_throttled(True, "broker-a")
-        frontend.set_throttled(True, "broker-b")
-        frontend.set_throttled(False, "broker-a")
-        # One broker is still overloaded: stay throttled.
-        assert frontend.throttled
-        assert self.fetch(sim, net, frontend, qos=2).status == 503
-        frontend.set_throttled(False, "broker-b")
-        assert not frontend.throttled
-        assert self.fetch(sim, net, frontend, qos=2).status == 200
-        assert frontend.metrics.counter("frontend.throttle.engaged") == 2
-        assert frontend.metrics.counter("frontend.throttle.released") == 2
-
-    def test_unthrottled_frontend_never_503s(self, sim, net):
-        frontend = self.make_frontend(sim, net)
-        assert self.fetch(sim, net, frontend, qos=3).status == 200

@@ -29,7 +29,6 @@ def rate_limited_stack(sim, net):
             threshold=1000,
             rate_limits={2: 10.0},  # class 2 contracted to 10 req/s
         ),
-        rate_window=1.0,
     )
     client = BrokerClient(sim, node, {"web": broker.address})
     return broker, client

@@ -19,6 +19,7 @@ from repro.core import (
     TransactionTracker,
     stage_plan,
 )
+from repro.core import cachetier
 from repro.db import Database, DatabaseServer
 from repro.errors import NetworkError
 from repro.metrics import MetricsRegistry
@@ -86,12 +87,6 @@ class TestSharedCacheTier:
         assert broker.cache_tier is tier
         assert tier.brokers == [broker]
 
-    def test_validates_queue_parameters(self, sim):
-        with pytest.raises(ValueError):
-            SharedCacheTier(sim, flush_queue_depth=0)
-        with pytest.raises(ValueError):
-            SharedCacheTier(sim, flush_interval=0.0)
-
 
 class TestWriteBehind:
     def test_accepted_write_invalidates_and_flushes(self, sim, tier, registry):
@@ -106,10 +101,11 @@ class TestWriteBehind:
         assert registry.counter("broker.cachetier.writebehind.enqueued") == 1
         assert registry.counter("broker.cachetier.writebehind.flushed") == 1
 
-    def test_overflow_refused_but_keys_still_invalidated(self, sim, registry):
-        tier = SharedCacheTier(
-            sim, metrics=registry, flush_queue_depth=1
-        )
+    def test_overflow_refused_but_keys_still_invalidated(
+        self, sim, registry, monkeypatch
+    ):
+        monkeypatch.setattr(cachetier, "FLUSH_QUEUE_DEPTH", 1)
+        tier = SharedCacheTier(sim, metrics=registry)
         broker = FakeBroker(sim)
         tier.put("k2", "old")
         assert tier.write_behind(broker, "query", "w1", keys=("k1",))

@@ -140,10 +140,8 @@ class TestCentralizedController:
         listener.table["db"] = self._report(30)
         sim.run(until=100.0)  # the report is now very stale
         accepted, _ = ctrl.admit(page_request(qos=1))
-        # Without a staleness threshold the stale table still decides.
+        # However old the report, the last known load still decides.
         assert not accepted
-        assert ctrl.mode == "centralized"
-        assert ctrl.transitions == 0
 
     def test_integration_with_broker_reports(self, sim, net):
         """Brokers stream reports; the controller reacts to real load."""
@@ -184,79 +182,3 @@ class TestCentralizedController:
         before, after = sim.run(sim.process(load_then_check()))
         assert before is True
         assert after is False
-
-
-class TestListenerOverloadDegradation:
-    """The controller's freshness state machine (tentpole part 3)."""
-
-    @pytest.fixture
-    def setup(self, sim, net):
-        listener = LoadListener(sim, net.node("web"), process_time=0.0)
-        profiles = ResourceProfileRegistry()
-        profiles.register("/page", ["db"])
-        controller = CentralizedController(
-            listener,
-            profiles,
-            QoSPolicy(levels=3, threshold=20),
-            staleness_threshold=1.0,
-        )
-        sender = net.node("brokerhost").datagram_socket()
-        return controller, listener, sender
-
-    def overloaded_report(self, sim) -> LoadReport:
-        return LoadReport("b1", "db", 30, 0, 20, sent_at=sim.now)
-
-    def test_degrades_on_stale_table_and_recovers(self, sim, net, setup):
-        controller, listener, sender = setup
-        sender.sendto(self.overloaded_report(sim), listener.address)
-        sim.run()
-        # Fresh report, overloaded service: centralized mode rejects.
-        assert controller.admit(page_request(qos=1))[0] is False
-        assert controller.mode == "centralized"
-
-        # Past the staleness threshold the controller stops trusting
-        # the table and hands the decision back to the brokers.
-        sim.run(until=sim.now + 2.0)
-        assert controller.admit(page_request(qos=1))[0] is True
-        assert controller.mode == "degraded"
-        assert controller.transitions == 1
-        assert controller.metrics.counter("centralized.degraded_transitions") == 1
-        assert controller.metrics.counter("centralized.degraded_admits") == 1
-
-        # A fresh report restores centralized admission.
-        sender.sendto(self.overloaded_report(sim), listener.address)
-        sim.run()
-        assert controller.admit(page_request(qos=1))[0] is False
-        assert controller.mode == "centralized"
-        assert controller.transitions == 2
-        assert controller.metrics.counter("centralized.recovered_transitions") == 1
-
-    def test_recovery_hysteresis(self, sim, net, setup):
-        controller, listener, sender = setup
-        # recover_staleness defaults to threshold / 2.
-        assert controller.recover_staleness == pytest.approx(0.5)
-        sender.sendto(self.overloaded_report(sim), listener.address)
-        sim.run()
-        sim.run(until=sim.now + 2.0)
-        assert controller.admit(page_request(qos=1))[0] is True
-        assert controller.mode == "degraded"
-        # Staleness 0.75 is below the degrade threshold but above the
-        # recover point: stay degraded rather than flap.
-        listener._applied["db"] = sim.now - 0.75
-        assert controller.admit(page_request(qos=1))[0] is True
-        assert controller.mode == "degraded"
-        # Only genuinely fresh data recovers.
-        listener._applied["db"] = sim.now - 0.1
-        assert controller.admit(page_request(qos=1))[0] is False
-        assert controller.mode == "centralized"
-
-    def test_unreported_service_does_not_trigger_degradation(
-        self, sim, net, setup
-    ):
-        controller, listener, sender = setup
-        # No report ever arrived: staleness is inf, but the controller
-        # stays optimistic-centralized exactly like admit() does.
-        sim.run(until=5.0)
-        assert controller.admit(page_request(qos=1))[0] is True
-        assert controller.mode == "centralized"
-        assert controller.transitions == 0

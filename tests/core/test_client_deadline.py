@@ -111,26 +111,6 @@ class TestExpiry:
         assert outcomes == [("timeout", 3.0), ("timeout", 30.0)]
         assert client.metrics.counter("client.timeouts") == 2
 
-    def test_every_retry_gets_a_full_deadline(self, sim, net):
-        client = BrokerClient(
-            sim, net.node("web"), {"svc": SILENT}, retries=2
-        )
-        outcomes = []
-        timed_call(sim, client, 0.0, 0.5, outcomes)
-        sim.run()
-        assert outcomes == [("timeout", 1.5)]
-        assert client.metrics.counter("client.timeouts") == 3
-        assert client.metrics.counter("client.calls") == 3
-
-    def test_default_timeout_applies_when_the_call_names_none(self, sim, net):
-        client = BrokerClient(
-            sim, net.node("web"), {"svc": SILENT}, default_timeout=2.0
-        )
-        outcomes = []
-        timed_call(sim, client, 0.5, None, outcomes)
-        sim.run()
-        assert outcomes == [("timeout", 2.5)]
-
 
 class TestRepliesAroundTheDeadline:
     def test_reply_at_the_very_instant_of_the_deadline(self, sim, exact_net):

@@ -88,8 +88,9 @@ class TestRepeatWorkloadCombiner:
         response = HttpResponse.text("rows=126")
         assert combiner.split(batch, response) == [response] * 3
 
-    def test_custom_repeat_param_name(self):
-        combiner = RepeatWorkloadCombiner(repeat_param="n")
+    def test_custom_repeat_param_name(self, monkeypatch):
+        monkeypatch.setattr(RepeatWorkloadCombiner, "repeat_param", "n")
+        combiner = RepeatWorkloadCombiner()
         _, (_, params) = combiner.combine([get_request(1, "/x")])
         assert params["n"] == 1
 

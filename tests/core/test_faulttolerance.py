@@ -127,13 +127,13 @@ class TestCircuitBreaker:
             CircuitBreaker(sim, failure_threshold=0)
         with pytest.raises(BrokerError):
             CircuitBreaker(sim, reset_timeout=0.0)
-        with pytest.raises(BrokerError):
-            CircuitBreaker(sim, half_open_probes=0)
 
 
 class TestRetryPolicy:
-    def test_backoff_grows_exponentially_and_caps(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=2.0, jitter=0.0, max_delay=0.3)
+    def test_backoff_grows_exponentially_and_caps(self, monkeypatch):
+        monkeypatch.setattr(RetryPolicy, "jitter", 0.0)
+        monkeypatch.setattr(RetryPolicy, "max_delay", 0.3)
+        policy = RetryPolicy(base_delay=0.1)
         rng = Simulation(seed=1).rng("t")
         assert policy.backoff(1, rng) == pytest.approx(0.1)
         assert policy.backoff(2, rng) == pytest.approx(0.2)
@@ -141,7 +141,7 @@ class TestRetryPolicy:
         assert policy.backoff(4, rng) == pytest.approx(0.3)
 
     def test_jitter_is_bounded_and_seeded(self):
-        policy = RetryPolicy(base_delay=0.1, multiplier=1.0, jitter=0.5)
+        policy = RetryPolicy(base_delay=0.1)
         rng_a = Simulation(seed=1).rng("t")
         rng_b = Simulation(seed=1).rng("t")
         draws_a = [policy.backoff(1, rng_a) for _ in range(20)]
@@ -154,8 +154,6 @@ class TestRetryPolicy:
             RetryPolicy(max_attempts=0)
         with pytest.raises(BrokerError):
             RetryPolicy(base_delay=-1.0)
-        with pytest.raises(BrokerError):
-            RetryPolicy(jitter=-0.1)
 
 
 class TestAvailableBackends:
@@ -421,36 +419,34 @@ class TestHalfOpenProbeBudget:
         """However probe attempts are spaced, a half-open breaker never
         grants more than ``half_open_probes`` per ``reset_timeout``
         window (the budget replenishes once per window)."""
-        sim = Simulation(seed=2026)
-        breaker = CircuitBreaker(
-            sim,
-            name="b",
-            failure_threshold=1,
-            reset_timeout=reset,
-            half_open_probes=probes,
-        )
-        breaker.record_failure()  # trip to OPEN at t=0
-        sim.run(until=reset)
-        assert breaker.current_state() is BreakerState.HALF_OPEN
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(CircuitBreaker, "half_open_probes", probes)
+            sim = Simulation(seed=2026)
+            breaker = CircuitBreaker(
+                sim, name="b", failure_threshold=1, reset_timeout=reset
+            )
+            breaker.record_failure()  # trip to OPEN at t=0
+            sim.run(until=reset)
+            assert breaker.current_state() is BreakerState.HALF_OPEN
 
-        granted = 0
-        elapsed = 0.0
-        for step in steps:
-            if step > 0.0:
-                elapsed += step
-                sim.run(until=reset + elapsed)
-            if breaker.try_probe():
-                granted += 1
-            windows = 1 + int(elapsed // reset)
-            assert granted <= probes * windows
-        # No probe outcome was ever recorded: the breaker must still be
-        # half-open (a stuck probe cannot wedge it open or closed).
-        assert breaker.current_state() is BreakerState.HALF_OPEN
+            granted = 0
+            elapsed = 0.0
+            for step in steps:
+                if step > 0.0:
+                    elapsed += step
+                    sim.run(until=reset + elapsed)
+                if breaker.try_probe():
+                    granted += 1
+                windows = 1 + int(elapsed // reset)
+                assert granted <= probes * windows
+            # No probe outcome was ever recorded: the breaker must still
+            # be half-open (a stuck probe cannot wedge it open or closed).
+            assert breaker.current_state() is BreakerState.HALF_OPEN
 
-    def test_exact_budget_at_window_entry(self, sim):
+    def test_exact_budget_at_window_entry(self, sim, monkeypatch):
+        monkeypatch.setattr(CircuitBreaker, "half_open_probes", 2)
         breaker = CircuitBreaker(
-            sim, name="b", failure_threshold=1,
-            reset_timeout=1.0, half_open_probes=2,
+            sim, name="b", failure_threshold=1, reset_timeout=1.0
         )
         breaker.record_failure()
         sim.run(until=1.0)
@@ -463,7 +459,7 @@ class TestHalfOpenProbeBudget:
     def test_budget_replenishes_each_window(self, sim):
         breaker = CircuitBreaker(
             sim, name="b", failure_threshold=1,
-            reset_timeout=1.0, half_open_probes=1,
+            reset_timeout=1.0,
         )
         breaker.record_failure()
         sim.run(until=1.0)
@@ -478,7 +474,7 @@ class TestHalfOpenProbeBudget:
     def test_probe_outcomes_settle_the_state(self, sim):
         breaker = CircuitBreaker(
             sim, name="b", failure_threshold=1,
-            reset_timeout=1.0, half_open_probes=1,
+            reset_timeout=1.0,
         )
         breaker.record_failure()
         sim.run(until=1.0)

@@ -102,7 +102,7 @@ class TestAdmissionController:
 
     def test_intensity_gate(self, sim):
         policy = QoSPolicy(levels=2, threshold=100, rate_limits={2: 5.0})
-        ctrl = AdmissionController(sim, policy, rate_window=1.0)
+        ctrl = AdmissionController(sim, policy)
         for _ in range(6):
             ctrl.record_arrival(2)
         decision = ctrl.decide(2)
@@ -113,7 +113,7 @@ class TestAdmissionController:
 
     def test_intensity_window_slides(self, sim):
         policy = QoSPolicy(levels=1, threshold=100, rate_limits={1: 5.0})
-        ctrl = AdmissionController(sim, policy, rate_window=1.0)
+        ctrl = AdmissionController(sim, policy)
 
         def run():
             for _ in range(6):
@@ -127,15 +127,12 @@ class TestAdmissionController:
         assert first is False
         assert second is True
 
-    def test_rate_window_validation(self, sim):
-        with pytest.raises(ValueError):
-            AdmissionController(sim, QoSPolicy(), rate_window=0)
-
-    def test_arrival_windows_hold_only_what_a_limit_reads(self, sim):
+    def test_arrival_windows_hold_only_what_a_limit_reads(self, sim, monkeypatch):
         """10,000 arrivals leave nothing behind for an unlimited level,
         and no more than one ``rate_window`` of them for a limited one."""
+        monkeypatch.setattr(AdmissionController, "rate_window", 0.5)
         policy = QoSPolicy(levels=2, threshold=100, rate_limits={2: 50.0})
-        ctrl = AdmissionController(sim, policy, rate_window=0.5)
+        ctrl = AdmissionController(sim, policy)
         stamps = []
 
         def run():

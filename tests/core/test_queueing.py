@@ -25,6 +25,13 @@ def make_request(request_id: int, qos: int, txn_step: int = 0) -> BrokerRequest:
     )
 
 
+def bounded(sim, capacity: int, shed_policy: str = "reject-new", on_shed=None):
+    """A queue bounded the way a broker's backpressure stage bounds it."""
+    queue = BrokerQueue(sim)
+    queue.configure(capacity, shed_policy, on_shed)
+    return queue
+
+
 class TestBrokerQueue:
     def test_priority_order_then_fcfs(self, sim):
         queue = BrokerQueue(sim)
@@ -132,7 +139,7 @@ class TestBoundedQueue:
             queue.configure(4, shed_policy="drop-random")
 
     def test_exact_capacity_admits_boundary_arrival(self, sim):
-        queue = BrokerQueue(sim, capacity=3)
+        queue = bounded(sim, 3)
         for i in range(3):
             assert queue.put(make_request(i, qos=1)) is not None
         assert len(queue) == 3
@@ -140,7 +147,7 @@ class TestBoundedQueue:
         assert queue.shed_count == 0
 
     def test_capacity_one_reject_new(self, sim):
-        queue = BrokerQueue(sim, capacity=1, shed_policy="reject-new")
+        queue = bounded(sim, 1, shed_policy="reject-new")
         assert queue.put(make_request(1, qos=3)) is not None
         assert queue.put(make_request(2, qos=1)) is None
         assert [i.request.request_id for i in queue.snapshot()] == [1]
@@ -148,9 +155,7 @@ class TestBoundedQueue:
 
     def test_capacity_one_drop_oldest_evicts_sole_occupant(self, sim):
         log, on_shed = self.shed_log()
-        queue = BrokerQueue(
-            sim, capacity=1, shed_policy="drop-oldest", on_shed=on_shed
-        )
+        queue = bounded(sim, 1, shed_policy="drop-oldest", on_shed=on_shed)
         queue.put(make_request(1, qos=1))
         assert queue.put(make_request(2, qos=3)) is not None
         assert log == [(1, "drop-oldest")]
@@ -159,9 +164,7 @@ class TestBoundedQueue:
 
     def test_drop_oldest_evicts_by_arrival_not_priority(self, sim):
         log, on_shed = self.shed_log()
-        queue = BrokerQueue(
-            sim, capacity=2, shed_policy="drop-oldest", on_shed=on_shed
-        )
+        queue = bounded(sim, 2, shed_policy="drop-oldest", on_shed=on_shed)
         queue.put(make_request(1, qos=1))
         queue.put(make_request(2, qos=3))
         queue.put(make_request(3, qos=2))
@@ -171,9 +174,7 @@ class TestBoundedQueue:
 
     def test_drop_lowest_evicts_strictly_worse_only(self, sim):
         log, on_shed = self.shed_log()
-        queue = BrokerQueue(
-            sim, capacity=2, shed_policy="drop-lowest", on_shed=on_shed
-        )
+        queue = bounded(sim, 2, shed_policy="drop-lowest", on_shed=on_shed)
         queue.put(make_request(1, qos=2))
         queue.put(make_request(2, qos=3))
         # A premium arrival evicts the worst queued request.
@@ -188,9 +189,7 @@ class TestBoundedQueue:
 
     def test_drop_lowest_victim_is_youngest_of_worst_class(self, sim):
         log, on_shed = self.shed_log()
-        queue = BrokerQueue(
-            sim, capacity=3, shed_policy="drop-lowest", on_shed=on_shed
-        )
+        queue = bounded(sim, 3, shed_policy="drop-lowest", on_shed=on_shed)
         queue.put(make_request(1, qos=3))
         queue.put(make_request(2, qos=3))
         queue.put(make_request(3, qos=2))
@@ -198,7 +197,7 @@ class TestBoundedQueue:
         assert log == [(2, "drop-lowest")]
 
     def test_claimed_items_do_not_count_toward_capacity(self, sim):
-        queue = BrokerQueue(sim, capacity=2, shed_policy="reject-new")
+        queue = bounded(sim, 2, shed_policy="reject-new")
         queue.put(make_request(1, qos=1))
         queue.put(make_request(2, qos=1))
         taken = queue.take_matching(lambda item: True, limit=1)
@@ -208,7 +207,7 @@ class TestBoundedQueue:
         assert queue.put(make_request(4, qos=1)) is None
 
     def test_take_matching_skips_shed_victims(self, sim):
-        queue = BrokerQueue(sim, capacity=2, shed_policy="drop-oldest")
+        queue = bounded(sim, 2, shed_policy="drop-oldest")
         queue.put(make_request(1, qos=1))
         queue.put(make_request(2, qos=1))
         queue.put(make_request(3, qos=1))  # evicts request 1
@@ -216,7 +215,7 @@ class TestBoundedQueue:
         assert [i.request.request_id for i in taken] == [2, 3]
 
     def test_cancelled_getter_with_full_queue(self, sim):
-        queue = BrokerQueue(sim, capacity=1, shed_policy="reject-new")
+        queue = bounded(sim, 1, shed_policy="reject-new")
         pending = queue.get()
         queue.cancel(pending)
         # The cancelled getter must not consume the arrival...
@@ -226,7 +225,7 @@ class TestBoundedQueue:
         assert queue.put(make_request(2, qos=1)) is None
 
     def test_waiting_getter_bypasses_bound(self, sim):
-        queue = BrokerQueue(sim, capacity=1, shed_policy="reject-new")
+        queue = bounded(sim, 1, shed_policy="reject-new")
         queue.put(make_request(1, qos=1))
         served = []
 
@@ -241,7 +240,7 @@ class TestBoundedQueue:
         assert queue.put(make_request(2, qos=1)) is not None
 
     def test_reset_preserves_bound_and_statistics(self, sim):
-        queue = BrokerQueue(sim, capacity=2, shed_policy="reject-new")
+        queue = bounded(sim, 2, shed_policy="reject-new")
         queue.put(make_request(1, qos=1))
         queue.put(make_request(2, qos=1))
         assert queue.put(make_request(3, qos=1)) is None

@@ -44,8 +44,8 @@ from repro.workload.chaos import _hardened_stages
 DIRECTORY = ShardDirectory()
 TIER = SharedCacheTier(Simulation(seed=0))
 THROTTLE = TenantThrottle(1.0, 1.0)
-RETRY = RetryPolicy(max_attempts=4, base_delay=0.02, jitter=0.25)
-HARDENED_RETRY = RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5)
+RETRY = RetryPolicy(max_attempts=4, base_delay=0.02)
+HARDENED_RETRY = RetryPolicy(max_attempts=3, base_delay=0.05)
 
 CLASS_OF = {
     stage_class.name: stage_class
@@ -92,28 +92,20 @@ CASES = {
     "fault-tolerant-configured": (
         lambda: stage_plan(
             "fault-tolerant",
-            TimeoutBudgetStage(default_budget=2.0),
-            CircuitBreakerStage(
-                failure_threshold=5, reset_timeout=0.25, half_open_probes=2
-            ),
+            TimeoutBudgetStage(),
+            CircuitBreakerStage(failure_threshold=5, reset_timeout=0.25),
             RetryStage(policy=RETRY),
         ),
         FAULT_TOLERANT,
         {
-            "timeout": dict(default_budget=2.0),
-            "breaker": dict(
-                failure_threshold=5, reset_timeout=0.25, half_open_probes=2
-            ),
+            "breaker": dict(failure_threshold=5, reset_timeout=0.25),
             "retry": dict(policy=RETRY),
         },
     ),
     "overload-protected": (
         lambda: stage_plan(
             "distributed",
-            BackpressureStage(
-                7, shed_policy="reject-new", high_watermark=0.9,
-                low_watermark=0.3,
-            ),
+            BackpressureStage(7, shed_policy="reject-new"),
         ),
         [
             "validate", "arrival", "cache-lookup", "admission", "fidelity",
@@ -121,10 +113,7 @@ CASES = {
             "reply",
         ],
         {
-            "backpressure": dict(
-                capacity=7, shed_policy="reject-new", high_watermark=0.9,
-                low_watermark=0.3,
-            ),
+            "backpressure": dict(capacity=7, shed_policy="reject-new"),
         },
     ),
     "sharded": (

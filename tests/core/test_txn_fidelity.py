@@ -87,7 +87,7 @@ class TestFidelityPolicy:
     def test_stale_cache_gives_degraded_reply(self):
         clock = ManualClock()
         cache = ResultCache(ttl=5, clock=clock)
-        policy = FidelityPolicy(max_stale_age=100)
+        policy = FidelityPolicy()
         request = txn_request(1, 3)
         cache.put(request.key(), "old-result")
         clock.now = 10.0  # entry is stale
@@ -101,7 +101,7 @@ class TestFidelityPolicy:
     def test_fidelity_decays_with_age(self):
         clock = ManualClock()
         cache = ResultCache(ttl=1, clock=clock)
-        policy = FidelityPolicy(max_stale_age=100)
+        policy = FidelityPolicy()
         request = txn_request(1, 3)
         cache.put(request.key(), "v")
         clock.now = 10.0
@@ -112,22 +112,14 @@ class TestFidelityPolicy:
         assert old.status is ReplyStatus.DEGRADED
         assert old.fidelity < young
 
-    def test_too_old_entries_fall_back_to_busy(self):
+    def test_too_old_entries_fall_back_to_busy(self, monkeypatch):
+        monkeypatch.setattr(FidelityPolicy, "max_stale_age", 50.0)
         clock = ManualClock()
         cache = ResultCache(ttl=1, clock=clock)
-        policy = FidelityPolicy(max_stale_age=50)
+        policy = FidelityPolicy()
         request = txn_request(1, 3)
         cache.put(request.key(), "v")
         clock.now = 60.0
-        reply = policy.degrade(request, cache, "r")
-        assert reply.status is ReplyStatus.DROPPED
-
-    def test_stale_serving_disabled(self):
-        clock = ManualClock()
-        cache = ResultCache(ttl=100, clock=clock)
-        policy = FidelityPolicy(serve_stale=False)
-        request = txn_request(1, 3)
-        cache.put(request.key(), "fresh")
         reply = policy.degrade(request, cache, "r")
         assert reply.status is ReplyStatus.DROPPED
 

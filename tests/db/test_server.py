@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.db import CostModel, Database, DatabaseClient, DatabaseServer
+from repro.db import Database, DatabaseClient, DatabaseServer, cost
 from repro.db.executor import ExecutionStats
 from repro.errors import QueryError
 
@@ -71,13 +71,14 @@ class TestDatabaseServer:
         waves = sorted(set(round(t, 6) for t in finish_times))
         assert len(waves) >= 3
 
-    def test_service_time_follows_cost_model(self, sim, net):
+    def test_service_time_follows_cost_model(self, sim, net, monkeypatch):
+        monkeypatch.setattr(cost, "BASE_TIME", 0.5)
+        monkeypatch.setattr(cost, "PER_ROW_EXAMINED", 0.001)
         database = Database()
         table = database.create_table("t", [("x", int)])
         for i in range(1000):
             table.insert((i,))
-        cost = CostModel(base=0.5, per_row_examined=0.001)
-        server = DatabaseServer(sim, net.node("db2"), database, cost_model=cost)
+        server = DatabaseServer(sim, net.node("db2"), database)
         client_node = net.node("app2")
 
         def run():
@@ -120,20 +121,19 @@ class TestDatabaseServer:
 
 class TestCostModel:
     def test_scan_costs_more_than_lookup(self):
-        cost = CostModel()
         scan = ExecutionStats("scan", 42_000, 40, 40)
         lookup = ExecutionStats("hash-eq", 42, 40, 40)
         assert cost.service_time(scan) > 10 * cost.service_time(lookup)
 
-    def test_sort_cost_is_nlogn(self):
-        cost = CostModel(base=0, per_row_examined=0, per_row_returned=0)
+    def test_sort_cost_is_nlogn(self, monkeypatch):
+        for name in ("BASE_TIME", "PER_ROW_EXAMINED", "PER_ROW_RETURNED"):
+            monkeypatch.setattr(cost, name, 0)
         small = ExecutionStats("scan", 0, 0, 0, sorted_rows=10)
         large = ExecutionStats("scan", 0, 0, 0, sorted_rows=1000)
         assert cost.service_time(large) > 50 * cost.service_time(small)
 
     def test_write_cost_counted(self):
-        cost = CostModel()
         write = ExecutionStats("insert", 0, 0, 0, rows_written=10)
         assert cost.service_time(write) == pytest.approx(
-            cost.base + 10 * cost.per_row_written
+            cost.BASE_TIME + 10 * cost.PER_ROW_WRITTEN
         )

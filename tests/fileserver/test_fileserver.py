@@ -13,17 +13,18 @@ class TestDiskModel:
     def test_validation(self):
         with pytest.raises(ValueError):
             DiskModel(total_blocks=0)
-        with pytest.raises(ValueError):
-            DiskModel(per_operation=-1)
 
-    def test_seek_time_proportional_to_distance(self):
-        disk = DiskModel(total_blocks=1000, full_seek=0.010)
+    def test_seek_time_proportional_to_distance(self, monkeypatch):
+        monkeypatch.setattr(DiskModel, "full_seek", 0.010)
+        disk = DiskModel(total_blocks=1000)
         assert disk.seek_time(500) == pytest.approx(0.005)
         assert disk.seek_time(0) == 0.0
 
-    def test_access_moves_head_and_accounts(self):
-        disk = DiskModel(total_blocks=1000, per_operation=0.001,
-                         full_seek=0.010, per_block_transfer=0.0001)
+    def test_access_moves_head_and_accounts(self, monkeypatch):
+        monkeypatch.setattr(DiskModel, "per_operation", 0.001)
+        monkeypatch.setattr(DiskModel, "full_seek", 0.010)
+        monkeypatch.setattr(DiskModel, "per_block_transfer", 0.0001)
+        disk = DiskModel(total_blocks=1000)
         time = disk.access(100, 10)
         assert time == pytest.approx(0.001 + 0.010 * 100 / 1000 + 0.001)
         assert disk.head == 109

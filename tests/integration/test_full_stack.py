@@ -84,7 +84,7 @@ def build_shop(seed: int):
         if lookup.status is ReplyStatus.ERROR:
             return HttpResponse.error(500, lookup.error)
         if not lookup.ok:
-            return HttpResponse.text("busy", status=200)
+            return HttpResponse.text("busy")
         recommendations = yield from client.call(
             "reco", "get", ("/recommend", {"id": product_id}),
             qos_level=level, cacheable=False,

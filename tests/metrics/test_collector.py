@@ -67,5 +67,5 @@ class TestReportRendering:
         assert "-" in text.splitlines()[-1]
 
     def test_render_series(self):
-        text = render_series([1, 2], [10.0, 20.0], "x", "y")
+        text = render_series([1, 2], [10.0, 20.0])
         assert "10" in text and "20" in text

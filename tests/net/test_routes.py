@@ -48,6 +48,8 @@ CHANGES = {
 }
 
 SIZE = 200
+#: A datagram payload whose estimated size is *SIZE*.
+PAYLOAD = "x" * SIZE
 
 
 def _network(seed: int = 7):
@@ -135,7 +137,7 @@ def test_datagram_send_after_change_matches_uncached_lookup(change):
         outcomes.append(outcome)
         lost = net.metrics.counter("net.datagrams.lost")
         now = sim.now
-        socket.sendto("x", Address("b", 90), size=SIZE)
+        socket.sendto(PAYLOAD, Address("b", 90))
         if outcome == "lost":
             assert net.metrics.counter("net.datagrams.lost") == lost + 1
             assert sim.scheduled == 0
@@ -231,7 +233,7 @@ class TestRemoveNode:
         socket = net.nodes["a"].datagram_socket(91)
         for host in ("b", "c"):
             for _ in range(4):
-                socket.sendto("x", Address(host, 90), size=SIZE)
+                socket.sendto(PAYLOAD, Address(host, 90))
         net.route("b", "a")
         net.sever_link("a", "b")
         sim.run()
@@ -268,7 +270,7 @@ class TestRemoveNode:
         net.remove_node("b")
         scheduled = sim.scheduled
         with pytest.raises(NoRouteError):
-            socket.sendto("x", Address("b", 90), size=SIZE)
+            socket.sendto(PAYLOAD, Address("b", 90))
 
         def connect():
             yield from net.nodes["a"].connect_stream(Address("b", 80))

@@ -31,23 +31,6 @@ class TestBandwidthTiming:
         assert arrival["size"] == 1000
         assert arrival["t"] == pytest.approx(1.0)
 
-    def test_explicit_size_overrides_estimate(self):
-        sim = Simulation(seed=1)
-        net = Network(sim, default_link=Link(latency=0.0, bandwidth=1000.0))
-        a, b = net.node("a"), net.node("b")
-        sock_b = b.datagram_socket(9)
-        sock_a = a.datagram_socket()
-        arrival = {}
-
-        def receiver():
-            yield sock_b.recv()
-            arrival["t"] = sim.now
-
-        sim.process(receiver())
-        sock_a.sendto("tiny", Address("b", 9), size=5000 - HEADER_BYTES)
-        sim.run()
-        assert arrival["t"] == pytest.approx(5.0)
-
     def test_larger_messages_take_longer_on_stream(self):
         sim = Simulation(seed=1)
         net = Network(sim, default_link=Link(latency=0.001, bandwidth=10_000.0))

@@ -134,24 +134,6 @@ class TestStreamConnection:
         sim.run()
         assert outcome.get("raised")
 
-    def test_backlog_limit_refuses_connections(self, sim, net):
-        a, b = net.node("a"), net.node("b")
-        b.listen_stream(80, backlog=1)  # nobody accepts
-        outcomes = []
-
-        def client(i):
-            try:
-                yield from a.connect_stream(Address("b", 80))
-                outcomes.append("ok")
-            except ConnectionRefused:
-                outcomes.append("refused")
-
-        for i in range(3):
-            sim.process(client(i))
-        sim.run()
-        assert outcomes.count("ok") == 1
-        assert outcomes.count("refused") == 2
-
 
 class TestStreamTeardown:
     """A locally closed endpoint lets go of its peer; nothing observable moves."""

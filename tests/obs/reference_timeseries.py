@@ -70,21 +70,10 @@ class TimeSeries:
         index = bisect_right(self._points, at, key=_TIME)
         return self._points[index - 1][1] if index else None
 
-    def window(
-        self, since: float, until: Optional[float] = None
-    ) -> List[Tuple[float, float]]:
-        """Retained points with ``since < t <= until``, oldest first.
-
-        *until* defaults to the newest retained point's time.
-        """
-        if not self._points:
-            return []
-        if until is None:
-            until = self._points[-1][0]
+    def window(self, since: float) -> List[Tuple[float, float]]:
+        """Retained points with ``t > since``, oldest first."""
         out: List[Tuple[float, float]] = []
         for t, value in reversed(self._points):
-            if t > until:
-                continue
             if t <= since:
                 break
             out.append((t, value))
@@ -116,11 +105,11 @@ class TimeSeries:
             baseline = points[0][1] if self.dropped else 0.0
         return current - baseline
 
-    def rate_over(self, window: float, at: Optional[float] = None) -> float:
-        """Per-second rate over the window (``delta_over / window``)."""
+    def rate_over(self, window: float) -> float:
+        """Per-second rate over the newest window (``delta_over / window``)."""
         if window <= 0:
             raise ValueError(f"window must be > 0: {window!r}")
-        return self.delta_over(window, at) / window
+        return self.delta_over(window) / window
 
     def __repr__(self) -> str:
         return (

@@ -19,6 +19,7 @@ from repro.obs import (
     render_dashboard,
     sparkline,
 )
+from repro.obs import dashboard
 from repro.obs.dashboard import SPARK_CHARS
 from repro.sim import Simulation
 
@@ -41,8 +42,9 @@ class TestSparkline:
     def test_all_nan_renders_spaces(self):
         assert sparkline([math.nan, math.nan]) == "  "
 
-    def test_width_takes_the_tail(self):
-        out = sparkline([0.0] * 10 + [1.0], width=2)
+    def test_width_takes_the_tail(self, monkeypatch):
+        monkeypatch.setattr(dashboard, "SPARK_WIDTH", 2)
+        out = sparkline([0.0] * 10 + [1.0])
         assert len(out) == 2
         assert out[-1] == SPARK_CHARS[-1]
 
@@ -56,7 +58,9 @@ class TestSparkline:
     )
     @settings(max_examples=60)
     def test_output_width_and_alphabet(self, values, width):
-        out = sparkline(values, width)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dashboard, "SPARK_WIDTH", width)
+            out = sparkline(values)
         assert len(out) == min(len(values), width)
         assert all(c in SPARK_CHARS + " " for c in out)
 
@@ -117,20 +121,6 @@ class TestRenderDashboard:
         assert "live" in frame
         assert any(c in frame for c in SPARK_CHARS)
 
-    def test_replay_frame_is_deterministic_and_labelled(self):
-        scraper = _scraper_with_series()
-        first = render_dashboard(scraper, at=3.0)
-        second = render_dashboard(scraper, at=3.0)
-        assert first == second
-        assert "replay" in first
-        assert "t=3s" in first
-
-    def test_replay_excludes_future_points(self):
-        scraper = _scraper_with_series()
-        early = render_dashboard(scraper, at=2.0)
-        late = render_dashboard(scraper, at=6.0)
-        assert early != late
-
     def test_rate_panels_divide_by_interval(self):
         scraper = _scraper_with_series()
         frame = render_dashboard(scraper)
@@ -150,12 +140,8 @@ class TestLivePanel:
         sim = Simulation(seed=2)
         scraper = TelemetryScraper(interval=1.0).attach(sim)
         scraper.add_gauge("g", lambda: 1.0)
-        scraper.subscribe(live_panel(frames.append, every=2))
+        scraper.subscribe(live_panel(frames.append))
         scraper.start(until=6.0)
         sim.run(until=6.0)
-        assert len(frames) == 3
+        assert len(frames) == 6
         assert all("telemetry dashboard" in frame for frame in frames)
-
-    def test_every_must_be_positive(self):
-        with pytest.raises(ValueError):
-            live_panel(print, every=0)

@@ -138,7 +138,7 @@ def _telemetry_scraper():
 
     sim = Simulation(seed=9)
     registry = MetricsRegistry()
-    hist = registry.histogram_handle("app.latency", edges=(0.01, 0.1, 1.0))
+    hist = registry.histogram_handle("app.latency")
 
     def ticker():
         while True:

@@ -222,13 +222,13 @@ class TestRenderers:
 
     def test_timeline_orders_fire_and_resolve_chronologically(self):
         engine = SloEngine([spec()])
-        engine.alerts.append(
-            BurnAlert(
-                slo="s", severity="fast", fired_at=5.0, threshold=2.0,
-                short_window=5.0, long_window=60.0,
-                short_burn=3.0, long_burn=2.5, resolved_at=9.0,
-            )
+        resolved = BurnAlert(
+            slo="s", severity="fast", fired_at=5.0, threshold=2.0,
+            short_window=5.0, long_window=60.0,
+            short_burn=3.0, long_burn=2.5,
         )
+        resolved.resolved_at = 9.0
+        engine.alerts.append(resolved)
         engine.alerts.append(
             BurnAlert(
                 slo="s", severity="slow", fired_at=7.0, threshold=1.0,

@@ -16,7 +16,7 @@ from repro.core import (
 )
 from repro.http import BackendWebServer
 from repro.obs import Span, TraceCollector
-from repro.workload import run_clustering_experiment, run_qos_experiment
+from repro.workload import run_clustering_experiment, run_qos_experiment, scenarios
 
 
 def reachable(root, skip=()):
@@ -255,9 +255,10 @@ class TestRequestEvents:
 
 
 class TestParentChildTraces:
-    def test_frontend_trace_nests_broker_calls(self):
+    def test_frontend_trace_nests_broker_calls(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "_FIG7_REQUESTS", 6)
         collector = TraceCollector()
-        run_clustering_experiment(2, n_requests=6, seed=7, obs=collector)
+        run_clustering_experiment(2, seed=7, obs=collector)
         assert collector.roots_seen == 6
         with_children = [t for t in collector.traces if t.children]
         assert with_children, "front-end traces should nest broker calls"

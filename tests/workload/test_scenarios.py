@@ -5,37 +5,44 @@ from __future__ import annotations
 import pytest
 
 from repro.workload import run_clustering_experiment, run_qos_experiment
+from repro.workload import scenarios
 from repro.workload.scenarios import run_sharded_qos_experiment
 
 
+@pytest.fixture
+def ten_requests(monkeypatch):
+    """A 10-request burst instead of the Figure-7 testbed's 40."""
+    monkeypatch.setattr(scenarios, "_FIG7_REQUESTS", 10)
+
+
 class TestClusteringScenario:
-    def test_degree_one_serves_every_request_individually(self):
-        result = run_clustering_experiment(degree=1, n_requests=10, seed=1)
+    def test_degree_one_serves_every_request_individually(self, ten_requests):
+        result = run_clustering_experiment(degree=1, seed=1)
         assert result.errors == 0
         assert result.backend_calls == 10
         assert result.mean_response_time > 0
 
-    def test_clustering_reduces_backend_calls(self):
-        result = run_clustering_experiment(degree=5, n_requests=10, seed=1)
+    def test_clustering_reduces_backend_calls(self, ten_requests):
+        result = run_clustering_experiment(degree=5, seed=1)
         assert result.errors == 0
         assert result.backend_calls < 10
 
     def test_moderate_clustering_beats_no_clustering(self):
         # The headline Figure-7 effect at its design point (degree ~= n/capacity).
-        unclustered = run_clustering_experiment(degree=1, n_requests=40, seed=1)
-        clustered = run_clustering_experiment(degree=8, n_requests=40, seed=1)
+        unclustered = run_clustering_experiment(degree=1, seed=1)
+        clustered = run_clustering_experiment(degree=8, seed=1)
         assert clustered.mean_response_time < unclustered.mean_response_time
 
     def test_extreme_clustering_overshoots(self):
         # Serializing all 40 requests into one giant call is slower than
         # the sweet spot — the right side of the U.
-        sweet = run_clustering_experiment(degree=8, n_requests=40, seed=1)
-        extreme = run_clustering_experiment(degree=40, n_requests=40, seed=1)
+        sweet = run_clustering_experiment(degree=8, seed=1)
+        extreme = run_clustering_experiment(degree=40, seed=1)
         assert extreme.mean_response_time > sweet.mean_response_time
 
-    def test_determinism(self):
-        a = run_clustering_experiment(degree=4, n_requests=10, seed=7)
-        b = run_clustering_experiment(degree=4, n_requests=10, seed=7)
+    def test_determinism(self, ten_requests):
+        a = run_clustering_experiment(degree=4, seed=7)
+        b = run_clustering_experiment(degree=4, seed=7)
         assert a.mean_response_time == b.mean_response_time
 
     def test_degree_validation(self):
