@@ -40,7 +40,7 @@ def run_point(link: Link, mode: str):
     table = database.create_table("kv", [("k", int), ("v", str)])
     for i in range(5000):
         table.insert((i, f"v{i}"))
-    table.create_index("k", "hash")
+    table.create_index("k")
     db_server = DatabaseServer(sim, net.node("dbhost"), database, max_workers=8)
     web_node = net.node("web")
     times = SummaryStats()

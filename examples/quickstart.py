@@ -38,7 +38,7 @@ def build_database() -> Database:
         "products", [("id", int), ("name", str), ("price", float)]
     )
     table.load((i, f"product-{i}", float(5 + i % 95)) for i in range(10_000))
-    table.create_index("id", "hash")
+    table.create_index("id")
     return database
 
 

@@ -78,7 +78,6 @@ _EXPORTS = {
     "ClusteringConfig": "core",
     "IdenticalRequestCombiner": "core",
     "RepeatWorkloadCombiner": "core",
-    "MgetCombiner": "core",
     "InListQueryCombiner": "core",
     "FileBatchCombiner": "core",
     "ConnectionPool": "core",
@@ -115,7 +114,6 @@ _EXPORTS = {
     "SummaryStats": "metrics",
     "LatencyHistogram": "metrics",
     "render_table": "metrics",
-    "render_series": "metrics",
     "mm1_metrics": "analysis",
     "mmc_metrics": "analysis",
     "mva_single_station": "analysis",

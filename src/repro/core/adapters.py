@@ -111,8 +111,6 @@ class HttpAdapter(ServiceAdapter):
 
     * ``"get"`` — payload is ``(path, params)``; returns an
       :class:`HttpResponse`.
-    * ``"mget"`` — payload is ``(paths, params)``; returns the batched
-      206 response with per-path parts.
     * ``"request"`` — payload is a full :class:`HttpRequest`.
     """
 
@@ -130,9 +128,6 @@ class HttpAdapter(ServiceAdapter):
         if operation == "get":
             path, params = payload
             response = yield from connection.get(path, dict(params or {}))
-        elif operation == "mget":
-            paths, params = payload
-            response = yield from connection.mget(list(paths), dict(params or {}))
         elif operation == "request":
             if not isinstance(payload, HttpRequest):
                 raise ProtocolError("'request' operation expects an HttpRequest")

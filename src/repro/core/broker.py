@@ -219,22 +219,11 @@ class ServiceBroker:
 
         Counts only ``broker.drops.*`` (admission-gate rejections);
         backpressure sheds are accounted separately under
-        ``broker.shed.*`` — see :meth:`shed_ratio`.
+        ``broker.shed.*`` (see :meth:`record_shed`).
         """
         arrivals = self.metrics.counter(f"broker.arrivals.qos{level}")
         drops = self.metrics.counter(f"broker.drops.qos{level}")
         return drops / arrivals if arrivals else 0.0
-
-    def shed_ratio(self, level: int) -> float:
-        """Fraction of level-*level* arrivals shed by backpressure.
-
-        The complement of :meth:`drop_ratio`: sheds happen after
-        admission, when a bounded queue overflows (or on a shedding
-        restart), and are tagged ``broker.shed.<reason>``.
-        """
-        arrivals = self.metrics.counter(f"broker.arrivals.qos{level}")
-        sheds = self.metrics.counter(f"broker.shed.qos{level}")
-        return sheds / arrivals if arrivals else 0.0
 
     def record_shed(self, level: int, reason: str) -> None:
         """Count one backpressure shed, kept apart from admission drops."""

@@ -100,7 +100,6 @@ class LoadListener:
         self.socket = node.datagram_socket(port)
         self.address = self.socket.address
         self.table: Dict[str, LoadReport] = {}
-        self._applied: Dict[str, float] = {}
         #: Latest report per ``(service, shard)`` (sharded topologies).
         self.shards: Dict[Tuple[str, int], ShardLoadReport] = {}
         #: Reporting leader per ``(service, shard)``.
@@ -119,7 +118,6 @@ class LoadListener:
             # The single listener thread serializes update processing.
             yield self.process_time
             self.table[report.service] = report
-            self._applied[report.service] = self.sim.now
             self.metrics.increment("listener.updates")
             lag = self.sim.now - report.sent_at
             if lag < 0.0:
@@ -200,11 +198,6 @@ class LoadListener:
     def load_of(self, service: str) -> Optional[LoadReport]:
         """The most recently applied report for *service*, if any."""
         return self.table.get(service)
-
-    def staleness(self, service: str) -> float:
-        """Seconds since the last applied update for *service*."""
-        applied = self._applied.get(service)
-        return float("inf") if applied is None else self.sim.now - applied
 
 
 class ResourceProfileRegistry:

@@ -3,7 +3,7 @@
 "Service brokers can gather all the requests and rewrite the query
 command" (paper §V.A) — clustering is application specific, so the
 engine is a pluggable :class:`Combiner` plus a :class:`ClusteringConfig`
-(batch size cap and optional gather window). Four combiners cover the
+(batch size cap and optional gather window). These combiners cover the
 paper's cases:
 
 * :class:`IdenticalRequestCombiner` — identical operations are executed
@@ -11,9 +11,6 @@ paper's cases:
 * :class:`RepeatWorkloadCombiner` — the paper's Figure-7 scheme: *n*
   same-script CGI requests become one request with a ``repeat=n``
   parameter; the backend repeats the workload n times in one slot.
-* :class:`MgetCombiner` — the MGET proposal: GETs for different paths on
-  the same server combine into one ``MGET URI:a URI:b`` exchange and the
-  multipart response is split back per path.
 * :class:`InListQueryCombiner` — multiple-query optimization in the
   style the paper cites (Sellis, TODS 1988): *n* keyed SELECTs against
   the same table/column are rewritten into one ``WHERE key IN (...)``
@@ -29,7 +26,6 @@ from ..db.client import QueryResult
 from ..db.parser import parse
 from ..db.query import Comparison, SelectStatement
 from ..errors import BrokerError, SqlSyntaxError
-from ..http.messages import HttpResponse
 from .protocol import BrokerRequest
 
 __all__ = [
@@ -37,7 +33,6 @@ __all__ = [
     "ClusteringConfig",
     "IdenticalRequestCombiner",
     "RepeatWorkloadCombiner",
-    "MgetCombiner",
     "InListQueryCombiner",
     "FileBatchCombiner",
 ]
@@ -126,36 +121,6 @@ class RepeatWorkloadCombiner(Combiner):
         return [result for _ in requests]
 
 
-class MgetCombiner(Combiner):
-    """Combine GETs for different paths into one MGET exchange."""
-
-    def key(self, request: BrokerRequest) -> Optional[str]:
-        if request.operation != "get":
-            return None
-        # All GETs to the same service cluster together; paths differ.
-        return f"mget:{request.service}"
-
-    def combine(self, requests: Sequence[BrokerRequest]) -> Tuple[str, Any]:
-        if len(requests) == 1:
-            return requests[0].operation, requests[0].payload
-        paths = [request.payload[0] for request in requests]
-        params = dict(requests[0].payload[1] or {})
-        return "mget", (tuple(paths), params)
-
-    def split(self, requests: Sequence[BrokerRequest], result: Any) -> List[Any]:
-        if len(requests) == 1:
-            return [result]
-        if not isinstance(result, HttpResponse) or not result.parts:
-            raise BrokerError(f"MGET result has no parts: {result!r}")
-        # Parts come back in request order; map positionally so duplicate
-        # paths each get their own copy.
-        if len(result.parts) != len(requests):
-            raise BrokerError(
-                f"MGET returned {len(result.parts)} parts for {len(requests)} requests"
-            )
-        return [part for _, part in result.parts]
-
-
 def _sql_literal(value: Any) -> str:
     """Render a Python value as a mini-SQL literal."""
     if isinstance(value, str):
@@ -171,7 +136,7 @@ class InListQueryCombiner(Combiner):
 
         SELECT <cols|*> FROM <table> WHERE <key> = <literal>
 
-    (no ORDER BY / LIMIT / aggregates). The combined query selects the
+    (no ``COUNT(*)`` or GROUP BY). The combined query selects the
     requested columns plus the key column, so the broker can route each
     result row back to the request whose key value it matches —
     including requests whose key found no rows (they receive an empty
@@ -187,14 +152,9 @@ class InListQueryCombiner(Combiner):
             return None
         if not isinstance(statement, SelectStatement):
             return None
-        if (
-            statement.aggregates
-            or statement.order_by is not None
-            or statement.limit is not None
-            or statement.group_by is not None
-        ):
+        if statement.aggregates or statement.group_by is not None:
             return None
-        if not isinstance(statement.where, Comparison) or statement.where.op != "=":
+        if not isinstance(statement.where, Comparison):
             return None
         return statement
 

@@ -1884,10 +1884,6 @@ class StagePipeline:
         sim = broker.sim
         ctx.completed_at = sim._now
         if send and ctx.reply is not None and ctx.request is not None:
-            if ctx.reply.context is None:
-                # Replies built by stock stages carry the context; patch
-                # replies a custom stage built without one.
-                ctx.reply = ctx.reply.with_context(ctx)
             broker.send_reply(ctx.request, ctx.reply)
         anchor = ctx.received_at if ctx.received_at is not None else ctx.created_at
         self._pipeline_time.add(ctx.completed_at - anchor)

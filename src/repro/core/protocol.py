@@ -9,7 +9,7 @@ reply carries the result (possibly degraded) plus provenance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Any, ClassVar, FrozenSet, Optional
 
@@ -96,10 +96,6 @@ class BrokerReply:
     context: Optional["RequestContext"] = field(
         default=None, compare=False, repr=False
     )
-
-    def with_context(self, context: "RequestContext") -> "BrokerReply":
-        """A copy of the reply carrying *context* (replies are frozen)."""
-        return replace(self, context=context)
 
     @property
     def ok(self) -> bool:

@@ -12,22 +12,15 @@ _EXPORTS = {
     "ExecutionStats": "executor",
     "ResultSet": "executor",
     "HashIndex": "index",
-    "SortedIndex": "index",
     "parse": "parser",
     "tokenize": "parser",
     "Column": "schema",
     "Schema": "schema",
     "Table": "table",
     "Comparison": "query",
-    "Between": "query",
     "InList": "query",
-    "Like": "query",
-    "And": "query",
-    "Or": "query",
     "SelectStatement": "query",
-    "InsertStatement": "query",
     "UpdateStatement": "query",
-    "DeleteStatement": "query",
     "MaterializedView": "views",
     "ViewCatalog": "views",
 }

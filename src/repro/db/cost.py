@@ -10,8 +10,6 @@ roughly 0.2 s, in the ballpark of a 2003-era MySQL table traversal.
 
 from __future__ import annotations
 
-import math
-
 from .executor import ExecutionStats
 
 __all__ = ["service_time"]
@@ -22,9 +20,7 @@ BASE_TIME = 0.002
 PER_ROW_EXAMINED = 5e-6
 #: Cost of materializing one result row onto the wire.
 PER_ROW_RETURNED = 2e-5
-#: Multiplier applied as n·log2(n) for ORDER BY.
-PER_ROW_SORTED = 2e-6
-#: Cost of one insert/update/delete, including index maintenance.
+#: Cost of one row update, including index maintenance.
 PER_ROW_WRITTEN = 5e-5
 
 
@@ -34,6 +30,4 @@ def service_time(stats: ExecutionStats) -> float:
     time += stats.rows_examined * PER_ROW_EXAMINED
     time += stats.rows_returned * PER_ROW_RETURNED
     time += stats.rows_written * PER_ROW_WRITTEN
-    if stats.sorted_rows > 1:
-        time += PER_ROW_SORTED * stats.sorted_rows * math.log2(stats.sorted_rows)
     return time

@@ -18,8 +18,8 @@ class Database:
     """A collection of tables with a SQL front door.
 
     >>> db = Database()
-    >>> _ = db.create_table("movies", [("id", int), ("title", str)])
-    >>> _ = db.execute("INSERT INTO movies (id, title) VALUES (1, 'Heat')")
+    >>> db.create_table("movies", [("id", int), ("title", str)]).load([(1, "Heat")])
+    1
     >>> db.execute("SELECT title FROM movies WHERE id = 1").rows
     (('Heat',),)
     """
@@ -46,12 +46,6 @@ class Database:
         table = Table(name, schema)
         self.tables[name] = table
         return table
-
-    def drop_table(self, name: str) -> None:
-        """Remove table *name*; raises :class:`UnknownTableError`."""
-        if name not in self.tables:
-            raise UnknownTableError(f"unknown table {name!r}")
-        del self.tables[name]
 
     def table(self, name: str) -> Table:
         """The table called *name*; raises :class:`UnknownTableError`."""

@@ -2,24 +2,18 @@
 
 Grammar (case-insensitive keywords)::
 
-    statement  := select | insert | update | delete
-    select     := SELECT ('*' | COUNT '(' '*' ')' | ident (',' ident)*)
-                  FROM ident [WHERE or_expr]
-                  [ORDER BY ident [ASC|DESC]] [LIMIT int]
-    insert     := INSERT INTO ident '(' ident (',' ident)* ')'
-                  VALUES '(' literal (',' literal)* ')'
+    statement  := select | update
+    select     := SELECT ('*' | item (',' item)*)
+                  FROM ident [WHERE predicate] [GROUP BY ident]
+    item       := COUNT '(' '*' ')' | ident
     update     := UPDATE ident SET ident '=' literal (',' ident '=' literal)*
-                  [WHERE or_expr]
-    delete     := DELETE FROM ident [WHERE or_expr]
-    or_expr    := and_expr (OR and_expr)*
-    and_expr   := predicate (AND predicate)*
-    predicate  := '(' or_expr ')'
-                | ident BETWEEN literal AND literal
+                  [WHERE predicate]
+    predicate  := ident '=' literal
                 | ident IN '(' literal (',' literal)* ')'
-                | ident LIKE string
-                | ident op literal
-    op         := '=' | '!=' | '<>' | '<' | '<=' | '>' | '>='
     literal    := int | float | string
+
+These are the forms the testbeds send; anything else is a
+:class:`~repro.errors.SqlSyntaxError`.
 """
 
 from __future__ import annotations
@@ -31,14 +25,8 @@ from typing import Any, List, Optional, Tuple
 
 from ..errors import SqlSyntaxError
 from .query import (
-    And,
-    Between,
     Comparison,
-    DeleteStatement,
     InList,
-    InsertStatement,
-    Like,
-    Or,
     Predicate,
     SelectStatement,
     Statement,
@@ -54,20 +42,15 @@ _TOKEN_RE = re.compile(
   | (?P<int>\d+)
   | (?P<string>'(?:[^']|'')*')
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op><=|>=|!=|<>|=|<|>)
+  | (?P<op>=)
   | (?P<punct>[(),*])
     """,
     re.VERBOSE,
 )
 
 KEYWORDS = {
-    "SELECT", "FROM", "WHERE", "ORDER", "BY", "ASC", "DESC", "LIMIT",
-    "AND", "OR", "BETWEEN", "IN", "LIKE",
-    "COUNT", "SUM", "AVG", "MIN", "MAX", "GROUP",
-    "INSERT", "INTO", "VALUES", "UPDATE", "SET", "DELETE",
+    "SELECT", "FROM", "WHERE", "IN", "COUNT", "GROUP", "BY", "UPDATE", "SET",
 }
-
-AGGREGATE_KEYWORDS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
 
 @dataclass(frozen=True)
@@ -104,7 +87,7 @@ def tokenize(text: str) -> List[Token]:
             else:
                 tokens.append(Token("ident", raw, pos))
         elif kind == "op":
-            tokens.append(Token("op", "!=" if raw == "<>" else raw, pos))
+            tokens.append(Token("op", raw, pos))
         else:
             tokens.append(Token("punct", raw, pos))
         pos = match.end()
@@ -173,12 +156,8 @@ class _Parser:
             raise SqlSyntaxError(f"statement must start with a keyword: {self.text!r}")
         if token.value == "SELECT":
             result: Statement = self.select()
-        elif token.value == "INSERT":
-            result = self.insert()
         elif token.value == "UPDATE":
             result = self.update()
-        elif token.value == "DELETE":
-            result = self.delete()
         else:
             raise SqlSyntaxError(f"unsupported statement: {token.value}")
         trailing = self.peek()
@@ -205,21 +184,6 @@ class _Parser:
         if self.accept("keyword", "GROUP"):
             self.expect("keyword", "BY")
             group_by = self.ident()
-        order_by: Optional[str] = None
-        descending = False
-        if self.accept("keyword", "ORDER"):
-            self.expect("keyword", "BY")
-            order_by = self.ident()
-            if self.accept("keyword", "DESC"):
-                descending = True
-            else:
-                self.accept("keyword", "ASC")
-        limit: Optional[int] = None
-        if self.accept("keyword", "LIMIT"):
-            token = self.next()
-            if token.kind != "int" or token.value < 0:
-                raise SqlSyntaxError("LIMIT expects a non-negative integer")
-            limit = token.value
         if group_by is not None and not aggregates:
             raise SqlSyntaxError("GROUP BY requires at least one aggregate")
         if aggregates and columns:
@@ -236,57 +200,19 @@ class _Parser:
             table=table,
             columns=tuple(columns),
             where=where,
-            order_by=order_by,
-            descending=descending,
-            limit=limit,
             aggregates=tuple(aggregates),
             group_by=group_by,
         )
 
     def select_item(self, columns: list, aggregates: list) -> None:
-        """Parse one select-list item: a column or an aggregate call."""
-        token = self.peek()
-        if (
-            token is not None
-            and token.kind == "keyword"
-            and token.value in AGGREGATE_KEYWORDS
-        ):
-            function = self.next().value
+        """Parse one select-list item: a column or ``COUNT(*)``."""
+        if self.accept("keyword", "COUNT"):
             self.expect("punct", "(")
-            if self.accept("punct", "*"):
-                if function != "COUNT":
-                    raise SqlSyntaxError(f"{function}(*) is not supported")
-                argument: Optional[str] = None
-            else:
-                argument = self.ident()
+            self.expect("punct", "*")
             self.expect("punct", ")")
-            aggregates.append((function, argument))
+            aggregates.append(("COUNT", None))
         else:
             columns.append(self.ident())
-
-    def insert(self) -> InsertStatement:
-        self.expect("keyword", "INSERT")
-        self.expect("keyword", "INTO")
-        table = self.ident()
-        self.expect("punct", "(")
-        columns = [self.ident()]
-        while self.accept("punct", ","):
-            column = self.ident()
-            if column in columns:
-                raise SqlSyntaxError(f"INSERT names column {column!r} twice")
-            columns.append(column)
-        self.expect("punct", ")")
-        self.expect("keyword", "VALUES")
-        self.expect("punct", "(")
-        values = [self.literal()]
-        while self.accept("punct", ","):
-            values.append(self.literal())
-        self.expect("punct", ")")
-        if len(columns) != len(values):
-            raise SqlSyntaxError(
-                f"INSERT has {len(columns)} columns but {len(values)} values"
-            )
-        return InsertStatement(table, tuple(columns), tuple(values))
 
     def update(self) -> UpdateStatement:
         self.expect("keyword", "UPDATE")
@@ -303,42 +229,15 @@ class _Parser:
         self.expect("op", "=")
         return column, self.literal()
 
-    def delete(self) -> DeleteStatement:
-        self.expect("keyword", "DELETE")
-        self.expect("keyword", "FROM")
-        table = self.ident()
-        return DeleteStatement(table, self.where_clause())
-
     # -- predicates ----------------------------------------------------
 
     def where_clause(self) -> Optional[Predicate]:
         if self.accept("keyword", "WHERE"):
-            return self.or_expr()
+            return self.predicate()
         return None
 
-    def or_expr(self) -> Predicate:
-        parts = [self.and_expr()]
-        while self.accept("keyword", "OR"):
-            parts.append(self.and_expr())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def and_expr(self) -> Predicate:
-        parts = [self.predicate()]
-        while self.accept("keyword", "AND"):
-            parts.append(self.predicate())
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
     def predicate(self) -> Predicate:
-        if self.accept("punct", "("):
-            inner = self.or_expr()
-            self.expect("punct", ")")
-            return inner
         column = self.ident()
-        if self.accept("keyword", "BETWEEN"):
-            low = self.literal()
-            self.expect("keyword", "AND")
-            high = self.literal()
-            return Between(column, low, high)
         if self.accept("keyword", "IN"):
             self.expect("punct", "(")
             values = [self.literal()]
@@ -346,17 +245,8 @@ class _Parser:
                 values.append(self.literal())
             self.expect("punct", ")")
             return InList(column, tuple(values))
-        if self.accept("keyword", "LIKE"):
-            token = self.next()
-            if token.kind != "string":
-                raise SqlSyntaxError("LIKE expects a string pattern")
-            return Like(column, token.value)
-        token = self.next()
-        if token.kind != "op":
-            raise SqlSyntaxError(
-                f"expected an operator after {column!r}, got {token.value!r}"
-            )
-        return Comparison(column, token.value, self.literal())
+        self.expect("op", "=")
+        return Comparison(column, self.literal())
 
 
 #: Distinct SQL texts whose parse is kept. The §V workloads issue a few

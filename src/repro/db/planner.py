@@ -1,167 +1,42 @@
 """Query planner: choose an access path for a predicate.
 
-The planner flattens a top-level conjunction, looks for one indexable
-conjunct (equality on a hash or sorted index, range/BETWEEN on a sorted
-index, IN on either), and leaves the remaining conjuncts as a residual
-filter. Disjunctions and un-indexed predicates fall back to a full scan.
+A ``WHERE`` is one predicate. Equality or ``IN`` on a column with a
+hash index reads the index; any other predicate (or none) falls back to
+a full scan, with the predicate as the residual filter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, Optional, Tuple
 
-from .index import HashIndex, SortedIndex
-from .query import And, Between, Comparison, InList, Like, Or, Predicate
+from .query import Comparison, Predicate
 from .table import Table
 
 __all__ = ["AccessPath", "plan_access"]
-
-#: Preference order of access kinds (lower = better).
-_KIND_RANK = {
-    "hash-eq": 0,
-    "sorted-eq": 1,
-    "in-list": 2,
-    "range": 3,
-    "prefix-range": 4,
-    "scan": 9,
-}
-
-#: Upper bound appended to a LIKE prefix to form its half-open range.
-_PREFIX_CEILING = "￿"
 
 
 @dataclass(frozen=True)
 class AccessPath:
     """The chosen way to fetch candidate rows for a query.
 
-    ``kind`` is one of ``"scan"``, ``"hash-eq"``, ``"sorted-eq"``,
-    ``"range"``, ``"in-list"``; index paths carry the column and the
-    lookup arguments, plus the residual predicate to apply per row.
+    ``kind`` is one of ``"scan"``, ``"hash-eq"``, ``"in-list"``; index
+    paths carry the column and the lookup values, a scan the residual
+    predicate to apply per row.
     """
 
     kind: str
     column: Optional[str] = None
-    equals: Any = None
-    values: Optional[Tuple[Any, ...]] = None
-    low: Any = None
-    high: Any = None
-    low_open: bool = False
-    high_open: bool = False
+    values: Tuple[Any, ...] = ()
     residual: Optional[Predicate] = None
-
-    @property
-    def uses_index(self) -> bool:
-        return self.kind != "scan"
-
-
-def _conjuncts(where: Optional[Predicate]) -> List[Predicate]:
-    if where is None:
-        return []
-    if isinstance(where, And):
-        return list(where.parts)
-    return [where]
-
-
-def _residual(parts: List[Predicate], used: Predicate) -> Optional[Predicate]:
-    rest = [p for p in parts if p is not used]
-    if not rest:
-        return None
-    if len(rest) == 1:
-        return rest[0]
-    return And(tuple(rest))
-
-
-def _candidate(table: Table, predicate: Predicate) -> Optional[AccessPath]:
-    """An index path for one conjunct, or None if not indexable."""
-    if isinstance(predicate, Comparison):
-        index = table.indexes.get(predicate.column)
-        if index is None:
-            return None
-        if predicate.op == "=":
-            kind = "hash-eq" if isinstance(index, HashIndex) else "sorted-eq"
-            return AccessPath(kind=kind, column=predicate.column, equals=predicate.value)
-        if isinstance(index, SortedIndex) and predicate.op in ("<", "<=", ">", ">="):
-            if predicate.op in ("<", "<="):
-                return AccessPath(
-                    kind="range",
-                    column=predicate.column,
-                    high=predicate.value,
-                    high_open=(predicate.op == "<"),
-                )
-            return AccessPath(
-                kind="range",
-                column=predicate.column,
-                low=predicate.value,
-                low_open=(predicate.op == ">"),
-            )
-        return None
-    if isinstance(predicate, Between):
-        index = table.indexes.get(predicate.column)
-        if isinstance(index, SortedIndex):
-            return AccessPath(
-                kind="range",
-                column=predicate.column,
-                low=predicate.low,
-                high=predicate.high,
-            )
-        return None
-    if isinstance(predicate, InList):
-        index = table.indexes.get(predicate.column)
-        if index is not None:
-            return AccessPath(
-                kind="in-list", column=predicate.column, values=predicate.values
-            )
-        return None
-    if isinstance(predicate, Like):
-        # LIKE 'abc%...' can seed a sorted-index range over the literal
-        # prefix; the pattern itself must stay as a residual filter
-        # because the range is an over-approximation.
-        index = table.indexes.get(predicate.column)
-        prefix = predicate.prefix
-        if isinstance(index, SortedIndex) and prefix is not None:
-            return AccessPath(
-                kind="prefix-range",
-                column=predicate.column,
-                low=prefix,
-                high=prefix + _PREFIX_CEILING,
-            )
-        return None
-    if isinstance(predicate, (And, Or)):
-        return None
-    return None
 
 
 def plan_access(table: Table, where: Optional[Predicate]) -> AccessPath:
     """Choose the cheapest access path for *where* on *table*."""
-    parts = _conjuncts(where)
-    if not parts:
-        return AccessPath(kind="scan", residual=None)
-    if isinstance(where, Or):
+    if where is None:
+        return AccessPath(kind="scan")
+    if where.column not in table.indexes:
         return AccessPath(kind="scan", residual=where)
-
-    best: Optional[Tuple[int, Predicate, AccessPath]] = None
-    for part in parts:
-        path = _candidate(table, part)
-        if path is None:
-            continue
-        rank = _KIND_RANK[path.kind]
-        if best is None or rank < best[0]:
-            best = (rank, part, path)
-    if best is None:
-        return AccessPath(kind="scan", residual=where)
-    _, used, path = best
-    # A prefix-range only narrows the candidates; the LIKE predicate
-    # itself must still run as a residual filter.
-    consumed = None if path.kind == "prefix-range" else used
-    return AccessPath(
-        kind=path.kind,
-        column=path.column,
-        equals=path.equals,
-        values=path.values,
-        low=path.low,
-        high=path.high,
-        low_open=path.low_open,
-        high_open=path.high_open,
-        residual=_residual(parts, consumed),
-    )
+    if isinstance(where, Comparison):
+        return AccessPath(kind="hash-eq", column=where.column, values=(where.value,))
+    return AccessPath(kind="in-list", column=where.column, values=where.values)

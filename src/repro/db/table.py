@@ -1,15 +1,15 @@
 """Row storage with secondary index maintenance.
 
-Rows are tuples held in a slotted list; deletion tombstones the slot so
-row ids stay stable (indexes reference row ids). All mutations keep
-every index consistent and report the changed row to the table's
-observers (see :meth:`Table.subscribe`). Rows are written one way,
-:meth:`Table.load`; :meth:`Table.insert` is a one-row load.
+Rows are tuples held in a list; a row's id is its position (indexes
+reference row ids). All mutations keep every index consistent and
+report the changed row to the table's observers (see
+:meth:`Table.subscribe`). Rows are written one way, :meth:`Table.load`;
+:meth:`Table.insert` is a one-row load.
 """
 
 from __future__ import annotations
 
-from itertools import compress, count
+from itertools import count
 from operator import itemgetter
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
@@ -17,7 +17,7 @@ from typing import (
 )
 
 from ..errors import QueryError
-from .index import HashIndex, SortedIndex
+from .index import HashIndex
 from .schema import Schema
 
 __all__ = ["Table"]
@@ -25,7 +25,7 @@ __all__ = ["Table"]
 Row = Tuple[Any, ...]
 
 #: Called after each row change with ``(old row, new row)``: an insert
-#: has no old row, a delete no new one.
+#: has no old row.
 RowObserver = Callable[[Optional[Row], Optional[Row]], None]
 
 #: What a caller writes: values in schema order, or column name -> value.
@@ -38,20 +38,19 @@ class Table:
     def __init__(self, name: str, schema: Schema) -> None:
         self.name = name
         self.schema = schema
-        self._rows: List[Optional[Row]] = []
-        self._live = 0
-        self.indexes: Dict[str, Union[HashIndex, SortedIndex]] = {}
+        self._rows: List[Row] = []
+        self.indexes: Dict[str, HashIndex] = {}
         self._observers: List[RowObserver] = []
 
     # -- bookkeeping -----------------------------------------------------
 
     @property
     def row_count(self) -> int:
-        """Number of live (non-deleted) rows."""
-        return self._live
+        """Number of rows."""
+        return len(self._rows)
 
     def __len__(self) -> int:
-        return self._live
+        return len(self._rows)
 
     # -- mutation --------------------------------------------------------
 
@@ -92,14 +91,12 @@ class Table:
             raise
         loaded = len(stored) - start
         if not (self.indexes or self._observers):
-            self._live += loaded
             return loaded
         staged = stored[start:]
         del stored[start:]
         for row in staged:
             row_id = len(stored)
             append(row)
-            self._live += 1
             for column, index in self.indexes.items():
                 index.insert(row[schema.index_of(column)], row_id)
             for observer in self._observers:
@@ -110,16 +107,6 @@ class Table:
         """Insert one row (a one-row :meth:`load`); returns its row id."""
         self.load((values,))
         return len(self._rows) - 1
-
-    def delete(self, row_id: int) -> None:
-        """Tombstone the row with *row_id*."""
-        row = self._fetch(row_id)
-        self._rows[row_id] = None
-        self._live -= 1
-        for column, index in self.indexes.items():
-            index.remove(row[self.schema.index_of(column)], row_id)
-        for observer in self._observers:
-            observer(row, None)
 
     def update(self, row_id: int, changes: Mapping[str, Any]) -> None:
         """Overwrite columns of one row, keeping indexes consistent."""
@@ -139,32 +126,30 @@ class Table:
             observer(old, new)
 
     def _fetch(self, row_id: int) -> Row:
-        if not 0 <= row_id < len(self._rows) or self._rows[row_id] is None:
-            raise QueryError(f"no live row with id {row_id} in {self.name!r}")
-        return self._rows[row_id]  # type: ignore[return-value]
+        if not 0 <= row_id < len(self._rows):
+            raise QueryError(f"no row with id {row_id} in {self.name!r}")
+        return self._rows[row_id]
 
     def subscribe(self, observer: RowObserver) -> None:
         """Call *observer* ``(old row, new row)`` after every row change.
 
-        ``insert`` reports ``(None, row)``, ``delete`` ``(row, None)``
-        and ``update`` both images — what a materialized view needs to
-        know which groups a write touched.
+        ``insert`` reports ``(None, row)`` and ``update`` both images —
+        what a materialized view needs to know which groups a write
+        touched.
         """
         self._observers.append(observer)
 
     # -- access ----------------------------------------------------------
 
     def get(self, row_id: int) -> Optional[Row]:
-        """The row with *row_id*, or ``None`` if deleted/out of range."""
+        """The row with *row_id*, or ``None`` if out of range."""
         if 0 <= row_id < len(self._rows):
             return self._rows[row_id]
         return None
 
     def scan(self) -> Iterator[Tuple[int, Row]]:
-        """Iterate (row id, row) over all live rows."""
-        for row_id, row in enumerate(self._rows):
-            if row is not None:
-                yield row_id, row
+        """Iterate (row id, row) over all rows."""
+        return enumerate(self._rows)
 
     def value(self, row: Row, column: str) -> Any:
         """The value of *column* within *row*."""
@@ -172,27 +157,18 @@ class Table:
 
     # -- indexes ---------------------------------------------------------
 
-    def create_index(self, column: str, kind: str = "hash") -> None:
-        """Build a secondary index over *column* (``"hash"`` or ``"sorted"``)."""
+    def create_index(self, column: str) -> None:
+        """Build a hash index over *column*."""
         position = self.schema.index_of(column)  # validates the column exists
         if column in self.indexes:
             raise QueryError(f"index on {self.name}.{column} already exists")
-        if kind == "hash":
-            index: Union[HashIndex, SortedIndex] = HashIndex(column)
-        elif kind == "sorted":
-            index = SortedIndex(column)
-        else:
-            raise QueryError(f"unknown index kind: {kind!r}")
-        rows = self._rows
-        # (value, row id) of each live row, row ids ascending. A row is a
-        # non-empty tuple, so only a tombstone (None) is falsy.
-        index.bulk_load(
-            zip(map(itemgetter(position), filter(None, rows)), compress(count(), rows))
-        )
+        index = HashIndex(column)
+        # (value, row id) of each row, row ids ascending.
+        index.bulk_load(zip(map(itemgetter(position), self._rows), count()))
         self.indexes[column] = index
 
     def __repr__(self) -> str:
         return (
-            f"<Table {self.name!r} rows={self._live} "
+            f"<Table {self.name!r} rows={len(self._rows)} "
             f"indexes={sorted(self.indexes)}>"
         )

@@ -19,14 +19,11 @@ Refresh is per group. The view subscribes to its base table
 (:meth:`~repro.db.table.Table.subscribe`) and keeps only the set of
 *group keys* that changed rows belong to — the old row's key and the
 new row's, so a row moved between groups touches both. A refresh
-recomputes just those groups from the rows the base table's index on
-the grouping column returns, in row-id order — the order a full scan
-feeds the executor's aggregates — so every COUNT/SUM/AVG/MIN/MAX is
-bit-identical to a full recompute, and a group left empty is removed.
-The full recompute (the view's definition run through the executor) is
-the first build, and runs again whenever the per-group path has nothing
-to stand on: the grouping column has no index, or the base table was
-dropped and re-created since the last build.
+recounts just those groups from the base table's index on the grouping
+column, so every ``COUNT(*)`` equals a full recompute, and a group left
+empty is removed. The full recompute (the view's definition run through
+the executor) is the first build, and runs again whenever the per-group
+path has nothing to stand on: the grouping column has no index.
 
 The served :class:`~repro.db.executor.ResultSet` carries
 ``plan="view:<name>"`` and a one-row ``rows_examined``, so the database
@@ -43,18 +40,11 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 from ..errors import QueryError
 from ..metrics import MetricsRegistry
 from .engine import Database
-from .executor import (
-    ExecutionStats,
-    ResultSet,
-    _aggregate_value,
-    execute_statement,
-)
+from .executor import ExecutionStats, ResultSet, execute_statement, group_order
 from .parser import parse
 from .query import (
     Comparison,
-    DeleteStatement,
     InList,
-    InsertStatement,
     SelectStatement,
     Statement,
     UpdateStatement,
@@ -63,8 +53,6 @@ from .query import (
 from .table import Row, Table
 
 __all__ = ["MaterializedView", "ViewCatalog"]
-
-_WRITE_STATEMENTS = (InsertStatement, UpdateStatement, DeleteStatement)
 
 
 class MaterializedView:
@@ -78,9 +66,8 @@ class MaterializedView:
         The database holding the base table.
     definition:
         SQL (or parsed statement) of the form
-        ``SELECT <group_col>, <aggregates...> FROM <table> GROUP BY
-        <group_col>`` — a plain grouped aggregate with no WHERE, ORDER
-        BY, or LIMIT.
+        ``SELECT <group_col>, COUNT(*) FROM <table> GROUP BY
+        <group_col>`` — a plain grouped count with no WHERE.
     """
 
     def __init__(
@@ -95,16 +82,10 @@ class MaterializedView:
         if stmt.group_by is None or not stmt.aggregates:
             raise QueryError(
                 f"view {name!r}: definition must be a grouped aggregate "
-                f"(SELECT <col>, <agg...> FROM t GROUP BY <col>)"
+                f"(SELECT <col>, COUNT(*) FROM t GROUP BY <col>)"
             )
-        if (
-            stmt.where is not None
-            or stmt.order_by is not None
-            or stmt.limit is not None
-        ):
-            raise QueryError(
-                f"view {name!r}: definition must not filter, order, or limit"
-            )
+        if stmt.where is not None:
+            raise QueryError(f"view {name!r}: definition must not filter")
         if stmt.columns != (stmt.group_by,):
             raise QueryError(
                 f"view {name!r}: definition must select its grouping column"
@@ -156,8 +137,6 @@ class MaterializedView:
         position = table.schema.index_of(self.group_by)
 
         def note_row_change(old: Optional[Row], new: Optional[Row]) -> None:
-            if table is not self._source:
-                return  # a dropped table object someone still writes to
             if old is not None:
                 self._touched.add(old[position])
             if new is not None:
@@ -168,14 +147,9 @@ class MaterializedView:
     def _refresh_touched_groups(self, table: Table) -> None:
         index = table.indexes[self.group_by]
         for key in self._touched:
-            # lookup() returns row ids ascending: the order a scan feeds
-            # the executor, so float aggregates round the same way.
-            rows = list(map(table.get, index.lookup(key)))
-            if rows:
-                self._index[key] = tuple(
-                    _aggregate_value(table, function, column, rows)
-                    for function, column in self.aggregates
-                )
+            count = len(index.lookup(key))
+            if count:
+                self._index[key] = (count,) * len(self.aggregates)
             else:
                 self._index.pop(key, None)
 
@@ -184,11 +158,8 @@ class MaterializedView:
         self.dirty = True
 
     def _empty_group_row(self) -> Tuple:
-        # Aggregates over an empty group: COUNT is 0, the rest NULL.
-        return tuple(
-            0 if function == "COUNT" else None
-            for function, _column in self.aggregates
-        )
+        # COUNT(*) over an empty group is 0.
+        return (0,) * len(self.aggregates)
 
     def answer(self, stmt: SelectStatement) -> Optional[ResultSet]:
         """Serve *stmt* from the view, or ``None`` if it doesn't match.
@@ -203,22 +174,17 @@ class MaterializedView:
         * the definition itself, with or without ``g`` in the select
           list (full grouped read) — the whole index in key order.
 
-        The ungrouped ``WHERE g IN (...)`` form aggregates *across*
-        groups, which the per-group index cannot answer for AVG/MIN/MAX;
-        it falls through to the executor.
+        The ungrouped ``WHERE g IN (...)`` form counts *across* groups;
+        the per-group index does not hold that answer, so it falls
+        through to the executor.
         """
         if stmt.table != self.table or stmt.aggregates != self.aggregates:
             return None
-        if stmt.order_by is not None or stmt.limit is not None:
-            return None
         where = stmt.where
         grouped = stmt.group_by is not None
-        on_key = (
-            isinstance(where, (Comparison, InList))
-            and where.column == self.group_by
-        )
+        on_key = where is not None and where.column == self.group_by
         keys: Optional[Set[object]]
-        if on_key and isinstance(where, Comparison) and where.op == "=":
+        if on_key and isinstance(where, Comparison):
             keys = {where.value}
         elif on_key and isinstance(where, InList) and grouped:
             keys = set(where.values)
@@ -243,7 +209,9 @@ class MaterializedView:
             rows = [index.get(key) or self._empty_group_row()]
             examined = 1
         else:
-            present = sorted(index if keys is None else keys & index.keys())
+            present = sorted(
+                index if keys is None else keys & index.keys(), key=group_order
+            )
             if stmt.columns:
                 rows = [(key,) + index[key] for key in present]
             else:
@@ -312,7 +280,7 @@ class ViewCatalog:
         views = self._by_table.get(stmt.table)
         if not views:
             return None
-        if isinstance(stmt, _WRITE_STATEMENTS):
+        if isinstance(stmt, UpdateStatement):
             for view in views:
                 if not view.dirty:
                     view.note_write()

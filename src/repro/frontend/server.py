@@ -116,7 +116,6 @@ class FrontendWebServer:
                 params=request.params,
                 headers=request.headers,
                 body=request.body,
-                paths=request.paths,
                 context=ctx,
             )
 

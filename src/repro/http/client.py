@@ -10,7 +10,7 @@ Two usage modes mirror the paper's two access models:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..errors import ProtocolError
 from ..net.address import Address
@@ -45,14 +45,6 @@ class HttpConnection:
     def get(self, path: str, params: Optional[dict] = None):
         """Shorthand for a GET request."""
         return self.request(HttpRequest(method="GET", path=path, params=params or {}))
-
-    def mget(self, paths: Sequence[str], params: Optional[dict] = None):
-        """Shorthand for an MGET batch request."""
-        return self.request(
-            HttpRequest(
-                method="MGET", path="", paths=tuple(paths), params=params or {}
-            )
-        )
 
     def close(self) -> None:
         """Close the connection (the server sees EOF)."""

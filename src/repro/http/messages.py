@@ -1,9 +1,8 @@
 """HTTP message model.
 
 Requests and responses are plain dataclasses passed over stream
-connections. Only what the experiments need is modeled: methods GET,
-POST, and the batched MGET from the paper's clustering discussion
-(Franks' 1994 MGET proposal: ``MGET URI:1.html URI:2.html``).
+connections. Only what the experiments need is modeled: methods GET
+and POST.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ __all__ = ["HttpRequest", "HttpResponse", "STATUS_REASONS"]
 
 STATUS_REASONS: Dict[int, str] = {
     200: "OK",
-    206: "Partial Content",
     400: "Bad Request",
     404: "Not Found",
     500: "Internal Server Error",
@@ -27,8 +25,7 @@ STATUS_REASONS: Dict[int, str] = {
 class HttpRequest:
     """One HTTP request.
 
-    ``params`` carries decoded query-string / form parameters. For MGET,
-    ``paths`` holds the batched URIs and ``path`` is ignored.
+    ``params`` carries decoded query-string / form parameters.
 
     ``context`` is the per-request
     :class:`~repro.core.pipeline.RequestContext` the front-end web
@@ -45,14 +42,14 @@ class HttpRequest:
     params: Mapping[str, Any] = field(default_factory=dict)
     headers: Mapping[str, str] = field(default_factory=dict)
     body: str = ""
-    paths: Tuple[str, ...] = ()
+    #: Always empty; an empty tuple is still framed on the wire, so
+    #: dropping the field would shrink every request's modelled size.
+    paths: Tuple[str, ...] = field(default=(), init=False)
     context: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.method not in ("GET", "POST", "MGET"):
+        if self.method not in ("GET", "POST"):
             raise ValueError(f"unsupported method: {self.method!r}")
-        if self.method == "MGET" and not self.paths:
-            raise ValueError("MGET requires at least one path")
 
     def param(self, name: str, default: Any = None) -> Any:
         """The request parameter *name*, or *default*."""
@@ -61,18 +58,15 @@ class HttpRequest:
 
 @dataclass(frozen=True, slots=True)
 class HttpResponse:
-    """One HTTP response.
-
-    For MGET responses, ``parts`` maps each requested path to its own
-    :class:`HttpResponse` and ``body`` is empty.
-    """
+    """One HTTP response."""
 
     status: int
     body: str = ""
     #: No response carries a header, but the empty block is still framed
     #: on the wire.
     headers: Mapping[str, str] = field(default_factory=dict, init=False)
-    parts: Tuple[Tuple[str, "HttpResponse"], ...] = ()
+    #: Always empty; like ``headers`` it is still framed on the wire.
+    parts: Tuple[Tuple[str, "HttpResponse"], ...] = field(default=(), init=False)
 
     @property
     def reason(self) -> str:

@@ -3,16 +3,12 @@
 An Apache-like server with a bounded worker pool: at most ``max_clients``
 requests are processed simultaneously, the rest queue FCFS (this cap —
 set to 5 in the paper's experiments — is what turns the backend into the
-bottleneck). Serves:
-
-* static resources registered with :meth:`add_static`,
-* CGI handlers registered with :meth:`add_cgi` — generator functions
-  ``handler(server, request)`` that may wait on simulation events
-  (bounded processing time, their own database queries, ...) and return
-  an :class:`HttpResponse` or a body string (:func:`bounded_cgi` and
-  :func:`item_cgi` make the two the testbeds use),
-* ``MGET`` batches: the requested paths are served sequentially within a
-  single worker slot and returned as one multipart response.
+bottleneck). It serves CGI handlers registered with :meth:`add_cgi`:
+generator functions ``handler(server, request)`` that may wait on
+simulation events (bounded processing time, their own database queries,
+...) and return an :class:`HttpResponse` or a body string
+(:func:`bounded_cgi` and :func:`item_cgi` make the two the testbeds
+use). A path with no handler gets a 404.
 """
 
 from __future__ import annotations
@@ -32,14 +28,11 @@ __all__ = ["BackendWebServer", "bounded_cgi", "item_cgi"]
 #: Default HTTP port.
 DEFAULT_PORT = 80
 
-#: Seconds to serve one static document on a healthy server.
-STATIC_SERVICE_TIME = 0.0005
-
 CgiHandler = Callable[["BackendWebServer", HttpRequest], object]
 
 
 class BackendWebServer:
-    """A capacity-limited web server with static and CGI resources."""
+    """A capacity-limited web server with CGI resources."""
 
     def __init__(
         self,
@@ -54,15 +47,14 @@ class BackendWebServer:
         self.name = name or node.name
         #: Service-time multiplier, 1.0 when healthy; a slow-backend
         #: fault window (:class:`~repro.net.faults.SlowBackend`) raises
-        #: it. Static serving honours it directly; CGI handlers that
-        #: model processing time should multiply their waits by it.
+        #: it. CGI handlers that model processing time should multiply
+        #: their waits by it.
         self.service_time_scale = 1.0
         self.metrics = MetricsRegistry()
         self.workers = Resource(sim, max_clients)
         self.listener = node.listen_stream(port)
         self.address = node.address(port)
         self._port = port
-        self._static: Dict[str, str] = {}
         self._cgi: Dict[str, CgiHandler] = {}
         # Insertion-ordered (dict, not set) so crash() severs sessions
         # deterministically.
@@ -75,10 +67,6 @@ class BackendWebServer:
         sim.process(self._accept_loop(), name=f"http:{self.name}")
 
     # -- resource registration ------------------------------------------
-
-    def add_static(self, path: str, body: str) -> None:
-        """Register a static document at *path*."""
-        self._static[path] = body
 
     def add_cgi(self, path: str, handler: CgiHandler) -> None:
         """Register a CGI generator function at *path*."""
@@ -129,10 +117,7 @@ class BackendWebServer:
                     counter = self._requests = self.metrics.handle("http.requests")
                 counter.value += 1.0
                 try:
-                    if request.method == "MGET":
-                        response = yield from self._serve_mget(request)
-                    else:
-                        response = yield from self._serve_one(request)
+                    response = yield from self._serve_one(request)
                 finally:
                     self.workers.release(worker)
                 if connection.closed:
@@ -140,21 +125,6 @@ class BackendWebServer:
                 connection.send(response)
         finally:
             self._sessions.pop(connection, None)
-
-    def _serve_mget(self, request: HttpRequest):
-        """Serve each path of an MGET batch sequentially in one slot."""
-        parts = []
-        for path in request.paths:
-            single = HttpRequest(
-                method="GET",
-                path=path,
-                params=request.params,
-                headers=request.headers,
-            )
-            response = yield from self._serve_one(single)
-            parts.append((path, response))
-        self.metrics.increment("http.mget_batches")
-        return HttpResponse(status=206, parts=tuple(parts))
 
     def _serve_one(self, request: HttpRequest):
         handler = self._cgi.get(request.path)
@@ -176,10 +146,6 @@ class BackendWebServer:
             if isinstance(outcome, HttpResponse):
                 return outcome
             return HttpResponse.text(str(outcome))
-        body = self._static.get(request.path)
-        if body is not None:
-            yield STATIC_SERVICE_TIME * self.service_time_scale
-            return HttpResponse.text(body)
         self.metrics.increment("http.errors")
         return HttpResponse.error(404, f"no resource at {request.path!r}")
 

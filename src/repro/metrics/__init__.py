@@ -10,9 +10,7 @@ _EXPORTS = {
     "LatencyHistogram": "histogram",
     "DEFAULT_LATENCY_EDGES": "histogram",
     "render_table": "report",
-    "render_series": "report",
     "render_histograms": "report",
-    "render_histogram": "report",
     "format_cell": "report",
 }
 

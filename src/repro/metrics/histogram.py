@@ -172,13 +172,6 @@ class LatencyHistogram:
 
     # -- inspection ----------------------------------------------------
 
-    def buckets(self) -> List[Tuple[float, int]]:
-        """``(upper_edge, count)`` pairs; the overflow bucket reports
-        ``float('inf')`` as its edge."""
-        pairs = list(zip(self.edges, self.counts))
-        pairs.append((float("inf"), self.overflow))
-        return pairs
-
     def __len__(self) -> int:
         return self.count
 

@@ -3,23 +3,20 @@
 The paper's evaluation consists of small tables and x/y series; these
 helpers render them with aligned columns so benchmark output can be
 compared side by side with the paper's tables. The observability layer
-adds latency-distribution views: :func:`render_histograms` summarizes a
-set of :class:`~repro.metrics.histogram.LatencyHistogram` objects as a
-p50/p90/p99/p99.9 table and :func:`render_histogram` shows one
-histogram's bucket shape as ASCII bars.
+adds a latency-distribution view: :func:`render_histograms` summarizes
+a set of :class:`~repro.metrics.histogram.LatencyHistogram` objects as
+a p50/p90/p99/p99.9 table.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Sequence
 
 from .histogram import LatencyHistogram
 
 __all__ = [
     "render_table",
-    "render_series",
     "render_histograms",
-    "render_histogram",
     "format_cell",
 ]
 
@@ -37,19 +34,16 @@ def format_cell(value: Any) -> str:
     return str(value)
 
 
-def render_table(
-    rows: Sequence[Mapping[str, Any]],
-    columns: Optional[Sequence[str]] = None,
-    title: str = "",
-) -> str:
-    """Render *rows* (list of dicts) as an aligned text table."""
-    if columns is None:
-        columns = []
-        for row in rows:
-            for key in row:
-                if key not in columns:
-                    columns.append(key)
-    header = list(columns)
+def render_table(rows: Sequence[Mapping[str, Any]], title: str = "") -> str:
+    """Render *rows* (list of dicts) as an aligned text table.
+
+    The columns are every key of every row, in order of first use.
+    """
+    header: List[str] = []
+    for row in rows:
+        for key in row:
+            if key not in header:
+                header.append(key)
     body: List[List[str]] = [
         [format_cell(row.get(col, "")) for col in header] for row in rows
     ]
@@ -88,24 +82,3 @@ def render_histograms(
         for name, hist in histograms.items()
     ]
     return render_table(rows, title=title)
-
-
-def render_histogram(hist: LatencyHistogram) -> str:
-    """Render one histogram's non-empty buckets as 40-column ASCII bars."""
-    if hist.count == 0:
-        return "(empty histogram)"
-    peak = max(count for _, count in hist.buckets())
-    lines = []
-    for edge, count in hist.buckets():
-        if not count:
-            continue
-        label = "overflow" if edge == float("inf") else f"<= {edge * 1000.0:g} ms"
-        bar = "#" * max(1, round(40 * count / peak))
-        lines.append(f"{label:>16}  {bar} {count}")
-    return "\n".join(lines)
-
-
-def render_series(xs: Iterable[Any], ys: Iterable[Any]) -> str:
-    """Render a two-column x/y series (one figure curve)."""
-    rows = [{"x": x, "y": y} for x, y in zip(xs, ys)]
-    return render_table(rows, ["x", "y"])

@@ -245,13 +245,6 @@ class Trace:
         """Every span of the trace (pre-order, root first)."""
         return list(self.root.walk())
 
-    def find(self, name: str) -> Optional[Span]:
-        """The first span called *name*, if any."""
-        for span in self.root.walk():
-            if span.name == name:
-                return span
-        return None
-
     def validate(self) -> List[str]:
         """Check the span-tree invariants; returns violations (empty = ok).
 

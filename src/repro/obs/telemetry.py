@@ -148,11 +148,6 @@ class TimeSeries:
         index = bisect_right(self._times, at)
         return self._values[index - 1] if index else None
 
-    def window(self, since: float) -> List[Tuple[float, float]]:
-        """Retained points with ``t > since``, oldest first."""
-        start = bisect_right(self._times, since)
-        return list(zip(self._times[start:], self._values[start:]))
-
     def delta_over(self, window: float, at: Optional[float] = None) -> float:
         """Increase over ``(at - window, at]`` for a cumulative series.
 
@@ -177,12 +172,6 @@ class TimeSeries:
         else:
             baseline = self._values[0] if self.dropped else 0.0
         return current - baseline
-
-    def rate_over(self, window: float) -> float:
-        """Per-second rate over the newest window (``delta_over / window``)."""
-        if window <= 0:
-            raise ValueError(f"window must be > 0: {window!r}")
-        return self.delta_over(window) / window
 
     def __repr__(self) -> str:
         return (
@@ -622,19 +611,6 @@ class TelemetryScraper:
             if series is not None:
                 total += series.delta_over(window, at)
         return total
-
-    def windowed_percentile(
-        self, name: str, q: float, window: float
-    ) -> Optional[float]:
-        """Percentile of *name*'s observations in the *window* seconds up
-        to the newest scrape."""
-        track = self._tracks.get(name)
-        if track is None:
-            return None
-        delta = track.windowed(window)
-        if delta is None or delta.count == 0:
-            return None
-        return delta.percentile(q)
 
     def __repr__(self) -> str:
         return (

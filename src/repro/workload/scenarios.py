@@ -171,7 +171,7 @@ def _records_database(table_rows: int, groups: int):
         "records", [("id", int), ("grp", int), ("payload", str)]
     )
     table.load((i, i % groups, f"record-{i}") for i in range(table_rows))
-    table.create_index("grp", "hash")
+    table.create_index("grp")
     return database
 
 
@@ -1346,8 +1346,8 @@ def _catalog_database(table_rows: int, groups: int):
         "records", [("id", int), ("grp", int), ("val", int)]
     )
     table.load((i, i % groups, (i * 7) % 1000) for i in range(table_rows))
-    table.create_index("grp", "hash")
-    table.create_index("id", "hash")
+    table.create_index("grp")
+    table.create_index("id")
     return database
 
 

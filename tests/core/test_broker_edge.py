@@ -18,7 +18,7 @@ from repro.http import BackendWebServer
 def rate_limited_stack(sim, net):
     node = net.node("web")
     server = BackendWebServer(sim, net.node("origin"), max_clients=8)
-    server.add_static("/x", "payload")
+    server.add_cgi("/x", lambda server, request: "payload")
     broker = ServiceBroker(
         sim,
         node,

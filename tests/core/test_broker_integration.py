@@ -8,11 +8,9 @@ import pytest
 
 from repro.core import (
     BrokerClient,
-    ClusteringConfig,
     DatabaseAdapter,
     HttpAdapter,
     LatencyAwareBalancer,
-    MgetCombiner,
     QoSPolicy,
     ReplyStatus,
     ResultCache,
@@ -29,7 +27,7 @@ def db_backend(sim, net):
     table = database.create_table("kv", [("k", int), ("v", str)])
     for i in range(2000):
         table.insert((i, f"v{i}"))
-    table.create_index("k", "hash")
+    table.create_index("k")
     return DatabaseServer(sim, net.node("dbhost"), database, max_workers=4)
 
 
@@ -314,33 +312,3 @@ class TestBrokerReplication:
         counts = [b.metrics.counter("http.requests") for b in backends]
         assert sum(counts) == 60
         assert min(counts) >= 10  # no backend starved
-
-    def test_mget_clustering_end_to_end(self, sim, net):
-        node = net.node("webhost")
-        server = BackendWebServer(sim, net.node("origin"), max_clients=2)
-        server.add_static("/1.html", "one")
-        server.add_static("/2.html", "two")
-        broker = ServiceBroker(
-            sim,
-            node,
-            service="web",
-            adapters=[HttpAdapter(sim, node, server.address, name="origin")],
-            qos=QoSPolicy(levels=1, threshold=1000),
-            clustering=ClusteringConfig(
-                combiner=MgetCombiner(), max_batch=4, window=0.01
-            ),
-            dispatchers=1,
-            pool_size=1,
-        )
-        client = BrokerClient(sim, node, {"web": broker.address})
-        bodies = {}
-
-        def one(path):
-            reply = yield from client.call("web", "get", (path, {}), cacheable=False)
-            bodies[path] = reply.payload.body
-
-        sim.process(one("/1.html"))
-        sim.process(one("/2.html"))
-        sim.run()
-        assert bodies == {"/1.html": "one", "/2.html": "two"}
-        assert server.metrics.counter("http.mget_batches") >= 1

@@ -8,7 +8,6 @@ from repro.core import (
     BrokerRequest,
     ClusteringConfig,
     IdenticalRequestCombiner,
-    MgetCombiner,
     RepeatWorkloadCombiner,
 )
 from repro.errors import BrokerError
@@ -93,52 +92,3 @@ class TestRepeatWorkloadCombiner:
         combiner = RepeatWorkloadCombiner()
         _, (_, params) = combiner.combine([get_request(1, "/x")])
         assert params["n"] == 1
-
-
-class TestMgetCombiner:
-    def test_key_clusters_all_gets_per_service(self):
-        combiner = MgetCombiner()
-        a = get_request(1, "/1.html")
-        b = get_request(2, "/2.html")
-        assert combiner.key(a) == combiner.key(b)
-        other = get_request(3, "/1.html", service="other")
-        assert combiner.key(a) != combiner.key(other)
-
-    def test_single_request_passes_through(self):
-        combiner = MgetCombiner()
-        batch = [get_request(1, "/1.html", {"h": 1})]
-        operation, payload = combiner.combine(batch)
-        assert operation == "get"
-        assert payload == ("/1.html", {"h": 1})
-        assert combiner.split(batch, "resp") == ["resp"]
-
-    def test_combine_builds_mget(self):
-        combiner = MgetCombiner()
-        batch = [get_request(1, "/1.html"), get_request(2, "/2.html")]
-        operation, (paths, _params) = combiner.combine(batch)
-        assert operation == "mget"
-        assert paths == ("/1.html", "/2.html")
-
-    def test_split_maps_parts_positionally(self):
-        combiner = MgetCombiner()
-        batch = [get_request(1, "/1.html"), get_request(2, "/2.html")]
-        parts = (
-            ("/1.html", HttpResponse.text("one")),
-            ("/2.html", HttpResponse.text("two")),
-        )
-        result = HttpResponse(status=206, parts=parts)
-        split = combiner.split(batch, result)
-        assert [r.body for r in split] == ["one", "two"]
-
-    def test_split_rejects_mismatched_parts(self):
-        combiner = MgetCombiner()
-        batch = [get_request(1, "/1.html"), get_request(2, "/2.html")]
-        bad = HttpResponse(status=206, parts=(("/1.html", HttpResponse.text("x")),))
-        with pytest.raises(BrokerError):
-            combiner.split(batch, bad)
-
-    def test_split_rejects_partless_response(self):
-        combiner = MgetCombiner()
-        batch = [get_request(1, "/1.html"), get_request(2, "/2.html")]
-        with pytest.raises(BrokerError):
-            combiner.split(batch, HttpResponse.text("flat"))

@@ -14,7 +14,8 @@ from repro.core import (
     ReplyStatus,
     ServiceBroker,
 )
-from repro.db import Database, DatabaseServer
+from repro.db import Database, DatabaseServer, parse
+from repro.errors import SqlSyntaxError
 from repro.net import Address
 
 REPLY_TO = Address("web", 50000)
@@ -65,6 +66,21 @@ class TestPatternMatching:
     def test_non_candidates_rejected(self, combiner, sql):
         assert combiner.key(query_request(1, sql)) is None
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT name FROM users WHERE id > 1",
+            "SELECT name FROM users WHERE id = 1 AND age = 2",
+            "SELECT name FROM users WHERE id = 1 ORDER BY name",
+            "SELECT name FROM users WHERE id = 1 LIMIT 1",
+            "DELETE FROM users WHERE id = 1",
+        ],
+    )
+    def test_forms_outside_the_dialect_are_parse_errors(self, sql):
+        # They are not candidates because the engine refuses them too.
+        with pytest.raises(SqlSyntaxError):
+            parse(sql)
+
     def test_non_query_operations_rejected(self, combiner):
         request = BrokerRequest(1, "web", "get", ("/x", {}), REPLY_TO)
         assert combiner.key(request) is None
@@ -112,7 +128,7 @@ class TestEndToEnd:
         )
         for i in range(100):
             table.insert((i, f"user-{i}", 20 + i % 50))
-        table.create_index("id", "hash")
+        table.create_index("id")
         server = DatabaseServer(sim, net.node("dbhost"), database, max_workers=4)
         node = net.node("web")
         broker = ServiceBroker(

@@ -37,7 +37,7 @@ def db_backend(sim, net):
     table = database.create_table("kv", [("k", int), ("v", str)])
     for i in range(100):
         table.insert((i, f"v{i}"))
-    table.create_index("k", "hash")
+    table.create_index("k")
     return DatabaseServer(sim, net.node("dbhost"), database, max_workers=4)
 
 

@@ -40,6 +40,11 @@ from repro.sim import Simulation
 from repro.workload import run_shard_chaos_experiment, run_sharded_qos_experiment
 
 
+
+def find_span(trace, name):
+    """The first span of *trace* (pre-order) called *name*, if any."""
+    return next((span for span in trace.spans() if span.name == name), None)
+
 class FakeReplica:
     """Just enough broker surface for ShardGroup unit tests."""
 
@@ -452,10 +457,10 @@ class TestShardRouteStage:
         assert len(collector) == 1
         trace = collector.traces[0]
         assert trace.validate() == []
-        relay = trace.find("s0r0")
-        owner = trace.find(groups[1].leader.name)
+        relay = find_span(trace, "s0r0")
+        owner = find_span(trace, groups[1].leader.name)
         assert relay is not None and owner is not None
-        forward = trace.find("net.forward")
+        forward = find_span(trace, "net.forward")
         assert forward is not None
         # The broker->broker leg is attributed to the forwarding broker.
         assert any(span.name == "net.forward" for span in relay.walk())

@@ -1,8 +1,7 @@
 """``Table.load`` against successive ``Table.insert`` calls, and its cost.
 
 Hypothesis draws a schema of one to four ``int``/``float``/``str``
-columns, some hash- or sorted-indexed, a few rows already stored (some
-deleted), and a batch of rows given as tuples, lists or dicts — with
+columns, some hash-indexed, a few rows already stored, and a batch of rows given as tuples, lists or dicts — with
 ``None`` values and ints bound for float columns. ``load`` on one table
 must leave it exactly as ``insert`` row by row leaves a twin: the row
 store, every index, and what a recording observer saw, table state
@@ -43,26 +42,22 @@ _VALUES = {
     str: st.sampled_from(["", "a", "b", "ab"]),
 }
 
-#: Column types, and each column's index kind (None: no index).
+#: Column types, and whether each column has a hash index.
 _SCHEMAS = st.lists(
-    st.tuples(st.sampled_from([int, float, str]), st.sampled_from([None, "hash", "sorted"])),
+    st.tuples(st.sampled_from([int, float, str]), st.booleans()),
     min_size=1,
     max_size=4,
 )
 
 
-def _value(column_type, kind):
-    # A sorted index orders (value, row id) pairs, so its column holds
-    # no None: None and a number do not compare.
-    if kind == "sorted":
-        return _VALUES[column_type]
+def _value(column_type):
     return st.one_of(st.none(), _VALUES[column_type])
 
 
 def _rows(schema, max_size):
     """Rows for *schema*, each a tuple, a list or a dict."""
     names = [f"c{i}" for i in range(len(schema))]
-    row = st.tuples(*(_value(t, kind) for t, kind in schema))
+    row = st.tuples(*(_value(t) for t, _ in schema))
 
     def shape(values, form, omit_none):
         if form == "list":
@@ -78,36 +73,29 @@ def _rows(schema, max_size):
     )
 
 
-def _table(schema, initial, deletes):
-    """A table holding *initial* minus *deletes*, with *schema*'s
-    indexes and an observer that logs each change and the state it saw."""
+def _table(schema, initial):
+    """A table holding *initial*, with *schema*'s indexes and an
+    observer that logs each change and the state it saw."""
     table = Database().create_table(
         "t", [(f"c{i}", column_type) for i, (column_type, _) in enumerate(schema)]
     )
     for values in initial:
         table.insert(values)
-    for i, (_, kind) in enumerate(schema):
-        if kind is not None:
-            table.create_index(f"c{i}", kind)
-    for position in deletes:
-        live = [row_id for row_id, _ in table.scan()]
-        if live:
-            table.delete(live[position % len(live)])
+    for i, (_, indexed) in enumerate(schema):
+        if indexed:
+            table.create_index(f"c{i}")
     log = []
     table.subscribe(lambda old, new: log.append((old, new, _state(table))))
     return table, log
 
 
 def _state(table):
-    """Everything a reader can see: rows, count, lookups, sorted entries."""
+    """Everything a reader can see: rows, count, index lookups."""
     indexes = {}
     for column, index in table.indexes.items():
         values = {table.value(row, column) for _, row in table.scan()}
-        if index.kind == "hash":
-            values.add("absent")
-        lookups = {v: index.lookup(v) for v in values}
-        entries = list(index._entries) if index.kind == "sorted" else None
-        indexes[column] = (lookups, entries)
+        values.add("absent")
+        indexes[column] = {v: index.lookup(v) for v in values}
     return list(table._rows), table.row_count, indexes
 
 
@@ -116,10 +104,9 @@ def _state(table):
 def test_load_equals_successive_inserts(data):
     schema = data.draw(_SCHEMAS)
     initial = data.draw(_rows(schema, 6))
-    deletes = data.draw(st.lists(st.integers(0, 5), max_size=3))
     batch = data.draw(_rows(schema, 12))
-    loaded, load_log = _table(schema, initial, deletes)
-    inserted, insert_log = _table(schema, initial, deletes)
+    loaded, load_log = _table(schema, initial)
+    inserted, insert_log = _table(schema, initial)
 
     assert loaded.load(iter(batch)) == len(batch)
     row_ids = [inserted.insert(values) for values in batch]
@@ -154,7 +141,7 @@ def test_a_bad_row_anywhere_stores_nothing(data):
     initial = data.draw(_rows(schema, 4))
     batch = data.draw(_rows(schema, 8))
     batch.insert(data.draw(st.integers(0, len(batch))), data.draw(_bad_rows(schema)))
-    table, log = _table(schema, initial, [0])
+    table, log = _table(schema, initial)
     before = _state(table)
 
     with pytest.raises(QueryError):
@@ -167,21 +154,15 @@ def test_a_bad_row_anywhere_stores_nothing(data):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_an_index_built_after_a_load_equals_one_maintained_per_row(data):
-    schema = [(column_type, "hash") for column_type, _ in data.draw(_SCHEMAS)]
+    schema = [(column_type, True) for column_type, _ in data.draw(_SCHEMAS)]
     rows = data.draw(_rows(schema, 16))
-    deletes = data.draw(st.lists(st.integers(0, 15), max_size=6))
-    maintained, _ = _table(schema, (), ())
+    maintained, _ = _table(schema, ())
     for values in rows:
         maintained.insert(values)
     built = Database().create_table("t", maintained.schema.columns)
     built.load(rows)
-    for position in deletes:
-        live = [row_id for row_id, _ in maintained.scan()]
-        if live:
-            maintained.delete(live[position % len(live)])
-            built.delete(live[position % len(live)])
     for column in maintained.indexes:
-        built.create_index(column, "hash")
+        built.create_index(column)
 
     for column, index in maintained.indexes.items():
         assert built.indexes[column]._map == index._map
@@ -227,8 +208,8 @@ def _row_by_row_catalog(table_rows, groups):
     table = database.create_table("records", [("id", int), ("grp", int), ("val", int)])
     for i in range(table_rows):
         table.insert((i, i % groups, (i * 7) % 1000))
-    table.create_index("grp", "hash")
-    table.create_index("id", "hash")
+    table.create_index("grp")
+    table.create_index("id")
     return database
 
 

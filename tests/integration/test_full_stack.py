@@ -42,7 +42,7 @@ def build_shop(seed: int):
     catalog = database.create_table("products", [("id", int), ("name", str)])
     for i in range(3000):
         catalog.insert((i, f"product-{i}"))
-    catalog.create_index("id", "hash")
+    catalog.create_index("id")
     db_server = DatabaseServer(sim, net.node("dbhost"), database, max_workers=4)
 
     reco = BackendWebServer(sim, net.node("reco"), max_clients=3)

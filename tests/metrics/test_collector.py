@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.metrics import MetricsRegistry, render_series, render_table
+from repro.metrics import MetricsRegistry, render_table
 
 
 class TestMetricsRegistry:
@@ -48,7 +48,7 @@ class TestMetricsRegistry:
 class TestReportRendering:
     def test_render_table_aligns_columns(self):
         rows = [{"n": 10, "rt": 1.5}, {"n": 100, "rt": 22.25}]
-        text = render_table(rows, ["n", "rt"], title="T")
+        text = render_table(rows, title="T")
         lines = text.splitlines()
         assert lines[0] == "T"
         assert "n" in lines[1] and "rt" in lines[1]
@@ -59,13 +59,9 @@ class TestReportRendering:
         assert "a" in text and "b" in text
 
     def test_float_formatting(self):
-        text = render_table([{"v": 0.123456}], ["v"])
+        text = render_table([{"v": 0.123456}])
         assert "0.1235" in text
 
     def test_nan_renders_as_dash(self):
-        text = render_table([{"v": float("nan")}], ["v"])
+        text = render_table([{"v": float("nan")}])
         assert "-" in text.splitlines()[-1]
-
-    def test_render_series(self):
-        text = render_series([1, 2], [10.0, 20.0])
-        assert "10" in text and "20" in text

@@ -122,7 +122,7 @@ class TestFaultInjector:
 
         client_node = net.node("client")
         server = BackendWebServer(sim, net.node("b1"), name="b1")
-        server.add_static("/index.html", "hello")
+        server.add_cgi("/index.html", lambda server, request: "hello")
         plan = FaultPlan().add(BackendCrash(target="b1", at=1.0, duration=2.0))
         injector = FaultInjector(sim, plan, targets={"b1": server})
         injector.start()

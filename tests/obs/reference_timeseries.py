@@ -70,16 +70,6 @@ class TimeSeries:
         index = bisect_right(self._points, at, key=_TIME)
         return self._points[index - 1][1] if index else None
 
-    def window(self, since: float) -> List[Tuple[float, float]]:
-        """Retained points with ``t > since``, oldest first."""
-        out: List[Tuple[float, float]] = []
-        for t, value in reversed(self._points):
-            if t <= since:
-                break
-            out.append((t, value))
-        out.reverse()
-        return out
-
     def delta_over(self, window: float, at: Optional[float] = None) -> float:
         """Increase over ``(at - window, at]`` for a cumulative series.
 
@@ -104,12 +94,6 @@ class TimeSeries:
         else:
             baseline = points[0][1] if self.dropped else 0.0
         return current - baseline
-
-    def rate_over(self, window: float) -> float:
-        """Per-second rate over the newest window (``delta_over / window``)."""
-        if window <= 0:
-            raise ValueError(f"window must be > 0: {window!r}")
-        return self.delta_over(window) / window
 
     def __repr__(self) -> str:
         return (

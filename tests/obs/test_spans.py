@@ -81,6 +81,11 @@ def run_broker_scenario(sim, net, collector, n_requests=8, service_time=0.05):
     return broker
 
 
+
+def find_span(trace, name):
+    """The first span of *trace* (pre-order) called *name*, if any."""
+    return next((span for span in trace.spans() if span.name == name), None)
+
 class TestSpanTree:
     def test_all_spans_closed_and_nested(self, sim, net):
         collector = TraceCollector()
@@ -101,8 +106,8 @@ class TestSpanTree:
         run_broker_scenario(sim, net, collector)
         trace = collector.traces[0]
         for name in ("net.request", "queue", "net.reply", "stage.execute"):
-            assert trace.find(name) is not None, name
-        broker_span = trace.find("broker:web")
+            assert find_span(trace, name) is not None, name
+        broker_span = find_span(trace, "broker:web")
         assert broker_span is not None
         assert any(c.name.startswith("stage.") for c in broker_span.walk())
 

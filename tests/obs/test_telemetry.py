@@ -91,18 +91,21 @@ class TestTimeSeries:
         assert series.value_at(0.5) is None
 
     def test_window_is_half_open(self):
+        # A window (at - w, at] leaves the point at at - w out: it is
+        # the baseline.
         series = TimeSeries("x")
         for t in (1.0, 2.0, 3.0):
             series.append(t, t)
-        assert series.window(since=1.0) == [(2.0, 2.0), (3.0, 3.0)]
+        assert series.delta_over(2.0, at=3.0) == 2.0
+        assert series.delta_over(1.0, at=3.0) == 1.0
 
     def test_window_until_defaults_to_the_newest_point_and_may_be_empty(self):
         series = TimeSeries("x", capacity=3)
-        assert series.window(since=0.0) == []
+        assert series.delta_over(1.0) == 0.0
         for t in (1.0, 2.0, 2.0, 3.0, 4.0):
             series.append(t, t * 10)
-        assert series.window(since=2.0) == [(3.0, 30.0), (4.0, 40.0)]
-        assert series.window(since=9.0) == []
+        assert series.delta_over(1.0) == series.delta_over(1.0, at=4.0) == 10.0
+        assert series.delta_over(1.0, at=9.0) == 0.0
 
     def test_points_are_stored_as_doubles(self):
         series = TimeSeries("x")
@@ -137,11 +140,6 @@ class TestTimeSeries:
         # Window reaches past the evicted point: baseline is the oldest
         # retained value (20), not an invented zero.
         assert series.delta_over(10.0) == 10.0
-
-    def test_rate_over_rejects_nonpositive_window(self):
-        series = TimeSeries("x")
-        with pytest.raises(ValueError):
-            series.rate_over(0.0)
 
     @given(
         st.lists(
@@ -339,7 +337,7 @@ class TestTelemetryScraper:
         # event was scheduled after the scraper's, so each scrape sees
         # the odd count — deterministically, every run.
         assert [v for _, v in series.points()] == [1.0, 3.0, 5.0, 7.0, 9.0]
-        assert series.rate_over(2.0) == pytest.approx(2.0)
+        assert series.delta_over(2.0) / 2.0 == pytest.approx(2.0)
 
     def test_gauges_sampled_each_scrape(self):
         scraper = _scraped_sim()
@@ -350,11 +348,10 @@ class TestTelemetryScraper:
         key = "app.latency.p99.5s"
         assert key in scraper.series
         # All observations are 0.05s -> inside the (0.01, 0.1] bucket.
-        _, p99 = scraper.series[key].last()
+        at, p99 = scraper.series[key].last()
         assert 0.01 <= p99 <= 0.1
-        assert scraper.windowed_percentile(
-            "app.latency", 99, window=5.0
-        ) == pytest.approx(p99)
+        delta = scraper._tracks["app.latency"].windowed(5.0, at=at)
+        assert delta.percentile(99) == pytest.approx(p99)
 
     def test_counter_delta_sums_and_ignores_missing(self):
         scraper = _scraped_sim()

@@ -34,9 +34,7 @@ _op = st.one_of(
     st.tuples(st.just("append"), _gap, _value),
     st.tuples(st.just("append_earlier"), st.sampled_from([0.25, 1.0, 100.0]), _value),
     st.tuples(st.just("value_at"), st.floats(min_value=-2.0, max_value=80.0)),
-    st.tuples(st.just("window"), st.floats(min_value=-2.0, max_value=80.0)),
     st.tuples(st.just("delta_over"), _window, _at),
-    st.tuples(st.just("rate_over"), st.floats(min_value=0.01, max_value=40.0)),
     st.tuples(st.sampled_from(["last", "points", "len", "dropped", "repr"])),
 )
 
@@ -103,7 +101,7 @@ class _ForgetsDropped(TimeSeries):
 
 
 class _BisectsValues(TimeSeries):
-    """Mutant: window reads bisect the value column, not the time column."""
+    """Mutant: point reads bisect the value column, not the time column."""
 
     __slots__ = ()
 
