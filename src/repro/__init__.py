@@ -61,7 +61,6 @@ _EXPORTS = {
     "HashRing": "core",
     "ShardGroup": "core",
     "ShardDirectory": "core",
-    "ShardPeerGroup": "core",
     "BackpressureStage": "core",
     "BrokerSupervisor": "core",
     "RecoveryJournal": "core",

@@ -275,9 +275,8 @@ def _describe_shard() -> str:
         "Routing: the front end addresses a *service*; the shard directory",
         "hashes the request key onto a seeded consistent-hash ring (64 vnodes",
         "per shard) and hands back the elected leader of the owning replica",
-        "group. A broker that receives a key it does not own relays it to",
-        "the owner (shard-route stage, bounded hop count); replicas inside",
-        "a group replicate journal entries and elect a new leader by",
+        "group. A broker answers a key its shard does not own with an error",
+        "(shard-route stage); the replicas of a group elect a new leader by",
         "join-order priority when the current one crashes.",
         "",
         "Sample directory — service 'items', 4 shards x 2 replicas:",
@@ -329,7 +328,6 @@ def run_shard(args) -> str:
                 "throughput_rps": round(result.throughput, 1),
                 "premium_p99_ms": round(result.premium_p99() * 1000, 1),
                 "local": result.local_routes,
-                "forwards": result.forwards,
                 "elections": result.elections,
                 "listener_upd": result.listener_updates,
             }
@@ -456,8 +454,6 @@ def _run_shard_chaos(args, duration: float) -> str:
         f"leadership      : leader_kills={result.leader_kills} "
         f"elections={result.elections} "
         f"reporting_failovers={result.leader_failovers}",
-        f"peering         : route_adverts={result.route_adverts} "
-        f"journal_syncs={result.journal_syncs} forwards={result.forwards}",
         f"lifecycle       : crashes={result.crashes} "
         f"restarts={result.restarts} detected={result.detected} "
         f"recoveries={result.recoveries}",

@@ -45,7 +45,7 @@ from .cache import ResultCache
 from .clustering import ClusteringConfig
 from .fidelity import FidelityPolicy
 from .loadbalance import BackendState, Balancer, LeastOutstandingBalancer
-from .peering import CombinableAdvert, JournalSync, RouteAdvert, TxnStateUpdate
+from .peering import CombinableAdvert, TxnStateUpdate
 from .pipeline import BrokerStage, RequestContext, StagePipeline, stage_plan
 from .pool import ConnectionPool
 from .protocol import BrokerReply, BrokerRequest, ReplyStatus
@@ -63,7 +63,7 @@ DEFAULT_BROKER_PORT = 7000
 
 #: Peer-plane message types, checked with one tuple isinstance so the
 #: request hot path pays the same two type checks as before sharding.
-_PEER_MESSAGES = (TxnStateUpdate, JournalSync, RouteAdvert, CombinableAdvert)
+_PEER_MESSAGES = (TxnStateUpdate, CombinableAdvert)
 
 
 class ServiceBroker:
@@ -154,11 +154,6 @@ class ServiceBroker:
         #: Set by :meth:`ShardGroup.add` when this broker is a shard
         #: replica; ``None`` in unsharded (degenerate) topologies.
         self.shard_group = None
-        #: ``(service, shard) → leader name`` learned from RouteAdverts.
-        self.shard_view: dict = {}
-        #: Per-peer shadow of replicated journal entries
-        #: (``origin name → {request_id: request}``), fed by JournalSync.
-        self.shard_shadow: dict = {}
         #: ``combine key → CombinableAdvert`` learned from peers; the
         #: query-combine stage yields to a peer with a fresh advert.
         self.combinable_adverts: dict = {}

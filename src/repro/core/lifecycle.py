@@ -91,14 +91,6 @@ class RecoveryJournal:
         self.policy = policy
         self.metrics = metrics or MetricsRegistry()
         self._pending: Dict[int, BrokerRequest] = {}
-        #: Optional replication hook, called as ``on_admitted(request)``
-        #: after each journal write — a shard peer group
-        #: (:class:`~repro.core.peering.ShardPeerGroup`) installs one to
-        #: mirror the entry onto the shard's replica brokers.
-        self.on_admitted: Optional[Callable[[BrokerRequest], None]] = None
-        #: Optional replication hook, called as ``on_answered(request_id)``
-        #: after each journal clear (the replication tombstone).
-        self.on_answered: Optional[Callable[[int], None]] = None
         #: Requests re-run through the pipeline by :meth:`recover`.
         self.replayed = 0
         #: Requests answered degraded by a shedding :meth:`recover`.
@@ -109,14 +101,10 @@ class RecoveryJournal:
     def record_admitted(self, request: BrokerRequest) -> None:
         """Shadow one request entering the broker's queue."""
         self._pending[request.request_id] = request
-        if self.on_admitted is not None:
-            self.on_admitted(request)
 
     def record_answered(self, request_id: int) -> None:
         """Clear a request once any reply for it has been sent."""
         self._pending.pop(request_id, None)
-        if self.on_answered is not None:
-            self.on_answered(request_id)
 
     @property
     def pending_count(self) -> int:

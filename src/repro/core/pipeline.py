@@ -30,7 +30,6 @@ events on the request's trace.
 
 from __future__ import annotations
 
-from dataclasses import replace as _dc_replace
 from enum import Enum
 from inspect import isgeneratorfunction
 from typing import (
@@ -110,11 +109,6 @@ class StageOutcome(Enum):
 
     DONE = "done"
     """Dispatch finished; replies (if any) have been sent by the stage."""
-
-    FORWARDED = "forwarded"
-    """The request was relayed to another broker (the owning shard's
-    leader); this broker stops processing it — the reply will come from
-    the forward target, addressed straight to the original caller."""
 
 
 class StageRecord:
@@ -472,17 +466,17 @@ class ValidateServiceStage(BrokerStage):
 class ShardRouteStage(BrokerStage):
     """Routes each request to the shard owning its key (consistent hash).
 
-    The front end addresses a *service*; this stage makes the broker
-    tier agree on which shard serves each request. The owning shard is
-    a pure function of the request key through the service's seeded
-    :class:`~repro.core.sharding.HashRing`. Requests owned locally
-    continue down the pipeline; the rest are relayed to the owning
-    shard's live leader (preferring the leader learned from
-    :class:`~repro.core.peering.RouteAdvert` gossip, falling back to
-    directory truth) and processing stops here with
-    :data:`StageOutcome.FORWARDED` — the relay takes no admission slot,
-    queues nothing, and the reply travels straight from the owner to
-    the original caller.
+    The routing decision is made once, at the front end:
+    :class:`~repro.core.client.BrokerClient` resolves the owning shard's
+    live leader through the same
+    :class:`~repro.core.sharding.ShardDirectory` this stage checks, from
+    the same key (:meth:`~repro.core.protocol.BrokerRequest.key`). A
+    request the directory sent here is therefore always owned locally
+    and continues down the pipeline. A key this shard does not
+    own can only come from a datagram addressed past the directory; it
+    is answered with an ERROR reply (decision ``wrong-shard``), as
+    :class:`ValidateServiceStage` answers an unknown service — no broker
+    relays a request to another.
 
     Without a directory, or for services the directory does not know,
     every request routes local: the degenerate single-shard
@@ -491,11 +485,6 @@ class ShardRouteStage(BrokerStage):
 
     name = "shard-route"
     anchor = ("after", "validate")
-
-    #: Forward-hop ceiling: under ring-view disagreement a request could
-    #: otherwise bounce between brokers forever; past the ceiling the
-    #: current broker serves it locally.
-    MAX_HOPS = 3
 
     def __init__(self, directory=None, shard: int = 0) -> None:
         super().__init__()
@@ -506,57 +495,30 @@ class ShardRouteStage(BrokerStage):
         self.shard = shard
 
     def bind(self, broker: "ServiceBroker") -> None:
-        """Bind and pre-resolve the routing counters."""
+        """Bind and pre-resolve the routing counter."""
         super().bind(broker)
-        metrics = broker.metrics
-        self._local = metrics.handle("broker.shard.local")
-        self._forwarded = metrics.handle("broker.shard.forwarded")
+        self._local = broker.metrics.handle("broker.shard.local")
 
     def on_request(self, ctx: RequestContext) -> StageOutcome:
-        """Continue locally or relay to the owning shard's leader."""
+        """Continue when this shard owns the key; else answer ERROR."""
         directory = self.directory
         request = ctx.request
-        if directory is None or not directory.knows(request.service):
-            self._local.inc()
-            ctx.set_decision("local")
-            return StageOutcome.CONTINUE
-        target_shard = directory.shard_of(request.service, request.key())
-        if target_shard == self.shard:
-            self._local.inc()
-            ctx.set_decision("local")
-            return StageOutcome.CONTINUE
-        broker = self.broker
-        annotations = ctx.annotations
-        hops = annotations.get("shard.hops", 0)
-        if hops >= self.MAX_HOPS:
-            broker.metrics.increment("broker.shard.hop_limit")
-            ctx.set_decision("hop-limit")
-            return StageOutcome.CONTINUE
-        group = directory.group(request.service, target_shard)
-        target = None
-        advertised = broker.shard_view.get((request.service, target_shard))
-        if advertised is not None:
-            target = group.member(advertised)
-            if target is not None and not target.alive:
-                target = None
-        if target is None:
-            target = group.route()
-        if target is None or target is broker:
-            broker.metrics.increment("broker.shard.no_route")
-            ctx.set_decision("no-route")
-            return StageOutcome.CONTINUE
-        now = broker.sim._now
-        path = annotations.get("shard.path")
-        if path is None:
-            path = annotations["shard.path"] = []
-        path.append((broker.name, ctx.received_at, now))
-        annotations["shard.hops"] = hops + 1
-        forwarded = _dc_replace(request, sent_at=now)
-        ctx.request = forwarded
-        broker.socket.sendto(forwarded, target.address)
-        self._forwarded.inc()
-        ctx.set_decision("forward")
-        return StageOutcome.FORWARDED
+        if directory is not None and directory.knows(request.service):
+            owner = directory.shard_of(request.service, request.key())
+            if owner != self.shard:
+                ctx.set_decision("wrong-shard")
+                ctx.reply = BrokerReply(
+                    request_id=request.request_id,
+                    status=ReplyStatus.ERROR,
+                    error=f"shard {self.shard} does not own this key "
+                    f"(shard {owner} does)",
+                    broker=self.broker.name,
+                    context=ctx,
+                )
+                return StageOutcome.REPLY
+        self._local.inc()
+        ctx.set_decision("local")
+        return StageOutcome.CONTINUE
 
 
 class ArrivalStage(BrokerStage):

@@ -18,8 +18,9 @@ replica brokers:
   outstanding-count/EWMA bookkeeping the backend balancers use — there
   is one health implementation, not a parallel copy in the ring.
 * :class:`ShardDirectory` — the service → ring + groups map the front
-  end and the :class:`~repro.core.pipeline.ShardRouteStage` consult, so
-  callers address a *service* and a request key, never a broker.
+  end routes by and the :class:`~repro.core.pipeline.ShardRouteStage`
+  checks, so callers address a *service* and a request key, never a
+  broker.
 
 Existing single-broker topologies are the degenerate 1-shard/1-replica
 configuration: nothing in this module runs unless a directory is built,
@@ -29,7 +30,7 @@ and seeded outputs of unsharded experiments are byte-identical.
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import BrokerError
 from ..metrics import MetricsRegistry
@@ -191,10 +192,6 @@ class ShardGroup:
         self._leader: Optional["ServiceBroker"] = None
         self.elections = 0
         self.election_rounds = 0
-        #: Called as ``on_leader_change(group, new_leader)`` after every
-        #: election that changes the leader (peering uses this to
-        #: broadcast a ``RouteAdvert``).
-        self.on_leader_change: Optional[Callable[..., None]] = None
 
     @property
     def name(self) -> str:
@@ -210,10 +207,6 @@ class ShardGroup:
     def leader(self) -> Optional["ServiceBroker"]:
         """The current leader (may be stale; :meth:`route` revalidates)."""
         return self._leader
-
-    def member(self, name: str) -> Optional["ServiceBroker"]:
-        """Look up a member broker by name."""
-        return self._by_name.get(name)
 
     def add(self, broker: "ServiceBroker") -> None:
         """Join *broker* as the next (lower-priority) replica."""
@@ -232,10 +225,9 @@ class ShardGroup:
 
         The departing broker is purged from the membership, health, and
         up-tables; if it led the shard, leadership is handed off by an
-        immediate election among the survivors (firing
-        ``on_leader_change``, so leader-only load reporting follows the
-        hand-off). Unknown names are ignored, making the drain protocol
-        idempotent.
+        immediate election among the survivors, so leader-only load
+        reporting follows the hand-off. Unknown names are ignored,
+        making the drain protocol idempotent.
         """
         broker = self._by_name.pop(name, None)
         if broker is None:
@@ -265,11 +257,9 @@ class ShardGroup:
             if self._up.get(broker.name, False) and broker.alive:
                 winner = broker
                 break
-        previous, self._leader = self._leader, winner
+        self._leader = winner
         if winner is not None:
             self.metrics.increment("shard.elections")
-            if winner is not previous and self.on_leader_change is not None:
-                self.on_leader_change(self, winner)
         return winner
 
     def note_down(self, name: str) -> None:
@@ -337,12 +327,13 @@ class ShardGroup:
 class ShardDirectory:
     """Service → shard topology map: one ring plus R-replica groups each.
 
-    The front end (:class:`~repro.core.client.BrokerClient`) and the
-    :class:`~repro.core.pipeline.ShardRouteStage` resolve a
+    The front end (:class:`~repro.core.client.BrokerClient`) resolves a
     ``(service, request key)`` pair through the directory: the ring
     names the owning shard, the shard's :class:`ShardGroup` names the
-    live leader. Services not registered here fall back to the classic
-    one-broker route table, which keeps unsharded topologies untouched.
+    live leader. Each broker's :class:`~repro.core.pipeline.ShardRouteStage`
+    checks the same ring, so both sides agree on the owner. Services not
+    registered here fall back to the classic one-broker route table,
+    which keeps unsharded topologies untouched.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:

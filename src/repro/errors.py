@@ -80,10 +80,6 @@ class ConnectionClosed(NetworkError):
     """The peer closed the stream connection."""
 
 
-class MessageDropped(NetworkError):
-    """A datagram was dropped by a lossy link (surfaced only in tests)."""
-
-
 # ---------------------------------------------------------------------------
 # Backend services
 # ---------------------------------------------------------------------------

@@ -363,33 +363,9 @@ def trace_from_context(ctx: "RequestContext", trace_id: int = 0) -> Trace:
     spans: List[Span] = []
     if ctx.received_at is not None:
         # A broker-side context: net transit, broker residency, stages.
-        # A shard-routed request records one "net" stage per hop — the
-        # original send plus one broker→broker leg per forward.
+        # A request re-sent by a broker (a draining unit handing its
+        # backlog to a peer) records one "net" stage per leg.
         net_records = [r for r in records if r.stage == "net"]
-        # Relay residencies (ShardRouteStage notes each forwarding
-        # broker on the context). Each relay's span runs from its
-        # arrival to the request's arrival at the next broker, so the
-        # broker→broker net.forward leg nests inside the relay that
-        # sent it — cross-shard hops get a span parentage path. Relays
-        # are emitted before the net legs: the nesting sort breaks
-        # equal-interval ties by emission order, and a zero-time relay
-        # makes its span and its forward leg exactly coincide.
-        shard_path = ctx.annotations.get("shard.path") or ()
-        for index, (hop_broker, hop_received, hop_forwarded) in enumerate(
-            shard_path
-        ):
-            leg_end = hop_forwarded
-            if index + 1 < len(net_records):
-                leg_end = max(leg_end, net_records[index + 1].exited)
-            spans.append(
-                Span(
-                    hop_broker,
-                    "broker",
-                    hop_received,
-                    leg_end,
-                    attrs={"forwarded_at": hop_forwarded},
-                )
-            )
         for index, record in enumerate(net_records):
             spans.append(
                 Span(

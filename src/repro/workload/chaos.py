@@ -63,7 +63,6 @@ from ..core.cache import ResultCache
 from ..core.client import BrokerClient
 from ..core.faulttolerance import RetryPolicy
 from ..core.lifecycle import BrokerSupervisor, RecoveryJournal
-from ..core.peering import ShardPeerGroup
 from ..core.pipeline import (
     BackpressureStage,
     CircuitBreakerStage,
@@ -423,9 +422,6 @@ _COUNTED = {
     "replayed": "lifecycle.replayed",
     "restart_shed": "lifecycle.restart_shed",
     "shed_total": "broker.shed",
-    "route_adverts": "peering.route_adverts_applied",
-    "journal_syncs": "peering.journal_syncs_applied",
-    "forwards": "broker.shard.forwarded",
     "provisioned": "autoscaler.provisioned",
     "drain_refused": "broker.drain.refused",
     "drain_interrupted": "autoscaler.drain.interrupted",
@@ -887,14 +883,8 @@ class ShardChaosResult(ChaosResult):
     leader_kills: int = 0
     #: Bully elections run across all shard groups.
     elections: int = 0
-    #: ``RouteAdvert`` messages applied at receiving brokers.
-    route_adverts: int = 0
-    #: ``JournalSync`` messages applied at receiving replicas.
-    journal_syncs: int = 0
     #: Reporting-role moves the load listener observed.
     leader_failovers: int = 0
-    #: Requests relayed broker→broker by the ShardRouteStage.
-    forwards: int = 0
 
 
 def run_shard_chaos_experiment(
@@ -914,9 +904,8 @@ def run_shard_chaos_experiment(
     :class:`~repro.core.pipeline.ShardRouteStage`, is watched by a
     :class:`~repro.core.lifecycle.BrokerSupervisor` with a
     :class:`~repro.core.lifecycle.RecoveryJournal`, and joins its
-    shard's :class:`~repro.core.peering.ShardPeerGroup` (so journal
-    transitions replicate intra-shard and elections broadcast
-    ``RouteAdvert`` gossip service-wide). Every replica also streams
+    shard's :class:`~repro.core.sharding.ShardGroup`; replicas share
+    no state. Every replica also streams
     leader-only :class:`~repro.core.centralized.ShardLoadReport`
     updates to a :class:`~repro.core.centralized.LoadListener`, so the
     run observes the reporting role failing over with each election.
@@ -956,7 +945,6 @@ def run_shard_chaos_experiment(
 
     groups: List[ShardGroup] = []
     brokers: Dict[str, ServiceBroker] = {}
-    peers: List[ShardPeerGroup] = []
     watches = {}
     next_port = 7201
     for shard in range(shards):
@@ -969,7 +957,6 @@ def run_shard_chaos_experiment(
         )
         backend.add_cgi("/item", item_cgi(_SERVICE_TIME))
         group = ShardGroup("items", shard, metrics=metrics)
-        peer = ShardPeerGroup(group)
         for replica in range(replicas):
             broker = ServiceBroker(
                 sim,
@@ -989,23 +976,17 @@ def run_shard_chaos_experiment(
                 ),
             )
             next_port += 1
-            # Supervise first (installs the journal), then join the
-            # shard mesh (wires the journal's replication hooks) and
-            # the group (elects); the supervisor listener keeps
-            # elections in step with heartbeat detections.
+            # Supervise (installs the journal), then join the group
+            # (elects); the supervisor listener keeps elections in step
+            # with heartbeat detections.
             watches[broker.name] = supervisor.watch(
                 broker, journal=RecoveryJournal(sim, metrics=metrics)
             )
-            peer.join(broker)
             group.add(broker)
             broker.report_load_to(listener.address, interval=_SHARD_REPORT_INTERVAL)
         supervisor.add_listener(group.on_supervisor_event)
         groups.append(group)
-        peers.append(peer)
         brokers.update((b.name, b) for b in group.members)
-    roster = list(brokers.values())
-    for peer in peers:
-        peer.set_roster(roster)
     directory.register("items", groups, seed=seed)
 
     broker_client = BrokerClient(sim, web_node, {})
@@ -1118,7 +1099,6 @@ def run_shard_chaos_experiment(
             passed=not leaderless and result.elections >= result.leader_kills,
             detail=(
                 f"kills={result.leader_kills} elections={result.elections} "
-                f"adverts={result.route_adverts} "
                 f"reporting_failovers={result.leader_failovers}"
                 + (f"; leaderless: {leaderless}" if leaderless else "")
             ),

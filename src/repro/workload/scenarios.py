@@ -49,7 +49,7 @@ from ..core.clustering import (
     InListQueryCombiner,
     RepeatWorkloadCombiner,
 )
-from ..core.peering import BrokerPeerGroup, ShardPeerGroup
+from ..core.peering import BrokerPeerGroup
 from ..core.pipeline import (
     CacheTierStage,
     QueryCombineStage,
@@ -901,8 +901,6 @@ class ShardedQosResult:
     full_fidelity: Dict[int, int] = field(default_factory=dict)
     #: QoS class -> front-door 503 rejections (centralized mode only).
     frontend_rejections: Dict[int, int] = field(default_factory=dict)
-    #: Requests relayed broker→broker by the ShardRouteStage.
-    forwards: int = 0
     #: Requests the ShardRouteStage kept local.
     local_routes: int = 0
     #: Bully elections run across all shard groups.
@@ -978,8 +976,8 @@ def run_sharded_qos_experiment(
     maps request keys to shards; the front end's
     :class:`~repro.core.client.BrokerClient` resolves through it (it
     addresses a *service*, never a broker), and every broker's plan
-    carries a :class:`~repro.core.pipeline.ShardRouteStage` so a request
-    landing on the wrong shard is relayed to the owner's leader.
+    carries a :class:`~repro.core.pipeline.ShardRouteStage` that checks
+    the key is its shard's.
 
     ``mode`` is ``"broker"`` (distributed admission) or
     ``"centralized"`` — the latter wires the load listener exactly as
@@ -1092,14 +1090,12 @@ def _build_sharded(
         service = f"svc{index}"
         service_brokers: List[ServiceBroker] = []
         service_groups: List[ShardGroup] = []
-        service_peers: List[ShardPeerGroup] = []
         for shard in own_shards:
             backend_name = f"backend{index}s{shard}"
             backend = _bounded_backend(
                 sim, net, backend_name, service_time, _QOS_BACKEND_CAPACITY
             )
             group = ShardGroup(service, shard, metrics=metrics)
-            peer = ShardPeerGroup(group)
             for replica in range(replicas):
                 broker = ServiceBroker(
                     sim,
@@ -1123,13 +1119,8 @@ def _build_sharded(
                 )
                 next_port += 1
                 group.add(broker)
-                peer.join(broker)
                 service_brokers.append(broker)
             service_groups.append(group)
-            service_peers.append(peer)
-        # Route adverts go to every broker of the service, across shards.
-        for peer in service_peers:
-            peer.set_roster(service_brokers)
         directory.register(
             service, service_groups, seed=seed, universe=range(shards)
         )
@@ -1199,7 +1190,6 @@ def _build_sharded(
             histogram = result.latency_histograms[level] = LatencyHistogram()
             for value in stats.values():
                 histogram.add(value)
-        result.forwards = int(metrics.counter("broker.shard.forwarded"))
         result.local_routes = int(metrics.counter("broker.shard.local"))
         result.elections = sum(group.elections for group in groups)
         if listener is not None:
@@ -1261,7 +1251,6 @@ def _run_sharded_parallel(workers: int, **config) -> ShardedQosResult:
         replicas=config["replicas"],
         duration=config["duration"],
         brokers=sum(part.brokers for part in slices),
-        forwards=sum(part.forwards for part in slices),
         local_routes=sum(part.local_routes for part in slices),
         elections=sum(part.elections for part in slices),
         topology="\n".join(

@@ -1,15 +1,14 @@
-"""Tests for the shard tier: hash ring, replica groups, routing, peering.
+"""Tests for the shard tier: hash ring, replica groups, routing.
 
 Unit tests pin the deterministic building blocks (ring placement,
 bully elections, the directory), hypothesis drives the consistent-
 hashing remap bound and election convergence, and the integration
-tests run real brokers through :class:`ShardRouteStage` forwarding —
-including the cross-shard span attribution and exporter round-trip.
+tests run real brokers through :class:`ShardRouteStage`: the broker a
+client resolves always owns the key, and a key sent past the directory
+is answered with an error, never relayed.
 """
 
 from __future__ import annotations
-
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     BrokerClient,
+    BrokerRequest,
     HashRing,
     HttpAdapter,
     QoSPolicy,
@@ -24,26 +24,18 @@ from repro.core import (
     ServiceBroker,
     ShardDirectory,
     ShardGroup,
-    ShardPeerGroup,
     ShardRouteStage,
     stage_plan,
 )
 from repro.core.centralized import LoadListener, ShardLoadReport
-from repro.core.peering import JournalSync, RouteAdvert
 from repro.errors import BrokerError
 from repro.http import BackendWebServer
 from repro.metrics import MetricsRegistry
 from repro.net import Link, Network
-from repro.obs import TraceCollector
-from repro.obs.export import to_chrome_trace, to_jsonl, validate_chrome_trace
 from repro.sim import Simulation
 from repro.workload import run_shard_chaos_experiment, run_sharded_qos_experiment
 
 
-
-def find_span(trace, name):
-    """The first span of *trace* (pre-order) called *name*, if any."""
-    return next((span for span in trace.spans() if span.name == name), None)
 
 class FakeReplica:
     """Just enough broker surface for ShardGroup unit tests."""
@@ -341,15 +333,15 @@ class TestShardDirectory:
 
 
 # ---------------------------------------------------------------------------
-# ShardRouteStage + peering integration (real brokers)
+# ShardRouteStage integration (real brokers)
 # ---------------------------------------------------------------------------
 
 
-def build_sharded_service(sim, net, shards=2, replicas=2, service="items"):
-    """N shards x R replicas over per-shard backends, fully peered."""
+def build_sharded_service(sim, net, shards=2, replicas=2, service="items", seed=5):
+    """N shards x R replicas over per-shard backends."""
     web = net.node("web")
     directory = ShardDirectory()
-    groups, peers, brokers = [], [], []
+    groups, brokers = [], []
     port = 7400
     for shard in range(shards):
         server = BackendWebServer(
@@ -362,7 +354,6 @@ def build_sharded_service(sim, net, shards=2, replicas=2, service="items"):
 
         server.add_cgi("/s", cgi)
         group = ShardGroup(service, shard, MetricsRegistry())
-        peer = ShardPeerGroup(group)
         for replica in range(replicas):
             broker = ServiceBroker(
                 sim,
@@ -379,14 +370,10 @@ def build_sharded_service(sim, net, shards=2, replicas=2, service="items"):
             )
             port += 1
             group.add(broker)
-            peer.join(broker)
             brokers.append(broker)
         groups.append(group)
-        peers.append(peer)
-    for peer in peers:
-        peer.set_roster(brokers)
-    directory.register(service, groups, seed=5)
-    return web, directory, groups, peers, brokers
+    directory.register(service, groups, seed=seed)
+    return web, directory, groups, brokers
 
 
 def key_owned_by(directory, service, shard):
@@ -397,9 +384,18 @@ def key_owned_by(directory, service, shard):
     raise AssertionError(f"no key found for shard {shard}")
 
 
+def shard_route_decision(reply):
+    """The decision the answering broker's shard-route stage recorded."""
+    return next(
+        record.decision
+        for record in reply.context.stages
+        if record.stage == "shard-route"
+    )
+
+
 class TestShardRouteStage:
     def test_local_key_stays_local(self, sim, net):
-        web, directory, groups, _peers, brokers = build_sharded_service(sim, net)
+        web, directory, groups, brokers = build_sharded_service(sim, net)
         key = key_owned_by(directory, "items", 0)
         client = BrokerClient(sim, web, {"items": brokers[0].address})
         replies = []
@@ -413,81 +409,43 @@ class TestShardRouteStage:
         sim.run(sim.process(run()))
         assert replies[0].status is ReplyStatus.OK
         assert replies[0].broker == "s0r0"
+        assert shard_route_decision(replies[0]) == "local"
         assert brokers[0].metrics.counter("broker.shard.local") == 1
-        assert brokers[0].metrics.counter("broker.shard.forwarded") == 0
 
-    def test_misdirected_key_is_forwarded_to_owner(self, sim, net):
-        web, directory, groups, _peers, brokers = build_sharded_service(sim, net)
+    def test_misrouted_datagram_gets_an_error_and_goes_nowhere(self, sim, net):
+        """A key sent past the directory is refused, not relayed."""
+        web, directory, groups, brokers = build_sharded_service(sim, net)
         key = key_owned_by(directory, "items", 1)
-        # Address shard 0's leader with a shard-1 key on purpose.
-        client = BrokerClient(sim, web, {"items": brokers[0].address})
+        sender = net.node("ext").datagram_socket()
         replies = []
 
         def run():
-            reply = yield from client.call(
-                "items", "get", ("/s", {}), cacheable=False, cache_key=key
+            # A raw datagram to shard 0's leader carrying a shard-1 key.
+            sender.sendto(
+                BrokerRequest(
+                    request_id=1, service="items", operation="get",
+                    payload=("/s", {}), reply_to=sender.address,
+                    cacheable=False, cache_key=key, sent_at=sim.now,
+                ),
+                brokers[0].address,
             )
-            replies.append(reply)
+            envelope = yield sender.recv()
+            replies.append(envelope.payload)
 
         sim.run(sim.process(run()))
+        sim.run()
         reply = replies[0]
-        assert reply.status is ReplyStatus.OK
-        assert reply.payload.body == "ok-s1"
-        # The owner replied straight to the caller.
-        assert reply.broker == groups[1].leader.name
-        assert brokers[0].metrics.counter("broker.shard.forwarded") == 1
-        assert brokers[0].metrics.counter("broker.shard.local") == 0
-        owner = groups[1].leader
-        assert owner.metrics.counter("broker.shard.local") == 1
-
-    def test_forward_spans_nest_under_relay_broker(self, sim, net):
-        """Cross-shard hops appear as child spans of the relay broker."""
-        collector = TraceCollector()
-        collector.attach(sim)
-        web, directory, groups, _peers, brokers = build_sharded_service(sim, net)
-        key = key_owned_by(directory, "items", 1)
-        client = BrokerClient(sim, web, {"items": brokers[0].address})
-
-        def run():
-            yield from client.call(
-                "items", "get", ("/s", {}), cacheable=False, cache_key=key
-            )
-
-        sim.run(sim.process(run()))
-        assert len(collector) == 1
-        trace = collector.traces[0]
-        assert trace.validate() == []
-        relay = find_span(trace, "s0r0")
-        owner = find_span(trace, groups[1].leader.name)
-        assert relay is not None and owner is not None
-        forward = find_span(trace, "net.forward")
-        assert forward is not None
-        # The broker->broker leg is attributed to the forwarding broker.
-        assert any(span.name == "net.forward" for span in relay.walk())
-        assert all(span.name != "net.forward" for span in owner.walk())
-
-    def test_forwarded_trace_round_trips_through_exporters(self, sim, net):
-        collector = TraceCollector()
-        collector.attach(sim)
-        web, directory, groups, _peers, brokers = build_sharded_service(sim, net)
-        key = key_owned_by(directory, "items", 1)
-        client = BrokerClient(sim, web, {"items": brokers[0].address})
-
-        def run():
-            yield from client.call(
-                "items", "get", ("/s", {}), cacheable=False, cache_key=key
-            )
-
-        sim.run(sim.process(run()))
-        doc = to_chrome_trace(collector.traces)
-        assert validate_chrome_trace(doc) == []
-        names = {
-            event["name"] for event in doc["traceEvents"] if event["ph"] == "X"
-        }
-        assert "net.forward" in names and "s0r0" in names
-        records = [json.loads(line) for line in to_jsonl(collector.traces)]
-        forwards = [r for r in records if r["span"] == "net.forward"]
-        assert forwards and forwards[0]["parent"] == "s0r0"
+        assert reply.status is ReplyStatus.ERROR
+        assert reply.broker == "s0r0"
+        assert "shard 1 does" in reply.error
+        assert shard_route_decision(reply) == "wrong-shard"
+        refused = brokers[0].metrics
+        assert refused.counter("broker.stage.shard-route.wrong-shard") == 1
+        assert refused.counter("broker.shard.local") == 0
+        assert refused.counter("broker.arrivals") == 0
+        # Nothing went onward: no other broker saw any request.
+        for broker in brokers[1:]:
+            assert broker.metrics.counter("broker.stage.validate.continue") == 0
 
     def test_degenerate_plan_is_a_pass_through(self):
         """No directory -> the sharded plan behaves like distributed."""
@@ -534,60 +492,80 @@ class TestShardRouteStage:
         )
         assert degenerate == base
         assert broker.metrics.counter("broker.shard.local") == 10
-        assert broker.metrics.counter("broker.shard.forwarded") == 0
 
 
-class TestShardPeering:
-    def test_journal_sync_maintains_shadow(self, sim, net):
-        _web, _dir, _groups, _peers, brokers = build_sharded_service(sim, net)
-        sender = net.node("ext").datagram_socket()
-        sender.sendto(
-            JournalSync(
-                origin="s0r1", request_id=7, request=None,
-                answered=False, sent_at=0.0,
-            ),
-            brokers[0].address,
+_ROUTING_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("call"), st.integers(0, 10_000), st.booleans()),
+        st.tuples(st.just("crash"), st.integers(0, 7)),
+        st.tuples(st.just("restart"), st.integers(0, 7)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestClientRoutesOnce:
+    """The invariant that leaves the broker tier nothing to relay.
+
+    ``BrokerClient`` resolves the owner through the same directory and
+    the same key (``cache_key``, else ``service:operation:payload``) the
+    broker's :class:`ShardRouteStage` checks, so the broker it picks
+    always decides ``local`` — across ring seeds, shard and replica
+    counts, and leader crashes and restarts between calls.
+    """
+
+    @given(
+        shards=st.integers(1, 8),
+        replicas=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+        ops=_ROUTING_OPS,
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_resolved_broker_owns_the_key(self, shards, replicas, seed, ops):
+        sim = Simulation(seed=seed)
+        net = Network(sim, default_link=Link.lan())
+        web, directory, groups, brokers = build_sharded_service(
+            sim, net, shards=shards, replicas=replicas, seed=seed
         )
-        sim.run()
-        assert 7 in brokers[0].shard_shadow["s0r1"]
-        assert brokers[0].metrics.counter("peering.journal_syncs_applied") == 1
-        sender.sendto(
-            JournalSync(
-                origin="s0r1", request_id=7, request=None,
-                answered=True, sent_at=0.0,
-            ),
-            brokers[0].address,
-        )
-        sim.run()
-        assert 7 not in brokers[0].shard_shadow["s0r1"]
+        client = BrokerClient(sim, web, {})
+        client.use_directory(directory)
+        by_name = {broker.name: broker for broker in brokers}
+        replies = []
 
-    def test_route_advert_updates_shard_view(self, sim, net):
-        _web, _dir, _groups, _peers, brokers = build_sharded_service(sim, net)
-        sender = net.node("ext").datagram_socket()
-        sender.sendto(
-            RouteAdvert(
-                service="items", shard=1, leader="s1r1",
-                members=("s1r0", "s1r1"), sent_at=0.0,
-            ),
-            brokers[0].address,
-        )
-        sim.run()
-        assert brokers[0].shard_view[("items", 1)] == "s1r1"
+        def call(item, by_cache_key):
+            if by_cache_key:
+                payload, cache_key = ("/s", {}), f"item{item}"
+            else:
+                payload, cache_key = ("/s", {"id": item}), None
+            reply = yield from client.call(
+                "items", "get", payload, cacheable=False, cache_key=cache_key
+            )
+            key = cache_key or f"items:get:{payload!r}"
+            replies.append((reply, directory.shard_of("items", key)))
 
-    def test_election_advertises_new_leader_to_roster(self, sim, net):
-        web, directory, groups, _peers, brokers = build_sharded_service(sim, net)
-
-        def run():
-            yield sim.timeout(0.1)
-            groups[0].leader.crash()
-            assert groups[0].route().name == "s0r1"  # self-heal + advert
-            yield sim.timeout(0.5)
-
-        sim.run(sim.process(run()))
-        assert groups[0].leader.name == "s0r1"
+        for op in ops:
+            if op[0] == "call":
+                sim.run(sim.process(call(op[1], op[2])))
+                reply, owner = replies[-1]
+                assert reply.status is ReplyStatus.OK
+                assert shard_route_decision(reply) == "local"
+                assert by_name[reply.broker].shard_group is groups[owner]
+                continue
+            group = groups[op[1] % shards]
+            if op[0] == "crash":
+                # Crash the leader while another replica can take over,
+                # so the owning shard stays routable.
+                live = [b for b in group.members if b.alive]
+                if len(live) > 1:
+                    group.route().crash()
+            else:
+                dead = [b for b in group.members if not b.alive]
+                if dead:
+                    dead[0].restart()
+                    group.note_up(dead[0].name)
         for broker in brokers:
-            if broker.name.startswith("s1"):
-                assert broker.shard_view[("items", 0)] == "s0r1"
+            assert broker.metrics.counter("broker.stage.shard-route.wrong-shard") == 0
 
 
 class TestListenerLeaderTracking:
@@ -660,10 +638,8 @@ class TestShardedWorkloads:
         )
         # Partitioned workload != serial replay, but it is the same
         # topology doing comparable work: all pages full-fidelity in
-        # this unloaded configuration, zero cross-shard forwards (one
-        # item key drives all three services), same broker count.
+        # this unloaded configuration, same broker count.
         assert two.brokers == serial.brokers
-        assert two.forwards == 0
         assert sum(two.completions.values()) > 0
         assert two.full_fidelity == two.completions
 

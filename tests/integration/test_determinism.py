@@ -67,7 +67,6 @@ def sharded_section(result):
             str(k): repr(v.p99)
             for k, v in sorted(result.response_times.items())
         },
-        "forwards": result.forwards,
         "local_routes": result.local_routes,
         "elections": result.elections,
     }
