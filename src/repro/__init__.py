@@ -75,7 +75,6 @@ _EXPORTS = {
     "ResultCache": "core",
     "SharedCacheTier": "core",
     "ClusteringConfig": "core",
-    "IdenticalRequestCombiner": "core",
     "RepeatWorkloadCombiner": "core",
     "InListQueryCombiner": "core",
     "FileBatchCombiner": "core",

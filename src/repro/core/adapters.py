@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..errors import ProtocolError
-from ..http.messages import HttpRequest
 from ..net.address import Address
 from ..net.network import Node
 from ..sim.core import Simulation
@@ -111,7 +110,6 @@ class HttpAdapter(ServiceAdapter):
 
     * ``"get"`` — payload is ``(path, params)``; returns an
       :class:`HttpResponse`.
-    * ``"request"`` — payload is a full :class:`HttpRequest`.
     """
 
     @staticmethod
@@ -125,15 +123,10 @@ class HttpAdapter(ServiceAdapter):
         return connection
 
     def execute(self, connection: HttpConnection, operation: str, payload: Any):
-        if operation == "get":
-            path, params = payload
-            response = yield from connection.get(path, dict(params or {}))
-        elif operation == "request":
-            if not isinstance(payload, HttpRequest):
-                raise ProtocolError("'request' operation expects an HttpRequest")
-            response = yield from connection.request(payload)
-        else:
+        if operation != "get":
             raise ProtocolError(f"http adapter: unknown operation {operation!r}")
+        path, params = payload
+        response = yield from connection.get(path, dict(params or {}))
         return response
 
     def close(self, connection: HttpConnection):
@@ -150,7 +143,6 @@ class FileAdapter(ServiceAdapter):
     * ``"read"`` — payload is a file name; returns the result dict.
     * ``"read_batch"`` — payload is a tuple of names; returns the list
       of per-file results in request order.
-    * ``"stat"`` — payload is a file name; returns its size in blocks.
     """
 
     @staticmethod
@@ -172,10 +164,7 @@ class FileAdapter(ServiceAdapter):
         if operation == "read_batch":
             results = yield from connection.read_batch(payload)
             return results
-        if operation == "stat":
-            size = yield from connection.stat(payload)
-            return size
         raise ProtocolError(f"file adapter: unknown operation {operation!r}")
 
     def close(self, connection: Any):
-        yield from connection.bye()
+        yield from connection.close()

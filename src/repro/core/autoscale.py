@@ -102,11 +102,6 @@ class TokenBucket:
             return True
         return False
 
-    @property
-    def level(self) -> float:
-        """Tokens available as of the last :meth:`allow`/:meth:`refill`."""
-        return self.tokens
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<TokenBucket rate={self.rate:g}/s burst={self.burst:g} "

@@ -164,14 +164,6 @@ class ResultCache:
         """Drop *key*; returns whether it was present."""
         return self._entries.pop(key, None) is not None
 
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept)."""
-        self._entries.clear()
-
-    def keys(self):
-        """Current keys, least recently used first."""
-        return list(self._entries)
-
     def __repr__(self) -> str:
         return (
             f"<ResultCache {len(self._entries)}/{self.capacity} "

@@ -149,11 +149,6 @@ class SharedCacheTier:
     # ------------------------------------------------------------------
     # membership
 
-    @property
-    def brokers(self) -> List["ServiceBroker"]:
-        """Brokers attached to this tier, in attach order."""
-        return list(self._brokers)
-
     def attach(self, broker: "ServiceBroker") -> None:
         """Wire *broker* into the tier.
 
@@ -200,11 +195,6 @@ class SharedCacheTier:
             self._h_invalidations.inc()
         return present
 
-    @property
-    def stats(self):
-        """The backing store's :class:`~repro.core.cache.CacheStats`."""
-        return self._store.stats
-
     def __len__(self) -> int:
         return len(self._store)
 
@@ -213,11 +203,6 @@ class SharedCacheTier:
 
     # ------------------------------------------------------------------
     # write-behind
-
-    @property
-    def pending_writes(self) -> int:
-        """Writes queued but not yet flushed to the backend."""
-        return len(self._flush_queue)
 
     def write_behind(
         self,
@@ -257,15 +242,6 @@ class SharedCacheTier:
         self._h_wb_enqueued.inc()
         self._ensure_flusher()
         return True
-
-    def flush(self):
-        """Drain the entire flush queue now (a simulation process).
-
-        ``yield from`` this from test or shutdown code to force every
-        pending write to the backend immediately.
-        """
-        while self._flush_queue:
-            yield from self._flush_one(self._flush_queue.popleft())
 
     def _ensure_flusher(self) -> None:
         if self._flusher_running:
@@ -313,5 +289,5 @@ class SharedCacheTier:
     def __repr__(self) -> str:
         return (
             f"<SharedCacheTier brokers={len(self._brokers)} "
-            f"entries={len(self._store)} pending_writes={self.pending_writes}>"
+            f"entries={len(self._store)} pending_writes={len(self._flush_queue)}>"
         )

@@ -6,8 +6,6 @@ engine is a pluggable :class:`Combiner` plus a :class:`ClusteringConfig`
 (batch size cap and optional gather window). These combiners cover the
 paper's cases:
 
-* :class:`IdenticalRequestCombiner` — identical operations are executed
-  once and the single result is fanned out (shared query results).
 * :class:`RepeatWorkloadCombiner` — the paper's Figure-7 scheme: *n*
   same-script CGI requests become one request with a ``repeat=n``
   parameter; the backend repeats the workload n times in one slot.
@@ -31,7 +29,6 @@ from .protocol import BrokerRequest
 __all__ = [
     "Combiner",
     "ClusteringConfig",
-    "IdenticalRequestCombiner",
     "RepeatWorkloadCombiner",
     "InListQueryCombiner",
     "FileBatchCombiner",
@@ -72,25 +69,6 @@ class ClusteringConfig:
             raise BrokerError(f"max_batch must be >= 1: {self.max_batch!r}")
         if self.window < 0:
             raise BrokerError(f"window must be >= 0: {self.window!r}")
-
-
-class IdenticalRequestCombiner(Combiner):
-    """Identical requests are served by one backend execution.
-
-    "Each application send requests and launch I/O operations separately
-    even for identical operations" — this combiner removes exactly that
-    duplication.
-    """
-
-    def key(self, request: BrokerRequest) -> Optional[str]:
-        return request.key()
-
-    def combine(self, requests: Sequence[BrokerRequest]) -> Tuple[str, Any]:
-        head = requests[0]
-        return head.operation, head.payload
-
-    def split(self, requests: Sequence[BrokerRequest], result: Any) -> List[Any]:
-        return [result for _ in requests]
 
 
 class RepeatWorkloadCombiner(Combiner):

@@ -164,10 +164,6 @@ class HotSpotGate:
                 self.hot_services.pop(notice.service, None)
             self.metrics.increment("gate.notices")
 
-    def is_hot(self, service: str) -> bool:
-        """True while *service* is marked hot."""
-        return service in self.hot_services
-
     def admit(self, request: HttpRequest) -> Tuple[bool, str]:
         """Admission decision: reject if any required service is hot."""
         for service in self.profiles.services_for(request.path):

@@ -236,10 +236,6 @@ class BrokerSupervisor:
         self.sim.process(self._monitor(watch), name=f"supervisor:{broker.name}")
         return watch
 
-    def is_up(self, name: str) -> bool:
-        """The supervisor's current belief about broker *name*."""
-        return self._watches[name].up
-
     def release(self, name: str) -> None:
         """Stop supervising broker *name* (graceful decommission).
 

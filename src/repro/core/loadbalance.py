@@ -94,13 +94,9 @@ class ReplicaHealth:
             alpha = self._ewma_alpha
             self.ewma_latency = alpha * latency + (1 - alpha) * self.ewma_latency
 
-    @property
-    def name(self) -> str:
-        return self.label
-
     def __repr__(self) -> str:
         return (
-            f"<{type(self).__name__} {self.name} "
+            f"<{type(self).__name__} {self.label} "
             f"outstanding={self.outstanding} ewma={self.ewma_latency:.4g}>"
         )
 

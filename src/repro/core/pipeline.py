@@ -276,27 +276,6 @@ class RequestContext:
         """The names of the stages traversed so far, in order."""
         return [record.stage for record in self.stages]
 
-    def timeline(self) -> List[Tuple[str, float, float, str]]:
-        """The timeline as ``(stage, entered, exited, decision)`` tuples."""
-        return [
-            (r.stage, r.entered, r.exited, r.decision) for r in self.stages
-        ]
-
-    def duration_of(self, stage: str) -> float:
-        """Total simulated time spent in all records of *stage*."""
-        return sum(r.duration for r in self.stages if r.stage == stage)
-
-
-    @property
-    def rejected(self) -> bool:
-        """True once admission control has rejected the request."""
-        return self.admission is not None and not self.admission.admitted
-
-    @property
-    def finished(self) -> bool:
-        """True once a reply has been produced for the request."""
-        return self.completed_at is not None
-
     def __repr__(self) -> str:
         rid = self.request.request_id if self.request is not None else "?"
         return (
@@ -1748,16 +1727,6 @@ class StagePipeline:
 
     # -- inspection ------------------------------------------------------
 
-    @property
-    def ingress_stages(self) -> List[BrokerStage]:
-        """The stages run synchronously at request arrival."""
-        return list(self._ingress)
-
-    @property
-    def dispatch_stages(self) -> List[BrokerStage]:
-        """The stages run by dispatcher processes after dequeue."""
-        return list(self._dispatch)
-
     def describe(self) -> List[str]:
         """The configured stage names, in execution order."""
         return [stage.name for stage in self.stages]
@@ -1779,7 +1748,7 @@ class StagePipeline:
         exactly as the generic entered/exited bookkeeping would have
         produced. A stage's time sample therefore only ever sees
         ``0.0``: once it holds one, folding another leaves mean,
-        variance, minimum and maximum at zero, so it is a count.
+        minimum and maximum at zero, so it is a count.
         """
         now = self.broker.sim._now
         continue_ = StageOutcome.CONTINUE

@@ -40,15 +40,6 @@ class ConnectionPool:
         self._waiters: Deque[Event] = deque()
         self._count = 0  # connections existing or being established
 
-    @property
-    def size(self) -> int:
-        """Connections currently existing (idle + checked out)."""
-        return self._count
-
-    @property
-    def idle(self) -> int:
-        return len(self._idle)
-
     def acquire(self):
         """Obtain a connection; a ``yield from`` generator.
 
@@ -104,13 +95,5 @@ class ConnectionPool:
                 return True
         return False
 
-    def drain(self):
-        """Close all idle connections; a ``yield from`` generator."""
-        while self._idle:
-            connection = self._idle.pop()
-            self._count -= 1
-            if not getattr(connection, "closed", False):
-                yield from self.adapter.close(connection)
-
     def __repr__(self) -> str:
-        return f"<ConnectionPool {self.adapter.name} size={self._count} idle={self.idle}>"
+        return f"<ConnectionPool {self.adapter.name} size={self._count} idle={len(self._idle)}>"

@@ -101,7 +101,3 @@ class BrokerReply:
     def ok(self) -> bool:
         """True for any answered request (full or degraded fidelity)."""
         return self.status in (ReplyStatus.OK, ReplyStatus.DEGRADED)
-
-    @property
-    def full_fidelity(self) -> bool:
-        return self.status is ReplyStatus.OK and self.fidelity >= 1.0

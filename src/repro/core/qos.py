@@ -16,7 +16,7 @@ reproduces the published drop-ratio ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from ..errors import BrokerError
 
@@ -109,7 +109,3 @@ class QoSPolicy:
         if self.rate_limits is None:
             return None
         return self.rate_limits.get(level)
-
-    def describe(self) -> Dict[int, float]:
-        """Per-level admit limits, for logs and reports."""
-        return {level: self.admit_limit(level) for level in range(1, self.levels + 1)}

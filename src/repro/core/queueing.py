@@ -87,9 +87,7 @@ class BrokerQueue:
     """Priority queue of admitted requests.
 
     ``priority_of`` computes a request's effective level at enqueue time
-    (defaults to its nominal QoS level); :meth:`reprioritize` re-sorts
-    the backlog after the function's answers change (the paper's
-    "reshuffle the queued requests").
+    (defaults to its nominal QoS level).
 
     With a capacity installed by :meth:`configure` the queue becomes
     bounded: :meth:`put` either evicts a queued victim (handed to the
@@ -121,11 +119,6 @@ class BrokerQueue:
 
     def __len__(self) -> int:
         return self._waiting
-
-    @property
-    def depth(self) -> int:
-        """Number of requests waiting (alias of ``len``)."""
-        return len(self)
 
     def configure(
         self,
@@ -220,11 +213,6 @@ class BrokerQueue:
         self._dispatch()
         return event
 
-    def cancel(self, event: Event) -> None:
-        """Withdraw a pending get."""
-        if isinstance(event, _QueueGet) and not event.triggered:
-            event.cancelled = True
-
     def take_matching(
         self, predicate: Callable[[QueuedRequest], bool], limit: int
     ) -> List[QueuedRequest]:
@@ -273,14 +261,6 @@ class BrokerQueue:
             for _, _, item in sorted(self._heap, key=lambda e: (e[0], e[1]))
             if not item.claimed
         ]
-
-    def reprioritize(self) -> None:
-        """Recompute effective levels and re-sort the backlog."""
-        items = [item for _, _, item in self._heap if not item.claimed]
-        self._heap = []
-        for item in items:
-            item.effective_level = self.priority_of(item.request)
-            heapq.heappush(self._heap, (*item.sort_key(), item))
 
     def reset(self) -> List[QueuedRequest]:
         """Discard the backlog (a broker crash); returns the orphans.

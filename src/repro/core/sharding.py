@@ -75,11 +75,6 @@ class HashRing:
         for node in nodes:
             self.add(node)
 
-    @property
-    def nodes(self) -> List[str]:
-        """The member node names, in insertion order."""
-        return list(self._nodes)
-
     def __len__(self) -> int:
         return len(self._nodes)
 
@@ -157,7 +152,7 @@ class HashRing:
     def __repr__(self) -> str:
         return (
             f"<HashRing seed={self.seed} vnodes={self.vnodes} "
-            f"nodes={self.nodes}>"
+            f"nodes={list(self._nodes)}>"
         )
 
 
@@ -341,11 +336,6 @@ class ShardDirectory:
         self._rings: Dict[str, HashRing] = {}
         self._groups: Dict[str, Dict[int, ShardGroup]] = {}
 
-    @property
-    def services(self) -> List[str]:
-        """Registered service names, in registration order."""
-        return list(self._rings)
-
     def __contains__(self, service: str) -> bool:
         return service in self._rings
 
@@ -388,10 +378,6 @@ class ShardDirectory:
         self._rings[service] = ring
         self._groups[service] = {g.index: g for g in groups}
         return ring
-
-    def ring(self, service: str) -> HashRing:
-        """The consistent-hash ring for *service*."""
-        return self._rings[service]
 
     def groups(self, service: str) -> List[ShardGroup]:
         """All shard groups for *service*, in shard order."""
@@ -448,4 +434,4 @@ class ShardDirectory:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return f"<ShardDirectory services={self.services}>"
+        return f"<ShardDirectory services={list(self._rings)}>"

@@ -126,9 +126,5 @@ class TransactionTracker:
             for callback in self._on_complete:
                 callback(txn_id)
 
-    @property
-    def active(self) -> int:
-        return len(self._steps)
-
     def __repr__(self) -> str:
-        return f"<TransactionTracker active={self.active}>"
+        return f"<TransactionTracker active={len(self._steps)}>"

@@ -70,12 +70,6 @@ class ResultSet:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def scalar(self) -> Any:
-        """The single value of a single-row, single-column result."""
-        if len(self.rows) != 1 or len(self.columns) != 1:
-            raise QueryError("scalar() requires exactly one row and column")
-        return self.rows[0][0]
-
 
 def evaluate_predicate(table: Table, predicate: Predicate, row: Row) -> bool:
     """True if *row* satisfies *predicate*."""

@@ -251,11 +251,6 @@ class ViewCatalog:
         self._h_hits = self.metrics.handle("db.view.hits")
         self._h_invalidations = self.metrics.handle("db.view.invalidations")
 
-    @property
-    def views(self) -> List[MaterializedView]:
-        """Every registered view, in registration order."""
-        return [v for views in self._by_table.values() for v in views]
-
     def create(
         self,
         name: str,
@@ -295,4 +290,5 @@ class ViewCatalog:
         return None
 
     def __repr__(self) -> str:
-        return f"<ViewCatalog views={[v.name for v in self.views]}>"
+        names = [view.name for views in self._by_table.values() for view in views]
+        return f"<ViewCatalog views={names}>"

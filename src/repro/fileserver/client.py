@@ -44,17 +44,7 @@ class FileConnection:
         reply = yield from self._round_trip(("read_batch", tuple(names)))
         return list(reply[1])
 
-    def stat(self, name: str):
-        """File size in blocks."""
-        reply = yield from self._round_trip(("stat", name))
-        return reply[1]
-
-    def list(self):
-        """All file names on the server."""
-        reply = yield from self._round_trip(("list",))
-        return list(reply[1])
-
-    def bye(self):
+    def close(self):
         """Orderly shutdown; a ``yield from`` generator."""
         if not self._stream.closed:
             self._stream.send(("bye",))

@@ -94,7 +94,3 @@ class FileSystem:
     def first_block(self, name: str) -> int:
         """The file's first block (used for elevator ordering)."""
         return self.extents_of(name)[0].start
-
-    def listing(self) -> List[str]:
-        """All file names, sorted."""
-        return sorted(self._files)

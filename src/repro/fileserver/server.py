@@ -7,8 +7,6 @@ Protocol over a stream connection:
   ``("ok", {"name", "blocks", "content", "service_time"})`` or ``("error", msg)``
 * client → ``("read_batch", (names...))`` →
   ``("ok", [per-name result-or-error ...])`` in request order
-* client → ``("stat", name)`` → ``("ok", blocks)``
-* client → ``("list",)`` → ``("ok", [names])``
 * client → ``("bye",)``
 
 All reads funnel through a single disk arm. The request scheduler is the
@@ -190,10 +188,6 @@ class FileServer:
                     results.append(result)
                 self.metrics.increment("file.batches")
                 return ("ok", results)
-            if command == "stat":
-                return ("ok", self.filesystem.size_of(message[1]))
-            if command == "list":
-                return ("ok", self.filesystem.listing())
             return ("error", f"unknown command: {command!r}")
         except ServiceError as exc:
             self.metrics.increment("file.errors")

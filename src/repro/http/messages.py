@@ -69,10 +69,6 @@ class HttpResponse:
     parts: Tuple[Tuple[str, "HttpResponse"], ...] = field(default=(), init=False)
 
     @property
-    def reason(self) -> str:
-        return STATUS_REASONS.get(self.status, "Unknown")
-
-    @property
     def ok(self) -> bool:
         return 200 <= self.status < 300
 

@@ -74,16 +74,6 @@ class BackendWebServer:
 
     # -- load inspection --------------------------------------------------
 
-    @property
-    def active_requests(self) -> int:
-        """Requests currently holding a worker slot."""
-        return self.workers.in_use
-
-    @property
-    def queued_requests(self) -> int:
-        """Requests waiting for a worker slot."""
-        return self.workers.queued
-
     # -- serving ---------------------------------------------------------
 
     def _accept_loop(self):
@@ -179,8 +169,8 @@ class BackendWebServer:
 
     def __repr__(self) -> str:
         return (
-            f"<BackendWebServer {self.address} active={self.active_requests} "
-            f"queued={self.queued_requests}>"
+            f"<BackendWebServer {self.address} active={self.workers.in_use} "
+            f"queued={self.workers.queued}>"
         )
 
 

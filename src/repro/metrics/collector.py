@@ -18,7 +18,7 @@ Two access styles coexist:
   ``DESIGN.md`` §Performance).
 
 A sample is a :class:`~repro.metrics.stats.Moments`: count, mean,
-variance, minimum and maximum, folded as each value arrives. It keeps
+minimum and maximum, folded as each value arrives. It keeps
 no observations, so a request costs a registry no bytes however long a
 run lasts (DESIGN.md §9). Exact percentiles are for the result
 latencies an experiment collects itself, in
@@ -162,10 +162,6 @@ class MetricsRegistry:
         """The moments of *name* (empty ones if nothing was observed)."""
         return self._samples.get(name, Moments())
 
-    def samples(self) -> Dict[str, Moments]:
-        """All samples by name."""
-        return dict(self._samples)
-
     # -- histograms ----------------------------------------------------
 
     def histogram_handle(self, name: str) -> LatencyHistogram:
@@ -181,11 +177,6 @@ class MetricsRegistry:
             self._histograms[name] = histogram
         return histogram
 
-    def histogram(self, name: str) -> LatencyHistogram:
-        """The histogram for *name* (an empty one if never recorded)."""
-        histogram = self._histograms.get(name)
-        return histogram if histogram is not None else LatencyHistogram()
-
     def histograms(self, prefix: str = "") -> Dict[str, LatencyHistogram]:
         """All histograms whose name starts with *prefix*, sorted by name.
 
@@ -199,11 +190,6 @@ class MetricsRegistry:
         }
 
     # -- misc ----------------------------------------------------------
-
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """``counter(numerator) / counter(denominator)``, 0 when empty."""
-        denom = self.counter(denominator)
-        return self.counter(numerator) / denom if denom else 0.0
 
     def __iter__(self) -> Iterator[Tuple[str, float]]:
         return iter(

@@ -76,16 +76,6 @@ class LatencyHistogram:
     # -- summary values ------------------------------------------------
 
     @property
-    def mean(self) -> float:
-        """Arithmetic mean of all observations (NaN when empty)."""
-        return self.total / self.count if self.count else _NAN
-
-    @property
-    def minimum(self) -> float:
-        """Smallest observed value (NaN when empty)."""
-        return self._min
-
-    @property
     def maximum(self) -> float:
         """Largest observed value (NaN when empty)."""
         return self._max

@@ -2,8 +2,8 @@
 
 Two types share one recurrence:
 
-* :class:`Moments` folds each observation into count, mean, variance
-  (Welford's algorithm), minimum and maximum as it arrives and keeps
+* :class:`Moments` folds each observation into count, mean (Welford's
+  running-mean recurrence), minimum and maximum as it arrives and keeps
   nothing else — a fixed handful of bytes however many observations
   it has seen. Every :class:`~repro.metrics.collector.MetricsRegistry`
   sample is one.
@@ -38,27 +38,26 @@ def _double(value: float) -> float:
 
 
 class Moments:
-    """Count, mean, variance, minimum and maximum — no sample kept.
+    """Count, mean, minimum and maximum — no sample kept.
 
     >>> m = Moments()
     >>> for v in [1.0, 2.0, 3.0]:
     ...     m.add(v)
-    >>> m.count, m.mean, m.variance
-    (3, 2.0, 1.0)
+    >>> m.count, m.mean, m.maximum
+    (3, 2.0, 3.0)
     """
 
-    __slots__ = ("count", "_mean", "_m2", "_min", "_max")
+    __slots__ = ("count", "_mean", "_min", "_max")
 
     def __init__(self) -> None:
         #: Observations folded so far.
         self.count = 0
         self._mean = 0.0
-        self._m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
 
     def add(self, value: float) -> None:
-        """Fold one observation in (Welford's recurrence).
+        """Fold one observation in (Welford's running mean).
 
         Raises ``TypeError`` for anything that is not a real number.
         """
@@ -66,11 +65,7 @@ class Moments:
             value = _double(value)
         count = self.count + 1
         self.count = count
-        mean = self._mean
-        delta = value - mean
-        mean += delta / count
-        self._mean = mean
-        self._m2 += delta * (value - mean)
+        self._mean += (value - self._mean) / count
         if value < self._min:
             self._min = value
         if value > self._max:
@@ -80,17 +75,6 @@ class Moments:
     def mean(self) -> float:
         """Sample mean; ``nan`` when empty."""
         return self._mean if self.count else math.nan
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance; ``nan`` with fewer than 2 samples."""
-        count = self.count
-        return self._m2 / (count - 1) if count > 1 else math.nan
-
-    @property
-    def stdev(self) -> float:
-        var = self.variance
-        return math.sqrt(var) if not math.isnan(var) else math.nan
 
     @property
     def minimum(self) -> float:
@@ -156,22 +140,9 @@ class SummaryStats:
         return len(self._values)
 
     @property
-    def total(self) -> float:
-        return sum(self._values)
-
-    @property
     def mean(self) -> float:
         """Sample mean; ``nan`` when empty."""
         return self._folded().mean
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance; ``nan`` with fewer than 2 samples."""
-        return self._folded().variance
-
-    @property
-    def stdev(self) -> float:
-        return self._folded().stdev
 
     @property
     def minimum(self) -> float:
@@ -209,10 +180,6 @@ class SummaryStats:
         if result > hi:
             return hi
         return result
-
-    @property
-    def median(self) -> float:
-        return self.percentile(50.0)
 
     @property
     def p95(self) -> float:

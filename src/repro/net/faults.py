@@ -146,8 +146,7 @@ class LinkDegrade:
     """A lossy/slow window on the link between hosts *a* and *b*.
 
     The base link is replaced with one adding ``extra_latency`` seconds
-    of one-way delay and with bandwidth scaled by ``bandwidth_factor``;
-    it keeps the base link's loss.
+    of one-way delay and with bandwidth scaled by ``bandwidth_factor``.
     """
 
     kind = "link-degrade"
@@ -217,11 +216,6 @@ class FaultPlan:
 
     def __init__(self, faults: Sequence[object] = ()) -> None:
         self.faults: List[object] = list(faults)
-
-    @classmethod
-    def empty(cls) -> "FaultPlan":
-        """The no-op plan (inject nothing)."""
-        return cls()
 
     @classmethod
     def crash_restart_cycle(
@@ -318,7 +312,7 @@ class FaultInjector:
     The injector records every fault's ``[start, end)`` window under its
     :meth:`key() <BackendCrash.key>`, so experiments can classify each
     request as issued during an outage or during healthy operation
-    (:meth:`windows`, :meth:`is_down`).
+    (:meth:`windows`).
     """
 
     def __init__(
@@ -442,10 +436,6 @@ class FaultInjector:
                 closed.append((started, self.sim.now))
         closed.sort()
         return closed
-
-    def is_down(self, key: str, at: float) -> bool:
-        """True when *at* falls inside any outage window of *key*."""
-        return any(start <= at < end for start, end in self.windows(key))
 
     def __repr__(self) -> str:
         return (

@@ -1,7 +1,8 @@
-"""Network topology: named nodes joined by links — and their failures.
+"""Network topology: named nodes on one link — and their failures.
 
-A :class:`Network` registers nodes and the links between them, resolves
-addresses to bound sockets/listeners, and accounts traffic. A
+A :class:`Network` registers nodes, joins every pair of them with its
+one link (the loopback within a host), resolves addresses to bound
+sockets/listeners, and accounts traffic. A
 :class:`Node` is one host: it binds listeners and sockets and opens
 stream connections. All broker-side behaviour lives above this layer,
 in the :mod:`repro.core` stage pipeline; the network only moves
@@ -12,7 +13,7 @@ The network is also where link faults land (driven by
 partitions a host pair — established streams crossing it are killed,
 new connects raise :class:`NoRouteError`, datagrams vanish — and
 :meth:`Network.override_link` swaps in a degraded link (extra latency,
-loss, less bandwidth) until cleared. Both are exact inverses of their
+less bandwidth) until cleared. Both are exact inverses of their
 restore operations, so a healed network behaves like one that never
 failed (apart from the connections lost in between). Fault windows
 may overlap: a pair stays severed until its last open
@@ -21,9 +22,8 @@ the newest is in force.
 
 Every message looks up its path in a per-direction :class:`Route`
 (link in force, RNG substream, severed flag), built once per host pair
-and refreshed in place by :meth:`Network.connect` and the fault
-methods, so a stream that holds its route always reads the current
-state.
+and refreshed in place by the fault methods, so a stream that holds its
+route always reads the current state.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ EPHEMERAL_BASE = 49152
 class Route:
     """The resolved a→b direction of a host pair: what each message reads.
 
-    ``link`` is the link in force (a fault override, the configured
-    link, the default link or the loopback), ``rng`` the direction's
-    jitter/loss substream, and ``severed`` whether the pair is
-    partitioned. :meth:`Network.route` hands out one object per
-    direction and updates it in place whenever any of the three changes.
+    ``link`` is the link in force (a fault override, the network's
+    link or the loopback), ``rng`` the direction's jitter substream,
+    and ``severed`` whether the pair is partitioned.
+    :meth:`Network.route` hands out one object per direction and
+    updates it in place whenever any of the three changes.
     """
 
     __slots__ = ("link", "rng", "severed")
@@ -180,24 +180,21 @@ class Node:
 
 
 class Network:
-    """The set of nodes and links making up one simulated network.
+    """The set of nodes making up one simulated network, on one link.
 
     Parameters
     ----------
     sim:
         The owning simulation.
     default_link:
-        Optional link used for any node pair without an explicit link —
-        convenient for all-on-one-LAN testbeds.
+        The link joining every pair of distinct nodes (the paper's
+        testbed is one LAN).
     """
 
-    def __init__(
-        self, sim: Simulation, default_link: Optional[Link] = None
-    ) -> None:
+    def __init__(self, sim: Simulation, default_link: Link) -> None:
         self.sim = sim
         self.nodes: Dict[str, Node] = {}
-        self._links: Dict[Tuple[str, str], Link] = {}
-        self._default_link = default_link
+        self._link = default_link
         self.metrics = MetricsRegistry()
         self._loopback = Link.loopback()
         # Open LinkDown windows per pair, and per pair the open override
@@ -222,17 +219,6 @@ class Network:
         # Hosts taken out for good (remove_node): no route to them again.
         self._removed: Set[str] = set()
 
-    @property
-    def default_link(self) -> Optional[Link]:
-        """The link of every node pair without an explicit one, if any."""
-        return self._default_link
-
-    @default_link.setter
-    def default_link(self, link: Optional[Link]) -> None:
-        self._default_link = link
-        for (a, b), route in self._routes.items():
-            route.link = self.link_between(a, b)
-
     def node(self, name: str) -> Node:
         """Create and register a node named *name*."""
         if name in self.nodes or name in self._removed:
@@ -244,9 +230,9 @@ class Network:
     def remove_node(self, name: str) -> None:
         """Take host *name* out of the network for good.
 
-        Drops the node and every explicit link, cached :class:`Route`,
-        fault override and open partition that names it, and releases
-        the jitter/loss substreams of its directions
+        Drops the node and every cached :class:`Route`, fault override
+        and open partition that names it, and releases the jitter
+        substreams of its directions
         (:meth:`~repro.sim.core.Simulation.forget_rng`), so the name
         cannot come back with a restarted sequence. Nothing is closed,
         drawn or scheduled: whatever is bound on the host just becomes
@@ -257,9 +243,8 @@ class Network:
         if self.nodes.pop(name, None) is None:
             raise NetworkError(f"unknown node {name!r}")
         self._removed.add(name)
-        for table in (self._links, self._routes):
-            for key in [key for key in table if name in key]:
-                del table[key]
+        for key in [key for key in self._routes if name in key]:
+            del self._routes[key]
         for pairs in (self._severed, self._link_overrides):
             for pair in [pair for pair in pairs if name in pair]:
                 del pairs[pair]
@@ -267,32 +252,12 @@ class Network:
             del self._link_rngs[(a, b)]
             self.sim.forget_rng(f"net.link.{a}->{b}")
 
-    def connect(self, a: Union[Node, str], b: Union[Node, str], link: Link) -> None:
-        """Join nodes *a* and *b* with *link* (bidirectional)."""
-        name_a = a.name if isinstance(a, Node) else a
-        name_b = b.name if isinstance(b, Node) else b
-        for name in (name_a, name_b):
-            if name not in self.nodes:
-                raise NetworkError(f"unknown node {name!r}")
-        self._links[(name_a, name_b)] = link
-        self._links[(name_b, name_a)] = link
-        self._refresh(name_a, name_b)
-
     def configured_link(self, a: str, b: str) -> Link:
         """The link joining hosts *a* and *b*, ignoring fault overrides.
 
-        The explicit link from :meth:`connect`, else the default link;
-        the loopback when a == b. Raises :class:`NoRouteError` when
-        there is neither.
+        The network's link; the loopback when a == b.
         """
-        if a == b:
-            return self._loopback
-        link = self._links.get((a, b))
-        if link is not None:
-            return link
-        if self._default_link is not None:
-            return self._default_link
-        raise NoRouteError(f"no link between {a!r} and {b!r}")
+        return self._loopback if a == b else self._link
 
     def link_between(self, a: str, b: str) -> Link:
         """The link joining hosts *a* and *b* (loopback when a == b).
@@ -307,7 +272,7 @@ class Network:
         return self.configured_link(a, b)
 
     def link_rng(self, a: str, b: str) -> random.Random:
-        """The RNG substream used for jitter/loss on the a→b direction.
+        """The RNG substream used for jitter on the a→b direction.
 
         The registry returns the same stream object for a name's
         lifetime, so the pair→stream cache is purely a lookup shortcut.
@@ -321,10 +286,9 @@ class Network:
     def route(self, a: str, b: str) -> Route:
         """The a→b :class:`Route`, built on first use and then cached.
 
-        The same object is returned for the network's lifetime: link
-        changes and fault windows update it in place, so holders (an
-        established stream) never go stale. Raises
-        :class:`NoRouteError` when the pair has no link or either host
+        The same object is returned for the network's lifetime: fault
+        windows update it in place, so holders (an established stream)
+        never go stale. Raises :class:`NoRouteError` when either host
         was removed (:meth:`remove_node`).
         """
         route = self._routes.get((a, b))
@@ -407,12 +371,10 @@ class Network:
         overlapping windows stack, the newest in force, and each is
         cleared by its own name. Installing under an open window's name
         replaces that entry. The loopback cannot be overridden
-        (:class:`NetworkError`), nor a pair without a link
-        (:class:`NoRouteError`).
+        (:class:`NetworkError`).
         """
         if a == b:
             raise NetworkError(f"cannot override the loopback of {a!r}")
-        self.configured_link(a, b)
         overrides = self._link_overrides.setdefault(frozenset((a, b)), [])
         overrides[:] = [entry for entry in overrides if entry[0] != window]
         overrides.append((window, link))
@@ -458,4 +420,4 @@ class Network:
         # else: no socket bound — datagram silently dropped, like real UDP.
 
     def __repr__(self) -> str:
-        return f"<Network nodes={len(self.nodes)} links={len(self._links) // 2}>"
+        return f"<Network nodes={len(self.nodes)} link={self._link!r}>"

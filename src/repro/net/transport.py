@@ -313,7 +313,7 @@ class DatagramSocket:
         self.datagrams_dropped = 0
 
     def sendto(self, payload: Any, destination: Address) -> None:
-        """Send one datagram; silently dropped on loss or missing receiver."""
+        """Send one datagram; lost across a severed pair or with no receiver."""
         if self.closed:
             raise NetworkError("sendto() on a closed socket")
         network = self._network
@@ -325,18 +325,9 @@ class DatagramSocket:
             self.datagrams_dropped += 1
             network.metrics.increment("net.datagrams.lost")
             return
-        link = route.link
-        rng = route.rng
         self.datagrams_sent += 1
         network._messages.value += 1.0  # one message of `size` bytes
         network._bytes.value += size
-        # `Link.drops` inlined: sample the RNG only when lossy, exactly
-        # as the method does.
-        loss = link.loss
-        if loss > 0.0 and rng.random() < loss:
-            self.datagrams_dropped += 1
-            network.metrics.increment("net.datagrams.lost")
-            return
         sim = self.sim
         envelope = Envelope(
             payload=payload,
@@ -346,9 +337,10 @@ class DatagramSocket:
             sent_at=sim._now,
         )
         # `Link.delay` inlined, consuming the RNG identically.
+        link = route.link
         delay = link.latency
         if link.jitter:
-            delay += rng.uniform(0.0, link.jitter)
+            delay += route.rng.uniform(0.0, link.jitter)
         bandwidth = link.bandwidth
         if bandwidth is not None:
             delay += size / bandwidth

@@ -50,7 +50,6 @@ _EXPORTS = {
     "SloEngine": "slo",
     "qos_slos": "slo",
     "chaos_slos": "slo",
-    "shard_slos": "slo",
     "render_slo_table": "slo",
     "render_alert_timeline": "slo",
     "sparkline": "dashboard",

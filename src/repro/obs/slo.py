@@ -43,7 +43,6 @@ __all__ = [
     "SloEngine",
     "qos_slos",
     "chaos_slos",
-    "shard_slos",
     "autoscale_slos",
     "render_slo_table",
     "render_alert_timeline",
@@ -202,17 +201,6 @@ class SloEngine:
         """Alerts currently firing, in firing order."""
         return [alert for alert in self.alerts if alert.active]
 
-    def first_alert_time(self) -> Optional[float]:
-        """When the earliest alert fired (None if none ever did)."""
-        return self.alerts[0].fired_at if self.alerts else None
-
-    def spec_named(self, name: str) -> SloSpec:
-        """The spec called *name* (raises :class:`KeyError` if absent)."""
-        for spec in self.specs:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
-
     def __repr__(self) -> str:
         return (
             f"<SloEngine specs={len(self.specs)} "
@@ -297,10 +285,6 @@ def chaos_slos() -> List[SloSpec]:
         ),
     ]
 
-
-def shard_slos() -> List[SloSpec]:
-    """Sharded-scenario SLOs — same front-door counters as QoS."""
-    return qos_slos()
 
 
 def autoscale_slos() -> List[SloSpec]:

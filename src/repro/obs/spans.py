@@ -148,7 +148,7 @@ class Span:
 class Hop:
     """One segment of a request's end-to-end waterfall.
 
-    A trace's hops partition ``[trace.start, trace.end]`` with no gaps
+    A trace's hops partition its root span's interval with no gaps
     or overlaps — consecutive hops share a boundary timestamp — so the
     hop durations telescope: their sum equals the end-to-end latency
     (within float tolerance).
@@ -230,11 +230,6 @@ class Trace:
     def start(self) -> float:
         """When the request entered the system."""
         return self.root.start
-
-    @property
-    def end(self) -> float:
-        """When the last span of the request closed."""
-        return self.root.end
 
     @property
     def duration(self) -> float:

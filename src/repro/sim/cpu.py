@@ -71,11 +71,6 @@ class HostCpu:
         finally:
             self._core.release(grant)
 
-    def utilization(self) -> float:
-        """Fraction of the run so far the core has been busy."""
-        now = self.sim.now
-        return self.busy_time / now if now > 0 else 0.0
-
     def __repr__(self) -> str:
         return (
             f"<HostCpu switches={self.switches} busy={self.busy_time:.4g}s "

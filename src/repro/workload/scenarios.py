@@ -921,13 +921,6 @@ class ShardedQosResult:
         default_factory=dict
     )
 
-    def histogram_p99(self, level: int) -> float:
-        """Bucket-estimated p99 response time of QoS class *level*."""
-        histogram = self.latency_histograms.get(level)
-        if histogram is None or not histogram.count:
-            return float("nan")
-        return histogram.percentile(99.0)
-
     @property
     def throughput(self) -> float:
         """Completed pages per second across all QoS classes."""

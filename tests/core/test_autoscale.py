@@ -35,9 +35,9 @@ from repro.workload.chaos import _elastic_pool
 class TestTokenBucket:
     def test_starts_full_and_spends_down(self):
         bucket = TokenBucket(rate=1.0, burst=3.0)
-        assert bucket.level == 3.0
+        assert bucket.tokens == 3.0
         assert [bucket.allow(0.0) for _ in range(4)] == [True, True, True, False]
-        assert bucket.level == 0.0
+        assert bucket.tokens == 0.0
 
     def test_refill_is_proportional_and_clamped(self):
         bucket = TokenBucket(rate=2.0, burst=4.0)
@@ -47,14 +47,14 @@ class TestTokenBucket:
         assert bucket.allow(1.0)
         assert not bucket.allow(1.0)
         bucket.refill(100.0)
-        assert bucket.level == 4.0  # clamped at burst, not 200
+        assert bucket.tokens == 4.0  # clamped at burst, not 200
 
     def test_refused_call_consumes_nothing(self):
         bucket = TokenBucket(rate=1.0, burst=1.0)
         assert bucket.allow(0.0)
-        before = bucket.level
+        before = bucket.tokens
         assert not bucket.allow(0.0)
-        assert bucket.level == before
+        assert bucket.tokens == before
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -84,7 +84,7 @@ def test_bucket_level_always_within_bounds(events, rate, burst):
     for gap, cost in events:
         now += gap
         bucket.allow(now, cost)
-        assert 0.0 <= bucket.level <= burst
+        assert 0.0 <= bucket.tokens <= burst
 
 
 class TestTenantThrottle:
@@ -481,7 +481,7 @@ class TestRetiredUnitIsReleased:
             assert not [key for key in scraped if name in key.split(".")]
             assert services[name] not in client.routes
             assert host not in net.nodes
-            for table in (net._links, net._routes, net._link_rngs):
+            for table in (net._routes, net._link_rngs):
                 assert not [key for key in table if host in key]
             assert not [
                 stream for stream in streams

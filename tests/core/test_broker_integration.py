@@ -56,7 +56,7 @@ class TestBrokerBasics:
         reply = sim.run(sim.process(run()))
         assert reply.status is ReplyStatus.OK
         assert reply.payload.rows == (("v5",),)
-        assert reply.full_fidelity
+        assert reply.fidelity == 1.0
         assert broker.metrics.counter("broker.served") == 1
 
     def test_unknown_service_is_error_reply(self, sim, net, db_backend):

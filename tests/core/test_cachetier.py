@@ -59,8 +59,6 @@ class TestSharedCacheTier:
         assert tier.get("k") is None
         tier.put("k", "v")
         assert tier.get("k") == "v"
-        assert tier.stats.hits == 1
-        assert tier.stats.misses == 1
         assert registry.counter("broker.cachetier.hits") == 1
         assert registry.counter("broker.cachetier.misses") == 1
         assert registry.counter("broker.cachetier.puts") == 1
@@ -85,7 +83,7 @@ class TestSharedCacheTier:
         tier.attach(broker)
         tier.attach(broker)
         assert broker.cache_tier is tier
-        assert tier.brokers == [broker]
+        assert tier._brokers == [broker]
 
 
 class TestWriteBehind:
@@ -94,9 +92,8 @@ class TestWriteBehind:
         tier.put("k", "old")
         assert tier.write_behind(broker, "query", "UPDATE ...", keys=("k",))
         assert tier.get("k") is None  # invalidated before the flush
-        assert tier.pending_writes == 1
+        assert broker.executed == []
         sim.run(until=1.0)
-        assert tier.pending_writes == 0
         assert broker.executed == [("query", "UPDATE ...")]
         assert registry.counter("broker.cachetier.writebehind.enqueued") == 1
         assert registry.counter("broker.cachetier.writebehind.flushed") == 1
@@ -112,15 +109,7 @@ class TestWriteBehind:
         assert not tier.write_behind(broker, "query", "w2", keys=("k2",))
         assert tier.get("k2") is None
         assert registry.counter("broker.cachetier.writebehind.overflow") == 1
-        assert tier.pending_writes == 1
-
-    def test_flush_drains_everything_now(self, sim, tier):
-        broker = FakeBroker(sim)
-        for i in range(5):
-            tier.write_behind(broker, "query", f"w{i}")
-        sim.run(sim.process(tier.flush()))
-        assert tier.pending_writes == 0
-        assert len(broker.executed) == 5
+        assert registry.counter("broker.cachetier.writebehind.enqueued") == 1
 
     def test_flush_error_counted_not_raised(self, sim, tier, registry):
         broker = FakeBroker(sim, fail=True)

@@ -209,4 +209,4 @@ class TestWhatAnAnsweredCallLeavesBehind:
         assert sim.now < 30.0
         # What stays navigable: the timeline; what is let go: the messages.
         assert context.request is None and context.reply is None
-        assert context.timeline()
+        assert context.stages

@@ -7,7 +7,6 @@ import pytest
 from repro.core import (
     BrokerRequest,
     ClusteringConfig,
-    IdenticalRequestCombiner,
     RepeatWorkloadCombiner,
 )
 from repro.errors import BrokerError
@@ -29,35 +28,11 @@ def get_request(request_id: int, path: str, params=None, service="web") -> Broke
 
 class TestClusteringConfig:
     def test_validation(self):
-        combiner = IdenticalRequestCombiner()
+        combiner = RepeatWorkloadCombiner()
         with pytest.raises(BrokerError):
             ClusteringConfig(combiner=combiner, max_batch=0)
         with pytest.raises(BrokerError):
             ClusteringConfig(combiner=combiner, window=-1)
-
-
-class TestIdenticalRequestCombiner:
-    def test_key_is_request_key(self):
-        combiner = IdenticalRequestCombiner()
-        a = get_request(1, "/x", {"q": 1})
-        b = get_request(2, "/x", {"q": 1})
-        c = get_request(3, "/x", {"q": 2})
-        assert combiner.key(a) == combiner.key(b)
-        assert combiner.key(a) != combiner.key(c)
-
-    def test_combine_split_shares_result(self):
-        combiner = IdenticalRequestCombiner()
-        batch = [get_request(i, "/x") for i in range(3)]
-        operation, payload = combiner.combine(batch)
-        assert operation == "get"
-        results = combiner.split(batch, "shared")
-        assert results == ["shared"] * 3
-
-    def test_explicit_cache_key_groups(self):
-        combiner = IdenticalRequestCombiner()
-        a = BrokerRequest(1, "db", "query", "SELECT 1", REPLY_TO, cache_key="same")
-        b = BrokerRequest(2, "db", "query", "SELECT 1 ", REPLY_TO, cache_key="same")
-        assert combiner.key(a) == combiner.key(b)
 
 
 class TestRepeatWorkloadCombiner:

@@ -228,9 +228,7 @@ class TestFaultTolerantPlan:
         sim.run(sim.process(driver()))
         reply = seen["reply"]
         assert reply.status is ReplyStatus.OK
-        timeline = [
-            (stage, decision) for stage, _, _, decision in reply.context.timeline()
-        ]
+        timeline = [(r.stage, r.decision) for r in reply.context.stages]
         assert ("timeout", "budget=2.5") in timeline
 
     def test_no_deadline_leaves_requests_unbounded(self, sim, net):
@@ -242,10 +240,7 @@ class TestFaultTolerantPlan:
             seen["reply"] = reply
 
         sim.run(sim.process(driver()))
-        timeline = [
-            (stage, decision)
-            for stage, _, _, decision in seen["reply"].context.timeline()
-        ]
+        timeline = [(r.stage, r.decision) for r in seen["reply"].context.stages]
         assert ("timeout", "unbounded") in timeline
 
     def test_retry_recovers_through_a_crash(self, sim, net):

@@ -52,15 +52,6 @@ class TestFileAdapter:
         assert reply.status is ReplyStatus.OK
         assert reply.payload["name"] == "doc3"
 
-    def test_stat_through_broker(self, sim, file_stack):
-        _server, _broker, client = file_stack
-
-        def run():
-            reply = yield from client.call("files", "stat", "doc0", cacheable=False)
-            return reply
-
-        assert sim.run(sim.process(run())).payload == 8
-
     def test_missing_file_is_error_reply(self, sim, file_stack):
         _server, broker, client = file_stack
 

@@ -126,7 +126,7 @@ class TestHotSpotGate:
                 )
             yield sim.timeout(0.1)
             decisions["during"] = gate.admit(request)[0]
-            decisions["hot"] = gate.is_hot("slow")
+            decisions["hot"] = "slow" in gate.hot_services
             yield sim.timeout(8.0)  # backlog drains, clear notice arrives
             decisions["after"] = gate.admit(request)[0]
 

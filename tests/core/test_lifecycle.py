@@ -218,7 +218,7 @@ class TestSupervisor:
 
         def driver():
             yield sim.timeout(0.5)
-            assert supervisor.is_up(broker.name)
+            assert watch.up
             for i in range(3):
                 sim.process(one(i))
             yield sim.timeout(0.05)
@@ -227,7 +227,7 @@ class TestSupervisor:
         sim.process(driver())
         sim.run(until=2.0)
         # Detection within HEARTBEAT_INTERVAL * MISS_FACTOR of the last heartbeat.
-        assert not supervisor.is_up(broker.name)
+        assert not watch.up
         assert watch.detected == 1
         assert broker.metrics.counter("lifecycle.broker_down") == 1
         # Every in-flight request was answered DROPPED immediately — the
@@ -246,13 +246,13 @@ class TestSupervisor:
             yield sim.timeout(0.5)
             broker.crash()
             yield sim.timeout(1.0)
-            assert not supervisor.is_up(broker.name)
+            assert not watch.up
             broker.restart()
             yield sim.timeout(0.5)
 
         sim.process(driver())
         sim.run(until=3.0)
-        assert supervisor.is_up(broker.name)
+        assert watch.up
         assert watch.recoveries == 1
         assert broker.metrics.counter("lifecycle.broker_up") == 1
 

@@ -85,7 +85,7 @@ class TestConnectionPool:
             sim.process(holder())
         waited = sim.run(sim.process(late()))
         assert adapter.connects == 2
-        assert pool.size == 2
+        assert pool._count == 2
         assert waited > 0.4  # had to wait for a release
 
     def test_broken_idle_connection_replaced(self, sim):
@@ -122,26 +122,11 @@ class TestConnectionPool:
         sim.process(waiter())
         sim.run()
         assert outcomes == [2]  # a fresh connection was created
-        assert pool.size == 1
+        assert pool._count == 1
 
     def test_validation(self, sim):
         with pytest.raises(BrokerError):
             ConnectionPool(sim, FakeAdapter(sim), max_size=0)
-
-    def test_drain_closes_idle(self, sim):
-        adapter = FakeAdapter(sim)
-        pool = ConnectionPool(sim, adapter, max_size=2)
-
-        def run():
-            a = yield from pool.acquire()
-            b = yield from pool.acquire()
-            pool.release(a)
-            pool.release(b)
-            yield from pool.drain()
-            return a.closed and b.closed
-
-        assert sim.run(sim.process(run()))
-        assert pool.size == 0
 
 
 def make_backends(sim, count: int) -> List[BackendState]:

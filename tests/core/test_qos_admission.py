@@ -44,9 +44,9 @@ class TestQoSPolicy:
         with pytest.raises(BrokerError):
             policy.rate_limit(0)
 
-    def test_describe(self):
+    def test_admit_limits_per_level(self):
         policy = QoSPolicy(levels=2, threshold=10)
-        assert policy.describe() == {1: 10.0, 2: 5.0}
+        assert [policy.admit_limit(level) for level in (1, 2)] == [10.0, 5.0]
 
     def test_monotone_fractions(self):
         policy = QoSPolicy(levels=5, threshold=100)

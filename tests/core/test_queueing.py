@@ -83,28 +83,12 @@ class TestBrokerQueue:
         queue = BrokerQueue(sim)
         first = queue.get()
         second = queue.get()
-        queue.cancel(first)
+        first.cancelled = True
         queue.put(make_request(1, qos=1))
         sim.run()
         assert not first.triggered
         assert second.processed
         assert second.value.request.request_id == 1
-
-    def test_reprioritize_resorts(self, sim):
-        boost = {"on": False}
-
-        def priority(request: BrokerRequest) -> int:
-            if boost["on"] and request.txn_step >= 2:
-                return 1
-            return request.qos_level
-
-        queue = BrokerQueue(sim, priority_of=priority)
-        queue.put(make_request(1, qos=3, txn_step=2))
-        queue.put(make_request(2, qos=2))
-        assert [i.request.request_id for i in queue.snapshot()] == [2, 1]
-        boost["on"] = True
-        queue.reprioritize()
-        assert [i.request.request_id for i in queue.snapshot()] == [1, 2]
 
     def test_dispatch_to_multiple_getters_in_order(self, sim):
         queue = BrokerQueue(sim)
@@ -217,7 +201,7 @@ class TestBoundedQueue:
     def test_cancelled_getter_with_full_queue(self, sim):
         queue = bounded(sim, 1, shed_policy="reject-new")
         pending = queue.get()
-        queue.cancel(pending)
+        pending.cancelled = True
         # The cancelled getter must not consume the arrival...
         assert queue.put(make_request(1, qos=1)) is not None
         assert not pending.triggered

@@ -212,41 +212,41 @@ class TestExecutor:
 
     def test_count_star(self, db):
         sql = "SELECT COUNT(*) FROM movies WHERE year IN (1979, 1984, 1986)"
-        assert db.execute(sql).scalar() == 3
+        assert db.execute(sql).rows[0][0] == 3
 
     def test_count_star_with_limit(self, db):
         with pytest.raises(SqlSyntaxError):
             db.execute("SELECT COUNT(*) FROM movies LIMIT 2")
-        assert db.execute("SELECT COUNT(*) FROM movies").scalar() == 5
+        assert db.execute("SELECT COUNT(*) FROM movies").rows[0][0] == 5
 
     def test_insert_via_sql(self, db):
         # Rows enter through Table.insert/load; INSERT is not SQL here.
         with pytest.raises(SqlSyntaxError):
             db.execute("INSERT INTO movies (id, title, year, rating) VALUES (9, 'Ran', 1985, 8.2)")
         db.table("movies").insert((9, "Ran", 1985, 8.2))
-        assert db.execute("SELECT COUNT(*) FROM movies").scalar() == 6
+        assert db.execute("SELECT COUNT(*) FROM movies").rows[0][0] == 6
 
     def test_insert_naming_a_column_twice_is_a_syntax_error(self, db):
         with pytest.raises(SqlSyntaxError, match="must start with a keyword"):
             db.execute("INSERT INTO movies (id, id) VALUES (1, 2)")
-        assert db.execute("SELECT COUNT(*) FROM movies").scalar() == 5
+        assert db.execute("SELECT COUNT(*) FROM movies").rows[0][0] == 5
 
     def test_insert_via_sql_with_unknown_column_writes_nothing(self, db):
         with pytest.raises(UnknownColumnError):
             db.table("movies").insert({"id": 9, "director": "Mann"})
-        assert db.execute("SELECT COUNT(*) FROM movies").scalar() == 5
+        assert db.execute("SELECT COUNT(*) FROM movies").rows[0][0] == 5
 
     def test_update_via_sql(self, db):
         result = db.execute(
             "UPDATE movies SET rating = 9.0 WHERE year IN (1979, 1984, 1986)"
         )
         assert result.stats.rows_written == 3
-        assert db.execute("SELECT COUNT(*) FROM movies WHERE rating = 9.0").scalar() == 3
+        assert db.execute("SELECT COUNT(*) FROM movies WHERE rating = 9.0").rows[0][0] == 3
 
     def test_delete_via_sql(self, db):
         with pytest.raises(SqlSyntaxError):
             db.execute("DELETE FROM movies WHERE year = 1995")
-        assert db.execute("SELECT COUNT(*) FROM movies").scalar() == 5
+        assert db.execute("SELECT COUNT(*) FROM movies").rows[0][0] == 5
 
     def test_unknown_column_in_where(self, db):
         with pytest.raises(UnknownColumnError):
@@ -257,10 +257,6 @@ class TestExecutor:
             db.execute("SELECT * FROM movies WHERE year > 'abc'")
         # Equality across types is false, as in sqlite3.
         assert db.execute("SELECT * FROM movies WHERE year = 'abc'").rows == ()
-
-    def test_scalar_requires_single_cell(self, db):
-        with pytest.raises(QueryError):
-            db.execute("SELECT * FROM movies").scalar()
 
     def test_like_query(self, db):
         with pytest.raises(SqlSyntaxError):

@@ -86,7 +86,7 @@ class TestEngineAgainstModel:
     @settings(max_examples=60)
     def test_count_star(self, rows, group):
         db = build(rows)
-        got = db.execute(f"SELECT COUNT(*) FROM t WHERE g = {group}").scalar()
+        got = db.execute(f"SELECT COUNT(*) FROM t WHERE g = {group}").rows[0][0]
         assert got == sum(1 for _, g in rows if g == group)
 
     @given(rows_strategy)
@@ -107,9 +107,9 @@ class TestEngineAgainstModel:
             db.execute(f"DELETE FROM t WHERE k = {key}")
         db.execute(f"UPDATE t SET k = 99 WHERE k = {key}")
         assert len(db.execute(f"SELECT * FROM t WHERE k = {key}").rows) == 0
-        moved = db.execute("SELECT COUNT(*) FROM t WHERE k = 99").scalar()
+        moved = db.execute("SELECT COUNT(*) FROM t WHERE k = 99").rows[0][0]
         assert moved == sum(1 for k, _ in rows if k == key)
-        assert db.execute("SELECT COUNT(*) FROM t").scalar() == len(rows)
+        assert db.execute("SELECT COUNT(*) FROM t").rows[0][0] == len(rows)
 
 
 class TestSortedIndexProperties:

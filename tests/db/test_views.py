@@ -127,7 +127,7 @@ class TestAnswering:
 
 class TestInvalidation:
     def test_write_marks_dirty_and_next_read_refreshes(self, db, catalog):
-        view = catalog.views[0]
+        view = catalog._by_table["records"][0]
         db.execute("SELECT COUNT(*) FROM records WHERE grp = 0")
         assert not view.dirty
         refreshes = view.refreshes
@@ -139,7 +139,7 @@ class TestInvalidation:
         assert view.refreshes == refreshes + 1
 
     def test_lazy_refresh_amortized_over_reads(self, db, catalog):
-        view = catalog.views[0]
+        view = catalog._by_table["records"][0]
         db.execute("UPDATE records SET val = 1 WHERE id = 0")
         db.execute("SELECT COUNT(*) FROM records WHERE grp = 0")
         db.execute("SELECT COUNT(*) FROM records WHERE grp = 1")
@@ -157,7 +157,7 @@ class TestInvalidation:
         other.insert((1,))
         db.execute("SELECT COUNT(*) FROM records WHERE grp = 0")
         db.execute("UPDATE other SET id = 2 WHERE id = 1")
-        assert catalog.views[0].dirty is False
+        assert catalog._by_table["records"][0].dirty is False
 
 
 class TestPerGroupRefresh:
@@ -166,7 +166,7 @@ class TestPerGroupRefresh:
     @pytest.fixture
     def view(self, db, catalog):
         db.execute("SELECT COUNT(*) FROM records WHERE grp = 0")  # first build
-        return catalog.views[0]
+        return catalog._by_table["records"][0]
 
     @staticmethod
     def _count_lookups(db, monkeypatch):

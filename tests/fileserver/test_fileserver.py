@@ -56,7 +56,6 @@ class TestFileSystem:
         assert fs.extents_of("a")[0].start == 0
         assert fs.extents_of("b")[0].start == 100
         assert fs.size_of("b") == 50
-        assert fs.listing() == ["a", "b"]
 
     def test_fragmented_allocation_scatters(self):
         sim = Simulation(seed=4)
@@ -106,7 +105,7 @@ class TestFileServer:
         def run():
             conn = yield from FileClient.connect(sim, client_node, server.address)
             result = yield from conn.read("near")
-            yield from conn.bye()
+            yield from conn.close()
             return result
 
         result = sim.run(sim.process(run()))
@@ -122,24 +121,10 @@ class TestFileServer:
             try:
                 yield from conn.read("ghost")
             except ServiceError as exc:
-                yield from conn.bye()
+                yield from conn.close()
                 return str(exc)
 
         assert "ghost" in sim.run(sim.process(run()))
-
-    def test_stat_and_list(self, sim, served_fs):
-        _fs, server, client_node = served_fs
-
-        def run():
-            conn = yield from FileClient.connect(sim, client_node, server.address)
-            size = yield from conn.stat("far")
-            names = yield from conn.list()
-            yield from conn.bye()
-            return size, names
-
-        size, names = sim.run(sim.process(run()))
-        assert size == 16
-        assert names == ["far", "near"]
 
     def test_requires_mount(self, sim, served_fs):
         _fs, server, client_node = served_fs
@@ -159,7 +144,7 @@ class TestFileServer:
         def run():
             conn = yield from FileClient.connect(sim, client_node, server.address)
             results = yield from conn.read_batch(["far", "near", "ghost"])
-            yield from conn.bye()
+            yield from conn.close()
             return results
 
         results = sim.run(sim.process(run()))
@@ -194,7 +179,7 @@ class TestFileServer:
             conn = yield from FileClient.connect(sim, client_node, server.address)
             # Issue all reads at once so the scheduler has a full queue.
             results = yield from conn.read_batch([f"f{i}" for i in range(30)])
-            yield from conn.bye()
+            yield from conn.close()
             return results
 
         sim.run(sim.process(read_all(fcfs)))
@@ -215,7 +200,7 @@ class TestFileServer:
         def run():
             conn = yield from FileClient.connect(sim, client_node, server.address)
             results = yield from conn.read_batch(["low", "high"])
-            yield from conn.bye()
+            yield from conn.close()
             return results
 
         sim.run(sim.process(run()))

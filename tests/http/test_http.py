@@ -18,7 +18,7 @@ class TestMessages:
 
     def test_response_helpers(self):
         ok = HttpResponse.text("body")
-        assert ok.ok and ok.status == 200 and ok.reason == "OK"
+        assert ok.ok and ok.status == 200
         err = HttpResponse.error(404)
         assert not err.ok and err.body == "Not Found"
 
@@ -131,8 +131,8 @@ class TestBackendWebServer:
 
         def probe():
             yield sim.timeout(0.5)
-            seen["active"] = server.active_requests
-            seen["queued"] = server.queued_requests
+            seen["active"] = server.workers.in_use
+            seen["queued"] = server.workers.queued
 
         for i in range(5):
             sim.process(one(i))

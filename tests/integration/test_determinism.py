@@ -91,7 +91,7 @@ def cache_tier_section(result):
     section["duration"] = repr(result.duration)
     section["latency_count"] = result.latency.count
     section["latency_mean"] = repr(result.latency.mean)
-    section["latency_p50"] = repr(result.latency.median)
+    section["latency_p50"] = repr(result.latency.percentile(50.0))
     section["latency_p99"] = repr(result.latency.p99)
     section["latency_sha256"] = hashlib.sha256(
         repr(result.latency.values()).encode()

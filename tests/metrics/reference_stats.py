@@ -25,12 +25,11 @@ class SummaryStats:
     2.0
     """
 
-    __slots__ = ("_values", "_mean", "_m2", "_min", "_max", "_reduced")
+    __slots__ = ("_values", "_mean", "_min", "_max", "_reduced")
 
     def __init__(self, values: Optional[Iterable[float]] = None) -> None:
         self._values: List[float] = []
         self._mean = 0.0
-        self._m2 = 0.0
         self._min = math.inf
         self._max = -math.inf
         #: How many leading values are folded into the moments already.
@@ -51,21 +50,17 @@ class SummaryStats:
         if index == n:
             return
         mean = self._mean
-        m2 = self._m2
         minimum = self._min
         maximum = self._max
         while index < n:
             value = values[index]
             index += 1
-            delta = value - mean
-            mean += delta / index
-            m2 += delta * (value - mean)
+            mean += (value - mean) / index
             if value < minimum:
                 minimum = value
             if value > maximum:
                 maximum = value
         self._mean = mean
-        self._m2 = m2
         self._min = minimum
         self._max = maximum
         self._reduced = n
@@ -79,30 +74,12 @@ class SummaryStats:
         return len(self._values)
 
     @property
-    def total(self) -> float:
-        return sum(self._values)
-
-    @property
     def mean(self) -> float:
         """Sample mean; ``nan`` when empty."""
         if not self._values:
             return math.nan
         self._reduce()
         return self._mean
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance; ``nan`` with fewer than 2 samples."""
-        n = len(self._values)
-        if n <= 1:
-            return math.nan
-        self._reduce()
-        return self._m2 / (n - 1)
-
-    @property
-    def stdev(self) -> float:
-        var = self.variance
-        return math.sqrt(var) if not math.isnan(var) else math.nan
 
     @property
     def minimum(self) -> float:
@@ -146,10 +123,6 @@ class SummaryStats:
         if result > hi:
             return hi
         return result
-
-    @property
-    def median(self) -> float:
-        return self.percentile(50.0)
 
     @property
     def p95(self) -> float:

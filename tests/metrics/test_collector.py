@@ -31,13 +31,6 @@ class TestMetricsRegistry:
         assert m.sample("latency").mean == 2.0
         assert m.sample("never").count == 0
 
-    def test_ratio(self):
-        m = MetricsRegistry()
-        m.increment("hits", 3)
-        m.increment("total", 4)
-        assert m.ratio("hits", "total") == 0.75
-        assert m.ratio("hits", "empty") == 0.0
-
     def test_iteration_sorted(self):
         m = MetricsRegistry()
         m.increment("z")

@@ -127,7 +127,7 @@ def _traced_run(run: Callable[[float], int], duration: float):
             tracemalloc.stop()
     counts: Tally = Tally()
     for registry in registries:
-        for name, sample in registry.samples().items():
+        for name, sample in registry._samples.items():
             counts[name] += sample.count
     return peak, requests, counts
 

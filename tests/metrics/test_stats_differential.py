@@ -34,8 +34,7 @@ _number = st.one_of(
     st.booleans(),
 )
 
-_READS = ("count", "len", "total", "mean", "variance", "stdev", "minimum",
-          "maximum", "median", "p95", "p99", "values", "repr")
+_READS = ("count", "len", "mean", "minimum", "maximum", "p95", "p99", "values", "repr")
 
 _op = st.one_of(
     st.tuples(st.just("add"), _number),
@@ -83,7 +82,7 @@ def run_program(make, program):
         else:  # merge with a second sample, then read the merged moments
             merged = subject.merge(type(subject)(arg))
             expected = reference.merge(ReferenceStats(arg))
-            for name in ("count", "values", "mean", "variance", "minimum", "maximum"):
+            for name in ("count", "values", "mean", "minimum", "maximum"):
                 assert same(read(merged, name), read(expected, name)), f"{where}: {name}"
     for name in _READS:
         assert same(read(subject, name), read(reference, name)), f"final {name}"
@@ -116,7 +115,7 @@ def test_differential_test_catches_a_single_precision_sample():
         run_program(SinglePrecision, [("add", 0.1), ("read", "mean")])
 
 
-_MOMENT_READS = ("count", "len", "mean", "variance", "stdev", "minimum", "maximum")
+_MOMENT_READS = ("count", "len", "mean", "minimum", "maximum")
 
 
 def run_moments_program(make, program):

@@ -18,8 +18,6 @@ class TestLink:
             Link(jitter=-0.1)
         with pytest.raises(ValueError):
             Link(bandwidth=0)
-        with pytest.raises(ValueError):
-            Link(loss=1.0)
 
     def test_delay_without_jitter_is_deterministic(self):
         link = Link(latency=0.01, bandwidth=1000)
@@ -37,17 +35,6 @@ class TestLink:
         for _ in range(100):
             delay = link.delay(0, rng)
             assert 0.01 <= delay <= 0.015
-
-    def test_loss_sampling_rate(self):
-        link = Link(latency=0.01, loss=0.3)
-        rng = random.Random(2)
-        drops = sum(link.drops(rng) for _ in range(10_000))
-        assert 2700 < drops < 3300
-
-    def test_lossless_never_drops(self):
-        link = Link.lan()
-        rng = random.Random(3)
-        assert not any(link.drops(rng) for _ in range(100))
 
     def test_archetypes_ordering(self):
         lan, wan = Link.lan(), Link.wan()

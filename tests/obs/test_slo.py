@@ -13,7 +13,6 @@ from repro.obs import (
     qos_slos,
     render_alert_timeline,
     render_slo_table,
-    shard_slos,
 )
 from repro.workload.chaos import run_chaos_experiment
 
@@ -135,21 +134,15 @@ class TestAlertLifecycle:
 
     def test_first_alert_time(self):
         engine, scraper = self._engine_and_scraper(bad_frac=0.5)
-        assert engine.first_alert_time() is None
+        assert not engine.alerts
         engine.evaluate(scraper, now=7.0)
-        assert engine.first_alert_time() == 7.0
+        assert engine.alerts[0].fired_at == 7.0
 
 
 class TestEngineConstruction:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             SloEngine([spec(), spec()])
-
-    def test_spec_named_lookup(self):
-        engine = SloEngine([spec()])
-        assert engine.spec_named("s").name == "s"
-        with pytest.raises(KeyError):
-            engine.spec_named("missing")
 
 
 class TestFactories:
@@ -165,9 +158,6 @@ class TestFactories:
         by_name = {s.name: s for s in chaos_slos()}
         assert "workload.dropped" in by_name["chaos-answered"].bad
         assert by_name["chaos-fast"].good == ("workload.fast",)
-
-    def test_shard_slos_mirror_qos(self):
-        assert [s.name for s in shard_slos()] == [s.name for s in qos_slos()]
 
 
 class TestChaosAlertDeterminism:
@@ -204,7 +194,7 @@ class TestChaosAlertDeterminism:
             inv for inv in result.invariants if "availability" in inv.name
         )
         assert floor.passed, floor
-        assert engine.first_alert_time() < result.duration
+        assert engine.alerts[0].fired_at < result.duration
 
 
 class TestRenderers:

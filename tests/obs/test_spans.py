@@ -149,8 +149,9 @@ class TestCollector:
         collector = TraceCollector(sample=100)  # retain almost nothing
         run_broker_scenario(sim, net, collector, n_requests=6)
         assert len(collector) == 1
-        assert collector.metrics.histogram("obs.latency.all").count == 6
-        assert collector.metrics.histogram("obs.stage.execute").count == 6
+        histograms = collector.metrics.histograms("obs.")
+        assert histograms["obs.latency.all"].count == 6
+        assert histograms["obs.stage.execute"].count == 6
         by_backend = collector.metrics.histograms("obs.backend.")
         assert sum(h.count for h in by_backend.values()) == 6
 

@@ -43,7 +43,7 @@ class TestHostCpu:
         sim.run()
         assert [t for _, t in finish] == [1.0, 2.0]
 
-    def test_busy_time_and_utilization(self, sim):
+    def test_busy_time(self, sim):
         cpu = HostCpu(sim, context_switch_cost=0.1)
 
         def run():
@@ -53,7 +53,6 @@ class TestHostCpu:
 
         sim.run(sim.process(run()))
         assert cpu.busy_time == pytest.approx(0.9)  # 0.8 work + 0.1 switch
-        assert cpu.utilization() == pytest.approx(0.9 / sim.now)
 
     def test_interleaving_processes_switch_every_slice(self, sim):
         cpu = HostCpu(sim, context_switch_cost=0.001)

@@ -49,16 +49,14 @@ from pathlib import Path
 
 import repro
 
+from ..reasons import FORKED_DRIVER, GRADE_ONE, INTENSITY_GATE, KERNEL_DIFFERENTIAL
+
 ROOT = Path(__file__).resolve().parents[2]
 WALKED = ("src", "benchmarks", "examples")
 
 _CALIBRATION = "§V.B calibration; ROADMAP item 13(c) perturbs it by ± 20 %"
 _THINK_TIME = "§V.B calibration; ROADMAP item 5(a) scales the client think time"
 _PORT = "deployment address"
-_INTENSITY_GATE = "the paper's per-class intensity gate (core/admission.py)"
-_GRADE_ONE = "DESIGN §13.4's grade-1 consistency, which ROADMAP item 4 checks"
-_FORKED_DRIVER = "the forked driver, kept until ROADMAP item 9(b) row 2 decides it"
-_KERNEL_DIFFERENTIAL = "the reference-kernel differential drives it in both kernels"
 _GOLDEN_DRAIN = "the golden overload section drains 30 s; the overload claim 90 s"
 
 #: Every reason a parameter may be kept for.
@@ -66,10 +64,10 @@ REASONS = (
     _CALIBRATION,
     _THINK_TIME,
     _PORT,
-    _INTENSITY_GATE,
-    _GRADE_ONE,
-    _FORKED_DRIVER,
-    _KERNEL_DIFFERENTIAL,
+    INTENSITY_GATE,
+    GRADE_ONE,
+    FORKED_DRIVER,
+    KERNEL_DIFFERENTIAL,
     _GOLDEN_DRAIN,
 )
 
@@ -85,13 +83,13 @@ ALLOWED = {
     ("FileServer", "port"): _PORT,
     ("FrontendWebServer", "port"): _PORT,
     ("LoadListener", "port"): _PORT,
-    ("QoSPolicy", "rate_limits"): _INTENSITY_GATE,
-    ("SharedCacheTier.write_behind", "txn_id"): _GRADE_ONE,
-    ("run_sharded_qos_experiment", "workers"): _FORKED_DRIVER,
-    ("Event.succeed", "delay"): _KERNEL_DIFFERENTIAL,
-    ("Event.fail", "delay"): _KERNEL_DIFFERENTIAL,
-    ("Simulation.timeout", "value"): _KERNEL_DIFFERENTIAL,
-    ("Store", "capacity"): _KERNEL_DIFFERENTIAL,
+    ("QoSPolicy", "rate_limits"): INTENSITY_GATE,
+    ("SharedCacheTier.write_behind", "txn_id"): GRADE_ONE,
+    ("run_sharded_qos_experiment", "workers"): FORKED_DRIVER,
+    ("Event.succeed", "delay"): KERNEL_DIFFERENTIAL,
+    ("Event.fail", "delay"): KERNEL_DIFFERENTIAL,
+    ("Simulation.timeout", "value"): KERNEL_DIFFERENTIAL,
+    ("Store", "capacity"): KERNEL_DIFFERENTIAL,
     ("run_overload_experiment", "drain"): _GOLDEN_DRAIN,
 }
 

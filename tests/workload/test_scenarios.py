@@ -187,13 +187,13 @@ class TestFleetWideHistograms:
         for level, histogram in parallel.latency_histograms.items():
             stats = parallel.response_times[level]
             assert histogram.count == stats.count
-            assert histogram.minimum == pytest.approx(stats.minimum)
+            assert histogram._min == pytest.approx(stats.minimum)
             assert histogram.maximum == pytest.approx(stats.maximum)
 
     def test_histogram_p99_tracks_summary_stats(self):
         result = run_sharded_qos_experiment(12, workers=1, **self.KW)
         for level, stats in result.response_times.items():
-            p99 = result.histogram_p99(level)
+            p99 = result.latency_histograms[level].p99
             # Bucket-interpolated p99 must bracket the exact range.
             assert stats.minimum <= p99 <= stats.maximum * 1.01
 

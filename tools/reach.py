@@ -47,7 +47,7 @@ HEADER = """# Reach census
 
 Written by `python tools/reach.py` from {runs} product runs (its `product_runs`), each traced
 line by line. Blind spots: the claim files run with `--benchmark-disable`, as
-pytest-benchmark's `pedantic` mode clears an installed profiler; `sim/parallel._worker_main`
+pytest-benchmark's `pedantic` mode clears an installed tracer; `sim/parallel._worker_main`
 runs in a forked child that exits without writing its trace. A def nested in a listed one is
 counted with it.
 
